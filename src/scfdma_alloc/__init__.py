@@ -27,7 +27,6 @@ from .dual import (
     dual_value,
     modified_instance,
     project_rho,
-    project_rho_positive,
     recover_indicator,
     solve,
     xi_value,

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from typing import Sequence
+
 import numpy as np
 
 from .assignment import Allocation, AssignmentInstance
@@ -20,29 +23,34 @@ def _runs(mask: int) -> int:
     return (mask & ~(mask << 1)).bit_count()
 
 
-def brute_force(a: AssignmentInstance, node_ceiling: int = 10**8) -> tuple[Allocation, float]:
-    """Exact minimiser by depth-first enumeration over per-agent options.
+def exact_cover_search(
+    a: AssignmentInstance, order: Sequence[Sequence[int]], node_cap: int
+) -> tuple[list[int] | None, float, bool]:
+    """Depth-first search for the minimum-weight exact cover, one option per agent.
 
-    Prunes on footprint conflicts, on remaining coverable area, and on an
-    optimistic weight bound; checks exact cover at the leaves.  Ties break to
-    the lexicographically smallest option sequence (weights compared at full
-    precision).  Raises OracleCeilingError once more than ``node_ceiling``
-    partial nodes have been expanded: an explicit refusal, never a wrong
-    answer.
+    Agents are expanded in index order and agent k's options are tried in
+    ``order[k]``.  Prunes on footprint conflicts, on remaining coverable area,
+    on the number of free runs left per remaining agent, and on an optimistic
+    weight bound; checks exact cover at the leaves.  A cover replaces the
+    incumbent only when strictly lighter (weights summed at full precision),
+    so ties keep the first cover found in ``order``.  The search stops once
+    more than ``node_cap`` partial nodes have been expanded.  Returns the best
+    option list found (or None), its total weight, and whether the cap
+    stopped the search.
     """
     n_agents = a.n_agents
     full = (1 << a.n_resources) - 1
     masks = a.footprint_masks
-    weights = a.weights
+    weights = a.weights.tolist()
     sizes = a.sizes
 
     min_size = np.array([min(sizes[o] for o in a.agent_options(k)) for k in range(n_agents)])
     suffix_min_size = np.concatenate([np.cumsum(min_size[::-1])[::-1], [0]])
-    min_w = np.array([min(weights[o] for o in a.agent_options(k)) for k in range(n_agents)])
+    min_w = np.array([min(a.weights[o] for o in a.agent_options(k)) for k in range(n_agents)])
     suffix_min_w = np.concatenate([np.cumsum(min_w[::-1])[::-1], [0.0]])
 
-    best_value = np.inf
-    best_path: tuple[int, ...] | None = None
+    best_value = math.inf
+    best_path: list[int] | None = None
     path: list[int] = []
     nodes = 0
 
@@ -51,7 +59,7 @@ def brute_force(a: AssignmentInstance, node_ceiling: int = 10**8) -> tuple[Alloc
         if k == n_agents:
             if used == full and acc < best_value:
                 best_value = acc
-                best_path = tuple(path)
+                best_path = path.copy()
             return
         if acc + suffix_min_w[k] >= best_value:
             return
@@ -60,23 +68,38 @@ def brute_force(a: AssignmentInstance, node_ceiling: int = 10**8) -> tuple[Alloc
             return
         if _runs(free) > n_agents - k:
             return
-        for o in a.agent_options(k):
+        for o in order[k]:
             m = masks[o]
             if m & used:
                 continue
             nodes += 1
-            if nodes > node_ceiling:
-                raise OracleCeilingError(
-                    f"exhaustive search exceeded the node ceiling ({node_ceiling})"
-                )
+            if nodes > node_cap:
+                return  # each open frame returns at its next expansion
             path.append(o)
-            dfs(k + 1, used | m, acc + float(weights[o]))
+            dfs(k + 1, used | m, acc + weights[o])
             path.pop()
 
     dfs(0, 0, 0.0)
+    return best_path, best_value, nodes > node_cap
+
+
+def brute_force(a: AssignmentInstance, node_ceiling: int = 10**8) -> tuple[Allocation, float]:
+    """Exact minimiser by depth-first enumeration over per-agent options.
+
+    Runs ``exact_cover_search`` with each agent's options in index order, so
+    ties break to the lexicographically smallest option sequence.  Raises
+    OracleCeilingError once more than ``node_ceiling`` partial nodes have
+    been expanded: an explicit refusal, never a wrong answer.
+    """
+    order = [a.agent_options(k) for k in range(a.n_agents)]
+    best_path, best_value, capped = exact_cover_search(a, order, node_ceiling)
+    if capped:
+        raise OracleCeilingError(
+            f"exhaustive search exceeded the node ceiling ({node_ceiling})"
+        )
     if best_path is None:
         raise InfeasibleAllocationError("no exact-cover assignment exists for this instance")
-    return Allocation(option_index=best_path), best_value
+    return Allocation(option_index=tuple(best_path)), best_value
 
 
 def greedy(instance: SumaxInstance) -> tuple[int, ...]:

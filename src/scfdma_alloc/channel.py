@@ -14,6 +14,18 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 
+def config_from_dict(cls, data: dict, section: str):
+    """Build the config dataclass ``cls`` from one parsed JSON section.
+
+    Keys that are not fields of ``cls`` raise ValueError naming ``section``;
+    JSON lists become tuples, the type of the dataclasses' sequence fields.
+    """
+    unknown = set(data) - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
+    return cls(**{k: (tuple(v) if isinstance(v, list) else v) for k, v in data.items()})
+
+
 class EmptyPatternError(ValueError):
     """An operation that needs at least one sub-channel got an empty pattern."""
 
@@ -77,12 +89,7 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScenarioConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
-        clean = {k: (tuple(v) if isinstance(v, list) else v) for k, v in data.items()}
-        return cls(**clean)
+        return config_from_dict(cls, data, "scenario")
 
     @classmethod
     def from_file(cls, path: str) -> "ScenarioConfig":

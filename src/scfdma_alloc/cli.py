@@ -12,9 +12,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields, replace
 
-from .channel import ScenarioConfig
+from .channel import ScenarioConfig, config_from_dict
 from .dual import SolverConfig
 from .harness import (
     CampaignConfig,
@@ -30,15 +29,6 @@ from .jamsc import FrameConfig
 from .sumax import ModulationTable
 
 
-def _from_dict(cls, data: dict):
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    clean = {k: (tuple(v) if isinstance(v, list) else v) for k, v in data.items()}
-    return cls(**clean)
-
-
 def load_campaign_config(path: str | None) -> CampaignConfig:
     """Build a CampaignConfig from a JSON file with optional sections.
 
@@ -49,22 +39,16 @@ def load_campaign_config(path: str | None) -> CampaignConfig:
         return CampaignConfig()
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    kw = {}
-    if "scenario" in data:
-        kw["scenario"] = ScenarioConfig.from_dict(data.pop("scenario"))
-    if "solver" in data:
-        kw["solver"] = _from_dict(SolverConfig, data.pop("solver"))
-    if "modulations" in data:
-        kw["modulations"] = _from_dict(ModulationTable, data.pop("modulations"))
-    if "frame" in data:
-        kw["frame"] = _from_dict(FrameConfig, data.pop("frame"))
-    campaign_keys = {f.name for f in fields(CampaignConfig)}
-    unknown = set(data) - campaign_keys
-    if unknown:
-        raise ValueError(f"unknown campaign keys: {sorted(unknown)}")
-    for k, v in data.items():
-        kw[k] = tuple(v) if isinstance(v, list) else v
-    return CampaignConfig(**kw)
+    sections = {
+        "scenario": ScenarioConfig,
+        "solver": SolverConfig,
+        "modulations": ModulationTable,
+        "frame": FrameConfig,
+    }
+    for key, cls in sections.items():
+        if key in data:
+            data[key] = config_from_dict(cls, data[key], key)
+    return config_from_dict(CampaignConfig, data, "campaign")
 
 
 def _add_campaign_args(p: argparse.ArgumentParser) -> None:

@@ -6,21 +6,22 @@ constraint (``cover_dual``), one per agent's single-choice constraint
 On the open cone where all three are positive the dual function is concave,
 and a stationary point there recovers the exact binary optimum with zero
 duality gap.  The solver runs nested sub-gradient loops (binarity duals
-innermost, then choice, then cover) and certifies a run only when the
+innermost, then choice, then cover) in which each loop steps onto the
+stationary point of its own sub-problem, and certifies a run only when the
 converged point sits inside the cone and the recovered indicator rounds to a
-feasible assignment.
+feasible assignment.  An uncertified run is repaired by a bounded exact-cover
+search seeded with the recovered indicator.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
 
 from .assignment import Allocation, AssignmentInstance
+from .baselines import exact_cover_search
 
 
 class DualDomainError(ValueError):
@@ -53,38 +54,23 @@ class DualPoint:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Step sizes, tolerances and modes of the nested sub-gradient scheme.
+    """Tolerances, budgets and starting point of the nested dual ascent.
 
-    ``step_schedule`` picks how the per-loop step sizes are formed:
-
-    * ``auto`` (default): each loop lands on the stationary target of its own
-      sub-problem (separable for the binarity duals, linear for the choice
-      and cover duals, whose shared system is solved once per round).
-      Robust on realistic instances.
-    * ``constant``: the literal fixed steps below.  Convergent only when the
-      steps happen to suit the instance's scale; kept for strict fidelity.
-    * ``diminishing``: fixed steps shrunk by 1/sqrt(iteration) inside each loop.
+    ``tol`` bounds the sup-norm of each gradient at convergence;
+    ``projection_offset`` is the binarity duals' magnitude floor (see
+    ``project_rho``); ``init_value`` fills every dual at a cold start;
+    ``max_inner`` and ``max_outer`` cap the inner loops and the outer rounds;
+    ``round_tol`` is how close to 0/1 the recovered indicator must be.
     """
 
-    step_binary: float = 0.01
-    step_choice: float = 0.01
-    step_cover: float = 0.01
     tol: float = 1e-6
     projection_offset: float = 1e-3
     init_value: float = 1.0
     max_inner: int = 10_000
     max_outer: int = 1_000
-    rho_projection: str = "sign_flip"
-    step_schedule: str = "auto"
     round_tol: float = 0.1
-    repair: bool = True
-    ratio_bound: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.rho_projection not in ("sign_flip", "positive"):
-            raise ValueError("rho_projection must be 'sign_flip' or 'positive'")
-        if self.step_schedule not in ("auto", "constant", "diminishing"):
-            raise ValueError("step_schedule must be 'auto', 'constant' or 'diminishing'")
         if not 0 < self.round_tol < 0.5:
             raise ValueError("round_tol must be in (0, 0.5)")
         if not 0 < self.projection_offset < 1:
@@ -169,13 +155,6 @@ def project_rho(previous: np.ndarray, proposed: np.ndarray, offset: float) -> np
     bumped = np.where(proposed == 0.0, previous + np.sign(previous) * offset, proposed)
     floored = np.where(np.abs(bumped) < offset, np.sign(bumped) * offset, bumped)
     return np.where(floored == 0.0, offset, floored)
-
-
-def project_rho_positive(proposed: np.ndarray, floor: float) -> np.ndarray:
-    """Positivity guard: proposals below a small floor are lifted onto it."""
-    if floor <= 0:
-        raise ValueError("floor must be positive")
-    return np.where(proposed < floor, floor, proposed)
 
 
 @dataclass(frozen=True)
@@ -300,65 +279,23 @@ def _binarize(frac: np.ndarray, round_tol: float) -> tuple[np.ndarray, bool]:
     return near_one.astype(np.int8), ok
 
 
-def _runs(mask: int) -> int:
-    return (mask & ~(mask << 1)).bit_count()
-
-
 def repair_selection(
     a: AssignmentInstance, frac: np.ndarray, node_cap: int = 200_000
 ) -> np.ndarray | None:
     """Bounded feasibility repair: heuristic, carries no optimality guarantee.
 
-    Agents are processed in index order; children are tried by largest
-    fractional indicator, then lowest weight.  The search keeps the best
-    exact cover found within the node cap, so small instances are repaired
-    to the best reachable selection while large ones return the incumbent
-    when the budget runs out.  Returns a 0/1 selection or None when no
-    exact cover was found.
+    Runs ``exact_cover_search`` with each agent's children tried by largest
+    fractional indicator, then lowest weight, then lowest index.  The search
+    keeps the best exact cover found within the node cap, so small instances
+    are repaired to the best reachable selection while large ones return the
+    incumbent when the budget runs out.  Returns a 0/1 selection or None when
+    no exact cover was found.
     """
-    n_agents = a.n_agents
-    full = (1 << a.n_resources) - 1
-    sizes = a.sizes
-    prefs = []
-    for k in range(n_agents):
-        opts = sorted(a.agent_options(k), key=lambda o: (-frac[o], a.weights[o], o))
-        prefs.append(opts)
-    min_size = np.array([min(sizes[o] for o in a.agent_options(k)) for k in range(n_agents)])
-    suffix_min = np.concatenate([np.cumsum(min_size[::-1])[::-1], [0]])
-    min_weight = np.array(
-        [min(a.weights[o] for o in a.agent_options(k)) for k in range(n_agents)]
-    )
-    suffix_weight = np.concatenate([np.cumsum(min_weight[::-1])[::-1], [0.0]])
-    chosen: list[int] = []
-    best: list[int] | None = None
-    best_value = math.inf
-    nodes = 0
-
-    def dfs(k: int, used: int, value: float) -> None:
-        nonlocal nodes, best, best_value
-        if k == n_agents:
-            if used == full and value < best_value:
-                best_value = value
-                best = chosen.copy()
-            return
-        if value + suffix_weight[k] >= best_value:
-            return
-        free = full & ~used
-        if free.bit_count() < suffix_min[k]:
-            return
-        if _runs(free) > n_agents - k:
-            return
-        for o in prefs[k]:
-            if a.footprint_masks[o] & used:
-                continue
-            nodes += 1
-            if nodes > node_cap:
-                return
-            chosen.append(o)
-            dfs(k + 1, used | a.footprint_masks[o], value + float(a.weights[o]))
-            chosen.pop()
-
-    dfs(0, 0, 0.0)
+    order = [
+        sorted(a.agent_options(k), key=lambda o: (-frac[o], a.weights[o], o))
+        for k in range(a.n_agents)
+    ]
+    best, _, _ = exact_cover_search(a, order, node_cap)
     if best is None:
         return None
     sel = np.zeros(a.n_options, dtype=np.int8)
@@ -371,13 +308,18 @@ def solve(
     cfg: SolverConfig = SolverConfig(),
     start: DualPoint | None = None,
 ) -> SolveReport:
-    """Run the nested sub-gradient scheme on one assignment instance.
+    """Run the nested dual ascent on one assignment instance.
 
     Loop order per outer round: (1) binarity duals until their gradient's
     sup-norm is within tolerance, (2) choice duals, (3) cover duals, (4, 5)
     repeat 2-3 until both are within tolerance, (6, 7) repeat everything until
-    all three gradients pass, (8) recover and round the indicator.  Exceeding
-    the iteration budgets yields ``truncated=True``, never an exception.
+    all three gradients pass, (8) recover and round the indicator.  Each loop
+    steps onto the stationary point of its own sub-problem: separable for the
+    binarity duals, linear for the choice and cover duals, whose shared system
+    is solved once per round.  A round that leaves the state unchanged ends
+    the ascent.  When the rounded indicator is not a feasible assignment,
+    ``repair_selection`` supplies one if it can.  Exceeding the iteration
+    budgets yields ``truncated=True``, never an exception.
     """
     u = -a.weights
     mat = a.footprint_matrix
@@ -394,16 +336,8 @@ def solve(
         choice = start.choice_dual.astype(float).copy()
         binary = start.binary_dual.astype(float).copy()
 
-    auto = cfg.step_schedule == "auto"
-    diminish = cfg.step_schedule == "diminishing"
-
-    def stepsize(base: float, i: int) -> float:
-        return base / math.sqrt(i + 1.0) if diminish else base
-
-    one_hot_t = None
-    if auto:
-        one_hot_t = np.zeros((n_opt, n_agents))
-        one_hot_t[np.arange(n_opt), agent_of] = 1.0
+    one_hot_t = np.zeros((n_opt, n_agents))
+    one_hot_t[np.arange(n_opt), agent_of] = 1.0
 
     it_binary = it_choice = it_cover = 0
     outer_used = 0
@@ -414,23 +348,17 @@ def solve(
     for outer in range(1, cfg.max_outer + 1):
         outer_used = outer
         slack0 = u - choice[agent_of] - mat_t @ cover
-        for i in range(cfg.max_inner):
+        for _ in range(cfg.max_inner):
             ratio = slack0 / binary
             g = 0.25 * (ratio * ratio - 1.0)
             if np.max(np.abs(g)) <= cfg.tol:
                 break
-            if auto:
-                # exact ascent target of the separable 1-D sub-problem on the
-                # current half-line: |slack| with the sign of the iterate
-                proposed = np.sign(binary) * np.abs(slack0)
-            else:
-                proposed = binary + stepsize(cfg.step_binary, i) * g
-            if cfg.rho_projection == "sign_flip":
-                projected = project_rho(binary, proposed, cfg.projection_offset)
-            else:
-                projected = project_rho_positive(proposed, cfg.projection_offset)
+            # exact ascent target of the separable 1-D sub-problem on the
+            # current half-line: |slack| with the sign of the iterate
+            proposed = np.sign(binary) * np.abs(slack0)
+            projected = project_rho(binary, proposed, cfg.projection_offset)
             it_binary += 1
-            if auto and np.array_equal(projected, binary):
+            if np.array_equal(projected, binary):
                 break
             binary = projected
         if not np.isfinite(binary).all():
@@ -439,83 +367,74 @@ def solve(
         inv2b = 0.5 / binary
         weighted = mat * inv2b
         m_cover = weighted @ mat_t
+        # With the binarity duals held fixed both remaining gradients are
+        # linear, so their shared stationary point solves one symmetric
+        # system per round.  The cover loop lands on its component and the
+        # next choice pass then lands on the matching choice component.
         cover_target = None
-        if auto:
-            # With the binarity duals held fixed both remaining gradients are
-            # linear, so their shared stationary point solves one symmetric
-            # system per round.  The cover loop lands on its component and the
-            # next choice pass then lands on the matching choice component.
-            cross = weighted @ one_hot_t
-            s2_fixed = np.bincount(agent_of, weights=inv2b, minlength=n_agents)
-            q_fixed = (u + binary) * inv2b
-            h_joint = np.block([[np.diag(s2_fixed), cross.T], [cross, m_cover]])
-            rhs_joint = np.concatenate(
-                [
-                    np.bincount(agent_of, weights=q_fixed, minlength=n_agents) - 1.0,
-                    mat @ q_fixed - 1.0,
-                ]
-            )
-            try:
-                sol = np.linalg.solve(h_joint, rhs_joint)
-                sol = sol + np.linalg.solve(h_joint, rhs_joint - h_joint @ sol)
-                if np.isfinite(sol).all():
-                    cover_target = sol[n_agents:]
-            except np.linalg.LinAlgError:
-                cover_target = None
+        cross = weighted @ one_hot_t
+        s2_fixed = np.bincount(agent_of, weights=inv2b, minlength=n_agents)
+        q_fixed = (u + binary) * inv2b
+        h_joint = np.block([[np.diag(s2_fixed), cross.T], [cross, m_cover]])
+        rhs_joint = np.concatenate(
+            [
+                np.bincount(agent_of, weights=q_fixed, minlength=n_agents) - 1.0,
+                mat @ q_fixed - 1.0,
+            ]
+        )
+        try:
+            sol = np.linalg.solve(h_joint, rhs_joint)
+            sol = sol + np.linalg.solve(h_joint, rhs_joint - h_joint @ sol)
+            if np.isfinite(sol).all():
+                cover_target = sol[n_agents:]
+        except np.linalg.LinAlgError:
+            cover_target = None
         for _cycle in range(cfg.max_outer):
             base_c = u + binary - mat_t @ cover
             s1 = np.bincount(agent_of, weights=base_c * inv2b, minlength=n_agents)
             s2 = np.bincount(agent_of, weights=inv2b, minlength=n_agents)
-            for i in range(cfg.max_inner):
+            for _ in range(cfg.max_inner):
                 g = s1 - choice * s2 - 1.0
                 if np.max(np.abs(g)) <= cfg.tol:
                     break
-                if auto:
-                    # the gradient is linear with per-coordinate slope -s2
-                    moved = choice + g / s2
-                    it_choice += 1
-                    if np.array_equal(moved, choice):
-                        break
-                    choice = moved
-                else:
-                    choice = choice + stepsize(cfg.step_choice, i) * g
-                    it_choice += 1
+                # the gradient is linear with per-coordinate slope -s2
+                moved = choice + g / s2
+                it_choice += 1
+                if np.array_equal(moved, choice):
+                    break
+                choice = moved
             if not np.isfinite(choice).all():
                 diverged = True
                 break
             q0 = (u + binary - choice[agent_of]) * inv2b
             v0 = mat @ q0
-            for i in range(cfg.max_inner):
+            for _ in range(cfg.max_inner):
                 g = v0 - m_cover @ cover - 1.0
                 if np.max(np.abs(g)) <= cfg.tol:
                     break
-                if auto:
-                    if cover_target is not None and not np.array_equal(cover, cover_target):
-                        cover = cover_target.copy()
-                        it_cover += 1
-                        break
+                if cover_target is not None and not np.array_equal(cover, cover_target):
+                    cover = cover_target.copy()
+                    it_cover += 1
+                    break
+                landed = None
+                try:
+                    landed = np.linalg.solve(m_cover, v0 - 1.0)
+                except np.linalg.LinAlgError:
                     landed = None
-                    try:
-                        landed = np.linalg.solve(m_cover, v0 - 1.0)
-                    except np.linalg.LinAlgError:
-                        landed = None
-                    if (
-                        landed is not None
-                        and np.isfinite(landed).all()
-                        and not np.array_equal(cover, landed)
-                    ):
-                        cover = landed
-                        it_cover += 1
-                        break
-                    gersh = float(np.max(np.sum(np.abs(m_cover), axis=1)))
-                    moved = cover + g / max(gersh, 1e-12)
+                if (
+                    landed is not None
+                    and np.isfinite(landed).all()
+                    and not np.array_equal(cover, landed)
+                ):
+                    cover = landed
                     it_cover += 1
-                    if np.array_equal(moved, cover):
-                        break
-                    cover = moved
-                else:
-                    cover = cover + stepsize(cfg.step_cover, i) * g
-                    it_cover += 1
+                    break
+                gersh = float(np.max(np.sum(np.abs(m_cover), axis=1)))
+                moved = cover + g / max(gersh, 1e-12)
+                it_cover += 1
+                if np.array_equal(moved, cover):
+                    break
+                cover = moved
             if not (np.isfinite(choice).all() and np.isfinite(cover).all()):
                 diverged = True
                 break
@@ -569,7 +488,7 @@ def solve(
 
     final_sel: np.ndarray | None = sel if (binary_ok and recovery_feasible) else None
     repaired = False
-    if final_sel is None and cfg.repair:
+    if final_sel is None:
         rep = repair_selection(a, frac)
         if rep is not None:
             final_sel = rep
@@ -586,10 +505,7 @@ def solve(
 
     gap_report = None
     if not diverged:
-        gap_report = diagnose_gap(
-            a, d, selection=final_sel if final_sel is not None else None,
-            ratio_bound=cfg.ratio_bound,
-        )
+        gap_report = diagnose_gap(a, d, selection=final_sel)
 
     return SolveReport(
         dual_point=d,
@@ -609,52 +525,3 @@ def solve(
         violations=violations,
     )
 
-
-def count_iterations(
-    make_instance: Callable[[int, int, int], AssignmentInstance],
-    sweep: Sequence[tuple[int, int]],
-    seeds: Sequence[int],
-    cfg: SolverConfig = SolverConfig(),
-) -> list[dict]:
-    """Iteration-count table over (n_agents, n_subchannels) pairs.
-
-    Operations are counted from the loop structure: each binarity iteration
-    touches every option, each choice iteration every agent, each cover
-    iteration every sub-channel.  Wall time is informative only.
-    """
-    rows = []
-    for n_agents, n_sub in sweep:
-        tot = {"outer": 0.0, "binary": 0.0, "choice": 0.0, "cover": 0.0, "ops": 0.0, "wall_s": 0.0}
-        n_options = None
-        n_patterns = None
-        for seed in seeds:
-            inst = make_instance(n_agents, n_sub, seed)
-            t0 = time.perf_counter()
-            rep = solve(inst, cfg)
-            dt = time.perf_counter() - t0
-            ib, ic, iv = rep.iterations
-            n_options = inst.n_options
-            n_patterns = inst.patterns.n_patterns
-            tot["outer"] += rep.outer_iterations
-            tot["binary"] += ib
-            tot["choice"] += ic
-            tot["cover"] += iv
-            tot["ops"] += ib * inst.n_options + ic * n_agents + iv * n_sub
-            tot["wall_s"] += dt
-        m = float(len(seeds))
-        rows.append(
-            {
-                "n_agents": n_agents,
-                "n_subchannels": n_sub,
-                "n_patterns": n_patterns,
-                "n_options": n_options,
-                "outer": tot["outer"] / m,
-                "iters_binary": tot["binary"] / m,
-                "iters_choice": tot["choice"] / m,
-                "iters_cover": tot["cover"] / m,
-                "ops": tot["ops"] / m,
-                "ops_per_outer": tot["ops"] / max(tot["outer"], 1.0),
-                "wall_s": tot["wall_s"] / m,
-            }
-        )
-    return rows

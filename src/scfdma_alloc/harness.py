@@ -19,7 +19,7 @@ import numpy as np
 from .assignment import Allocation, AssignmentInstance, InfeasibleInstanceError, to_assignment
 from .baselines import InfeasibleAllocationError, OracleCeilingError, brute_force, greedy, round_robin
 from .channel import ScenarioConfig, generate_channel
-from .dual import SolveReport, SolverConfig, count_iterations, dual_gradient, dual_value, DualPoint, solve
+from .dual import SolveReport, SolverConfig, dual_gradient, dual_value, DualPoint, solve
 from .jamsc import FrameConfig, build_jamsc
 from .patterns import PatternSet, enumerate_patterns
 from .sumax import ModulationTable, SumaxInstance, build_sumax, select_modulation
@@ -59,6 +59,8 @@ class CampaignConfig:
     def __post_init__(self) -> None:
         if self.problem not in ("sumax", "jamsc", "both"):
             raise ValueError("problem must be 'sumax', 'jamsc' or 'both'")
+        if self.n_drops < 1:
+            raise ValueError(f"n_drops must be >= 1, got {self.n_drops}")
         for name in self.allocators_sumax:
             if name not in SUMAX_ALLOCATORS:
                 raise ValueError(f"unknown sumax allocator {name!r}")
@@ -493,6 +495,8 @@ def certification_sweep(
     Per run: certified runs must match the oracle optimum exactly; the value
     ratio (after repair) and the complementary-duality residual are recorded.
     """
+    if per_combo < 1:
+        raise ValueError(f"per_combo must be >= 1, got {per_combo}")
     rows = []
     for n_users, n_sub in combos:
         for i in range(per_combo):
@@ -591,9 +595,45 @@ def complexity_table(
     seeds: Sequence[int] = (11, 12, 13),
     solver: SolverConfig = SolverConfig(),
 ) -> list[dict]:
-    """Iteration/operation counts over a (K, N) sweep of random sumax instances."""
-    sweep = [(k, n) for k in k_values for n in n_values]
-    return count_iterations(sumax_assignment_for_seed, sweep, seeds, solver)
+    """Iteration-count table over a (K, N) sweep of random sumax instances.
+
+    Operations are counted from the loop structure: each binarity iteration
+    touches every option, each choice iteration every agent, each cover
+    iteration every sub-channel.  Wall time is informative only.
+    """
+    rows = []
+    for n_agents in k_values:
+        for n_sub in n_values:
+            tot = {"outer": 0.0, "binary": 0.0, "choice": 0.0, "cover": 0.0, "ops": 0.0, "wall_s": 0.0}
+            for seed in seeds:
+                inst = sumax_assignment_for_seed(n_agents, n_sub, seed)
+                t0 = time.perf_counter()
+                rep = solve(inst, solver)
+                dt = time.perf_counter() - t0
+                ib, ic, iv = rep.iterations
+                tot["outer"] += rep.outer_iterations
+                tot["binary"] += ib
+                tot["choice"] += ic
+                tot["cover"] += iv
+                tot["ops"] += ib * inst.n_options + ic * n_agents + iv * n_sub
+                tot["wall_s"] += dt
+            m = float(len(seeds))
+            rows.append(
+                {
+                    "n_agents": n_agents,
+                    "n_subchannels": n_sub,
+                    "n_patterns": inst.patterns.n_patterns,
+                    "n_options": inst.n_options,
+                    "outer": tot["outer"] / m,
+                    "iters_binary": tot["binary"] / m,
+                    "iters_choice": tot["choice"] / m,
+                    "iters_cover": tot["cover"] / m,
+                    "ops": tot["ops"] / m,
+                    "ops_per_outer": tot["ops"] / max(tot["outer"], 1.0),
+                    "wall_s": tot["wall_s"] / m,
+                }
+            )
+    return rows
 
 
 def write_complexity_csv(path: str, rows: Sequence[dict]) -> None:

@@ -65,6 +65,17 @@ def test_bad_allocator_override_rejected():
         main(["sumax", "--drops", "1", "--allocators", "magic"])
 
 
+def test_non_positive_drops_rejected(tmp_path):
+    with pytest.raises(ValueError, match="n_drops"):
+        main(["sumax", "--drops", "-5", "--out", str(tmp_path)])
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_zero_certify_instances_rejected():
+    with pytest.raises(ValueError, match="per_combo"):
+        main(["certify", "--instances", "0"])
+
+
 def test_certify_small(tmp_path, capsys):
     rc = main(["certify", "--instances", "2", "--seed", "2024", "--out", str(tmp_path)])
     out = capsys.readouterr().out

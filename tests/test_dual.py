@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from scfdma_alloc.assignment import AssignmentInstance
-from scfdma_alloc.baselines import brute_force
+from scfdma_alloc.baselines import brute_force, exact_cover_search
 from scfdma_alloc.dual import (
     DualDomainError,
     DualPoint,
@@ -14,11 +14,9 @@ from scfdma_alloc.dual import (
     dual_value,
     modified_instance,
     project_rho,
-    project_rho_positive,
     recover_indicator,
     repair_selection,
     solve,
-    count_iterations,
     xi_value,
 )
 from scfdma_alloc.harness import sumax_assignment_for_seed
@@ -159,13 +157,6 @@ def test_project_rho_degenerate_zero_pair():
     assert out[0] == 1e-3
 
 
-def test_project_rho_positive_floor():
-    out = project_rho_positive(np.array([-2.0, 1e-9, 0.7]), 1e-3)
-    assert out.tolist() == [1e-3, 1e-3, 0.7]
-    with pytest.raises(ValueError):
-        project_rho_positive(np.array([1.0]), 0.0)
-
-
 def test_solve_hand_instance_certifies_exact():
     a = hand_instance()
     rep = solve(a, SolverConfig())
@@ -176,19 +167,6 @@ def test_solve_hand_instance_certifies_exact():
     assert abs(rep.duality_gap) <= 1e-6 * (1.0 + abs(rep.dual_value))
     sel = rep.fractional.round().astype(int)
     assert sel.tolist() == [0, 1]
-
-
-def test_solve_constant_schedule_hand_instance():
-    a = hand_instance()
-    rep = solve(a, SolverConfig(step_schedule="constant"))
-    assert rep.primal_value == -5.0
-    assert rep.iterations[0] > 10  # fixed small steps need many more rounds
-
-
-def test_solve_diminishing_schedule_runs():
-    a = hand_instance()
-    rep = solve(a, SolverConfig(step_schedule="diminishing", max_outer=50))
-    assert rep.primal_value in (-5.0, None) or isinstance(rep.primal_value, float)
 
 
 def test_certified_runs_match_oracle():
@@ -221,19 +199,39 @@ def test_degenerate_tie_is_truncated_and_repaired():
 
 
 def test_repair_returns_best_cover_within_cap():
-    a = sumax_assignment_for_seed(3, 5, 62)
-    frac = np.zeros(a.n_options)
-    sel = repair_selection(a, frac)
-    assert sel is not None
-    assert not a.selection_violations(sel)
-    alloc, opt = brute_force(a)
-    assert a.value(a.allocation_from_selection(sel)) == opt
+    # one test id over several instances, each checked against the oracle
+    rng = np.random.default_rng(5)
+    for k, n, seed in ((3, 5, 62), (2, 4, 5001), (2, 6, 17), (3, 6, 63), (4, 6, 8), (4, 8, 31)):
+        a = sumax_assignment_for_seed(k, n, seed)
+        _, opt = brute_force(a)
+        for frac in (np.zeros(a.n_options), rng.uniform(0.0, 1.0, a.n_options)):
+            sel = repair_selection(a, frac)
+            assert sel is not None
+            assert not a.selection_violations(sel)
+            assert a.value(a.allocation_from_selection(sel)) == opt, (k, n, seed)
 
 
 def test_repair_none_when_budget_exhausted():
     a = sumax_assignment_for_seed(3, 6, 63)
     sel = repair_selection(a, np.zeros(a.n_options), node_cap=1)
     assert sel is None
+
+
+def test_repair_keeps_incumbent_when_cap_stops_search():
+    a = sumax_assignment_for_seed(4, 8, 31)
+    frac = np.zeros(a.n_options)
+    order = [sorted(a.agent_options(k), key=lambda o: (-frac[o], a.weights[o], o)) for k in range(4)]
+    # the smallest cap that still reaches one full cover
+    cap = next(c for c in range(1, 10**4) if exact_cover_search(a, order, c)[0] is not None)
+    path, value, capped = exact_cover_search(a, order, cap)
+    assert capped and path is not None
+    sel = repair_selection(a, frac, node_cap=cap)
+    assert sel is not None
+    assert not a.selection_violations(sel)
+    assert sorted(np.flatnonzero(sel).tolist()) == sorted(path)
+    assert a.value(a.allocation_from_selection(sel)) == value
+    _, opt = brute_force(a)
+    assert value >= opt
 
 
 def test_diagnose_gap_agreement_means_zero_theta():
@@ -307,28 +305,9 @@ def test_solve_report_to_dict():
     assert d["iterations"] == list(rep.iterations)
 
 
-def test_count_iterations_ops_identity():
-    rows = count_iterations(
-        sumax_assignment_for_seed, [(2, 4), (2, 5)], seeds=(1, 2), cfg=SolverConfig()
-    )
-    assert len(rows) == 2
-    for row in rows:
-        expect = (
-            row["iters_binary"] * row["n_options"]
-            + row["iters_choice"] * row["n_agents"]
-            + row["iters_cover"] * row["n_subchannels"]
-        )
-        assert row["ops"] == pytest.approx(expect, rel=1e-12)
-        assert row["n_patterns"] == row["n_subchannels"] * (row["n_subchannels"] + 1) // 2 + 1
-
-
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(step_schedule="adaptive")
-    with pytest.raises(ValueError):
-        SolverConfig(rho_projection="reflect")
     with pytest.raises(ValueError):
         SolverConfig(round_tol=0.6)
     with pytest.raises(ValueError):

@@ -166,6 +166,19 @@ def test_complexity_table_and_csv(tmp_path):
     assert len(lines) == 2
 
 
+def test_count_iterations_ops_identity():
+    rows = complexity_table(k_values=(2,), n_values=(4, 5), seeds=(1, 2))
+    assert len(rows) == 2
+    for row in rows:
+        expect = (
+            row["iters_binary"] * row["n_options"]
+            + row["iters_choice"] * row["n_agents"]
+            + row["iters_cover"] * row["n_subchannels"]
+        )
+        assert row["ops"] == pytest.approx(expect, rel=1e-12)
+        assert row["n_patterns"] == row["n_subchannels"] * (row["n_subchannels"] + 1) // 2 + 1
+
+
 def test_campaign_config_validation():
     with pytest.raises(ValueError):
         CampaignConfig(problem="nope")
