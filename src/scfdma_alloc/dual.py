@@ -7,9 +7,10 @@ On the open cone where all three are positive the dual function is concave,
 and a stationary point there recovers the exact binary optimum with zero
 duality gap.  The solver runs nested sub-gradient loops (binarity duals
 innermost, then choice, then cover) in which each loop steps onto the
-stationary point of its own sub-problem, and certifies a run only when the
-converged point sits inside the cone and the recovered indicator rounds to a
-feasible assignment.  An uncertified run is repaired by a bounded exact-cover
+stationary point of its own sub-problem (for the separable binarity duals a
+single closed-form step), and certifies a run only when the converged point
+sits inside the cone and the recovered indicator rounds to a feasible
+assignment.  An uncertified run is repaired by a bounded exact-cover
 search seeded with the recovered indicator.
 """
 
@@ -59,7 +60,9 @@ class SolverConfig:
     ``tol`` bounds the sup-norm of each gradient at convergence;
     ``projection_offset`` is the binarity duals' magnitude floor (see
     ``project_rho``); ``init_value`` fills every dual at a cold start;
-    ``max_inner`` and ``max_outer`` cap the inner loops and the outer rounds;
+    ``max_inner`` caps the choice and cover loops (the binarity step is
+    closed form and takes at most one step per round); ``max_outer`` caps
+    the outer rounds and the choice/cover cycles within one round;
     ``round_tol`` is how close to 0/1 the recovered indicator must be.
     """
 
@@ -106,19 +109,11 @@ def dual_gradient(a: AssignmentInstance, d: DualPoint) -> tuple[np.ndarray, np.n
     stationarity condition prescribes.
     """
     _check_binary_dual(d.binary_dual)
-    u = -a.weights
-    g_cover, g_choice, g_binary = _raw_gradients(
-        u, a.footprint_matrix, a.footprint_matrix.T, a.agent_of, a.n_agents,
-        d.cover_dual, d.choice_dual, d.binary_dual,
-    )
-    return g_cover, g_choice, g_binary
-
-
-def _raw_gradients(u, mat, mat_t, agent_of, n_agents, cover, choice, binary):
-    slack0 = u - choice[agent_of] - mat_t @ cover
+    mat, binary = a.footprint_matrix, d.binary_dual
+    slack0 = -a.weights - d.choice_dual[a.agent_of] - mat.T @ d.cover_dual
     frac = (slack0 + binary) / (2.0 * binary)
     g_cover = mat @ frac - 1.0
-    g_choice = np.bincount(agent_of, weights=frac, minlength=n_agents) - 1.0
+    g_choice = np.bincount(a.agent_of, weights=frac, minlength=a.n_agents) - 1.0
     ratio = slack0 / binary
     g_binary = 0.25 * (ratio * ratio - 1.0)
     return g_cover, g_choice, g_binary
@@ -145,16 +140,17 @@ def xi_value(a: AssignmentInstance, selection: np.ndarray, d: DualPoint) -> floa
 
 
 def project_rho(previous: np.ndarray, proposed: np.ndarray, offset: float) -> np.ndarray:
-    """Boundary guard for the binarity duals.
+    """Binarity step with a boundary guard: |proposed| floored at the offset.
 
-    Exact-zero proposals step off zero along the previous iterate's sign.
-    Nonzero proposals keep their own sign but their magnitude is floored at
-    the offset; without the floor a degenerate tie drives some dual to the
-    cone boundary and the quadratic curvature ``1/(2 rho)`` overflows.
+    The result takes the previous iterate's sign (+ at zero), so a dual never
+    crosses zero.  The floor keeps a degenerate tie from driving some dual to
+    the cone boundary, where the quadratic curvature ``1/(2 rho)`` overflows;
+    an exact-zero proposal lands on the offset itself.  The map is
+    idempotent: a second step from its result with the same proposal
+    returns the same point.
     """
-    bumped = np.where(proposed == 0.0, previous + np.sign(previous) * offset, proposed)
-    floored = np.where(np.abs(bumped) < offset, np.sign(bumped) * offset, bumped)
-    return np.where(floored == 0.0, offset, floored)
+    magnitude = np.maximum(np.abs(proposed), offset)
+    return np.where(previous < 0, -magnitude, magnitude)
 
 
 @dataclass(frozen=True)
@@ -310,16 +306,21 @@ def solve(
 ) -> SolveReport:
     """Run the nested dual ascent on one assignment instance.
 
-    Loop order per outer round: (1) binarity duals until their gradient's
-    sup-norm is within tolerance, (2) choice duals, (3) cover duals, (4, 5)
-    repeat 2-3 until both are within tolerance, (6, 7) repeat everything until
-    all three gradients pass, (8) recover and round the indicator.  Each loop
-    steps onto the stationary point of its own sub-problem: separable for the
-    binarity duals, linear for the choice and cover duals, whose shared system
-    is solved once per round.  A round that leaves the state unchanged ends
-    the ascent.  When the rounded indicator is not a feasible assignment,
-    ``repair_selection`` supplies one if it can.  Exceeding the iteration
-    budgets yields ``truncated=True``, never an exception.
+    Loop order per outer round: (1) unless their gradient's sup-norm is
+    within tolerance, one closed-form step of the binarity duals, (2) choice
+    duals, (3) cover duals, (4, 5) repeat 2-3 until both are within
+    tolerance, (6, 7) repeat everything until all three gradients pass, (8)
+    recover and round the indicator.  Each loop steps onto the stationary
+    point of its own sub-problem: separable for the binarity duals, so one
+    ``project_rho`` step lands them all, and linear for the choice and cover
+    duals, whose shared system is solved once per round.  The binarity count
+    in ``iterations`` adds 1 for that step and 1 more when it moved the duals
+    and their gradient still fails the re-check.  One gradient pass per
+    choice/cover cycle serves its stop test, the next cycle and the next
+    round.  A round that leaves the state unchanged ends the ascent.  When
+    the rounded indicator is not a feasible assignment, ``repair_selection``
+    supplies one if it can.  Exceeding the iteration budgets yields
+    ``truncated=True``, never an exception.
     """
     u = -a.weights
     mat = a.footprint_matrix
@@ -338,33 +339,42 @@ def solve(
 
     one_hot_t = np.zeros((n_opt, n_agents))
     one_hot_t[np.arange(n_opt), agent_of] = 1.0
+    # the joint choice/cover system [[diag(s2), cross.T], [cross, m_cover]]:
+    # every round rewrites all of it but the zero off-diagonal choice block
+    h_joint = np.zeros((n_agents + n_res, n_agents + n_res))
+    diag = np.arange(n_agents)
+    tol = cfg.tol
 
     it_binary = it_choice = it_cover = 0
     outer_used = 0
     converged = False
     diverged = False
     prev_state: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    # slack0 and cover_terms depend only on (choice, cover); each gradient
+    # pass leaves them current for the next cycle and the next round
+    cover_terms = mat_t @ cover
+    slack0 = u - choice[agent_of] - cover_terms
+    ratio = slack0 / binary
+    g_binary = 0.25 * (ratio * ratio - 1.0)
 
     for outer in range(1, cfg.max_outer + 1):
         outer_used = outer
-        slack0 = u - choice[agent_of] - mat_t @ cover
-        for _ in range(cfg.max_inner):
-            ratio = slack0 / binary
-            g = 0.25 * (ratio * ratio - 1.0)
-            if np.max(np.abs(g)) <= cfg.tol:
-                break
-            # exact ascent target of the separable 1-D sub-problem on the
-            # current half-line: |slack| with the sign of the iterate
-            proposed = np.sign(binary) * np.abs(slack0)
-            projected = project_rho(binary, proposed, cfg.projection_offset)
+        if np.abs(g_binary).max() > tol:
+            # exact ascent target of each separable 1-D sub-problem on the
+            # current half-line: |slack| with the sign of the iterate, so
+            # one step lands every binarity dual
+            stepped = project_rho(binary, slack0, cfg.projection_offset)
             it_binary += 1
-            if np.array_equal(projected, binary):
-                break
-            binary = projected
+            if not (stepped == binary).all():
+                binary = stepped
+                ratio = slack0 / binary
+                if np.abs(0.25 * (ratio * ratio - 1.0)).max() > tol:
+                    it_binary += 1
         if not np.isfinite(binary).all():
             diverged = True
             break
         inv2b = 0.5 / binary
+        u_binary = u + binary
         weighted = mat * inv2b
         m_cover = weighted @ mat_t
         # With the binarity duals held fixed both remaining gradients are
@@ -373,9 +383,12 @@ def solve(
         # next choice pass then lands on the matching choice component.
         cover_target = None
         cross = weighted @ one_hot_t
-        s2_fixed = np.bincount(agent_of, weights=inv2b, minlength=n_agents)
-        q_fixed = (u + binary) * inv2b
-        h_joint = np.block([[np.diag(s2_fixed), cross.T], [cross, m_cover]])
+        s2 = np.bincount(agent_of, weights=inv2b, minlength=n_agents)
+        q_fixed = u_binary * inv2b
+        h_joint[diag, diag] = s2
+        h_joint[:n_agents, n_agents:] = cross.T
+        h_joint[n_agents:, :n_agents] = cross
+        h_joint[n_agents:, n_agents:] = m_cover
         rhs_joint = np.concatenate(
             [
                 np.bincount(agent_of, weights=q_fixed, minlength=n_agents) - 1.0,
@@ -390,30 +403,29 @@ def solve(
         except np.linalg.LinAlgError:
             cover_target = None
         for _cycle in range(cfg.max_outer):
-            base_c = u + binary - mat_t @ cover
-            s1 = np.bincount(agent_of, weights=base_c * inv2b, minlength=n_agents)
-            s2 = np.bincount(agent_of, weights=inv2b, minlength=n_agents)
+            s1 = np.bincount(
+                agent_of, weights=(u_binary - cover_terms) * inv2b, minlength=n_agents
+            )
             for _ in range(cfg.max_inner):
                 g = s1 - choice * s2 - 1.0
-                if np.max(np.abs(g)) <= cfg.tol:
+                if np.abs(g).max() <= tol:
                     break
                 # the gradient is linear with per-coordinate slope -s2
                 moved = choice + g / s2
                 it_choice += 1
-                if np.array_equal(moved, choice):
+                if (moved == choice).all():
                     break
                 choice = moved
             if not np.isfinite(choice).all():
                 diverged = True
                 break
-            q0 = (u + binary - choice[agent_of]) * inv2b
-            v0 = mat @ q0
+            v0 = mat @ ((u_binary - choice[agent_of]) * inv2b)
             for _ in range(cfg.max_inner):
                 g = v0 - m_cover @ cover - 1.0
-                if np.max(np.abs(g)) <= cfg.tol:
+                if np.abs(g).max() <= tol:
                     break
-                if cover_target is not None and not np.array_equal(cover, cover_target):
-                    cover = cover_target.copy()
+                if cover_target is not None and not (cover == cover_target).all():
+                    cover = cover_target
                     it_cover += 1
                     break
                 landed = None
@@ -424,7 +436,7 @@ def solve(
                 if (
                     landed is not None
                     and np.isfinite(landed).all()
-                    and not np.array_equal(cover, landed)
+                    and not (cover == landed).all()
                 ):
                     cover = landed
                     it_cover += 1
@@ -432,38 +444,40 @@ def solve(
                 gersh = float(np.max(np.sum(np.abs(m_cover), axis=1)))
                 moved = cover + g / max(gersh, 1e-12)
                 it_cover += 1
-                if np.array_equal(moved, cover):
+                if (moved == cover).all():
                     break
                 cover = moved
-            if not (np.isfinite(choice).all() and np.isfinite(cover).all()):
+            if not np.isfinite(cover).all():
                 diverged = True
                 break
-            g_cover, g_choice, _ = _raw_gradients(
-                u, mat, mat_t, agent_of, n_agents, cover, choice, binary
-            )
-            if np.max(np.abs(g_choice)) <= cfg.tol and np.max(np.abs(g_cover)) <= cfg.tol:
+            cover_terms = mat_t @ cover
+            slack0 = u - choice[agent_of] - cover_terms
+            frac = (slack0 + binary) / (2.0 * binary)
+            g_cover = mat @ frac - 1.0
+            g_choice = np.bincount(agent_of, weights=frac, minlength=n_agents) - 1.0
+            if np.abs(g_choice).max() <= tol and np.abs(g_cover).max() <= tol:
                 break
         if diverged:
             break
-        g_cover, g_choice, g_binary = _raw_gradients(
-            u, mat, mat_t, agent_of, n_agents, cover, choice, binary
-        )
+        ratio = slack0 / binary
+        g_binary = 0.25 * (ratio * ratio - 1.0)
         if (
-            np.max(np.abs(g_binary)) <= cfg.tol
-            and np.max(np.abs(g_choice)) <= cfg.tol
-            and np.max(np.abs(g_cover)) <= cfg.tol
+            np.abs(g_binary).max() <= tol
+            and np.abs(g_choice).max() <= tol
+            and np.abs(g_cover).max() <= tol
         ):
             converged = True
             break
         # the round maps state to state deterministically, so an unchanged
-        # state can never make further progress
+        # state can never make further progress; no iterate is ever written
+        # in place, so the previous state is kept by reference
         if prev_state is not None and (
-            np.array_equal(prev_state[0], binary)
-            and np.array_equal(prev_state[1], choice)
-            and np.array_equal(prev_state[2], cover)
+            (prev_state[0] == binary).all()
+            and (prev_state[1] == choice).all()
+            and (prev_state[2] == cover).all()
         ):
             break
-        prev_state = (binary.copy(), choice.copy(), cover.copy())
+        prev_state = (binary, choice, cover)
 
     d = DualPoint(cover_dual=cover, choice_dual=choice, binary_dual=binary)
     violations: list[str] = []

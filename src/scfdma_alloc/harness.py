@@ -566,6 +566,10 @@ def gradient_check(
     Points are sampled inside the positive cone (coordinates in [0.5, 2.0]).
     The per-point error is max|analytic - fd| / (1 + max|analytic|).
     """
+    if not instances:
+        raise ValueError("gradient_check needs at least one instance")
+    if points_per_instance < 1:
+        raise ValueError(f"points_per_instance must be >= 1, got {points_per_instance}")
     rng = np.random.default_rng(seed)
     worst = 0.0
     n_points = 0
@@ -601,6 +605,8 @@ def complexity_table(
     touches every option, each choice iteration every agent, each cover
     iteration every sub-channel.  Wall time is informative only.
     """
+    if len(seeds) < 1:
+        raise ValueError(f"seeds must hold at least one seed, got {len(seeds)}")
     rows = []
     for n_agents in k_values:
         for n_sub in n_values:

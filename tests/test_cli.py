@@ -94,6 +94,14 @@ def test_gradcheck_small(capsys):
     assert "gradient check passed" in out
 
 
+def test_empty_gradcheck_rejected(capsys):
+    with pytest.raises(ValueError, match="at least one instance"):
+        main(["gradcheck", "--instances", "0"])
+    with pytest.raises(ValueError, match="points_per_instance"):
+        main(["gradcheck", "--points", "0", "--instances", "1"])
+    assert "gradient check passed" not in capsys.readouterr().out
+
+
 def test_complexity_sweep(tmp_path, capsys):
     rc = main(["complexity", "--repeats", "1", "--out", str(tmp_path)])
     out = capsys.readouterr().out

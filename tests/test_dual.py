@@ -139,9 +139,11 @@ def test_project_rho_sign_flip_on_exact_zero():
     prev = np.array([0.4, -0.4, 2.0])
     proposed = np.array([0.0, 0.0, 1.0])
     out = project_rho(prev, proposed, 1e-3)
-    assert out[0] == pytest.approx(0.4 + 1e-3)
-    assert out[1] == pytest.approx(-0.4 - 1e-3)
+    # an exact-zero proposal lands on the floor, keeping the iterate's sign
+    assert out[0] == 1e-3
+    assert out[1] == -1e-3
     assert out[2] == 1.0
+    assert np.array_equal(project_rho(out, proposed, 1e-3), out)
 
 
 def test_project_rho_floors_small_magnitudes():
@@ -155,6 +157,27 @@ def test_project_rho_floors_small_magnitudes():
 def test_project_rho_degenerate_zero_pair():
     out = project_rho(np.array([0.0]), np.array([0.0]), 1e-3)
     assert out[0] == 1e-3
+
+
+def test_exact_zero_slack_takes_one_binarity_step():
+    # option 0's slack u - choice - cover_terms is exactly 0 at this start:
+    # one step floors its dual at the offset, where a per-pass bump of the
+    # offset would walk it for max_inner passes
+    start = DualPoint(
+        cover_dual=np.array([1.0]),
+        choice_dual=np.array([0.0]),
+        binary_dual=np.array([1.0, 1.0]),
+    )
+    cfg = SolverConfig()
+    rep = solve(hand_instance(), cfg, start=start)
+    assert rep.iterations[0] <= 2 * rep.outer_iterations
+    assert rep.dual_point.binary_dual[0] == cfg.projection_offset
+    assert rep.certified
+    assert rep.primal_value == -5.0
+    for k, n in ((2, 4), (2, 6), (3, 5)):
+        for seed in range(2024, 2034):
+            rep = solve(sumax_assignment_for_seed(k, n, seed), cfg)
+            assert rep.iterations[0] <= 2 * rep.outer_iterations, (k, n, seed)
 
 
 def test_solve_hand_instance_certifies_exact():

@@ -143,6 +143,11 @@ def test_gradient_check_small():
     assert out["max_rel_error"] <= 1e-6
 
 
+def test_complexity_table_rejects_empty_seeds():
+    with pytest.raises(ValueError, match="at least one seed, got 0"):
+        complexity_table(k_values=(2,), n_values=(4,), seeds=())
+
+
 def test_complexity_table_and_csv(tmp_path):
     rows = complexity_table(k_values=(2,), n_values=(4,), seeds=(11,))
     assert len(rows) == 1
