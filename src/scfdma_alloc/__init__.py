@@ -38,17 +38,12 @@ from .jamsc import (
     PowerSolveError,
     build_jamsc,
     cost,
+    lowest_modulation,
     min_subchannels,
     solve_pattern_power,
     sum_cost,
 )
-from .patterns import (
-    FeasibilityMask,
-    PatternBoundsError,
-    PatternSet,
-    build_feasibility_mask,
-    enumerate_patterns,
-)
+from .patterns import PatternBoundsError, PatternSet, enumerate_patterns
 from .sumax import (
     ModulationTable,
     SumaxInstance,

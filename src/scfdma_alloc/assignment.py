@@ -1,8 +1,8 @@
 """Unified one-option-per-agent assignment form with exact sub-channel cover.
 
 Both models reduce to: pick exactly one option per agent, minimising the total
-option weight, such that every sub-channel is covered exactly once.  Options
-carry their originating (user, pattern) or (user, modulation, pattern) tags so
+option weight, such that every sub-channel is covered exactly once.  Both are
+(user, pattern) tables, so every option carries its originating (k, j) tag and
 results can be mapped back.
 """
 
@@ -36,8 +36,8 @@ class AssignmentInstance:
 
     Options are grouped by agent (``agent_slices``); ``footprint_matrix`` is
     the (n_resources, n_options) 0/1 cover matrix and ``footprint_masks`` the
-    same footprints as int bitmasks.  ``provenance`` holds (k, j) tags for
-    kind "sumax" and (k, m, j) tags for kind "jamsc".
+    same footprints as int bitmasks.  ``provenance`` holds the (user, pattern)
+    tag of every option.
     """
 
     kind: str
@@ -48,7 +48,7 @@ class AssignmentInstance:
     agent_slices: tuple[tuple[int, int], ...]
     footprint_matrix: np.ndarray
     footprint_masks: tuple[int, ...]
-    provenance: tuple[tuple[int, ...], ...]
+    provenance: tuple[tuple[int, int], ...]
     patterns: PatternSet
 
     @property
@@ -64,10 +64,10 @@ class AssignmentInstance:
         return self.footprint_matrix.sum(axis=0).astype(np.int64)
 
     @cached_property
-    def _option_by_tag(self) -> dict[tuple[int, ...], int]:
+    def _option_by_tag(self) -> dict[tuple[int, int], int]:
         return {tag: o for o, tag in enumerate(self.provenance)}
 
-    def option_for(self, tag: tuple[int, ...]) -> int:
+    def option_for(self, tag: tuple[int, int]) -> int:
         try:
             return self._option_by_tag[tag]
         except KeyError:
@@ -120,7 +120,7 @@ class AssignmentInstance:
         order = np.argsort(self.agent_of[chosen], kind="stable")
         return Allocation(option_index=tuple(int(o) for o in chosen[order]))
 
-    def allocation_from_tags(self, tags: Sequence[tuple[int, ...]]) -> Allocation:
+    def allocation_from_tags(self, tags: Sequence[tuple[int, int]]) -> Allocation:
         """Build an Allocation from per-agent provenance tags, in agent order."""
         return Allocation(option_index=tuple(self.option_for(tag) for tag in tags))
 
@@ -130,68 +130,40 @@ class AssignmentInstance:
         return replace(self, weights=np.asarray(weights, dtype=float))
 
 
-def _build(kind, n_agents, patterns, option_rows) -> AssignmentInstance:
-    """option_rows: per agent, list of (weight, pattern_index, tag)."""
-    weights, agent_of, cols, tags, masks = [], [], [], [], []
-    slices = []
-    for k in range(n_agents):
-        lo = len(weights)
-        for w, j, tag in option_rows[k]:
-            weights.append(float(w))
-            agent_of.append(k)
-            cols.append(j)
-            tags.append(tag)
-            masks.append(patterns.bitmasks[j])
-        slices.append((lo, len(weights)))
-        if slices[k][0] == slices[k][1]:
-            raise InfeasibleInstanceError(f"user {k} has no allowed option")
-    footprint = patterns.matrix[:, cols].astype(np.float64)
-    return AssignmentInstance(
-        kind=kind,
-        n_agents=n_agents,
-        n_resources=patterns.n_subchannels,
-        weights=np.array(weights),
-        agent_of=np.array(agent_of, dtype=np.int64),
-        agent_slices=tuple(slices),
-        footprint_matrix=footprint,
-        footprint_masks=tuple(masks),
-        provenance=tuple(tags),
-        patterns=patterns,
-    )
-
-
 def to_assignment(instance: SumaxInstance | JamscInstance) -> AssignmentInstance:
     """Flatten a model instance into the minimisation assignment form.
 
-    sumax: one option per (user, pattern), weight -utility, empty included.
-    jamsc: one option per allowed (user, modulation, pattern), weight cost;
-    raises InfeasibleInstanceError naming users that have no option.
+    Both models are (K, J) tables: options are the allowed (user, pattern)
+    entries in user-then-pattern order, each tagged (k, j).  sumax allows
+    every pattern, the empty one included, at weight -utility; jamsc allows
+    its unmasked entries at weight cost.  Raises InfeasibleInstanceError
+    naming the users that have no option.
     """
     if isinstance(instance, SumaxInstance):
-        rows = []
-        for k in range(instance.n_users):
-            rows.append(
-                [
-                    (-instance.utilities[k, j], j, (k, j))
-                    for j in range(instance.patterns.n_patterns)
-                ]
-            )
-        return _build("sumax", instance.n_users, instance.patterns, rows)
-    if isinstance(instance, JamscInstance):
-        if instance.infeasible_users:
-            raise InfeasibleInstanceError(
-                "users without any allowed option: "
-                + ", ".join(str(k) for k in instance.infeasible_users)
-            )
-        rows = []
-        n_mod = instance.table.n_modulations
-        n_pat = instance.patterns.n_patterns
-        for k in range(instance.n_users):
-            opts = []
-            for m in range(n_mod):
-                for j in range(n_pat):
-                    if instance.mask.allowed[k, m, j]:
-                        opts.append((instance.costs[k, m, j], j, (k, m, j)))
-            rows.append(opts)
-        return _build("jamsc", instance.n_users, instance.patterns, rows)
-    raise TypeError(f"cannot convert {type(instance).__name__} to an assignment instance")
+        kind, weights = "sumax", -instance.utilities
+        allowed = np.ones(weights.shape, dtype=bool)
+    elif isinstance(instance, JamscInstance):
+        kind, weights, allowed = "jamsc", instance.costs, instance.allowed
+    else:
+        raise TypeError(f"cannot convert {type(instance).__name__} to an assignment instance")
+    counts = allowed.sum(axis=1)
+    if not counts.all():
+        raise InfeasibleInstanceError(
+            "users without any allowed option: "
+            + ", ".join(str(k) for k in np.nonzero(counts == 0)[0].tolist())
+        )
+    patterns = instance.patterns
+    k_idx, j_idx = np.nonzero(allowed)
+    stops = np.cumsum(counts).tolist()
+    return AssignmentInstance(
+        kind=kind,
+        n_agents=instance.n_users,
+        n_resources=patterns.n_subchannels,
+        weights=weights[k_idx, j_idx],
+        agent_of=k_idx.astype(np.int64),
+        agent_slices=tuple(zip([0] + stops[:-1], stops)),
+        footprint_matrix=patterns.matrix[:, j_idx].astype(np.float64),
+        footprint_masks=tuple(patterns.bitmasks[j] for j in j_idx.tolist()),
+        provenance=tuple(zip(k_idx.tolist(), j_idx.tolist())),
+        patterns=patterns,
+    )

@@ -21,8 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assignment import Allocation, AssignmentInstance
+from .assignment import Allocation, AssignmentInstance, InfeasibleInstanceError
 from .baselines import exact_cover_search
+
+# Node budget of the pre-ascent search for any exact cover; a search cut by
+# it proves nothing, and the ascent runs as if a cover existed.
+COVER_CHECK_NODES = 100_000
 
 
 class DualDomainError(ValueError):
@@ -321,7 +325,19 @@ def solve(
     the rounded indicator is not a feasible assignment, ``repair_selection``
     supplies one if it can.  Exceeding the iteration budgets yields
     ``truncated=True``, never an exception.
+
+    Before the ascent a search on all-zero weights, which stops at the first
+    cover, looks for any exact cover.  Without one the dual is unbounded, so
+    a search that finishes empty-handed raises InfeasibleInstanceError; one
+    that hits ``COVER_CHECK_NODES`` first lets the ascent run.
     """
+    found, _, capped = exact_cover_search(
+        a.with_weights(np.zeros(a.n_options)),
+        [a.agent_options(k) for k in range(a.n_agents)],
+        COVER_CHECK_NODES,
+    )
+    if found is None and not capped:
+        raise InfeasibleInstanceError("no exact-cover assignment exists for this instance")
     u = -a.weights
     mat = a.footprint_matrix
     mat_t = np.ascontiguousarray(mat.T)

@@ -12,15 +12,15 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .assignment import Allocation, AssignmentInstance, InfeasibleInstanceError, to_assignment
 from .baselines import InfeasibleAllocationError, OracleCeilingError, brute_force, greedy, round_robin
-from .channel import ScenarioConfig, generate_channel
+from .channel import ChannelGains, ScenarioConfig, generate_channel
 from .dual import SolveReport, SolverConfig, dual_gradient, dual_value, DualPoint, solve
-from .jamsc import FrameConfig, build_jamsc
+from .jamsc import FrameConfig, JamscInstance, build_jamsc
 from .patterns import PatternSet, enumerate_patterns
 from .sumax import ModulationTable, SumaxInstance, build_sumax, select_modulation
 
@@ -61,12 +61,28 @@ class CampaignConfig:
             raise ValueError("problem must be 'sumax', 'jamsc' or 'both'")
         if self.n_drops < 1:
             raise ValueError(f"n_drops must be >= 1, got {self.n_drops}")
-        for name in self.allocators_sumax:
-            if name not in SUMAX_ALLOCATORS:
-                raise ValueError(f"unknown sumax allocator {name!r}")
-        for name in self.allocators_jamsc:
-            if name not in JAMSC_ALLOCATORS:
-                raise ValueError(f"unknown jamsc allocator {name!r}")
+        for prob, known in (("sumax", SUMAX_ALLOCATORS), ("jamsc", JAMSC_ALLOCATORS)):
+            names = self.allocators_for(prob)
+            for name in names:
+                if name not in known:
+                    raise ValueError(f"unknown {prob} allocator {name!r}")
+            if len(set(names)) != len(names):
+                raise ValueError(f"{prob} allocators repeat a name: {names}")
+            if not names and self.problem in (prob, "both"):
+                raise ValueError(f"a {prob} campaign needs at least one allocator")
+        if self.target_rate_bps <= 0:
+            raise ValueError(f"target_rate_bps must be positive, got {self.target_rate_bps}")
+        if self.fixed_modulation not in self.modulations.names:
+            raise ValueError(
+                f"fixed_modulation {self.fixed_modulation!r} is not one of {self.modulations.names}"
+            )
+        if self.weights is not None and len(self.weights) != self.scenario.n_users:
+            raise ValueError(
+                f"weights has {len(self.weights)} entries for {self.scenario.n_users} users"
+            )
+
+    def allocators_for(self, problem: str) -> tuple[str, ...]:
+        return self.allocators_sumax if problem == "sumax" else self.allocators_jamsc
 
 
 @dataclass
@@ -100,10 +116,8 @@ class DropResult:
     error: str = ""
 
 
-def _record_from_report(name: str, rep: SolveReport, runtime_s: float) -> AllocatorRecord:
-    objective = None
-    if rep.primal_value is not None:
-        objective = -rep.primal_value if name == "dual" else rep.primal_value
+def _record_from_report(name: str, rep: SolveReport, sign: float, runtime_s: float) -> AllocatorRecord:
+    objective = None if rep.primal_value is None else sign * rep.primal_value
     # rep.violations explains why certification failed; the record keeps only
     # feasibility findings about the allocation actually recorded.
     return AllocatorRecord(
@@ -123,23 +137,38 @@ def _record_from_report(name: str, rep: SolveReport, runtime_s: float) -> Alloca
     )
 
 
-def _sumax_user_rows(
-    inst: SumaxInstance, scenario: ScenarioConfig, table: ModulationTable, alloc_cols: Sequence[int]
-) -> list[dict]:
+def _sumax_models(cfg: CampaignConfig, gains: ChannelGains, patterns: PatternSet) -> dict:
+    inst = build_sumax(gains, cfg.scenario, weights=cfg.weights, patterns=patterns)
+    return dict.fromkeys(SUMAX_ALLOCATORS, inst)
+
+
+def _jamsc_models(cfg: CampaignConfig, gains: ChannelGains, patterns: PatternSet) -> dict:
+    targets = np.full(cfg.scenario.n_users, float(cfg.target_rate_bps))
+    joint, fixed = (
+        build_jamsc(
+            gains, cfg.scenario, targets, table,
+            frame=cfg.frame, patterns=patterns, strict_cap=cfg.strict_cap,
+        )
+        for table in (cfg.modulations, cfg.modulations.restricted(cfg.fixed_modulation))
+    )
+    return {"dual_am": joint, "oracle_am": joint, "dual_fixed": fixed, "round_robin": fixed}
+
+
+def _sumax_user_rows(inst: SumaxInstance, cfg: CampaignConfig, cols: Sequence[int]) -> list[dict]:
     rows = []
-    p_max = scenario.per_user("p_max_w")
-    p_peak = scenario.per_user("p_peak_w")
-    for k, j in enumerate(alloc_cols):
+    p_max = cfg.scenario.per_user("p_max_w")
+    p_peak = cfg.scenario.per_user("p_peak_w")
+    for k, j in enumerate(cols):
         col = inst.patterns.columns[j]
         if col:
             snr = float(inst.pattern_snr[k, j])
-            m = select_modulation(snr, table)
+            m = select_modulation(snr, cfg.modulations)
             rows.append(
                 {
                     "user": k,
                     "start": col[0],
                     "length": len(col),
-                    "modulation": "" if m is None else table.names[m],
+                    "modulation": "" if m is None else cfg.modulations.names[m],
                     "power_w": min(float(p_peak[k]), float(p_max[k]) / len(col)),
                     "snr_eff": snr,
                 }
@@ -151,40 +180,97 @@ def _sumax_user_rows(
     return rows
 
 
-def _run_sumax_drop(cfg: CampaignConfig, seed: int, drop_index: int) -> DropResult:
+def _jamsc_user_rows(inst: JamscInstance, cfg: CampaignConfig, cols: Sequence[int]) -> list[dict]:
+    rows = []
+    for k, j in enumerate(cols):
+        col = inst.patterns.columns[j]
+        m = int(inst.modulation[k, j])
+        rows.append(
+            {
+                "user": k,
+                "start": col[0],
+                "length": len(col),
+                "modulation": inst.table.names[m],
+                "power_w": float(inst.powers[k, j]),
+                "snr_eff": float(inst.table.thresholds[m]),
+            }
+        )
+    return rows
+
+
+@dataclass(frozen=True)
+class _Problem:
+    """The parts of a drop that differ between the two problems."""
+
+    sign: float  # recorded objective = sign * assignment value; sumax reports utility
+    models: Callable[[CampaignConfig, ChannelGains, PatternSet], dict]  # model per allocator
+    user_rows: Callable[[object, CampaignConfig, Sequence[int]], list[dict]]
+
+
+_PROBLEMS = {
+    "sumax": _Problem(-1.0, _sumax_models, _sumax_user_rows),
+    "jamsc": _Problem(1.0, _jamsc_models, _jamsc_user_rows),
+}
+
+
+def _round_robin_columns(model, patterns: PatternSet) -> list[int]:
+    cols = []
+    for k, block in enumerate(round_robin(model.n_users, patterns.n_subchannels)):
+        j = patterns.index_of_set(block)
+        # only jamsc masks options; its round robin runs the one fixed modulation
+        if isinstance(model, JamscInstance) and not model.allowed[k, j]:
+            raise InfeasibleAllocationError(
+                f"user {k}: round-robin block of {len(block)} sub-channels cannot carry "
+                f"the target rate under {model.table.names[0]}"
+            )
+        cols.append(j)
+    return cols
+
+
+def run_drop(cfg: CampaignConfig, seed: int, drop_index: int = 0, problem: str | None = None) -> DropResult:
+    """Run every configured allocator on one independent channel drop.
+
+    Each model instance is flattened to the assignment form once per drop;
+    when that fails, every allocator that uses the instance gets the error.
+    """
+    prob = problem or cfg.problem
+    if prob not in _PROBLEMS:
+        raise ValueError(f"run_drop needs a concrete problem, got {prob!r}")
+    spec = _PROBLEMS[prob]
     patterns = _patterns_for(cfg.scenario.n_subchannels)
     gains = generate_channel(cfg.scenario, seed)
-    inst = build_sumax(gains, cfg.scenario, weights=cfg.weights, patterns=patterns)
-    a = to_assignment(inst)
+    models = spec.models(cfg, gains, patterns)
+    forms: dict[int, AssignmentInstance | InfeasibleInstanceError] = {}
     records: dict[str, AllocatorRecord] = {}
     user_rows: list[dict] = []
 
-    for name in cfg.allocators_sumax:
+    for name in cfg.allocators_for(prob):
         t0 = time.perf_counter()
+        model = models[name]
+        if id(model) not in forms:
+            try:
+                forms[id(model)] = to_assignment(model)
+            except InfeasibleInstanceError as exc:
+                forms[id(model)] = exc
+        a = forms[id(model)]
+        if isinstance(a, InfeasibleInstanceError):
+            records[name] = AllocatorRecord(name=name, error=str(a), runtime_s=time.perf_counter() - t0)
+            continue
         alloc: Allocation | None = None
         try:
-            if name == "dual":
+            if name.startswith("dual"):
                 rep = solve(a, cfg.solver)
-                rec = _record_from_report(name, rep, time.perf_counter() - t0)
+                rec = _record_from_report(name, rep, spec.sign, time.perf_counter() - t0)
                 alloc = rep.allocation
-            elif name == "oracle":
-                alloc, value = brute_force(a, cfg.oracle_ceiling)
+            else:
+                if name.startswith("oracle"):
+                    alloc, value = brute_force(a, cfg.oracle_ceiling)
+                else:
+                    cols = greedy(model) if name == "greedy" else _round_robin_columns(model, patterns)
+                    alloc = a.allocation_from_tags(list(enumerate(cols)))
+                    value = a.value(alloc)
                 rec = AllocatorRecord(
-                    name=name, objective=-value, feasible=True, runtime_s=time.perf_counter() - t0
-                )
-            elif name == "greedy":
-                choice = greedy(inst)
-                alloc = a.allocation_from_tags([(k, j) for k, j in enumerate(choice)])
-                rec = AllocatorRecord(
-                    name=name, objective=-a.value(alloc), feasible=True,
-                    runtime_s=time.perf_counter() - t0,
-                )
-            else:  # round_robin
-                blocks = round_robin(inst.n_users, patterns.n_subchannels)
-                cols = [patterns.index_of_set(b) for b in blocks]
-                alloc = a.allocation_from_tags([(k, j) for k, j in enumerate(cols)])
-                rec = AllocatorRecord(
-                    name=name, objective=-a.value(alloc), feasible=True,
+                    name=name, objective=spec.sign * value, feasible=True,
                     runtime_s=time.perf_counter() - t0,
                 )
         except (OracleCeilingError, InfeasibleAllocationError, InfeasibleInstanceError) as exc:
@@ -195,102 +281,10 @@ def _run_sumax_drop(cfg: CampaignConfig, seed: int, drop_index: int) -> DropResu
                 rec.violations.extend(bad)
                 rec.feasible = False
             cols = [a.provenance[o][1] for o in alloc.option_index]
-            for row in _sumax_user_rows(inst, cfg.scenario, cfg.modulations, cols):
+            for row in spec.user_rows(model, cfg, cols):
                 user_rows.append({"allocator": name, **row})
         records[name] = rec
-    return DropResult("sumax", drop_index, seed, records, user_rows)
-
-
-def _jamsc_user_rows(inst, alloc_tags: Sequence[tuple[int, int, int]]) -> list[dict]:
-    rows = []
-    for k, m, j in alloc_tags:
-        col = inst.patterns.columns[j]
-        rows.append(
-            {
-                "user": k,
-                "start": col[0] if col else 0,
-                "length": len(col),
-                "modulation": inst.table.names[m],
-                "power_w": float(inst.powers[k, m, j]),
-                "snr_eff": float(inst.table.thresholds[m]),
-            }
-        )
-    return rows
-
-
-def _run_jamsc_drop(cfg: CampaignConfig, seed: int, drop_index: int) -> DropResult:
-    patterns = _patterns_for(cfg.scenario.n_subchannels)
-    gains = generate_channel(cfg.scenario, seed)
-    targets = np.full(cfg.scenario.n_users, float(cfg.target_rate_bps))
-    fixed_table = cfg.modulations.restricted(cfg.fixed_modulation)
-    records: dict[str, AllocatorRecord] = {}
-    user_rows: list[dict] = []
-
-    inst_joint = build_jamsc(
-        gains, cfg.scenario, targets, cfg.modulations,
-        frame=cfg.frame, patterns=patterns, strict_cap=cfg.strict_cap,
-    )
-    inst_fixed = build_jamsc(
-        gains, cfg.scenario, targets, fixed_table,
-        frame=cfg.frame, patterns=patterns, strict_cap=cfg.strict_cap,
-    )
-
-    for name in cfg.allocators_jamsc:
-        t0 = time.perf_counter()
-        alloc: Allocation | None = None
-        inst = inst_fixed if name in ("dual_fixed", "round_robin") else inst_joint
-        try:
-            a = to_assignment(inst)
-            if name in ("dual_am", "dual_fixed"):
-                rep = solve(a, cfg.solver)
-                rec = _record_from_report(name, rep, time.perf_counter() - t0)
-                rec.objective = rep.primal_value
-                alloc = rep.allocation
-            elif name == "oracle_am":
-                alloc, value = brute_force(a, cfg.oracle_ceiling)
-                rec = AllocatorRecord(
-                    name=name, objective=value, feasible=True, runtime_s=time.perf_counter() - t0
-                )
-            else:  # round_robin with the fixed modulation
-                blocks = round_robin(inst.n_users, patterns.n_subchannels)
-                tags = []
-                for k, b in enumerate(blocks):
-                    j = patterns.index_of_set(b)
-                    if not inst.mask.allowed[k, 0, j]:
-                        raise InfeasibleAllocationError(
-                            f"user {k}: round-robin block of {len(b)} sub-channels cannot carry "
-                            f"the target rate under {fixed_table.names[0]}"
-                        )
-                    tags.append((k, 0, j))
-                alloc = a.allocation_from_tags(tags)
-                rec = AllocatorRecord(
-                    name=name, objective=a.value(alloc), feasible=True,
-                    runtime_s=time.perf_counter() - t0,
-                )
-        except (OracleCeilingError, InfeasibleAllocationError, InfeasibleInstanceError) as exc:
-            rec = AllocatorRecord(name=name, error=str(exc), runtime_s=time.perf_counter() - t0)
-            records[name] = rec
-            continue
-        if alloc is not None:
-            bad = a.allocation_violations(alloc)
-            if bad:
-                rec.violations.extend(bad)
-                rec.feasible = False
-            tags = [a.provenance[o] for o in alloc.option_index]
-            for row in _jamsc_user_rows(inst, tags):
-                user_rows.append({"allocator": name, **row})
-        records[name] = rec
-    return DropResult("jamsc", drop_index, seed, records, user_rows)
-
-
-def run_drop(cfg: CampaignConfig, seed: int, drop_index: int = 0, problem: str | None = None) -> DropResult:
-    """Run every configured allocator on one independent channel drop."""
-    prob = problem or cfg.problem
-    if prob == "sumax":
-        return _run_sumax_drop(cfg, seed, drop_index)
-    if prob == "jamsc":
-        return _run_jamsc_drop(cfg, seed, drop_index)
-    raise ValueError(f"run_drop needs a concrete problem, got {prob!r}")
+    return DropResult(prob, drop_index, seed, records, user_rows)
 
 
 def emit_cdf(values: Sequence[float]) -> list[tuple[float, float]]:
@@ -423,8 +417,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
     }
     for prob in problems:
         sub = [r for r in all_results if r.problem == prob and not r.error]
-        names = cfg.allocators_sumax if prob == "sumax" else cfg.allocators_jamsc
-        summary["per_allocator"][prob] = _summarise_problem(sub, names, failures)
+        summary["per_allocator"][prob] = _summarise_problem(sub, cfg.allocators_for(prob), failures)
 
     ok = not failures
     summary["ok"] = ok
@@ -436,8 +429,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
             sub = [r for r in all_results if r.problem == prob]
             _write_lines(os.path.join(cfg.out_dir, f"{prob}_drops.csv"), _drop_csv_rows(sub))
             _write_lines(os.path.join(cfg.out_dir, f"{prob}_users.csv"), _user_csv_rows(sub))
-            names = cfg.allocators_sumax if prob == "sumax" else cfg.allocators_jamsc
-            for name in names:
+            for name in cfg.allocators_for(prob):
                 vals = [
                     r.records[name].objective
                     for r in sub

@@ -1,10 +1,13 @@
 """Joint adaptive-modulation / sum-cost minimisation model (jamsc).
 
-For every allowed (user, modulation, pattern) option the transmit power is set
-so the pattern's effective MMSE SNR exactly meets the modulation's activation
-threshold, and the option cost is -exp(p_max - p): cheapest when the power
-headroom is largest.  Options whose pattern is too short to carry the user's
-target rate are masked out entirely.
+Each (user, pattern) option carries the lowest modulation whose minimum
+sub-channel count the pattern reaches.  Its transmit power is set so the
+pattern's effective MMSE SNR exactly meets that modulation's activation
+threshold, and its cost is -exp(p_max - p): cheapest when the power headroom
+is largest.  The lowest modulation is exact for the joint problem: on a fixed
+pattern the solved power rises with the threshold, so the cost never falls as
+the modulation order rises.  Options whose pattern is too short to carry the
+user's target rate under any modulation are masked out entirely.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .channel import ChannelGains, EmptyPatternError, ScenarioConfig
-from .patterns import FeasibilityMask, PatternSet, build_feasibility_mask, enumerate_patterns
+from .patterns import PatternSet, enumerate_patterns
 from .sumax import ModulationTable
 
 # Ceiling guard: keeps exact rate/capacity matches from rounding up on fp dust.
@@ -63,6 +66,28 @@ def min_count_matrix(
         [[min_subchannels(r, b, frame) for b in table.bits_per_symbol] for r in targets_bps],
         dtype=np.int64,
     )
+
+
+def lowest_modulation(patterns: PatternSet, min_counts: np.ndarray) -> np.ndarray:
+    """(K, J) index of the lowest modulation each (user, pattern) can carry.
+
+    ``min_counts`` must be (K, M) with entries >= 1, non-increasing along the
+    modulation axis (higher-order modulations never need more sub-channels),
+    so the modulations a pattern reaches are a suffix of the table.  Entries
+    are -1 where the pattern reaches none, and always for the empty pattern.
+    A user whose minima all exceed the band size simply ends up with no
+    option; that is reported, not fatal.
+    """
+    counts = np.asarray(min_counts, dtype=np.int64)
+    if counts.ndim != 2:
+        raise ValueError(f"min_counts must be 2-D (users x modulations), got shape {counts.shape}")
+    if (counts < 1).any():
+        raise ValueError("min_counts entries must be >= 1")
+    if counts.shape[1] > 1 and (np.diff(counts, axis=1) > 0).any():
+        raise ValueError("min_counts must be non-increasing along the modulation axis")
+    # the count of modulations the pattern misses is the first one it reaches
+    lowest = (counts[:, :, None] > patterns.sizes[None, None, :]).sum(axis=1)
+    return np.where(lowest < counts.shape[1], lowest, -1)
 
 
 def _solve_powers_vec(gains_padded: np.ndarray, sizes: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
@@ -121,25 +146,34 @@ def cost(p_max: float, power: float) -> float:
 
 @dataclass(frozen=True)
 class JamscInstance:
-    """Per-(user, modulation, pattern) powers and costs for one realisation.
+    """Per-(user, pattern) modulation, power and cost for one realisation.
 
-    ``powers`` and ``costs`` have shape (K, M, J) and are NaN wherever
-    ``mask.allowed`` is False; masked options carry no usable numbers.
+    ``modulation``, ``powers`` and ``costs`` have shape (K, J).  A masked
+    option has modulation -1 and NaN power and cost; masked options carry no
+    usable numbers.
     """
 
-    costs: np.ndarray
+    modulation: np.ndarray
     powers: np.ndarray
-    mask: FeasibilityMask
+    costs: np.ndarray
     patterns: PatternSet
     table: ModulationTable
     targets_bps: np.ndarray
     p_max: np.ndarray
-    infeasible_users: tuple[int, ...]
     seed: int | None = None
 
     @property
     def n_users(self) -> int:
         return self.costs.shape[0]
+
+    @property
+    def allowed(self) -> np.ndarray:
+        return self.modulation >= 0
+
+    @property
+    def infeasible_users(self) -> tuple[int, ...]:
+        """Users left with no allowed option at all."""
+        return tuple(np.nonzero(~self.allowed.any(axis=1))[0].tolist())
 
 
 def build_jamsc(
@@ -154,9 +188,10 @@ def build_jamsc(
     """Build the jamsc option tables for one channel realisation.
 
     With ``strict_cap`` options whose solved power exceeds the user's budget
-    are masked out; by default they stay allowed and simply price in as very
-    costly.  Users left with no option at all are listed in
-    ``infeasible_users`` rather than raising here.
+    are masked out; every higher modulation on that pattern needs still more
+    power, so masking the whole (user, pattern) is exact.  By default they
+    stay allowed and simply price in as very costly.  Users left with no option at all are
+    listed in ``infeasible_users`` rather than raising here.
     """
     g = gains.gains
     k_users, n_sub = g.shape
@@ -169,57 +204,49 @@ def build_jamsc(
         raise ValueError(f"targets_bps must have shape ({k_users},)")
     p_max = config.per_user("p_max_w")
 
-    mins = min_count_matrix(targets, table, frame)
-    mask = build_feasibility_mask(patterns, mins)
-    allowed = mask.allowed.copy()
-
-    k_idx, m_idx, j_idx = np.nonzero(allowed)
-    n_pat = patterns.n_patterns
-    powers = np.full((k_users, table.n_modulations, n_pat), np.nan)
-    costs = np.full((k_users, table.n_modulations, n_pat), np.nan)
+    modulation = lowest_modulation(patterns, min_count_matrix(targets, table, frame))
+    k_idx, j_idx = np.nonzero(modulation >= 0)
+    powers = np.full(modulation.shape, np.nan)
+    costs = np.full(modulation.shape, np.nan)
     if len(k_idx):
         sizes = patterns.sizes[j_idx]
-        max_size = int(sizes.max())
-        padded = np.zeros((len(k_idx), max_size))
+        padded = np.zeros((len(k_idx), int(sizes.max())))
         for t, (k, j) in enumerate(zip(k_idx, j_idx)):
             col = patterns.columns[j]
             padded[t, : len(col)] = g[k, col[0] - 1 : col[0] - 1 + len(col)]
-        thr = np.asarray(table.thresholds, dtype=float)[m_idx]
+        thr = np.asarray(table.thresholds, dtype=float)[modulation[k_idx, j_idx]]
         p = _solve_powers_vec(padded, sizes, thr)
-        powers[k_idx, m_idx, j_idx] = p
-        costs[k_idx, m_idx, j_idx] = -np.exp(p_max[k_idx] - p)
+        powers[k_idx, j_idx] = p
+        costs[k_idx, j_idx] = -np.exp(p_max[k_idx] - p)
         if strict_cap:
             over = p > p_max[k_idx]
-            allowed[k_idx[over], m_idx[over], j_idx[over]] = False
-            powers[k_idx[over], m_idx[over], j_idx[over]] = np.nan
-            costs[k_idx[over], m_idx[over], j_idx[over]] = np.nan
-            mask = FeasibilityMask(allowed=allowed, min_counts=mask.min_counts)
+            modulation[k_idx[over], j_idx[over]] = -1
+            powers[k_idx[over], j_idx[over]] = np.nan
+            costs[k_idx[over], j_idx[over]] = np.nan
 
-    infeasible = tuple(mask.users_without_options())
     return JamscInstance(
-        costs=costs,
+        modulation=modulation,
         powers=powers,
-        mask=mask,
+        costs=costs,
         patterns=patterns,
         table=table,
         targets_bps=targets,
         p_max=p_max,
-        infeasible_users=infeasible,
         seed=gains.seed,
     )
 
 
-def sum_cost(instance: JamscInstance, choices: Sequence[tuple[int, int]]) -> float:
-    """Total cost of one (modulation, pattern) choice per user.
+def sum_cost(instance: JamscInstance, pattern_choice: Sequence[int]) -> float:
+    """Total cost of one pattern index per user, each at its lowest modulation.
 
     Raises ValueError when a chosen option is masked; masked entries never
     contribute a numeric cost.
     """
-    if len(choices) != instance.n_users:
-        raise ValueError("need exactly one (modulation, pattern) choice per user")
+    if len(pattern_choice) != instance.n_users:
+        raise ValueError("need exactly one pattern index per user")
     total = 0.0
-    for k, (m, j) in enumerate(choices):
-        if not instance.mask.allowed[k, m, j]:
-            raise ValueError(f"choice (user={k}, modulation={m}, pattern={j}) is masked")
-        total += float(instance.costs[k, m, j])
+    for k, j in enumerate(pattern_choice):
+        if instance.modulation[k, j] < 0:
+            raise ValueError(f"choice (user={k}, pattern={j}) is masked")
+        total += float(instance.costs[k, j])
     return total

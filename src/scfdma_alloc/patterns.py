@@ -1,8 +1,9 @@
-"""Contiguous sub-channel allocation patterns and per-user feasibility masks.
+"""Contiguous sub-channel allocation patterns.
 
 Every allocatable unit is a contiguous block of sub-channels (the single-carrier
 constraint), so the full catalogue of options on N sub-channels is one empty
-pattern plus N*(N+1)/2 blocks.  All users share the same catalogue.
+pattern plus N*(N+1)/2 blocks.  All users share the same catalogue; each model
+scores it as one (user, pattern) table.
 """
 
 from __future__ import annotations
@@ -97,44 +98,3 @@ def enumerate_patterns(n_subchannels: int) -> PatternSet:
         for start in range(1, n_subchannels - length + 2):
             cols.append(tuple(range(start, start + length)))
     return PatternSet(n_subchannels=n_subchannels, columns=tuple(cols))
-
-
-@dataclass(frozen=True)
-class FeasibilityMask:
-    """Which (user, modulation, pattern) options satisfy the rate pre-filter.
-
-    ``allowed`` has shape (K, M, J); ``min_counts`` has shape (K, M) and holds
-    the smallest pattern size able to carry the user's target rate under each
-    modulation.  The empty pattern is never allowed.  Immutable by convention.
-    """
-
-    allowed: np.ndarray
-    min_counts: np.ndarray
-
-    def empty_pairs(self) -> list[tuple[int, int]]:
-        """(user, modulation) pairs with no allowed pattern at all."""
-        k_idx, m_idx = np.nonzero(~self.allowed.any(axis=2))
-        return list(zip(k_idx.tolist(), m_idx.tolist()))
-
-    def users_without_options(self) -> list[int]:
-        return np.nonzero(~self.allowed.any(axis=(1, 2)))[0].tolist()
-
-
-def build_feasibility_mask(patterns: PatternSet, min_counts: np.ndarray) -> FeasibilityMask:
-    """Mark options whose pattern size reaches the per-(user, modulation) minimum.
-
-    ``min_counts`` must be (K, M) with entries >= 1, non-increasing along the
-    modulation axis (higher-order modulations never need more sub-channels).
-    A (user, modulation) pair whose minimum exceeds the band size simply ends
-    up with no allowed pattern; that is reported, not fatal.
-    """
-    counts = np.asarray(min_counts, dtype=np.int64)
-    if counts.ndim != 2:
-        raise ValueError(f"min_counts must be 2-D (users x modulations), got shape {counts.shape}")
-    if (counts < 1).any():
-        raise ValueError("min_counts entries must be >= 1")
-    if counts.shape[1] > 1 and (np.diff(counts, axis=1) > 0).any():
-        raise ValueError("min_counts must be non-increasing along the modulation axis")
-    sizes = patterns.sizes
-    allowed = (sizes[None, None, :] >= counts[:, :, None]) & (sizes[None, None, :] > 0)
-    return FeasibilityMask(allowed=allowed, min_counts=counts)

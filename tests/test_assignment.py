@@ -128,12 +128,14 @@ def test_jamsc_conversion_uses_mask():
     inst = build_jamsc(ch, cfg, (140e3, 140e3), ModulationTable(), FrameConfig())
     a = to_assignment(inst)
     assert a.kind == "jamsc"
-    assert a.n_options == int(inst.mask.allowed.sum())
+    assert a.n_options == int(inst.allowed.sum())
+    assert list(a.provenance) == sorted(a.provenance)  # user, then pattern
     for o in range(a.n_options):
-        k, m, j = a.provenance[o]
-        assert inst.mask.allowed[k, m, j]
-        assert a.weights[o] == inst.costs[k, m, j]
+        k, j = a.provenance[o]
+        assert inst.allowed[k, j]
+        assert a.weights[o] == inst.costs[k, j]
         assert a.agent_of[o] == k
+        assert a.footprint_masks[o] == inst.patterns.bitmasks[j]
 
 
 def test_jamsc_conversion_rejects_infeasible_users():

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -63,6 +64,48 @@ def test_config_rejects_unknown_keys(tmp_path):
 def test_bad_allocator_override_rejected():
     with pytest.raises(ValueError, match="unknown sumax allocator"):
         main(["sumax", "--drops", "1", "--allocators", "magic"])
+
+
+def test_empty_allocator_override_rejected(tmp_path, capsys):
+    with pytest.raises(ValueError, match="at least one allocator"):
+        main(["sumax", "--drops", "1", "--allocators", "", "--out", str(tmp_path)])
+    assert "all invariant checks passed" not in capsys.readouterr().out
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_repeated_allocator_override_rejected(tmp_path):
+    with pytest.raises(ValueError, match="repeat"):
+        main(["sumax", "--drops", "1", "--allocators", "dual,dual", "--out", str(tmp_path)])
+    assert not (tmp_path / "sumax_users.csv").exists()
+
+
+# Configurations whose jamsc drop has no exact cover: too many users for the
+# band, a rate no short block carries, and a budget cap that empties a user.
+NO_COVER_REPROS = [
+    ({"scenario": {"n_users": 5, "n_subchannels": 4}}, 1),
+    ({"scenario": {"n_users": 3, "n_subchannels": 8}, "target_rate_bps": 600e3}, 1),
+    ({"strict_cap": True, "scenario": {"cell_radius_m": 2000.0}}, 17),
+]
+
+
+@pytest.mark.parametrize("config, seed", NO_COVER_REPROS)
+def test_jamsc_drop_without_exact_cover_is_refused(tmp_path, config, seed):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    rc = main(["jamsc", "--drops", "1", "--seed", str(seed), "--config", str(path), "--out", str(out)])
+    assert rc == 0
+    with open(out / "jamsc_drops.csv", newline="", encoding="utf-8") as fh:
+        rows = {r["allocator"]: r for r in csv.DictReader(fh)}
+    assert set(rows) == {"dual_am", "dual_fixed", "round_robin"}
+    for row in rows.values():
+        assert row["feasible"] == "false"
+        assert row["objective"] == ""
+    for name in ("dual_am", "dual_fixed"):
+        error = rows[name]["error"]
+        assert error == "no exact-cover assignment exists for this instance" or error.startswith(
+            "users without any allowed option"
+        )
 
 
 def test_non_positive_drops_rejected(tmp_path):

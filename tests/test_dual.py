@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from scfdma_alloc.assignment import AssignmentInstance
+from scfdma_alloc import dual
+from scfdma_alloc.assignment import AssignmentInstance, InfeasibleInstanceError
 from scfdma_alloc.baselines import brute_force, exact_cover_search
 from scfdma_alloc.dual import (
     DualDomainError,
@@ -34,6 +35,22 @@ def hand_instance() -> AssignmentInstance:
         footprint_matrix=np.array([[0.0, 1.0]]),
         footprint_masks=(0, 1),
         provenance=((0, 0), (0, 1)),
+        patterns=None,
+    )
+
+
+def no_cover_instance() -> AssignmentInstance:
+    """Two users on two sub-channels whose only option is sub-channel 1: no exact cover."""
+    return AssignmentInstance(
+        kind="jamsc",
+        n_agents=2,
+        n_resources=2,
+        weights=np.array([-1.0, -1.0]),
+        agent_of=np.array([0, 1], dtype=np.int64),
+        agent_slices=((0, 1), (1, 2)),
+        footprint_matrix=np.array([[1.0, 1.0], [0.0, 0.0]]),
+        footprint_masks=(1, 1),
+        provenance=((0, 1), (1, 1)),
         patterns=None,
     )
 
@@ -190,6 +207,16 @@ def test_solve_hand_instance_certifies_exact():
     assert abs(rep.duality_gap) <= 1e-6 * (1.0 + abs(rep.dual_value))
     sel = rep.fractional.round().astype(int)
     assert sel.tolist() == [0, 1]
+
+
+def test_solve_refuses_instance_without_exact_cover(monkeypatch):
+    with pytest.raises(InfeasibleInstanceError):
+        solve(no_cover_instance())
+    # a cover search cut by its node budget proves nothing, so the ascent runs
+    monkeypatch.setattr(dual, "COVER_CHECK_NODES", 0)
+    rep = solve(no_cover_instance(), SolverConfig(max_outer=5, max_inner=50))
+    assert rep.allocation is None
+    assert not rep.certified
 
 
 def test_certified_runs_match_oracle():

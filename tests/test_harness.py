@@ -184,6 +184,23 @@ def test_count_iterations_ops_identity():
         assert row["n_patterns"] == row["n_subchannels"] * (row["n_subchannels"] + 1) // 2 + 1
 
 
+def test_non_positive_target_rate_rejected():
+    for rate in (0.0, -140e3):
+        with pytest.raises(ValueError, match="target_rate_bps"):
+            CampaignConfig(problem="jamsc", target_rate_bps=rate)
+
+
+def test_unknown_fixed_modulation_rejected():
+    with pytest.raises(ValueError, match="fixed_modulation"):
+        CampaignConfig(problem="both", fixed_modulation="256QAM")
+
+
+def test_weights_length_must_match_users():
+    with pytest.raises(ValueError, match="weights"):
+        CampaignConfig(scenario=desk_scenario(3, 6), weights=(1.0, 2.0))
+    assert CampaignConfig(scenario=desk_scenario(2, 4), weights=(1.0, 2.0)).weights == (1.0, 2.0)
+
+
 def test_campaign_config_validation():
     with pytest.raises(ValueError):
         CampaignConfig(problem="nope")
@@ -191,3 +208,9 @@ def test_campaign_config_validation():
         CampaignConfig(allocators_sumax=("magic",))
     with pytest.raises(ValueError):
         CampaignConfig(allocators_jamsc=("magic",))
+    with pytest.raises(ValueError, match="at least one allocator"):
+        CampaignConfig(problem="both", allocators_jamsc=())
+    with pytest.raises(ValueError, match="repeat"):
+        CampaignConfig(problem="jamsc", allocators_jamsc=("dual_am", "oracle_am", "dual_am"))
+    # an allocator list the campaign never runs may be empty
+    assert CampaignConfig(problem="sumax", allocators_jamsc=()).allocators_for("jamsc") == ()

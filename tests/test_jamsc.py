@@ -112,37 +112,59 @@ def _small_setup(seed=0, n_users=2, n_sub=4):
     return cfg, ch, table, frame
 
 
+def _lowest_reachable(length, counts_row):
+    """Independent reading of the lowest-modulation rule: first m the length reaches."""
+    if length == 0:
+        return -1
+    return next((m for m, c in enumerate(counts_row) if length >= c), -1)
+
+
 def test_build_jamsc_masks_and_costs():
     cfg, ch, table, frame = _small_setup()
     inst = build_jamsc(ch, cfg, (140e3, 140e3), table, frame)
     ps = enumerate_patterns(4)
     counts = min_count_matrix((140e3, 140e3), table, frame)
     p_max = cfg.per_user("p_max_w")
-    p_peak = cfg.per_user("p_peak_w")
+    assert inst.modulation.shape == inst.powers.shape == inst.costs.shape == (2, ps.n_patterns)
     for k in range(2):
-        for m in range(3):
-            for j, col in enumerate(ps.columns):
-                allowed = inst.mask.allowed[k, m, j]
-                assert allowed == (len(col) >= counts[k, m] and len(col) > 0)
-                if not allowed:
-                    assert np.isnan(inst.costs[k, m, j])
-                    assert np.isnan(inst.powers[k, m, j])
-                    continue
-                p = solve_pattern_power(ch.gains[k, [n - 1 for n in col]], table.thresholds[m])
-                assert inst.powers[k, m, j] == pytest.approx(p, rel=1e-10)
-                assert inst.costs[k, m, j] == pytest.approx(cost(p_max[k], p), rel=1e-10)
+        for j, col in enumerate(ps.columns):
+            m = _lowest_reachable(len(col), counts[k])
+            assert inst.modulation[k, j] == m
+            assert inst.allowed[k, j] == (m >= 0)
+            if m < 0:
+                assert np.isnan(inst.costs[k, j])
+                assert np.isnan(inst.powers[k, j])
+                continue
+            p = solve_pattern_power(ch.gains[k, [n - 1 for n in col]], table.thresholds[m])
+            assert inst.powers[k, j] == pytest.approx(p, rel=1e-10)
+            assert inst.costs[k, j] == pytest.approx(cost(p_max[k], p), rel=1e-10)
+            # every higher modulation the pattern also reaches costs at least as much
+            for m_hi in range(m + 1, table.n_modulations):
+                p_hi = solve_pattern_power(ch.gains[k, [n - 1 for n in col]], table.thresholds[m_hi])
+                assert cost(p_max[k], p_hi) >= inst.costs[k, j]
 
 
 def test_build_jamsc_strict_cap_blocks_over_budget():
     cfg, ch, table, frame = _small_setup(seed=5)
+    cfg.cell_radius_m = 1500.0
+    ch = generate_channel(cfg, 5)
     plain = build_jamsc(ch, cfg, (140e3, 140e3), table, frame)
     strict = build_jamsc(ch, cfg, (140e3, 140e3), table, frame, strict_cap=True)
-    over = plain.powers > cfg.per_user("p_max_w")[:, None, None]
-    over &= plain.mask.allowed
-    if over.any():
-        assert not strict.mask.allowed[over].any()
-    kept = strict.mask.allowed
-    assert np.all(plain.mask.allowed[kept])
+    p_max = cfg.per_user("p_max_w")
+    over = (plain.powers > p_max[:, None]) & plain.allowed
+    assert over.any() and not over.all()
+    assert not strict.allowed[over].any()
+    assert np.isnan(strict.costs[over]).all() and np.isnan(strict.powers[over]).all()
+    assert (strict.modulation[over] == -1).all()
+    kept = strict.allowed
+    assert np.array_equal(kept, plain.allowed & ~over)
+    assert np.array_equal(strict.modulation[kept], plain.modulation[kept])
+    assert np.array_equal(strict.costs[kept], plain.costs[kept])
+    # masking the whole (user, pattern) is exact: higher modulations need more power
+    for k, j in np.argwhere(over):
+        col = plain.patterns.columns[j]
+        for m in range(int(plain.modulation[k, j]) + 1, table.n_modulations):
+            assert solve_pattern_power(ch.gains[k, [n - 1 for n in col]], table.thresholds[m]) > p_max[k]
 
 
 def test_build_jamsc_flags_users_without_any_option():
@@ -155,31 +177,30 @@ def test_build_jamsc_flags_users_without_any_option():
 def test_sum_cost_and_masked_choice_rejection():
     cfg, ch, table, frame = _small_setup(seed=3)
     inst = build_jamsc(ch, cfg, (140e3, 140e3), table, frame)
-    allowed = np.argwhere(inst.mask.allowed)
-    k0, m0, j0 = (int(v) for v in allowed[0])
-    choices = []
-    for k in range(2):
-        rows = allowed[allowed[:, 0] == k]
-        choices.append((int(rows[0][1]), int(rows[0][2])))
+    choices = [int(np.argmax(inst.allowed[k])) for k in range(2)]
     total = sum_cost(inst, choices)
-    manual = sum(float(inst.costs[k, m, j]) for k, (m, j) in enumerate(choices))
-    assert total == pytest.approx(manual, rel=1e-12)
-    blocked = np.argwhere(~inst.mask.allowed)
-    kb, mb, jb = (int(v) for v in blocked[0])
-    bad = list(choices)
-    bad[kb] = (mb, jb)
+    manual = sum(float(inst.costs[k, j]) for k, j in enumerate(choices))
+    assert total == manual
+    blocked = np.argwhere(~inst.allowed)
+    assert len(blocked)
+    for kb, jb in blocked:
+        bad = list(choices)
+        bad[kb] = int(jb)
+        with pytest.raises(ValueError):
+            sum_cost(inst, bad)
     with pytest.raises(ValueError):
-        sum_cost(inst, bad)
+        sum_cost(inst, choices[:1])
 
 
 def test_vectorised_powers_match_scalar_solver():
     cfg, ch, table, frame = _small_setup(seed=8, n_users=3, n_sub=5)
     inst = build_jamsc(ch, cfg, (140e3,) * 3, table, frame)
     ps = inst.patterns
-    idx = np.argwhere(inst.mask.allowed)
+    idx = np.argwhere(inst.allowed)
     rng = np.random.default_rng(0)
     rng.shuffle(idx)
-    for k, m, j in idx[:40]:
+    for k, j in idx[:40]:
         col = ps.columns[j]
+        m = inst.modulation[k, j]
         p = solve_pattern_power(ch.gains[k, [n - 1 for n in col]], table.thresholds[m])
-        assert inst.powers[k, m, j] == pytest.approx(p, rel=1e-10)
+        assert inst.powers[k, j] == pytest.approx(p, rel=1e-10)

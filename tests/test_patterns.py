@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
+from scfdma_alloc.jamsc import JamscInstance, lowest_modulation
 from scfdma_alloc.patterns import (
     MAX_SUBCHANNELS,
-    FeasibilityMask,
     PatternBoundsError,
     PatternSet,
-    build_feasibility_mask,
     enumerate_patterns,
 )
+from scfdma_alloc.sumax import ModulationTable
 
 
 def count_contiguous_blocks(n: int) -> int:
@@ -115,41 +115,37 @@ def test_sizes_property():
 def test_feasibility_mask_allows_only_large_enough():
     ps = enumerate_patterns(4)
     min_counts = np.array([[3, 2, 1], [2, 1, 1]])
-    mask = build_feasibility_mask(ps, min_counts)
-    assert isinstance(mask, FeasibilityMask)
-    assert mask.allowed.shape == (2, 3, ps.n_patterns)
+    lowest = lowest_modulation(ps, min_counts)
+    assert lowest.shape == (2, ps.n_patterns)
     for k in range(2):
-        for m in range(3):
-            for j, col in enumerate(ps.columns):
-                expect = len(col) >= min_counts[k, m] and len(col) > 0
-                assert mask.allowed[k, m, j] == expect
+        for j, col in enumerate(ps.columns):
+            reached = [m for m in range(3) if len(col) >= min_counts[k, m] and len(col) > 0]
+            assert lowest[k, j] == (reached[0] if reached else -1)
 
 
 def test_feasibility_mask_excludes_empty_everywhere():
     ps = enumerate_patterns(5)
-    mask = build_feasibility_mask(ps, np.ones((3, 3), dtype=int))
-    assert not mask.allowed[:, :, ps.EMPTY].any()
+    lowest = lowest_modulation(ps, np.ones((3, 3), dtype=int))
+    assert (lowest[:, ps.EMPTY] == -1).all()
+    assert (lowest[:, 1:] == 0).all()
 
 
 def test_feasibility_mask_rejects_bad_counts():
     ps = enumerate_patterns(4)
     with pytest.raises(ValueError):
-        build_feasibility_mask(ps, np.array([[0, 1, 1]]))
+        lowest_modulation(ps, np.array([[0, 1, 1]]))
     with pytest.raises(ValueError):
-        build_feasibility_mask(ps, np.array([[1, 2, 3]]))
+        lowest_modulation(ps, np.array([[1, 2, 3]]))
+    with pytest.raises(ValueError):
+        lowest_modulation(ps, np.array([3, 2, 1]))
 
 
 def test_users_without_options():
     ps = enumerate_patterns(3)
-    min_counts = np.array([[1, 1, 1], [4, 4, 4]])
-    mask = build_feasibility_mask(ps, min_counts)
-    assert mask.users_without_options() == [1]
-
-
-def test_empty_pairs_lists_blocked_combinations():
-    ps = enumerate_patterns(3)
-    min_counts = np.array([[4, 2, 1]])
-    mask = build_feasibility_mask(ps, min_counts)
-    pairs = mask.empty_pairs()
-    assert (0, 0) in pairs
-    assert (0, 2) not in pairs
+    lowest = lowest_modulation(ps, np.array([[1, 1, 1], [4, 4, 4]]))
+    blank = np.full(lowest.shape, np.nan)
+    inst = JamscInstance(
+        modulation=lowest, powers=blank, costs=blank, patterns=ps, table=ModulationTable(),
+        targets_bps=np.ones(2), p_max=np.ones(2),
+    )
+    assert inst.infeasible_users == (1,)
