@@ -1,7 +1,8 @@
-"""Reference allocators: exhaustive oracle, marginal-gain greedy, round robin."""
+"""Reference allocators: exact subset-DP oracle, marginal-gain greedy, round robin."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Sequence
 
@@ -12,7 +13,7 @@ from .sumax import SumaxInstance
 
 
 class OracleCeilingError(RuntimeError):
-    """The exhaustive search refused to continue past its node ceiling."""
+    """The exact oracle refused to continue past its node ceiling."""
 
 
 class InfeasibleAllocationError(ValueError):
@@ -84,22 +85,135 @@ def exact_cover_search(
 
 
 def brute_force(a: AssignmentInstance, node_ceiling: int = 10**8) -> tuple[Allocation, float]:
-    """Exact minimiser by depth-first enumeration over per-agent options.
+    """Exact minimiser by a Held-Karp program over agent subsets.
 
-    Runs ``exact_cover_search`` with each agent's options in index order, so
-    ties break to the lexicographically smallest option sequence.  Raises
-    OracleCeilingError once more than ``node_ceiling`` partial nodes have
-    been expanded: an explicit refusal, never a wrong answer.
+    Every option is one contiguous block of sub-channels or the empty
+    footprint.  ``f[n, S]`` is the lightest assignment of the agents in S that
+    covers sub-channels 1..n exactly: the agents of S without a block in 1..n
+    take their empty option, summed in agent order into ``f[0, S]``, and the
+    blocks follow in sub-channel order.  Sweeping n upwards, every option
+    ending at n relaxes ``f[n, S] <- f[n - size, S ^ bit(k)] + w`` for all S
+    holding its agent k at once, so the sweep makes 2^(K-1) * n_options
+    relaxations instead of enumerating option tuples.  ``f[N, all]`` is
+    infinite exactly when no exact cover exists (InfeasibleAllocationError).
+
+    The answer keeps the exhaustive semantics: the least ``a.value`` (the
+    weights summed in agent order), ties going to the smallest option tuple.
+    Float addition is monotone, so ``f`` holds the least sub-channel-order
+    sum D(C) over covers C exactly, but D(C) and V(C) = ``a.value`` round the
+    same K weights in different orders.  Recursive summation of K terms is
+    within g = (K-1)u / (1 - (K-1)u) * sum|w| of the exact sum (u = 2^-53),
+    and sum|w| <= W = sum_k max_o |w_o|, so |D(C) - V(C)| <= 2gW for every
+    cover.  For the V-minimiser C* and the D-minimiser C_D:
+    D(C*) <= V(C*) + 2gW <= V(C_D) + 2gW <= D(C_D) + 4gW.  A backtrack through
+    ``f`` therefore visits every cover with D(C) <= f[N, all] + 4KuW (K for
+    K-1 absorbs g's denominator and the rounding of the threshold), values
+    each with ``a.value`` and keeps a running best.  The extension of a
+    partial cover is pruned by the least D through it, which monotonicity
+    makes exact, so the visited covers are exactly those under the threshold.
+
+    Raises OracleCeilingError, before any work, when the relaxations exceed
+    ``node_ceiling``, and during the backtrack once more than ``node_ceiling``
+    partial covers have been visited: an explicit refusal, never a wrong
+    answer.  Raises ValueError for a footprint that is not one contiguous
+    block.
     """
-    order = [a.agent_options(k) for k in range(a.n_agents)]
-    best_path, best_value, capped = exact_cover_search(a, order, node_ceiling)
-    if capped:
+    n_agents, n_res = a.n_agents, a.n_resources
+    n_states = 1 << n_agents
+    relaxations = (n_states >> 1) * a.n_options
+    if relaxations > node_ceiling:
         raise OracleCeilingError(
-            f"exhaustive search exceeded the node ceiling ({node_ceiling})"
+            f"subset program needs {relaxations} relaxations, over the node ceiling ({node_ceiling})"
         )
-    if best_path is None:
+    sizes = a.sizes
+    ends = np.where(sizes > 0, n_res - a.footprint_matrix[::-1].argmax(axis=0), 0)
+    if ((sizes > 0) & (ends - a.footprint_matrix.argmax(axis=0) != sizes)).any():
+        raise ValueError("brute_force needs every footprint to be one contiguous block")
+    weights = a.weights.tolist()
+    size_of = sizes.tolist()
+    agent_of = a.agent_of.tolist()
+    # ending[n]: the options ending at sub-channel n, in option order
+    ending: list[list[int]] = [[] for _ in range(n_res + 1)]
+    for o, e in enumerate(ends.tolist()):
+        ending[e].append(o)
+    empties: list[list[int]] = [[] for _ in range(n_agents)]
+    for o in ending[0]:
+        empties[agent_of[o]].append(o)
+
+    f = np.full((n_res + 1, n_states), math.inf)
+    f[0, 0] = 0.0
+    for k in range(n_agents):
+        # the states with highest agent k extend those below it: agent-order sums
+        f[0, 1 << k : 2 << k] = f[0, : 1 << k] + min((weights[o] for o in empties[k]), default=math.inf)
+    # block[n, k, s - 1]: agent k's lightest option of size s ending at n
+    nz = np.flatnonzero(sizes)
+    block = np.full((n_res + 1, n_agents, n_res), math.inf)
+    np.minimum.at(block, (ends[nz], a.agent_of[nz], sizes[nz] - 1), a.weights[nz])
+    for n in range(1, n_res + 1):
+        for k in range(n_agents):
+            # agent k's block ending at n after a cover of 1..n-size, for every state
+            lightest = (block[n, k, :n, None] + f[n - 1 :: -1]).min(axis=0)
+            # the states holding k, against the same states without k
+            into = f[n].reshape(-1, 2, 1 << k)[:, 1]
+            np.minimum(into, lightest.reshape(-1, 2, 1 << k)[:, 0], out=into)
+
+    total = f.item(n_res, n_states - 1)
+    if total == math.inf:
         raise InfeasibleAllocationError("no exact-cover assignment exists for this instance")
-    return Allocation(option_index=tuple(best_path)), best_value
+    firsts = [lo for lo, _ in a.agent_slices]
+    scale = float(np.maximum.reduceat(np.abs(a.weights), firsts).sum())
+    threshold = total + 4 * n_agents * 2.0**-53 * scale
+    chosen = [0] * n_agents
+    suffix: list[float] = []  # weights of the blocks right of the current state, nearest last
+    best: tuple[float, tuple[int, ...]] | None = None
+    visits = 0
+
+    def least_total(prefix: float) -> float:
+        for w in reversed(suffix):
+            prefix += w
+        return prefix
+
+    def count_visit() -> None:
+        nonlocal visits
+        visits += 1
+        if visits > node_ceiling:
+            raise OracleCeilingError(
+                f"near-tie backtrack exceeded the node ceiling ({node_ceiling})"
+            )
+
+    def visit(state: int, n: int) -> None:
+        nonlocal best
+        if n == 0:
+            members = [k for k in range(n_agents) if state >> k & 1]
+            for combo in itertools.product(*(empties[k] for k in members)):
+                count_visit()
+                prefix = 0.0
+                for o in combo:
+                    prefix += weights[o]
+                if least_total(prefix) <= threshold:
+                    for k, o in zip(members, combo):
+                        chosen[k] = o
+                    option_index = tuple(chosen)
+                    key = (a.value(Allocation(option_index)), option_index)
+                    if best is None or key < best:
+                        best = key
+            return
+        for o in ending[n]:
+            k = agent_of[o]
+            if not state >> k & 1:
+                continue
+            rest = state ^ (1 << k)
+            if least_total(f.item(n - size_of[o], rest) + weights[o]) > threshold:
+                continue
+            count_visit()
+            chosen[k] = o
+            suffix.append(weights[o])
+            visit(rest, n - size_of[o])
+            suffix.pop()
+
+    visit(n_states - 1, n_res)
+    assert best is not None  # the cover attaining f[N, all] is always visited
+    return Allocation(option_index=best[1]), best[0]
 
 
 def greedy(instance: SumaxInstance) -> tuple[int, ...]:

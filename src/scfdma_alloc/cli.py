@@ -1,9 +1,11 @@
 """Command-line front end: campaign runners and verification sweeps.
 
 Subcommands: ``sumax`` and ``jamsc`` run Monte Carlo campaigns and write data
-files; ``certify`` compares the dual solver against the exhaustive oracle on
-small random instances; ``gradcheck`` validates the analytic dual gradient
-with finite differences.  Exit code 0 means every invariant check passed.
+files; ``certify`` compares the dual solver against the exact subset-DP
+oracle on small random instances; ``gradcheck`` validates the analytic dual
+gradient with finite differences.  Exit code 0 means every invariant check
+passed; a campaign in which no allocator produced an allocation on any drop
+fails.
 """
 
 from __future__ import annotations
@@ -96,6 +98,18 @@ def _cmd_campaign(args, problem: str) -> int:
     if not out.ok:
         for line in out.failures:
             print("FAIL " + line)
+        return 1
+    if not any(entry["n_feasible"] for entry in per.values()):
+        first = next(
+            (
+                err
+                for res in out.results
+                for err in (res.error, *(rec.error for rec in res.records.values()))
+                if err
+            ),
+            "none recorded",
+        )
+        print(f"FAIL no {problem} allocator produced an allocation on any drop; first error: {first}")
         return 1
     print("all invariant checks passed")
     return 0

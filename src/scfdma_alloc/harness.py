@@ -70,6 +70,8 @@ class CampaignConfig:
                 raise ValueError(f"{prob} allocators repeat a name: {names}")
             if not names and self.problem in (prob, "both"):
                 raise ValueError(f"a {prob} campaign needs at least one allocator")
+        if self.oracle_ceiling < 1:
+            raise ValueError(f"oracle_ceiling must be >= 1, got {self.oracle_ceiling}")
         if self.target_rate_bps <= 0:
             raise ValueError(f"target_rate_bps must be positive, got {self.target_rate_bps}")
         if self.fixed_modulation not in self.modulations.names:
@@ -482,7 +484,7 @@ def certification_sweep(
     solver: SolverConfig = SolverConfig(),
     gap_tol: float = 1e-6,
 ) -> dict:
-    """Compare the dual solver against the exhaustive oracle on random instances.
+    """Compare the dual solver against the exact oracle on random instances.
 
     Per run: certified runs must match the oracle optimum exactly; the value
     ratio (after repair) and the complementary-duality residual are recorded.

@@ -96,7 +96,8 @@ def _solve_powers_vec(gains_padded: np.ndarray, sizes: np.ndarray, thresholds: n
     Row t of ``gains_padded`` holds the pattern's gains padded with zeros.
     Solves sum_n p*g / (size + p*g) = size * thr / (1 + thr) for p > 0; the
     left side grows monotonically from 0 to the pattern size, so a unique
-    positive root always exists.
+    positive root always exists.  Bisects up to 120 times and stops early,
+    with the same result, once no midpoint can move.
     """
     sizes = np.asarray(sizes, dtype=float)
     target = sizes * thresholds / (1.0 + thresholds)
@@ -116,6 +117,10 @@ def _solve_powers_vec(gains_padded: np.ndarray, sizes: np.ndarray, thresholds: n
     lo = np.zeros(len(sizes))
     for _ in range(120):
         mid = 0.5 * (lo + hi)
+        # a row whose midpoint rounds onto an end never moves again and keeps
+        # returning this midpoint, so once every row has settled it is final
+        if ((mid == lo) | (mid == hi)).all():
+            return mid
         below = lhs(mid) < target
         lo = np.where(below, mid, lo)
         hi = np.where(below, hi, mid)

@@ -83,6 +83,30 @@ def test_brute_force_node_ceiling_refuses():
         brute_force(a, node_ceiling=1)
 
 
+def test_brute_force_ceiling_bounds_near_tie_visits():
+    a = sumax_assignment_for_seed(4, 8, 42)
+    tied = a.with_weights(np.full(a.n_options, -1.0))
+    relaxations = 2 ** (a.n_agents - 1) * a.n_options
+    with pytest.raises(OracleCeilingError, match="near-tie"):
+        brute_force(tied, node_ceiling=relaxations)
+    _, value = brute_force(tied)
+    assert value == -4.0
+
+
+def test_oracle_finishes_at_twelve_by_twentyfour():
+    cfg = desk_scenario(12, 24)
+    inst = build_sumax(generate_channel(cfg, 100), cfg)
+    a = to_assignment(inst)
+    alloc, best = brute_force(a)
+    assert not a.allocation_violations(alloc)
+    assert best == a.value(alloc)
+    assert sum_utility(inst, greedy(inst)) <= -best
+    # the default ceiling refuses (16, 32) before any work
+    big = desk_scenario(16, 32)
+    with pytest.raises(OracleCeilingError, match="relaxations"):
+        brute_force(to_assignment(build_sumax(generate_channel(big, 100), big)))
+
+
 @pytest.mark.parametrize("seed", [50, 51, 52])
 def test_greedy_returns_exact_cover(seed):
     cfg = desk_scenario(3, 6)

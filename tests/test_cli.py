@@ -94,7 +94,7 @@ def test_jamsc_drop_without_exact_cover_is_refused(tmp_path, config, seed):
     path.write_text(json.dumps(config))
     out = tmp_path / "out"
     rc = main(["jamsc", "--drops", "1", "--seed", str(seed), "--config", str(path), "--out", str(out)])
-    assert rc == 0
+    assert rc == 1  # no allocator produced an allocation
     with open(out / "jamsc_drops.csv", newline="", encoding="utf-8") as fh:
         rows = {r["allocator"]: r for r in csv.DictReader(fh)}
     assert set(rows) == {"dual_am", "dual_fixed", "round_robin"}
@@ -106,6 +106,20 @@ def test_jamsc_drop_without_exact_cover_is_refused(tmp_path, config, seed):
         assert error == "no exact-cover assignment exists for this instance" or error.startswith(
             "users without any allowed option"
         )
+
+
+def test_campaign_without_any_allocation_fails(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(NO_COVER_REPROS[0][0]))
+    rc = main(["jamsc", "--drops", "3", "--seed", "1", "--config", str(path), "--out", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "feasible 0/3" in out
+    assert (
+        "FAIL no jamsc allocator produced an allocation on any drop; "
+        "first error: no exact-cover assignment exists for this instance"
+    ) in out
+    assert "all invariant checks passed" not in out
 
 
 def test_non_positive_drops_rejected(tmp_path):

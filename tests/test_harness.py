@@ -190,6 +190,13 @@ def test_non_positive_target_rate_rejected():
             CampaignConfig(problem="jamsc", target_rate_bps=rate)
 
 
+def test_oracle_ceiling_below_one_rejected():
+    for ceiling in (0, -1):
+        with pytest.raises(ValueError, match="oracle_ceiling"):
+            CampaignConfig(allocators_sumax=("oracle",), oracle_ceiling=ceiling)
+    assert CampaignConfig(oracle_ceiling=1).oracle_ceiling == 1
+
+
 def test_unknown_fixed_modulation_rejected():
     with pytest.raises(ValueError, match="fixed_modulation"):
         CampaignConfig(problem="both", fixed_modulation="256QAM")

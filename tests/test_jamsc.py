@@ -6,6 +6,7 @@ import pytest
 from scfdma_alloc.channel import ScenarioConfig, effective_snr_mmse, generate_channel
 from scfdma_alloc.jamsc import (
     FrameConfig,
+    _solve_powers_vec,
     build_jamsc,
     cost,
     min_count_matrix,
@@ -87,6 +88,44 @@ def test_power_solver_monotone_in_threshold():
     gains = [1.0, 4.0]
     powers = [solve_pattern_power(gains, g) for g in (0.5, 1.0, 2.0, 4.0)]
     assert all(a < b for a, b in zip(powers, powers[1:]))
+
+
+def fixed_bisection(gains_padded, sizes, thresholds):
+    """The power bisection run for all 120 iterations, with no early stop."""
+    sizes = np.asarray(sizes, dtype=float)
+    target = sizes * thresholds / (1.0 + thresholds)
+
+    def lhs(p):
+        pg = p[:, None] * gains_padded
+        return np.sum(pg / (sizes[:, None] + pg), axis=1)
+
+    hi = np.ones(len(sizes))
+    while (lhs(hi) < target).any():
+        hi = np.where(lhs(hi) < target, hi * 2.0, hi)
+    lo = np.zeros(len(sizes))
+    for _ in range(120):
+        mid = 0.5 * (lo + hi)
+        below = lhs(mid) < target
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def test_power_bisection_early_stop_is_bit_identical():
+    rng = np.random.default_rng(11)
+    rows = 300
+    sizes = rng.integers(1, 9, rows)
+    # gain scales from 1e-12 to 1e12 put the roots from ~1e12 down to ~1e-12
+    scale = 10.0 ** rng.uniform(-12, 12, rows)
+    gains = rng.uniform(0.1, 2.0, (rows, 8)) * scale[:, None]
+    gains[np.arange(8)[None, :] >= sizes[:, None]] = 0.0
+    thresholds = 10.0 ** rng.uniform(-2, 2, rows)
+    want = fixed_bisection(gains, sizes, thresholds)
+    assert want.min() < 1e-9 and want.max() > 1e9
+    assert _solve_powers_vec(gains, sizes, thresholds).tobytes() == want.tobytes()
+    for t in range(0, rows, 37):  # one row at a time settles at its own iteration
+        one = _solve_powers_vec(gains[t : t + 1], sizes[t : t + 1], thresholds[t : t + 1])
+        assert one.tobytes() == want[t : t + 1].tobytes()
 
 
 def test_power_solver_rejects_bad_inputs():
