@@ -90,7 +90,8 @@ def _cmd_campaign(args, problem: str) -> int:
         mean_s = "n/a" if mean is None else f"{mean:.6g}"
         extra = ""
         if "certification_rate" in entry:
-            extra = f"  certified={entry['certification_rate']:.1%}"
+            exits = " ".join(f"{t}={v:.1%}" for t, v in entry["termination_shares"].items())
+            extra = f"  certified={entry['certification_rate']:.1%}  {exits}"
         print(f"{problem} {name}: feasible {entry['n_feasible']}/{entry['n_drops']}  "
               f"mean objective {mean_s}{extra}")
     for err in out.summary["drop_errors"]:

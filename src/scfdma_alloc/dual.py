@@ -5,13 +5,13 @@ constraint (``cover_dual``), one per agent's single-choice constraint
 (``choice_dual``) and one per option enforcing binarity (``binary_dual``).
 On the open cone where all three are positive the dual function is concave,
 and a stationary point there recovers the exact binary optimum with zero
-duality gap.  The solver runs nested sub-gradient loops (binarity duals
-innermost, then choice, then cover) in which each loop steps onto the
-stationary point of its own sub-problem (for the separable binarity duals a
-single closed-form step), and certifies a run only when the converged point
-sits inside the cone and the recovered indicator rounds to a feasible
-assignment.  An uncertified run is repaired by a bounded exact-cover
-search seeded with the recovered indicator.
+duality gap.  The solver is a block-coordinate ascent: each round takes one
+closed-form step of the separable binarity duals, then lands (choice, cover)
+on the stationary point of the quadratic left with the binarity duals held
+fixed.  It certifies a run only when the converged point sits inside the cone
+and the recovered indicator rounds to a feasible assignment.  An uncertified
+run is repaired by a bounded exact-cover search seeded with the recovered
+indicator.
 """
 
 from __future__ import annotations
@@ -27,6 +27,10 @@ from .baselines import exact_cover_search
 # Node budget of the pre-ascent search for any exact cover; a search cut by
 # it proves nothing, and the ascent runs as if a cover existed.
 COVER_CHECK_NODES = 100_000
+
+
+# How an ascent can stop; see ``solve``.
+TERMINATIONS = ("converged", "stagnation", "budget", "diverged")
 
 
 class DualDomainError(ValueError):
@@ -59,21 +63,19 @@ class DualPoint:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances, budgets and starting point of the nested dual ascent.
+    """Tolerances, budget and starting point of the dual ascent.
 
     ``tol`` bounds the sup-norm of each gradient at convergence;
     ``projection_offset`` is the binarity duals' magnitude floor (see
     ``project_rho``); ``init_value`` fills every dual at a cold start;
-    ``max_inner`` caps the choice and cover loops (the binarity step is
-    closed form and takes at most one step per round); ``max_outer`` caps
-    the outer rounds and the choice/cover cycles within one round;
+    ``max_outer`` caps the rounds, each of which is one binarity step and one
+    joint (choice, cover) landing, so it bounds the whole solve's work;
     ``round_tol`` is how close to 0/1 the recovered indicator must be.
     """
 
     tol: float = 1e-6
     projection_offset: float = 1e-3
     init_value: float = 1.0
-    max_inner: int = 10_000
     max_outer: int = 1_000
     round_tol: float = 0.1
 
@@ -166,26 +168,18 @@ class GapReport:
     where they disagree.  ``modified_utilities`` is the utility vector
     u - 2*theta*rho; at the same dual point the recovered indicator of the
     modified problem is ``frac - theta``, which lands on the reported
-    selection, so the perturbed problem is solved exactly.  ``max_ratio``
-    is the largest 2|rho|/|u| over all options, with a small floor standing
-    in for zero utilities; small values certify that every possible utility
-    perturbation is relatively tiny, hence a near-optimal point.  A zero
-    utility (the empty pattern) makes the floor bind, so the flag is
-    deliberately conservative.
+    selection, so the perturbed problem is solved exactly.
     """
 
     theta: np.ndarray
     modified_utilities: np.ndarray
     implied_selection: np.ndarray
-    max_ratio: float
-    near_optimal: bool
 
 
 def diagnose_gap(
     a: AssignmentInstance,
     d: DualPoint,
     selection: np.ndarray | None = None,
-    ratio_bound: float = 0.05,
 ) -> GapReport:
     """Build the perturbation certificate for a converged dual point.
 
@@ -200,16 +194,10 @@ def diagnose_gap(
     sel = np.asarray(selection).astype(np.int8)
     theta = (implied - sel).astype(np.int8)
     modified = u - 2.0 * theta * d.binary_dual
-    floor = 1e-9 * max(1.0, float(np.max(np.abs(u))))
-    max_ratio = float(
-        np.max(2.0 * np.abs(d.binary_dual) / np.maximum(np.abs(u), floor))
-    )
     return GapReport(
         theta=theta,
         modified_utilities=modified,
         implied_selection=implied,
-        max_ratio=max_ratio,
-        near_optimal=bool(max_ratio <= ratio_bound),
     )
 
 
@@ -232,7 +220,7 @@ class SolveReport:
     binary_recovery: bool
     recovery_feasible: bool
     repaired: bool
-    truncated: bool
+    termination: str
     iterations: tuple[int, int, int]
     outer_iterations: int
     gap_report: GapReport | None
@@ -241,6 +229,11 @@ class SolveReport:
     @property
     def feasible(self) -> bool:
         return self.allocation is not None
+
+    @property
+    def truncated(self) -> bool:
+        """The ascent stopped before every gradient was within tolerance."""
+        return self.termination != "converged"
 
     @property
     def certified(self) -> bool:
@@ -261,12 +254,10 @@ class SolveReport:
             "binary_recovery": self.binary_recovery,
             "recovery_feasible": self.recovery_feasible,
             "repaired": self.repaired,
-            "truncated": self.truncated,
+            "termination": self.termination,
             "certified": self.certified,
             "iterations": list(self.iterations),
             "outer_iterations": self.outer_iterations,
-            "max_ratio": None if self.gap_report is None else self.gap_report.max_ratio,
-            "near_optimal": None if self.gap_report is None else self.gap_report.near_optimal,
             "violations": list(self.violations),
             "allocation": None if self.allocation is None else list(self.allocation.option_index),
         }
@@ -308,23 +299,24 @@ def solve(
     cfg: SolverConfig = SolverConfig(),
     start: DualPoint | None = None,
 ) -> SolveReport:
-    """Run the nested dual ascent on one assignment instance.
+    """Run the block-coordinate dual ascent on one assignment instance.
 
-    Loop order per outer round: (1) unless their gradient's sup-norm is
-    within tolerance, one closed-form step of the binarity duals, (2) choice
-    duals, (3) cover duals, (4, 5) repeat 2-3 until both are within
-    tolerance, (6, 7) repeat everything until all three gradients pass, (8)
-    recover and round the indicator.  Each loop steps onto the stationary
-    point of its own sub-problem: separable for the binarity duals, so one
-    ``project_rho`` step lands them all, and linear for the choice and cover
-    duals, whose shared system is solved once per round.  The binarity count
-    in ``iterations`` adds 1 for that step and 1 more when it moved the duals
-    and their gradient still fails the re-check.  One gradient pass per
-    choice/cover cycle serves its stop test, the next cycle and the next
-    round.  A round that leaves the state unchanged ends the ascent.  When
-    the rounded indicator is not a feasible assignment, ``repair_selection``
-    supplies one if it can.  Exceeding the iteration budgets yields
-    ``truncated=True``, never an exception.
+    Each round (1) takes one closed-form ``project_rho`` step of the
+    separable binarity duals, unless their gradient's sup-norm is within
+    tolerance, (2) lands (choice, cover) on the stationary point of the dual
+    with the binarity duals held fixed, a concave quadratic whose symmetric
+    system is solved with one refinement step (least squares when it is
+    singular), and (3) takes one gradient pass for the convergence test.
+    The binarity count in ``iterations`` adds 1 for the step and 1 more when
+    it moved the duals and their gradient still fails the re-check; the
+    choice and cover counts add 1 per landing.  ``termination`` records the
+    exit: ``converged`` when all three gradients pass, ``stagnation`` when a
+    round does not raise the dual value (inside the cone every block step is
+    a maximisation, so the value never falls in exact arithmetic),
+    ``budget`` after ``max_outer`` rounds, and ``diverged`` when an iterate
+    is not finite.  None of them raises.  The indicator is then recovered
+    and rounded; when it is not a feasible assignment, ``repair_selection``
+    supplies one if it can.
 
     Before the ascent a search on all-zero weights, which stops at the first
     cover, looks for any exact cover.  Without one the dual is unbounded, so
@@ -363,13 +355,9 @@ def solve(
 
     it_binary = it_choice = it_cover = 0
     outer_used = 0
-    converged = False
-    diverged = False
-    prev_state: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-    # slack0 and cover_terms depend only on (choice, cover); each gradient
-    # pass leaves them current for the next cycle and the next round
-    cover_terms = mat_t @ cover
-    slack0 = u - choice[agent_of] - cover_terms
+    termination = "budget"
+    prev_value = -math.inf
+    slack0 = u - choice[agent_of] - mat_t @ cover
     ratio = slack0 / binary
     g_binary = 0.25 * (ratio * ratio - 1.0)
 
@@ -387,24 +375,18 @@ def solve(
                 if np.abs(0.25 * (ratio * ratio - 1.0)).max() > tol:
                     it_binary += 1
         if not np.isfinite(binary).all():
-            diverged = True
+            termination = "diverged"
             break
+        # With the binarity duals held fixed the dual is a quadratic in
+        # (choice, cover) whose stationary point solves one symmetric system.
         inv2b = 0.5 / binary
-        u_binary = u + binary
         weighted = mat * inv2b
-        m_cover = weighted @ mat_t
-        # With the binarity duals held fixed both remaining gradients are
-        # linear, so their shared stationary point solves one symmetric
-        # system per round.  The cover loop lands on its component and the
-        # next choice pass then lands on the matching choice component.
-        cover_target = None
+        q_fixed = (u + binary) * inv2b
+        h_joint[diag, diag] = np.bincount(agent_of, weights=inv2b, minlength=n_agents)
         cross = weighted @ one_hot_t
-        s2 = np.bincount(agent_of, weights=inv2b, minlength=n_agents)
-        q_fixed = u_binary * inv2b
-        h_joint[diag, diag] = s2
         h_joint[:n_agents, n_agents:] = cross.T
         h_joint[n_agents:, :n_agents] = cross
-        h_joint[n_agents:, n_agents:] = m_cover
+        h_joint[n_agents:, n_agents:] = weighted @ mat_t
         rhs_joint = np.concatenate(
             [
                 np.bincount(agent_of, weights=q_fixed, minlength=n_agents) - 1.0,
@@ -414,67 +396,22 @@ def solve(
         try:
             sol = np.linalg.solve(h_joint, rhs_joint)
             sol = sol + np.linalg.solve(h_joint, rhs_joint - h_joint @ sol)
-            if np.isfinite(sol).all():
-                cover_target = sol[n_agents:]
         except np.linalg.LinAlgError:
-            cover_target = None
-        for _cycle in range(cfg.max_outer):
-            s1 = np.bincount(
-                agent_of, weights=(u_binary - cover_terms) * inv2b, minlength=n_agents
-            )
-            for _ in range(cfg.max_inner):
-                g = s1 - choice * s2 - 1.0
-                if np.abs(g).max() <= tol:
-                    break
-                # the gradient is linear with per-coordinate slope -s2
-                moved = choice + g / s2
-                it_choice += 1
-                if (moved == choice).all():
-                    break
-                choice = moved
-            if not np.isfinite(choice).all():
-                diverged = True
-                break
-            v0 = mat @ ((u_binary - choice[agent_of]) * inv2b)
-            for _ in range(cfg.max_inner):
-                g = v0 - m_cover @ cover - 1.0
-                if np.abs(g).max() <= tol:
-                    break
-                if cover_target is not None and not (cover == cover_target).all():
-                    cover = cover_target
-                    it_cover += 1
-                    break
-                landed = None
-                try:
-                    landed = np.linalg.solve(m_cover, v0 - 1.0)
-                except np.linalg.LinAlgError:
-                    landed = None
-                if (
-                    landed is not None
-                    and np.isfinite(landed).all()
-                    and not (cover == landed).all()
-                ):
-                    cover = landed
-                    it_cover += 1
-                    break
-                gersh = float(np.max(np.sum(np.abs(m_cover), axis=1)))
-                moved = cover + g / max(gersh, 1e-12)
-                it_cover += 1
-                if (moved == cover).all():
-                    break
-                cover = moved
-            if not np.isfinite(cover).all():
-                diverged = True
-                break
-            cover_terms = mat_t @ cover
-            slack0 = u - choice[agent_of] - cover_terms
-            frac = (slack0 + binary) / (2.0 * binary)
-            g_cover = mat @ frac - 1.0
-            g_choice = np.bincount(agent_of, weights=frac, minlength=n_agents) - 1.0
-            if np.abs(g_choice).max() <= tol and np.abs(g_cover).max() <= tol:
-                break
-        if diverged:
+            sol = None
+        if sol is None or not np.isfinite(sol).all():
+            # a singular system (no exact cover) has no unique stationary point
+            sol = np.linalg.lstsq(h_joint, rhs_joint)[0]
+        choice, cover = sol[:n_agents], sol[n_agents:]
+        it_choice += 1
+        it_cover += 1
+        if not (np.isfinite(choice).all() and np.isfinite(cover).all()):
+            termination = "diverged"
             break
+        slack0 = u - choice[agent_of] - mat_t @ cover
+        shifted = slack0 + binary
+        frac = shifted / (2.0 * binary)
+        g_cover = mat @ frac - 1.0
+        g_choice = np.bincount(agent_of, weights=frac, minlength=n_agents) - 1.0
         ratio = slack0 / binary
         g_binary = 0.25 * (ratio * ratio - 1.0)
         if (
@@ -482,20 +419,22 @@ def solve(
             and np.abs(g_choice).max() <= tol
             and np.abs(g_cover).max() <= tol
         ):
-            converged = True
+            termination = "converged"
             break
-        # the round maps state to state deterministically, so an unchanged
-        # state can never make further progress; no iterate is ever written
-        # in place, so the previous state is kept by reference
-        if prev_state is not None and (
-            (prev_state[0] == binary).all()
-            and (prev_state[1] == choice).all()
-            and (prev_state[2] == cover).all()
-        ):
+        # each block step maximises the dual inside the cone, so a round
+        # that does not raise it can make no further progress
+        value = (
+            -0.25 * float(shifted @ (shifted / binary))
+            - float(cover.sum())
+            - float(choice.sum())
+        )
+        if not value > prev_value:
+            termination = "stagnation"
             break
-        prev_state = (binary, choice, cover)
+        prev_value = value
 
     d = DualPoint(cover_dual=cover, choice_dual=choice, binary_dual=binary)
+    diverged = termination == "diverged"
     violations: list[str] = []
     if diverged:
         violations.append("dual iterates diverged to non-finite values")
@@ -548,7 +487,7 @@ def solve(
         binary_recovery=binary_ok,
         recovery_feasible=recovery_feasible,
         repaired=repaired,
-        truncated=not converged,
+        termination=termination,
         iterations=(it_binary, it_choice, it_cover),
         outer_iterations=outer_used,
         gap_report=gap_report,

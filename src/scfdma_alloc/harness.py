@@ -19,7 +19,7 @@ import numpy as np
 from .assignment import Allocation, AssignmentInstance, InfeasibleInstanceError, to_assignment
 from .baselines import InfeasibleAllocationError, OracleCeilingError, brute_force, greedy, round_robin
 from .channel import ChannelGains, ScenarioConfig, generate_channel
-from .dual import SolveReport, SolverConfig, dual_gradient, dual_value, DualPoint, solve
+from .dual import TERMINATIONS, SolveReport, SolverConfig, dual_gradient, dual_value, DualPoint, solve
 from .jamsc import FrameConfig, JamscInstance, build_jamsc
 from .patterns import PatternSet, enumerate_patterns
 from .sumax import ModulationTable, SumaxInstance, build_sumax, select_modulation
@@ -99,11 +99,9 @@ class AllocatorRecord:
     in_positive_cone: bool | None = None
     binary_recovery: bool | None = None
     repaired: bool | None = None
-    truncated: bool | None = None
+    termination: str | None = None
     iterations: tuple[int, int, int] | None = None
     outer_iterations: int | None = None
-    max_ratio: float | None = None
-    near_optimal: bool | None = None
     runtime_s: float = 0.0
     violations: list[str] = field(default_factory=list)
 
@@ -130,11 +128,9 @@ def _record_from_report(name: str, rep: SolveReport, sign: float, runtime_s: flo
         in_positive_cone=rep.in_positive_cone,
         binary_recovery=rep.binary_recovery,
         repaired=rep.repaired,
-        truncated=rep.truncated,
+        termination=rep.termination,
         iterations=rep.iterations,
         outer_iterations=rep.outer_iterations,
-        max_ratio=None if rep.gap_report is None else rep.gap_report.max_ratio,
-        near_optimal=None if rep.gap_report is None else rep.gap_report.near_optimal,
         runtime_s=runtime_s,
     )
 
@@ -308,9 +304,8 @@ def _fmt(v) -> str:
 
 _DROP_COLUMNS = (
     "problem", "drop", "seed", "allocator", "objective", "feasible", "error",
-    "certified", "in_positive_cone", "binary_recovery", "repaired", "truncated",
+    "certified", "in_positive_cone", "binary_recovery", "repaired", "termination",
     "iters_binary", "iters_choice", "iters_cover", "outer_iterations",
-    "max_ratio", "near_optimal",
 )
 
 _USER_COLUMNS = (
@@ -327,8 +322,8 @@ def _drop_csv_rows(results: Sequence[DropResult]) -> list[str]:
             row = (
                 res.problem, res.drop_index, res.seed, name, rec.objective, rec.feasible,
                 rec.error.replace(",", ";"), rec.certified, rec.in_positive_cone,
-                rec.binary_recovery, rec.repaired, rec.truncated,
-                it[0], it[1], it[2], rec.outer_iterations, rec.max_ratio, rec.near_optimal,
+                rec.binary_recovery, rec.repaired, rec.termination,
+                it[0], it[1], it[2], rec.outer_iterations,
             )
             lines.append(",".join(_fmt(v) for v in row))
     return lines
@@ -372,7 +367,9 @@ def _summarise_problem(
         if any(r.certified is not None for r in recs):
             done = [r for r in recs if r.certified is not None]
             entry["certification_rate"] = float(np.mean([1.0 if r.certified else 0.0 for r in done]))
-            entry["truncation_rate"] = float(np.mean([1.0 if r.truncated else 0.0 for r in done]))
+            entry["termination_shares"] = {
+                t: sum(r.termination == t for r in done) / len(done) for t in TERMINATIONS
+            }
         if oracle_name and name != oracle_name:
             ratios = []
             for r in results:
@@ -512,12 +509,11 @@ def certification_sweep(
                     "n_subchannels": n_sub,
                     "seed": seed,
                     "certified": rep.certified,
-                    "truncated": rep.truncated,
+                    "termination": rep.termination,
                     "repaired": rep.repaired,
                     "exact": exact,
                     "ratio": ratio,
                     "gap_ok": gap_ok,
-                    "max_ratio": None if rep.gap_report is None else rep.gap_report.max_ratio,
                     "oracle_value": opt_value,
                     "achieved_value": achieved,
                 }
@@ -595,9 +591,9 @@ def complexity_table(
 ) -> list[dict]:
     """Iteration-count table over a (K, N) sweep of random sumax instances.
 
-    Operations are counted from the loop structure: each binarity iteration
-    touches every option, each choice iteration every agent, each cover
-    iteration every sub-channel.  Wall time is informative only.
+    Operations are counted from the round structure: each binarity step
+    touches every option, and each joint landing counts once per agent
+    (choice) and once per sub-channel (cover).  Wall time is informative only.
     """
     if len(seeds) < 1:
         raise ValueError(f"seeds must hold at least one seed, got {len(seeds)}")

@@ -210,7 +210,6 @@ def test_08_gap_diagnostic_consistency():
     cfg = SolverConfig()
     n_certified = 0
     n_uncertified = 0
-    ratios = []
     gaps = []
     for n_users, n_sub in ((2, 4), (2, 5)):
         for seed in range(5000, 5030):
@@ -230,20 +229,13 @@ def test_08_gap_diagnostic_consistency():
                 assert rep2.allocation is not None
                 assert np.array_equal(mod.selection_vector(rep2.allocation), sel)
             _, opt = brute_force(a)
-            ratios.append(report.max_ratio)
             gaps.append((rep.primal_value - opt) / (1.0 + abs(opt)))
     assert n_certified >= 1
     assert n_uncertified >= 1
-    ratios_arr = np.array(ratios)
     gaps_arr = np.array(gaps)
-    corr_txt = "undefined (zero variance)"
-    if ratios_arr.std() > 0 and gaps_arr.std() > 0:
-        corr_txt = f"{float(np.corrcoef(ratios_arr, gaps_arr)[0, 1]):.3f}"
     print(
         f"certified={n_certified} uncertified={n_uncertified} "
-        f"max_ratio mean={ratios_arr.mean():.4f} max={ratios_arr.max():.4f}; "
-        f"oracle_gap mean={gaps_arr.mean():.3e} max={gaps_arr.max():.3e}; "
-        f"corr(max_ratio, oracle_gap)={corr_txt}"
+        f"oracle_gap mean={gaps_arr.mean():.3e} max={gaps_arr.max():.3e}"
     )
 
 

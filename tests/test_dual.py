@@ -179,7 +179,7 @@ def test_project_rho_degenerate_zero_pair():
 def test_exact_zero_slack_takes_one_binarity_step():
     # option 0's slack u - choice - cover_terms is exactly 0 at this start:
     # one step floors its dual at the offset, where a per-pass bump of the
-    # offset would walk it for max_inner passes
+    # offset would walk it one offset per round
     start = DualPoint(
         cover_dual=np.array([1.0]),
         choice_dual=np.array([0.0]),
@@ -214,9 +214,47 @@ def test_solve_refuses_instance_without_exact_cover(monkeypatch):
         solve(no_cover_instance())
     # a cover search cut by its node budget proves nothing, so the ascent runs
     monkeypatch.setattr(dual, "COVER_CHECK_NODES", 0)
-    rep = solve(no_cover_instance(), SolverConfig(max_outer=5, max_inner=50))
+    rep = solve(no_cover_instance(), SolverConfig(max_outer=5))
     assert rep.allocation is None
     assert not rep.certified
+
+
+def test_termination_names_each_exit():
+    a = sumax_assignment_for_seed(3, 6, 21)
+    nan_binary = np.ones(a.n_options)
+    nan_binary[3] = np.nan
+    cases = (
+        (hand_instance(), SolverConfig(), None, "converged"),
+        (sumax_assignment_for_seed(2, 4, 5001), SolverConfig(), None, "stagnation"),
+        (a, SolverConfig(max_outer=1), None, "budget"),
+        (a, SolverConfig(), DualPoint(np.ones(a.n_resources), np.ones(a.n_agents), nan_binary), "diverged"),
+    )
+    for inst, cfg, start, want in cases:
+        rep = solve(inst, cfg, start=start)
+        assert rep.termination == want
+        assert rep.truncated == (want != "converged")
+        assert rep.to_dict()["termination"] == want
+        assert rep.outer_iterations <= cfg.max_outer
+    assert "dual iterates diverged to non-finite values" in rep.violations
+
+
+def test_warm_start_outside_cone_stops_within_budget():
+    # mixed-sign binarity duals and some negative choice duals: outside the
+    # cone a binarity step can lower the dual, which ends the ascent
+    a = sumax_assignment_for_seed(3, 5, 900)
+    rng = np.random.default_rng(7)
+    start = DualPoint(
+        cover_dual=rng.uniform(0.1, 3.0, a.n_resources),
+        choice_dual=rng.uniform(-1.0, 3.0, a.n_agents),
+        binary_dual=rng.choice([-1.0, 1.0], a.n_options) * rng.uniform(0.01, 3.0, a.n_options),
+    )
+    assert not start.in_positive_cone
+    cfg = SolverConfig()
+    rep = solve(a, cfg, start=start)
+    assert rep.outer_iterations <= cfg.max_outer
+    assert rep.iterations[1] == rep.iterations[2] <= rep.outer_iterations
+    assert not rep.certified
+    assert rep.termination in ("stagnation", "budget")
 
 
 def test_certified_runs_match_oracle():
@@ -292,11 +330,6 @@ def test_diagnose_gap_agreement_means_zero_theta():
     report = diagnose_gap(a, rep.dual_point, selection=sel)
     assert not report.theta.any()
     assert np.array_equal(report.modified_utilities, -a.weights)
-    u = -a.weights
-    floor = 1e-9 * max(1.0, float(np.max(np.abs(u))))
-    expect = float(np.max(2.0 * np.abs(rep.dual_point.binary_dual) / np.maximum(np.abs(u), floor)))
-    assert report.max_ratio == expect
-    assert report.near_optimal == (report.max_ratio <= 0.05)
 
 
 def test_diagnose_gap_disagreement_perturbs_utilities():
@@ -314,7 +347,6 @@ def test_diagnose_gap_disagreement_perturbs_utilities():
     u = -a.weights
     expect = u - 2.0 * report.theta * rep.dual_point.binary_dual
     assert np.array_equal(report.modified_utilities, expect)
-    assert report.max_ratio > 0.0
 
 
 def test_uncertified_resolve_reproduces_reported_selection():

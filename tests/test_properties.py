@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scfdma_alloc.assignment import Allocation, InfeasibleInstanceError, to_assignment
 from scfdma_alloc.baselines import InfeasibleAllocationError, brute_force, exact_cover_search
 from scfdma_alloc.channel import generate_channel
-from scfdma_alloc.dual import SolverConfig, solve
+from scfdma_alloc.dual import DualPoint, SolverConfig, dual_gradient, dual_value, solve
 from scfdma_alloc.harness import desk_scenario
 from scfdma_alloc.jamsc import FrameConfig, build_jamsc, min_count_matrix, solve_pattern_power
 from scfdma_alloc.sumax import ModulationTable, build_sumax
@@ -69,6 +69,31 @@ def test_solve_twice_is_identical(k, n, seed, ties, zf, p_max):
         assert np.array_equal(getattr(r1.dual_point, name), getattr(r2.dual_point, name))
     assert r1.iterations == r2.iterations
     assert r1.outer_iterations == r2.outer_iterations
+
+
+@solver_properties
+@given(**instance_args)
+@example(k=4, n=3, seed=5, ties=True, zf=True, p_max=[0.1, 1.5, 0.3, 2.0])
+def test_converged_iff_gradient_within_tolerance(k, n, seed, ties, zf, p_max):
+    a = sumax_instance(k, n, seed, ties, zf, p_max)
+    cfg = SolverConfig()
+    rep = solve(a, cfg)
+    norms = [np.abs(g).max() for g in dual_gradient(a, rep.dual_point)]
+    assert (rep.termination == "converged") == all(x <= cfg.tol for x in norms)
+
+
+@solver_properties
+@given(**instance_args)
+@example(k=4, n=3, seed=5, ties=True, zf=True, p_max=[0.1, 1.5, 0.3, 2.0])
+def test_ascent_never_ends_below_cold_start(k, n, seed, ties, zf, p_max):
+    a = sumax_instance(k, n, seed, ties, zf, p_max)
+    cfg = SolverConfig()
+    cold = DualPoint(
+        cover_dual=np.full(a.n_resources, cfg.init_value),
+        choice_dual=np.full(a.n_agents, cfg.init_value),
+        binary_dual=np.full(a.n_options, cfg.init_value),
+    )
+    assert solve(a, cfg).dual_value >= dual_value(a, cold)
 
 
 def enumerated_optimum(a):
