@@ -11,7 +11,7 @@ on both.  Every run must pass perfbench's correctness gate.  The file written
 at the repository root holds, per end-to-end metric of ``BENCHMARK.json``,
 the per-run values of both sides, their quartiles, the relative change of the
 medians and the number of pairs the change won, together with the commits,
-the command line and the environment record of the first run.
+the command line and the environment record of the first change-side run.
 """
 
 from __future__ import annotations
