@@ -35,9 +35,8 @@ class AssignmentInstance:
     """Flattened option table of a minimisation assignment problem.
 
     Options are grouped by agent (``agent_slices``); ``footprint_matrix`` is
-    the (n_resources, n_options) 0/1 cover matrix and ``footprint_masks`` the
-    same footprints as int bitmasks.  ``provenance`` holds the (user, pattern)
-    tag of every option.
+    the (n_resources, n_options) 0/1 cover matrix.  ``provenance`` holds the
+    (user, pattern) tag of every option.
     """
 
     kind: str
@@ -47,7 +46,6 @@ class AssignmentInstance:
     agent_of: np.ndarray
     agent_slices: tuple[tuple[int, int], ...]
     footprint_matrix: np.ndarray
-    footprint_masks: tuple[int, ...]
     provenance: tuple[tuple[int, int], ...]
     patterns: PatternSet
 
@@ -163,7 +161,6 @@ def to_assignment(instance: SumaxInstance | JamscInstance) -> AssignmentInstance
         agent_of=k_idx.astype(np.int64),
         agent_slices=tuple(zip([0] + stops[:-1], stops)),
         footprint_matrix=patterns.matrix[:, j_idx].astype(np.float64),
-        footprint_masks=tuple(patterns.bitmasks[j] for j in j_idx.tolist()),
         provenance=tuple(zip(k_idx.tolist(), j_idx.tolist())),
         patterns=patterns,
     )

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -20,82 +19,79 @@ class InfeasibleAllocationError(ValueError):
     """No feasible assignment exists for the given instance or geometry."""
 
 
-def _runs(mask: int) -> int:
-    return (mask & ~(mask << 1)).bit_count()
+# Default node ceiling of the subset program, which admits K=12, N=24.
+NODE_CEILING = 10**8
 
 
-def exact_cover_search(
-    a: AssignmentInstance, order: Sequence[Sequence[int]], node_cap: int
-) -> tuple[list[int] | None, float, bool]:
-    """Depth-first search for the minimum-weight exact cover, one option per agent.
+def block_table(a: AssignmentInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each agent's lightest option per footprint: (ends, block, empty).
 
-    Agents are expanded in index order and agent k's options are tried in
-    ``order[k]``.  Prunes on footprint conflicts, on remaining coverable area,
-    on the number of free runs left per remaining agent, and on an optimistic
-    weight bound; checks exact cover at the leaves.  A cover replaces the
-    incumbent only when strictly lighter (weights summed at full precision),
-    so ties keep the first cover found in ``order``.  The search stops once
-    more than ``node_cap`` partial nodes have been expanded.  Returns the best
-    option list found (or None), its total weight, and whether the cap
-    stopped the search.
+    ``ends[o]`` is option o's last sub-channel (0 for the empty footprint),
+    ``block[n, k, s - 1]`` agent k's lightest option of size s ending at n and
+    ``empty[k]`` its lightest empty option; both are infinite where the agent
+    has no such option.  Raises ValueError for a footprint that is not one
+    contiguous block.
     """
-    n_agents = a.n_agents
-    full = (1 << a.n_resources) - 1
-    masks = a.footprint_masks
-    weights = a.weights.tolist()
-    sizes = a.sizes
-
-    min_size = np.array([min(sizes[o] for o in a.agent_options(k)) for k in range(n_agents)])
-    suffix_min_size = np.concatenate([np.cumsum(min_size[::-1])[::-1], [0]])
-    min_w = np.array([min(a.weights[o] for o in a.agent_options(k)) for k in range(n_agents)])
-    suffix_min_w = np.concatenate([np.cumsum(min_w[::-1])[::-1], [0.0]])
-
-    best_value = math.inf
-    best_path: list[int] | None = None
-    path: list[int] = []
-    nodes = 0
-
-    def dfs(k: int, used: int, acc: float) -> None:
-        nonlocal best_value, best_path, nodes
-        if k == n_agents:
-            if used == full and acc < best_value:
-                best_value = acc
-                best_path = path.copy()
-            return
-        if acc + suffix_min_w[k] >= best_value:
-            return
-        free = full & ~used
-        if free.bit_count() < suffix_min_size[k]:
-            return
-        if _runs(free) > n_agents - k:
-            return
-        for o in order[k]:
-            m = masks[o]
-            if m & used:
-                continue
-            nodes += 1
-            if nodes > node_cap:
-                return  # each open frame returns at its next expansion
-            path.append(o)
-            dfs(k + 1, used | m, acc + weights[o])
-            path.pop()
-
-    dfs(0, 0, 0.0)
-    return best_path, best_value, nodes > node_cap
+    n_res, sizes = a.n_resources, a.sizes
+    ends = np.where(sizes > 0, n_res - a.footprint_matrix[::-1].argmax(axis=0), 0)
+    if ((sizes > 0) & (ends - a.footprint_matrix.argmax(axis=0) != sizes)).any():
+        raise ValueError("the subset program needs every footprint to be one contiguous block")
+    nz = np.flatnonzero(sizes)
+    block = np.full((n_res + 1, a.n_agents, n_res), math.inf)
+    np.minimum.at(block, (ends[nz], a.agent_of[nz], sizes[nz] - 1), a.weights[nz])
+    empty = np.full(a.n_agents, math.inf)
+    none = np.flatnonzero(sizes == 0)
+    np.minimum.at(empty, a.agent_of[none], a.weights[none])
+    return ends, block, empty
 
 
-def brute_force(a: AssignmentInstance, node_ceiling: int = 10**8) -> tuple[Allocation, float]:
+def cover_sweep(
+    a: AssignmentInstance, node_ceiling: int = NODE_CEILING
+) -> tuple[np.ndarray, np.ndarray]:
+    """Forward sweep of the subset program: its table ``f`` and ``ends``.
+
+    ``f[n, S]`` is the lightest assignment of the agents in S that covers
+    sub-channels 1..n exactly (see ``brute_force``), and ``ends`` is
+    ``block_table``'s; ``f[N, all]`` is infinite exactly when no exact cover
+    exists.  Raises OracleCeilingError, before any work, when the sweep's
+    2^(K-1) * n_options relaxations exceed ``node_ceiling``.
+    """
+    n_agents, n_res = a.n_agents, a.n_resources
+    n_states = 1 << n_agents
+    relaxations = (n_states >> 1) * a.n_options
+    if relaxations > node_ceiling:
+        raise OracleCeilingError(
+            f"subset program needs {relaxations} relaxations, over the node ceiling ({node_ceiling})"
+        )
+    ends, block, empty = block_table(a)
+    f = np.full((n_res + 1, n_states), math.inf)
+    f[0, 0] = 0.0
+    for k in range(n_agents):
+        # the states with highest agent k extend those below it: agent-order sums
+        f[0, 1 << k : 2 << k] = f[0, : 1 << k] + empty[k]
+    for n in range(1, n_res + 1):
+        for k in range(n_agents):
+            # agent k's block ending at n after a cover of 1..n-size, for every state
+            lightest = (block[n, k, :n, None] + f[n - 1 :: -1]).min(axis=0)
+            # the states holding k, against the same states without k
+            into = f[n].reshape(-1, 2, 1 << k)[:, 1]
+            np.minimum(into, lightest.reshape(-1, 2, 1 << k)[:, 0], out=into)
+    return f, ends
+
+
+def brute_force(a: AssignmentInstance, node_ceiling: int = NODE_CEILING) -> tuple[Allocation, float]:
     """Exact minimiser by a Held-Karp program over agent subsets.
 
     Every option is one contiguous block of sub-channels or the empty
     footprint.  ``f[n, S]`` is the lightest assignment of the agents in S that
     covers sub-channels 1..n exactly: the agents of S without a block in 1..n
     take their empty option, summed in agent order into ``f[0, S]``, and the
-    blocks follow in sub-channel order.  Sweeping n upwards, every option
-    ending at n relaxes ``f[n, S] <- f[n - size, S ^ bit(k)] + w`` for all S
-    holding its agent k at once, so the sweep makes 2^(K-1) * n_options
-    relaxations instead of enumerating option tuples.  ``f[N, all]`` is
-    infinite exactly when no exact cover exists (InfeasibleAllocationError).
+    blocks follow in sub-channel order.  Sweeping n upwards (``cover_sweep``),
+    every option ending at n relaxes ``f[n, S] <- f[n - size, S ^ bit(k)] + w``
+    for all S holding its agent k at once, so the sweep makes
+    2^(K-1) * n_options relaxations instead of enumerating option tuples.
+    ``f[N, all]`` is infinite exactly when no exact cover exists
+    (InfeasibleAllocationError).
 
     The answer keeps the exhaustive semantics: the least ``a.value`` (the
     weights summed in agent order), ties going to the smallest option tuple.
@@ -118,19 +114,11 @@ def brute_force(a: AssignmentInstance, node_ceiling: int = 10**8) -> tuple[Alloc
     answer.  Raises ValueError for a footprint that is not one contiguous
     block.
     """
+    f, ends = cover_sweep(a, node_ceiling)
     n_agents, n_res = a.n_agents, a.n_resources
     n_states = 1 << n_agents
-    relaxations = (n_states >> 1) * a.n_options
-    if relaxations > node_ceiling:
-        raise OracleCeilingError(
-            f"subset program needs {relaxations} relaxations, over the node ceiling ({node_ceiling})"
-        )
-    sizes = a.sizes
-    ends = np.where(sizes > 0, n_res - a.footprint_matrix[::-1].argmax(axis=0), 0)
-    if ((sizes > 0) & (ends - a.footprint_matrix.argmax(axis=0) != sizes)).any():
-        raise ValueError("brute_force needs every footprint to be one contiguous block")
     weights = a.weights.tolist()
-    size_of = sizes.tolist()
+    size_of = a.sizes.tolist()
     agent_of = a.agent_of.tolist()
     # ending[n]: the options ending at sub-channel n, in option order
     ending: list[list[int]] = [[] for _ in range(n_res + 1)]
@@ -139,23 +127,6 @@ def brute_force(a: AssignmentInstance, node_ceiling: int = 10**8) -> tuple[Alloc
     empties: list[list[int]] = [[] for _ in range(n_agents)]
     for o in ending[0]:
         empties[agent_of[o]].append(o)
-
-    f = np.full((n_res + 1, n_states), math.inf)
-    f[0, 0] = 0.0
-    for k in range(n_agents):
-        # the states with highest agent k extend those below it: agent-order sums
-        f[0, 1 << k : 2 << k] = f[0, : 1 << k] + min((weights[o] for o in empties[k]), default=math.inf)
-    # block[n, k, s - 1]: agent k's lightest option of size s ending at n
-    nz = np.flatnonzero(sizes)
-    block = np.full((n_res + 1, n_agents, n_res), math.inf)
-    np.minimum.at(block, (ends[nz], a.agent_of[nz], sizes[nz] - 1), a.weights[nz])
-    for n in range(1, n_res + 1):
-        for k in range(n_agents):
-            # agent k's block ending at n after a cover of 1..n-size, for every state
-            lightest = (block[n, k, :n, None] + f[n - 1 :: -1]).min(axis=0)
-            # the states holding k, against the same states without k
-            into = f[n].reshape(-1, 2, 1 << k)[:, 1]
-            np.minimum(into, lightest.reshape(-1, 2, 1 << k)[:, 0], out=into)
 
     total = f.item(n_res, n_states - 1)
     if total == math.inf:

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
+from .patterns import MAX_SUBCHANNELS
+
 
 def config_from_dict(cls, data: dict, section: str):
     """Build the config dataclass ``cls`` from one parsed JSON section.
@@ -60,8 +62,8 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.n_users < 1:
             raise ValueError("n_users must be >= 1")
-        if self.n_subchannels < 1:
-            raise ValueError("n_subchannels must be >= 1")
+        if not 1 <= self.n_subchannels <= MAX_SUBCHANNELS:
+            raise ValueError(f"n_subchannels must be in 1..{MAX_SUBCHANNELS}, got {self.n_subchannels}")
         if self.equalizer not in ("mmse", "zf"):
             raise ValueError(f"equalizer must be 'mmse' or 'zf', got {self.equalizer!r}")
         if not 0 < self.min_distance_m <= self.cell_radius_m:
@@ -143,7 +145,10 @@ def generate_channel(cfg: ScenarioConfig, seed: int) -> ChannelGains:
     cell_radius_m (uniform in area).  Shadowing is lognormal per user;
     Rayleigh power fading is an independent unit-mean exponential per
     (user, sub-channel), or exactly 1 when ``rayleigh_fading`` is off.
+    Raises ValueError for a negative seed.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     k, n = cfg.n_users, cfg.n_subchannels
     u = rng.uniform(size=k)

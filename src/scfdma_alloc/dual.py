@@ -9,9 +9,10 @@ duality gap.  The solver is a block-coordinate ascent: each round takes one
 closed-form step of the separable binarity duals, then lands (choice, cover)
 on the stationary point of the quadratic left with the binarity duals held
 fixed.  It certifies a run only when the converged point sits inside the cone
-and the recovered indicator rounds to a feasible assignment.  An uncertified
-run is repaired by a bounded exact-cover search seeded with the recovered
-indicator.
+and the recovered indicator rounds to a feasible assignment.  A run whose
+rounding is not a feasible assignment is repaired by a polynomial chain
+program over the agents, ordered by the recovered indicator; when the repair
+finds no cover, the exact oracle's forward sweep decides whether any exists.
 """
 
 from __future__ import annotations
@@ -22,12 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assignment import Allocation, AssignmentInstance, InfeasibleInstanceError
-from .baselines import exact_cover_search
-
-# Node budget of the pre-ascent search for any exact cover; a search cut by
-# it proves nothing, and the ascent runs as if a cover existed.
-COVER_CHECK_NODES = 100_000
-
+from .baselines import OracleCeilingError, block_table, cover_sweep
 
 # How an ascent can stop; see ``solve``.
 TERMINATIONS = ("converged", "stagnation", "budget", "diverged")
@@ -84,8 +80,12 @@ class SolverConfig:
             raise ValueError("round_tol must be in (0, 0.5)")
         if not 0 < self.projection_offset < 1:
             raise ValueError("projection_offset must be in (0, 1)")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
+        if not (self.init_value > 0 and math.isfinite(self.init_value)):
+            raise ValueError(f"init_value must be positive and finite, got {self.init_value}")
+        if self.max_outer < 1:
+            raise ValueError(f"max_outer must be >= 1, got {self.max_outer}")
 
 
 def _check_binary_dual(binary_dual: np.ndarray) -> None:
@@ -270,27 +270,91 @@ def _binarize(frac: np.ndarray, round_tol: float) -> tuple[np.ndarray, bool]:
     return near_one.astype(np.int8), ok
 
 
-def repair_selection(
-    a: AssignmentInstance, frac: np.ndarray, node_cap: int = 200_000
-) -> np.ndarray | None:
-    """Bounded feasibility repair: heuristic, carries no optimality guarantee.
+def repair_selection(a: AssignmentInstance, frac: np.ndarray) -> np.ndarray | None:
+    """Polynomial feasibility repair: heuristic, carries no optimality guarantee.
 
-    Runs ``exact_cover_search`` with each agent's children tried by largest
-    fractional indicator, then lowest weight, then lowest index.  The search
-    keeps the best exact cover found within the node cap, so small instances
-    are repaired to the best reachable selection while large ones return the
-    incumbent when the budget runs out.  Returns a 0/1 selection or None when
-    no exact cover was found.
+    Orders the agents left to right by the centre of their blocks, weighted
+    by the positive part of ``frac`` (an agent with no such weight sits at
+    the band's centre; ties keep agent order).  Along that chain the lightest
+    exact cover is a segmentation program: the cover of sub-channels 1..n by
+    the first t agents of the order extends the cover of 1..n' by the first
+    t-1 with agent t's lightest option on block n'+1..n, or with its empty
+    option when n' = n, both read from ``brute_force``'s block table.  That is
+    O(K * N^2) per order.  It then relocates one agent at a time (out of the
+    order and back in at another position, which covers adjacent swaps): the
+    prefix and suffix programs of the other agents price every position of
+    each agent at once, and the lightest of all those moves is taken while
+    its cover strictly lowers ``a.value``.  Returns a 0/1 selection, or None
+    when no order reached that way admits an exact cover.
     """
-    order = [
-        sorted(a.agent_options(k), key=lambda o: (-frac[o], a.weights[o], o))
-        for k in range(a.n_agents)
-    ]
-    best, _, _ = exact_cover_search(a, order, node_cap)
-    if best is None:
+    ends, block, empty = block_table(a)
+    n_agents, n_res, sizes = a.n_agents, a.n_resources, a.sizes
+    # cost[k, n, m]: agent k covering exactly n+1..m, with its empty option when m == n
+    cost = np.full((n_agents, n_res + 1, n_res + 1), math.inf)
+    lo, hi = np.triu_indices(n_res + 1, 1)
+    cost[:, lo, hi] = block[hi, :, hi - lo - 1].T
+    cost[:, np.arange(n_res + 1), np.arange(n_res + 1)] = empty[:, None]
+
+    def prefix(order: list[int]) -> np.ndarray:
+        """[t, n]: the lightest cover of 1..n by order[:t]."""
+        g = np.full((len(order) + 1, n_res + 1), math.inf)
+        g[0, 0] = 0.0
+        for t, k in enumerate(order):
+            g[t + 1] = (g[t][:, None] + cost[k]).min(axis=0)
+        return g
+
+    def suffix(order: list[int]) -> np.ndarray:
+        """[t, n]: the lightest cover of n+1..N by order[t:]."""
+        h = np.full((len(order) + 1, n_res + 1), math.inf)
+        h[-1, -1] = 0.0
+        for t in range(len(order) - 1, -1, -1):
+            h[t] = (cost[order[t]] + h[t + 1]).min(axis=1)
+        return h
+
+    def cover(order: list[int]) -> tuple[float, list[int] | None]:
+        """``a.value`` and options of the order's lightest cover, or (inf, None)."""
+        h = suffix(order)
+        if h[0, 0] == math.inf:
+            return math.inf, None
+        chosen = [0] * n_agents
+        n = 0
+        for t, k in enumerate(order):
+            m = int((cost[k, n] + h[t + 1]).argmin())
+            first, stop = a.agent_slices[k]
+            fits = sizes[first:stop] == m - n
+            if m > n:
+                fits &= ends[first:stop] == m
+            options = np.flatnonzero(fits) + first
+            chosen[k] = int(options[a.weights[options].argmin()])
+            n = m
+        return a.value(Allocation(tuple(chosen))), chosen
+
+    mass = np.where(sizes > 0, np.maximum(frac, 0.0), 0.0)
+    total = np.bincount(a.agent_of, weights=mass, minlength=n_agents)
+    moment = np.bincount(a.agent_of, weights=mass * (ends - (sizes - 1) / 2.0), minlength=n_agents)
+    centre = np.divide(moment, total, out=np.full(n_agents, (n_res + 1) / 2.0), where=total > 0)
+    order = np.argsort(centre, kind="stable").tolist()
+    best, chosen = cover(order)
+    while True:
+        moves = []
+        for i, k in enumerate(order):
+            rest = order[:i] + order[i + 1 :]
+            # through[t]: the lightest cover with agent k put back at position t of rest
+            through = (prefix(rest)[:, :, None] + cost[k] + suffix(rest)[:, None, :]).min(axis=(1, 2))
+            t = int(through.argmin())
+            if through[t] < through[i]:
+                moves.append((through[t], rest[:t] + [k] + rest[t:]))
+        if not moves:
+            break
+        candidate = min(moves, key=lambda move: move[0])[1]
+        value, options = cover(candidate)
+        if not value < best:
+            break
+        order, best, chosen = candidate, value, options
+    if chosen is None:
         return None
     sel = np.zeros(a.n_options, dtype=np.int8)
-    sel[best] = 1
+    sel[chosen] = 1
     return sel
 
 
@@ -316,20 +380,16 @@ def solve(
     ``budget`` after ``max_outer`` rounds, and ``diverged`` when an iterate
     is not finite.  None of them raises.  The indicator is then recovered
     and rounded; when it is not a feasible assignment, ``repair_selection``
-    supplies one if it can.
+    supplies one if it can.  A warm ``start`` with a zero binarity dual
+    raises DualDomainError before any work.
 
-    Before the ascent a search on all-zero weights, which stops at the first
-    cover, looks for any exact cover.  Without one the dual is unbounded, so
-    a search that finishes empty-handed raises InfeasibleInstanceError; one
-    that hits ``COVER_CHECK_NODES`` first lets the ascent run.
+    Nothing is searched before the ascent.  When the repair finds no cover,
+    the oracle's forward sweep (``cover_sweep``) decides: an instance with no
+    exact cover at all, whose dual is unbounded, raises
+    InfeasibleInstanceError; one whose sweep would pass the oracle's default
+    node ceiling, or that has a cover the repair missed, is reported without
+    an allocation.
     """
-    found, _, capped = exact_cover_search(
-        a.with_weights(np.zeros(a.n_options)),
-        [a.agent_options(k) for k in range(a.n_agents)],
-        COVER_CHECK_NODES,
-    )
-    if found is None and not capped:
-        raise InfeasibleInstanceError("no exact-cover assignment exists for this instance")
     u = -a.weights
     mat = a.footprint_matrix
     mat_t = np.ascontiguousarray(mat.T)
@@ -344,6 +404,7 @@ def solve(
         cover = start.cover_dual.astype(float).copy()
         choice = start.choice_dual.astype(float).copy()
         binary = start.binary_dual.astype(float).copy()
+        _check_binary_dual(binary)
 
     one_hot_t = np.zeros((n_opt, n_agents))
     one_hot_t[np.arange(n_opt), agent_of] = 1.0
@@ -458,10 +519,15 @@ def solve(
     final_sel: np.ndarray | None = sel if (binary_ok and recovery_feasible) else None
     repaired = False
     if final_sel is None:
-        rep = repair_selection(a, frac)
-        if rep is not None:
-            final_sel = rep
-            repaired = True
+        final_sel = repair_selection(a, frac)
+        repaired = final_sel is not None
+    if final_sel is None:
+        try:
+            no_cover = cover_sweep(a)[0][-1, -1] == math.inf
+        except OracleCeilingError:
+            no_cover = False
+        if no_cover:
+            raise InfeasibleInstanceError("no exact-cover assignment exists for this instance")
 
     allocation = None
     primal = None

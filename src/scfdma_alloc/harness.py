@@ -61,6 +61,8 @@ class CampaignConfig:
             raise ValueError("problem must be 'sumax', 'jamsc' or 'both'")
         if self.n_drops < 1:
             raise ValueError(f"n_drops must be >= 1, got {self.n_drops}")
+        if self.base_seed < 0:
+            raise ValueError(f"base_seed must be >= 0, got {self.base_seed}")
         for prob, known in (("sumax", SUMAX_ALLOCATORS), ("jamsc", JAMSC_ALLOCATORS)):
             names = self.allocators_for(prob)
             for name in names:

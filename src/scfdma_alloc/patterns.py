@@ -52,11 +52,6 @@ class PatternSet:
         return mat
 
     @cached_property
-    def bitmasks(self) -> tuple[int, ...]:
-        """Per-pattern footprint as an int bitmask (bit n-1 = sub-channel n)."""
-        return tuple(sum(1 << (n - 1) for n in col) for col in self.columns)
-
-    @cached_property
     def _index(self) -> dict[tuple[int, int], int]:
         out = {}
         for j, col in enumerate(self.columns):

@@ -36,7 +36,6 @@ def test_sumax_conversion_shape_and_weights():
             col = inst.patterns.columns[j_idx]
             ones = set(np.nonzero(a.footprint_matrix[:, o])[0] + 1)
             assert ones == set(col)
-            assert a.footprint_masks[o] == inst.patterns.bitmasks[j_idx]
 
 
 def test_agent_slices_contiguous():
@@ -117,7 +116,7 @@ def test_with_weights_replaces_only_weights():
     w = np.arange(a.n_options, dtype=float)
     b = a.with_weights(w)
     assert np.array_equal(b.weights, w)
-    assert b.footprint_masks == a.footprint_masks
+    assert np.array_equal(b.footprint_matrix, a.footprint_matrix)
     assert b.provenance == a.provenance
     assert np.array_equal(a.weights, -_sumax_instance().utilities.ravel())
 
@@ -135,7 +134,7 @@ def test_jamsc_conversion_uses_mask():
         assert inst.allowed[k, j]
         assert a.weights[o] == inst.costs[k, j]
         assert a.agent_of[o] == k
-        assert a.footprint_masks[o] == inst.patterns.bitmasks[j]
+        assert np.array_equal(a.footprint_matrix[:, o], inst.patterns.matrix[:, j])
 
 
 def test_jamsc_conversion_rejects_infeasible_users():

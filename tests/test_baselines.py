@@ -18,20 +18,11 @@ from scfdma_alloc.sumax import build_sumax, sum_utility
 
 def product_minimum(a: AssignmentInstance) -> tuple[tuple[int, ...], float]:
     """First-lexicographic minimiser by raw cartesian-product enumeration."""
-    full = (1 << a.n_resources) - 1
     best_path = None
     best_value = np.inf
     per_agent = [list(a.agent_options(k)) for k in range(a.n_agents)]
     for combo in itertools.product(*per_agent):
-        used = 0
-        ok = True
-        for o in combo:
-            m = a.footprint_masks[o]
-            if m & used:
-                ok = False
-                break
-            used |= m
-        if not ok or used != full:
+        if (a.footprint_matrix[:, list(combo)].sum(axis=1) != 1).any():
             continue
         value = 0.0
         for o in combo:
@@ -69,7 +60,6 @@ def test_brute_force_infeasible_cover_raises():
         agent_of=np.zeros(1, dtype=np.int64),
         agent_slices=((0, 1),),
         footprint_matrix=np.array([[1.0], [0.0]]),
-        footprint_masks=(1,),
         provenance=((0, 1),),
         patterns=None,
     )
@@ -113,12 +103,7 @@ def test_greedy_returns_exact_cover(seed):
     inst = build_sumax(generate_channel(cfg, seed), cfg)
     choice = greedy(inst)
     assert len(choice) == 3
-    used = 0
-    for idx in choice:
-        m = inst.patterns.bitmasks[idx]
-        assert m & used == 0
-        used |= m
-    assert used == (1 << cfg.n_subchannels) - 1
+    assert (inst.patterns.matrix[:, list(choice)].sum(axis=1) == 1).all()
 
 
 @pytest.mark.parametrize("seed", [60, 61, 62, 63])

@@ -128,6 +128,37 @@ def test_non_positive_drops_rejected(tmp_path):
     assert not (tmp_path / "summary.json").exists()
 
 
+# Settings that used to fail only mid-campaign: a zero initial dual died in
+# numpy's SVD, a zero round budget passed with no ascent, and a 40-channel
+# band raised at the first drop.
+@pytest.mark.parametrize(
+    "config, match",
+    [
+        ({"solver": {"init_value": 0}}, "init_value"),
+        ({"solver": {"max_outer": 0}}, "max_outer"),
+        ({"scenario": {"n_subchannels": 40}}, "n_subchannels"),
+    ],
+)
+def test_unusable_config_rejected_before_first_drop(tmp_path, config, match):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    with pytest.raises(ValueError, match=match):
+        main(["sumax", "--drops", "2", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_base_seed_rejected(tmp_path):
+    with pytest.raises(ValueError, match="base_seed must be >= 0, got -5"):
+        main(["sumax", "--drops", "1", "--seed", "-5", "--out", str(tmp_path)])
+    assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("command", ["certify", "gradcheck"])
+def test_sweep_rejects_negative_seed(command):
+    with pytest.raises(ValueError, match="seed must be non-negative, got -3"):
+        main([command, "--instances", "1", "--seed", "-3"])
+
+
 def test_zero_certify_instances_rejected():
     with pytest.raises(ValueError, match="per_combo"):
         main(["certify", "--instances", "0"])

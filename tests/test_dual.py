@@ -5,7 +5,7 @@ import pytest
 
 from scfdma_alloc import dual
 from scfdma_alloc.assignment import AssignmentInstance, InfeasibleInstanceError
-from scfdma_alloc.baselines import brute_force, exact_cover_search
+from scfdma_alloc.baselines import OracleCeilingError, brute_force
 from scfdma_alloc.dual import (
     DualDomainError,
     DualPoint,
@@ -16,7 +16,6 @@ from scfdma_alloc.dual import (
     modified_instance,
     project_rho,
     recover_indicator,
-    repair_selection,
     solve,
     xi_value,
 )
@@ -33,7 +32,6 @@ def hand_instance() -> AssignmentInstance:
         agent_of=np.zeros(2, dtype=np.int64),
         agent_slices=((0, 2),),
         footprint_matrix=np.array([[0.0, 1.0]]),
-        footprint_masks=(0, 1),
         provenance=((0, 0), (0, 1)),
         patterns=None,
     )
@@ -49,7 +47,6 @@ def no_cover_instance() -> AssignmentInstance:
         agent_of=np.array([0, 1], dtype=np.int64),
         agent_slices=((0, 1), (1, 2)),
         footprint_matrix=np.array([[1.0, 1.0], [0.0, 0.0]]),
-        footprint_masks=(1, 1),
         provenance=((0, 1), (1, 1)),
         patterns=None,
     )
@@ -209,13 +206,20 @@ def test_solve_hand_instance_certifies_exact():
     assert sel.tolist() == [0, 1]
 
 
-def test_solve_refuses_instance_without_exact_cover(monkeypatch):
-    with pytest.raises(InfeasibleInstanceError):
+def test_solve_refuses_instance_without_exact_cover():
+    with pytest.raises(InfeasibleInstanceError, match="no exact-cover assignment exists"):
         solve(no_cover_instance())
-    # a cover search cut by its node budget proves nothing, so the ascent runs
-    monkeypatch.setattr(dual, "COVER_CHECK_NODES", 0)
+
+
+def test_unrepaired_solve_past_the_oracle_ceiling_has_no_allocation(monkeypatch):
+    # without the sweep's proof that no cover exists, the solve only reports
+    def refuse(a):
+        raise OracleCeilingError("over the node ceiling")
+
+    monkeypatch.setattr(dual, "cover_sweep", refuse)
     rep = solve(no_cover_instance(), SolverConfig(max_outer=5))
     assert rep.allocation is None
+    assert not rep.repaired
     assert not rep.certified
 
 
@@ -286,42 +290,6 @@ def test_degenerate_tie_is_truncated_and_repaired():
     assert mid.size >= 2
 
 
-def test_repair_returns_best_cover_within_cap():
-    # one test id over several instances, each checked against the oracle
-    rng = np.random.default_rng(5)
-    for k, n, seed in ((3, 5, 62), (2, 4, 5001), (2, 6, 17), (3, 6, 63), (4, 6, 8), (4, 8, 31)):
-        a = sumax_assignment_for_seed(k, n, seed)
-        _, opt = brute_force(a)
-        for frac in (np.zeros(a.n_options), rng.uniform(0.0, 1.0, a.n_options)):
-            sel = repair_selection(a, frac)
-            assert sel is not None
-            assert not a.selection_violations(sel)
-            assert a.value(a.allocation_from_selection(sel)) == opt, (k, n, seed)
-
-
-def test_repair_none_when_budget_exhausted():
-    a = sumax_assignment_for_seed(3, 6, 63)
-    sel = repair_selection(a, np.zeros(a.n_options), node_cap=1)
-    assert sel is None
-
-
-def test_repair_keeps_incumbent_when_cap_stops_search():
-    a = sumax_assignment_for_seed(4, 8, 31)
-    frac = np.zeros(a.n_options)
-    order = [sorted(a.agent_options(k), key=lambda o: (-frac[o], a.weights[o], o)) for k in range(4)]
-    # the smallest cap that still reaches one full cover
-    cap = next(c for c in range(1, 10**4) if exact_cover_search(a, order, c)[0] is not None)
-    path, value, capped = exact_cover_search(a, order, cap)
-    assert capped and path is not None
-    sel = repair_selection(a, frac, node_cap=cap)
-    assert sel is not None
-    assert not a.selection_violations(sel)
-    assert sorted(np.flatnonzero(sel).tolist()) == sorted(path)
-    assert a.value(a.allocation_from_selection(sel)) == value
-    _, opt = brute_force(a)
-    assert value >= opt
-
-
 def test_diagnose_gap_agreement_means_zero_theta():
     a = sumax_assignment_for_seed(2, 4, 5003)
     rep = solve(a, SolverConfig())
@@ -385,6 +353,32 @@ def test_solve_report_to_dict():
     assert d["primal_value"] == -5.0
     assert d["allocation"] == [1]
     assert d["iterations"] == list(rep.iterations)
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"tol": math.nan},
+        {"tol": math.inf},
+        {"init_value": 0.0},
+        {"init_value": -1.0},
+        {"init_value": math.nan},
+        {"max_outer": 0},
+    ],
+)
+def test_solver_config_rejects_unusable_setting(setting):
+    with pytest.raises(ValueError, match=next(iter(setting))):
+        SolverConfig(**setting)
+
+
+def test_warm_start_with_zero_binarity_dual_is_refused():
+    start = DualPoint(
+        cover_dual=np.array([1.0]),
+        choice_dual=np.array([1.0]),
+        binary_dual=np.array([1.0, 0.0]),
+    )
+    with pytest.raises(DualDomainError):
+        solve(hand_instance(), SolverConfig(), start=start)
 
 
 def test_solver_config_validation():

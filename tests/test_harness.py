@@ -30,7 +30,7 @@ def test_sumax_assignment_for_seed_deterministic():
     a = sumax_assignment_for_seed(2, 4, 77)
     b = sumax_assignment_for_seed(2, 4, 77)
     assert np.array_equal(a.weights, b.weights)
-    assert a.footprint_masks == b.footprint_masks
+    assert np.array_equal(a.footprint_matrix, b.footprint_matrix)
     c = sumax_assignment_for_seed(2, 4, 78)
     assert not np.array_equal(a.weights, c.weights)
 

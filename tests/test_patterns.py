@@ -71,15 +71,6 @@ def test_matrix_matches_columns():
     assert ps.matrix[:, 0].sum() == 0
 
 
-def test_bitmasks_consistent_with_columns():
-    ps = enumerate_patterns(6)
-    for j, col in enumerate(ps.columns):
-        mask = 0
-        for n in col:
-            mask |= 1 << (n - 1)
-        assert ps.bitmasks[j] == mask
-
-
 def test_index_of_roundtrip():
     ps = enumerate_patterns(7)
     for j, col in enumerate(ps.columns):

@@ -1,4 +1,4 @@
-"""Property tests of the dual solver, the exact oracle and the jamsc option table.
+"""Property tests of the dual solver, its repair, the exact oracle and the jamsc option table.
 
 Hypothesis runs derandomized, so every run draws the same examples.  The
 sumax draws cover sub-channel ties (no Rayleigh fading), the ZF equalizer,
@@ -8,15 +8,17 @@ costs to underflow to -0.0, and rates that leave some users without options.
 """
 
 import itertools
+import math
+from typing import Sequence
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scfdma_alloc.assignment import Allocation, InfeasibleInstanceError, to_assignment
-from scfdma_alloc.baselines import InfeasibleAllocationError, brute_force, exact_cover_search
+from scfdma_alloc.assignment import Allocation, AssignmentInstance, InfeasibleInstanceError, to_assignment
+from scfdma_alloc.baselines import InfeasibleAllocationError, brute_force
 from scfdma_alloc.channel import generate_channel
-from scfdma_alloc.dual import DualPoint, SolverConfig, dual_gradient, dual_value, solve
+from scfdma_alloc.dual import DualPoint, SolverConfig, dual_gradient, dual_value, repair_selection, solve
 from scfdma_alloc.harness import desk_scenario
 from scfdma_alloc.jamsc import FrameConfig, build_jamsc, min_count_matrix, solve_pattern_power
 from scfdma_alloc.sumax import ModulationTable, build_sumax
@@ -96,6 +98,11 @@ def test_ascent_never_ends_below_cold_start(k, n, seed, ties, zf, p_max):
     assert solve(a, cfg).dual_value >= dual_value(a, cold)
 
 
+def footprint_masks(a):
+    """Each option's footprint as an int bitmask (bit n-1 = sub-channel n)."""
+    return tuple(sum(1 << n for n in np.flatnonzero(col).tolist()) for col in a.footprint_matrix.T)
+
+
 def enumerated_optimum(a):
     """Least (a.value, option tuple) over all exact covers, or None.
 
@@ -103,14 +110,15 @@ def enumerated_optimum(a):
     exact cover when its sizes sum to the band and its footprints OR to it.
     """
     full = (1 << a.n_resources) - 1
-    size = [m.bit_count() for m in a.footprint_masks]
+    masks = footprint_masks(a)
+    size = [m.bit_count() for m in masks]
     best = None
     for combo in itertools.product(*(a.agent_options(k) for k in range(a.n_agents))):
         if sum(size[o] for o in combo) != a.n_resources:
             continue
         used = 0
         for o in combo:
-            used |= a.footprint_masks[o]
+            used |= masks[o]
         if used == full:
             key = (a.value(Allocation(combo)), combo)
             best = key if best is None or key < best else best
@@ -134,19 +142,8 @@ def test_brute_force_equals_enumeration_sumax(k, n, seed, ties, zf, p_max):
     assert oracle_optimum(a) == enumerated_optimum(a)
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=60)
-@given(
-    k=st.integers(2, 4),
-    n=st.integers(3, 6),
-    seed=st.integers(0, 2**32 - 1),
-    ties=st.booleans(),
-    p_max=st.none() | POWERS,
-    strict_cap=st.booleans(),
-    radius=st.sampled_from([100.0, 500.0, 2000.0, 5000.0]),
-    rate=st.sampled_from([50e3, 140e3, 300e3]),
-)
-@example(k=4, n=6, seed=3, ties=True, p_max=None, strict_cap=False, radius=5000.0, rate=50e3)
-def test_brute_force_equals_enumeration_jamsc(k, n, seed, ties, p_max, strict_cap, radius, rate):
+def jamsc_instance(k, n, seed, ties, p_max, strict_cap, radius, rate):
+    """A desk-scale jamsc instance, or None when some user has no option."""
     over = {"rayleigh_fading": not ties, "cell_radius_m": radius}
     if p_max is not None:
         over["p_max_w"] = tuple(p_max[:k])
@@ -156,10 +153,80 @@ def test_brute_force_equals_enumeration_jamsc(k, n, seed, ties, p_max, strict_ca
         strict_cap=strict_cap,
     )
     try:
-        a = to_assignment(inst)
+        return to_assignment(inst)
     except InfeasibleInstanceError:
-        return  # a user without options: no instance to solve
-    assert oracle_optimum(a) == enumerated_optimum(a)
+        return None
+
+
+jamsc_properties = settings(derandomize=True, database=None, deadline=None, max_examples=60)
+jamsc_args = dict(
+    k=st.integers(2, 4),
+    n=st.integers(3, 6),
+    seed=st.integers(0, 2**32 - 1),
+    ties=st.booleans(),
+    p_max=st.none() | POWERS,
+    strict_cap=st.booleans(),
+    radius=st.sampled_from([100.0, 500.0, 2000.0, 5000.0]),
+    rate=st.sampled_from([50e3, 140e3, 300e3]),
+)
+
+
+@jamsc_properties
+@given(**jamsc_args)
+@example(k=4, n=6, seed=3, ties=True, p_max=None, strict_cap=False, radius=5000.0, rate=50e3)
+def test_brute_force_equals_enumeration_jamsc(k, n, seed, ties, p_max, strict_cap, radius, rate):
+    a = jamsc_instance(k, n, seed, ties, p_max, strict_cap, radius, rate)
+    if a is not None:
+        assert oracle_optimum(a) == enumerated_optimum(a)
+
+
+def assert_repair_bounded_by_oracle(a, seed):
+    """The repair returns exact covers no lighter than the oracle's.
+
+    It is seeded with all-zero weights, uniform random weights, and the
+    optimum's own 0/1 selection, from which it must reach the optimum.  Only
+    a jamsc order can admit no cover: there the repair may return None,
+    unless it was seeded with the optimum.
+    """
+    best = oracle_optimum(a)
+    seeds = {
+        "zero": np.zeros(a.n_options),
+        "uniform": np.random.default_rng(seed).uniform(0.0, 1.0, a.n_options),
+    }
+    if best is not None:
+        seeds["optimum"] = a.selection_vector(Allocation(best[1])).astype(float)
+    for name, frac in seeds.items():
+        sel = repair_selection(a, frac)
+        if sel is None:
+            assert a.kind == "jamsc" and name != "optimum"
+            continue
+        assert not a.selection_violations(sel)
+        value = a.value(a.allocation_from_selection(sel))
+        assert value >= best[0]
+        if name == "optimum":
+            assert value == best[0]
+
+
+@solver_properties
+@given(**instance_args)
+@example(k=4, n=3, seed=5, ties=True, zf=True, p_max=[0.1, 1.5, 0.3, 2.0])
+@example(k=3, n=5, seed=62, ties=False, zf=False, p_max=None)
+@example(k=2, n=4, seed=5001, ties=False, zf=False, p_max=None)
+@example(k=2, n=6, seed=17, ties=False, zf=False, p_max=None)
+@example(k=3, n=6, seed=63, ties=False, zf=False, p_max=None)
+@example(k=4, n=6, seed=8, ties=False, zf=False, p_max=None)
+@example(k=4, n=8, seed=31, ties=False, zf=False, p_max=None)
+def test_repair_is_a_cover_bounded_by_the_oracle_sumax(k, n, seed, ties, zf, p_max):
+    assert_repair_bounded_by_oracle(sumax_instance(k, n, seed, ties, zf, p_max), seed)
+
+
+@jamsc_properties
+@given(**jamsc_args)
+@example(k=3, n=5, seed=17, ties=True, p_max=[0.05, 1.0, 2.0, 0.5], strict_cap=True, radius=2000.0, rate=140e3)
+def test_repair_is_a_cover_bounded_by_the_oracle_jamsc(k, n, seed, ties, p_max, strict_cap, radius, rate):
+    a = jamsc_instance(k, n, seed, ties, p_max, strict_cap, radius, rate)
+    if a is not None:
+        assert_repair_bounded_by_oracle(a, seed)
 
 
 def jamsc_optimum(gains, sc, targets, table, frame, strict_cap):
@@ -231,6 +298,70 @@ def test_lowest_modulation_table_keeps_the_joint_optimum(
     except (InfeasibleInstanceError, InfeasibleAllocationError):
         got = None
     assert got == want
+
+
+def _runs(mask: int) -> int:
+    return (mask & ~(mask << 1)).bit_count()
+
+
+def exact_cover_search(
+    a: AssignmentInstance, order: Sequence[Sequence[int]], node_cap: int
+) -> tuple[list[int] | None, float, bool]:
+    """Depth-first search for the minimum-weight exact cover, one option per agent.
+
+    Agents are expanded in index order and agent k's options are tried in
+    ``order[k]``.  Prunes on footprint conflicts, on remaining coverable area,
+    on the number of free runs left per remaining agent, and on an optimistic
+    weight bound; checks exact cover at the leaves.  A cover replaces the
+    incumbent only when strictly lighter (weights summed at full precision),
+    so ties keep the first cover found in ``order``.  The search stops once
+    more than ``node_cap`` partial nodes have been expanded.  Returns the best
+    option list found (or None), its total weight, and whether the cap
+    stopped the search.
+    """
+    n_agents = a.n_agents
+    full = (1 << a.n_resources) - 1
+    masks = footprint_masks(a)
+    weights = a.weights.tolist()
+    sizes = a.sizes
+
+    min_size = np.array([min(sizes[o] for o in a.agent_options(k)) for k in range(n_agents)])
+    suffix_min_size = np.concatenate([np.cumsum(min_size[::-1])[::-1], [0]])
+    min_w = np.array([min(a.weights[o] for o in a.agent_options(k)) for k in range(n_agents)])
+    suffix_min_w = np.concatenate([np.cumsum(min_w[::-1])[::-1], [0.0]])
+
+    best_value = math.inf
+    best_path: list[int] | None = None
+    path: list[int] = []
+    nodes = 0
+
+    def dfs(k: int, used: int, acc: float) -> None:
+        nonlocal best_value, best_path, nodes
+        if k == n_agents:
+            if used == full and acc < best_value:
+                best_value = acc
+                best_path = path.copy()
+            return
+        if acc + suffix_min_w[k] >= best_value:
+            return
+        free = full & ~used
+        if free.bit_count() < suffix_min_size[k]:
+            return
+        if _runs(free) > n_agents - k:
+            return
+        for o in order[k]:
+            m = masks[o]
+            if m & used:
+                continue
+            nodes += 1
+            if nodes > node_cap:
+                return  # each open frame returns at its next expansion
+            path.append(o)
+            dfs(k + 1, used | m, acc + weights[o])
+            path.pop()
+
+    dfs(0, 0, 0.0)
+    return best_path, best_value, nodes > node_cap
 
 
 # No fading, ZF and p_max_w = linspace(0.3, 2.0, K).  On each seed the first

@@ -87,7 +87,7 @@ def main(argv: list[str] | None = None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--base", required=True, help="git revision of the parent side")
     ap.add_argument("--change", default="HEAD", help="git revision of the change side")
-    ap.add_argument("--pairs", type=int, default=5)
+    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seconds", type=float, default=50.0)
     ap.add_argument("--first-seed", type=int, default=601)
     args = ap.parse_args(argv)
