@@ -62,6 +62,20 @@ class AssignmentInstance:
         return self.footprint_matrix.sum(axis=0).astype(np.int64)
 
     @cached_property
+    def constraint_matrix(self) -> np.ndarray:
+        """(n_options, n_agents + n_resources): the choice rows' one-hot, then the footprint.
+
+        Row o holds option o's coefficients in every choice and cover
+        constraint: ``constraint_matrix.T @ x`` stacks the per-agent choice
+        counts and the per-sub-channel cover counts of an indicator ``x``,
+        and ``constraint_matrix @ y`` prices every option at stacked
+        (choice, cover) duals ``y``.
+        """
+        one_hot = np.zeros((self.n_options, self.n_agents))
+        one_hot[np.arange(self.n_options), self.agent_of] = 1.0
+        return np.hstack([one_hot, self.footprint_matrix.T])
+
+    @cached_property
     def _option_by_tag(self) -> dict[tuple[int, int], int]:
         return {tag: o for o, tag in enumerate(self.provenance)}
 

@@ -5,11 +5,15 @@ constraint (``cover_dual``), one per agent's single-choice constraint
 (``choice_dual``) and one per option enforcing binarity (``binary_dual``).
 On the open cone where all three are positive the dual function is concave,
 and a stationary point there recovers the exact binary optimum with zero
-duality gap.  The solver is a block-coordinate ascent: each round takes one
-closed-form step of the separable binarity duals, then lands (choice, cover)
-on the stationary point of the quadratic left with the binarity duals held
-fixed.  It certifies a run only when the converged point sits inside the cone
-and the recovered indicator rounds to a feasible assignment.  A run whose
+duality gap.  Each choice and cover constraint is one column of a stacked
+(option x constraint) matrix, ``AssignmentInstance.constraint_matrix``, so
+the choice and cover duals form one vector.  The solver is a
+block-coordinate ascent: each round takes one closed-form step of the
+separable binarity duals, then lands (choice, cover) on the stationary point
+of the quadratic left with the binarity duals held fixed, which is one Gram
+system of that matrix and one linear solve.  It certifies a run only when
+the converged point sits inside the cone and the recovered indicator rounds
+to a feasible assignment.  A run whose
 rounding is not a feasible assignment is repaired by a polynomial chain
 program over the agents, ordered by the recovered indicator; when the repair
 finds no cover, the exact oracle's forward sweep decides whether any exists.
@@ -27,6 +31,7 @@ from .baselines import OracleCeilingError, block_table, cover_sweep
 
 # How an ascent can stop; see ``solve``.
 TERMINATIONS = ("converged", "stagnation", "budget", "diverged")
+NO_COVER = "no exact-cover assignment exists for this instance"
 
 
 class DualDomainError(ValueError):
@@ -93,15 +98,20 @@ def _check_binary_dual(binary_dual: np.ndarray) -> None:
         raise DualDomainError("binary duals must be non-zero")
 
 
+def _stacked(d: DualPoint) -> np.ndarray:
+    """The (choice, cover) duals in the column order of ``constraint_matrix``."""
+    return np.concatenate([d.choice_dual, d.cover_dual])
+
+
 def dual_value(a: AssignmentInstance, d: DualPoint) -> float:
     """Value of the canonical dual function at ``d``.
 
     -1/4 * sum((u + rho - slack_terms)^2 / rho) minus the sums of the cover
-    and choice duals, with u the option utilities (-weights).
+    and choice duals, with u the option utilities (-weights) and slack_terms
+    each option's price ``constraint_matrix @ (choice, cover)``.
     """
     _check_binary_dual(d.binary_dual)
-    u = -a.weights
-    slack = u + d.binary_dual - d.choice_dual[a.agent_of] - a.footprint_matrix.T @ d.cover_dual
+    slack = d.binary_dual - a.weights - a.constraint_matrix @ _stacked(d)
     quad = -0.25 * float(np.sum(slack * slack / d.binary_dual))
     return quad - float(np.sum(d.cover_dual)) - float(np.sum(d.choice_dual))
 
@@ -115,21 +125,19 @@ def dual_gradient(a: AssignmentInstance, d: DualPoint) -> tuple[np.ndarray, np.n
     stationarity condition prescribes.
     """
     _check_binary_dual(d.binary_dual)
-    mat, binary = a.footprint_matrix, d.binary_dual
-    slack0 = -a.weights - d.choice_dual[a.agent_of] - mat.T @ d.cover_dual
+    binary = d.binary_dual
+    slack0 = -a.weights - a.constraint_matrix @ _stacked(d)
     frac = (slack0 + binary) / (2.0 * binary)
-    g_cover = mat @ frac - 1.0
-    g_choice = np.bincount(a.agent_of, weights=frac, minlength=a.n_agents) - 1.0
+    g_lin = a.constraint_matrix.T @ frac - 1.0
     ratio = slack0 / binary
     g_binary = 0.25 * (ratio * ratio - 1.0)
-    return g_cover, g_choice, g_binary
+    return g_lin[a.n_agents :], g_lin[: a.n_agents], g_binary
 
 
 def recover_indicator(a: AssignmentInstance, d: DualPoint) -> np.ndarray:
     """Fractional indicator (u + rho - choice - cover_terms) / (2 rho) per option."""
     _check_binary_dual(d.binary_dual)
-    u = -a.weights
-    slack = u + d.binary_dual - d.choice_dual[a.agent_of] - a.footprint_matrix.T @ d.cover_dual
+    slack = d.binary_dual - a.weights - a.constraint_matrix @ _stacked(d)
     return slack / (2.0 * d.binary_dual)
 
 
@@ -138,25 +146,39 @@ def xi_value(a: AssignmentInstance, selection: np.ndarray, d: DualPoint) -> floa
 
     Equals both the primal value and the dual value at a certified pair.
     """
-    u = -a.weights
     x = np.asarray(selection, dtype=float)
-    lin = d.choice_dual[a.agent_of] - d.binary_dual - u + a.footprint_matrix.T @ d.cover_dual
+    lin = a.constraint_matrix @ _stacked(d) - d.binary_dual + a.weights
     total = float(np.sum(d.binary_dual * x * x + lin * x))
     return total - float(np.sum(d.cover_dual)) - float(np.sum(d.choice_dual))
+
+
+def joint_system(a: AssignmentInstance, binary: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (choice, cover) landing's linear system at fixed binarity duals.
+
+    With the binarity duals rho held fixed the dual is a concave quadratic in
+    the stacked duals y = (choice, cover).  With A the constraint matrix and
+    W = diag(1 / (2 rho)), its stationary point solves the Gram system
+    (A^T W A) y = A^T W (u + rho) - 1; returns that matrix and right-hand side.
+    """
+    con = a.constraint_matrix
+    inv2b = 0.5 / binary
+    h = con.T @ (con * inv2b[:, None])
+    rhs = con.T @ ((binary - a.weights) * inv2b) - 1.0
+    return h, rhs
 
 
 def project_rho(previous: np.ndarray, proposed: np.ndarray, offset: float) -> np.ndarray:
     """Binarity step with a boundary guard: |proposed| floored at the offset.
 
-    The result takes the previous iterate's sign (+ at zero), so a dual never
-    crosses zero.  The floor keeps a degenerate tie from driving some dual to
-    the cone boundary, where the quadratic curvature ``1/(2 rho)`` overflows;
-    an exact-zero proposal lands on the offset itself.  The map is
-    idempotent: a second step from its result with the same proposal
-    returns the same point.
+    The result takes the previous iterate's sign (+ at either zero), so a
+    dual never crosses zero.  The floor keeps a degenerate tie from driving
+    some dual to the cone boundary, where the quadratic curvature
+    ``1/(2 rho)`` overflows; an exact-zero proposal lands on the offset
+    itself.  The map is idempotent: a second step from its result with the
+    same proposal returns the same point.
     """
-    magnitude = np.maximum(np.abs(proposed), offset)
-    return np.where(previous < 0, -magnitude, magnitude)
+    # adding +0.0 turns a -0.0 iterate into +0.0 and leaves every other sign
+    return np.copysign(np.maximum(np.abs(proposed), offset), previous + 0.0)
 
 
 @dataclass(frozen=True)
@@ -261,6 +283,25 @@ class SolveReport:
             "violations": list(self.violations),
             "allocation": None if self.allocation is None else list(self.allocation.option_index),
         }
+
+
+def sizes_admit_cover(a: AssignmentInstance) -> bool:
+    """Whether one option per agent can have footprint sizes summing to the band.
+
+    The per-agent smallest sizes must sum to at most N and the largest to at
+    least N.  Necessary for an exact cover, not sufficient; it needs every
+    agent to have an option, as ``to_assignment`` guarantees.
+    """
+    starts = [lo for lo, _ in a.agent_slices]
+    smallest = int(np.minimum.reduceat(a.sizes, starts).sum())
+    largest = int(np.maximum.reduceat(a.sizes, starts).sum())
+    return smallest <= a.n_resources <= largest
+
+
+def _binary_gradient_norm(slack0: np.ndarray, binary: np.ndarray) -> float:
+    """Sup-norm of the binarity gradient ((slack/rho)^2 - 1) / 4; nan if any term is."""
+    ratio = slack0 / binary
+    return 0.25 * float(np.abs(ratio * ratio - 1.0).max())
 
 
 def _binarize(frac: np.ndarray, round_tol: float) -> tuple[np.ndarray, bool]:
@@ -368,63 +409,58 @@ def solve(
     Each round (1) takes one closed-form ``project_rho`` step of the
     separable binarity duals, unless their gradient's sup-norm is within
     tolerance, (2) lands (choice, cover) on the stationary point of the dual
-    with the binarity duals held fixed, a concave quadratic whose symmetric
-    system is solved with one refinement step (least squares when it is
-    singular), and (3) takes one gradient pass for the convergence test.
-    The binarity count in ``iterations`` adds 1 for the step and 1 more when
-    it moved the duals and their gradient still fails the re-check; the
-    choice and cover counts add 1 per landing.  ``termination`` records the
-    exit: ``converged`` when all three gradients pass, ``stagnation`` when a
-    round does not raise the dual value (inside the cone every block step is
-    a maximisation, so the value never falls in exact arithmetic),
+    with the binarity duals held fixed, a concave quadratic whose Hessian is
+    the Gram matrix of the stacked constraint matrix (``joint_system``,
+    solved once; least squares when it is singular), and (3) takes one
+    gradient pass for the convergence test.  The binarity count in
+    ``iterations`` adds 1 for the step and 1 more when it moved the duals
+    and their gradient still fails the re-check; the choice and cover counts
+    add 1 per landing.  ``termination`` records the exit: ``converged`` when
+    all three gradients pass, ``stagnation`` after two consecutive rounds
+    that do not raise the dual value above its best (inside the cone every
+    block step is a maximisation, so the value never falls in exact
+    arithmetic; one round may tie within an ulp just before convergence),
     ``budget`` after ``max_outer`` rounds, and ``diverged`` when an iterate
     is not finite.  None of them raises.  The indicator is then recovered
     and rounded; when it is not a feasible assignment, ``repair_selection``
     supplies one if it can.  A warm ``start`` with a zero binarity dual
     raises DualDomainError before any work.
 
-    Nothing is searched before the ascent.  When the repair finds no cover,
-    the oracle's forward sweep (``cover_sweep``) decides: an instance with no
-    exact cover at all, whose dual is unbounded, raises
+    Nothing is searched before the ascent.  An instance whose footprint
+    sizes cannot sum to the band (``sizes_admit_cover``) raises
+    InfeasibleInstanceError before the first round.  When the repair finds
+    no cover, the oracle's forward sweep (``cover_sweep``) decides: an
+    instance with no exact cover at all, whose dual is unbounded, raises
     InfeasibleInstanceError; one whose sweep would pass the oracle's default
     node ceiling, or that has a cover the repair missed, is reported without
     an allocation.
     """
     u = -a.weights
-    mat = a.footprint_matrix
-    mat_t = np.ascontiguousarray(mat.T)
-    agent_of = a.agent_of
-    n_agents, n_res, n_opt = a.n_agents, a.n_resources, a.n_options
+    con = a.constraint_matrix
+    n_agents, n_opt = a.n_agents, a.n_options
 
     if start is None:
-        cover = np.full(n_res, cfg.init_value)
-        choice = np.full(n_agents, cfg.init_value)
+        stacked = np.full(n_agents + a.n_resources, cfg.init_value)
         binary = np.full(n_opt, cfg.init_value)
     else:
-        cover = start.cover_dual.astype(float).copy()
-        choice = start.choice_dual.astype(float).copy()
+        stacked = _stacked(start).astype(float)
         binary = start.binary_dual.astype(float).copy()
         _check_binary_dual(binary)
-
-    one_hot_t = np.zeros((n_opt, n_agents))
-    one_hot_t[np.arange(n_opt), agent_of] = 1.0
-    # the joint choice/cover system [[diag(s2), cross.T], [cross, m_cover]]:
-    # every round rewrites all of it but the zero off-diagonal choice block
-    h_joint = np.zeros((n_agents + n_res, n_agents + n_res))
-    diag = np.arange(n_agents)
+    if not sizes_admit_cover(a):
+        raise InfeasibleInstanceError(NO_COVER)
     tol = cfg.tol
 
-    it_binary = it_choice = it_cover = 0
+    it_binary = it_joint = 0
     outer_used = 0
     termination = "budget"
-    prev_value = -math.inf
-    slack0 = u - choice[agent_of] - mat_t @ cover
-    ratio = slack0 / binary
-    g_binary = 0.25 * (ratio * ratio - 1.0)
+    best_value = -math.inf
+    flat_rounds = 0
+    slack0 = u - con @ stacked
+    g_binary_norm = _binary_gradient_norm(slack0, binary)
 
     for outer in range(1, cfg.max_outer + 1):
         outer_used = outer
-        if np.abs(g_binary).max() > tol:
+        if g_binary_norm > tol:
             # exact ascent target of each separable 1-D sub-problem on the
             # current half-line: |slack| with the sign of the iterate, so
             # one step lands every binarity dual
@@ -432,68 +468,43 @@ def solve(
             it_binary += 1
             if not (stepped == binary).all():
                 binary = stepped
-                ratio = slack0 / binary
-                if np.abs(0.25 * (ratio * ratio - 1.0)).max() > tol:
+                if _binary_gradient_norm(slack0, binary) > tol:
                     it_binary += 1
         if not np.isfinite(binary).all():
             termination = "diverged"
             break
-        # With the binarity duals held fixed the dual is a quadratic in
-        # (choice, cover) whose stationary point solves one symmetric system.
-        inv2b = 0.5 / binary
-        weighted = mat * inv2b
-        q_fixed = (u + binary) * inv2b
-        h_joint[diag, diag] = np.bincount(agent_of, weights=inv2b, minlength=n_agents)
-        cross = weighted @ one_hot_t
-        h_joint[:n_agents, n_agents:] = cross.T
-        h_joint[n_agents:, :n_agents] = cross
-        h_joint[n_agents:, n_agents:] = weighted @ mat_t
-        rhs_joint = np.concatenate(
-            [
-                np.bincount(agent_of, weights=q_fixed, minlength=n_agents) - 1.0,
-                mat @ q_fixed - 1.0,
-            ]
-        )
+        h, rhs = joint_system(a, binary)
+        it_joint += 1
         try:
-            sol = np.linalg.solve(h_joint, rhs_joint)
-            sol = sol + np.linalg.solve(h_joint, rhs_joint - h_joint @ sol)
+            stacked = np.linalg.solve(h, rhs)
         except np.linalg.LinAlgError:
-            sol = None
-        if sol is None or not np.isfinite(sol).all():
+            stacked = None
+        if stacked is None or not np.isfinite(stacked).all():
             # a singular system (no exact cover) has no unique stationary point
-            sol = np.linalg.lstsq(h_joint, rhs_joint)[0]
-        choice, cover = sol[:n_agents], sol[n_agents:]
-        it_choice += 1
-        it_cover += 1
-        if not (np.isfinite(choice).all() and np.isfinite(cover).all()):
-            termination = "diverged"
-            break
-        slack0 = u - choice[agent_of] - mat_t @ cover
+            stacked = np.linalg.lstsq(h, rhs)[0]
+            if not np.isfinite(stacked).all():
+                termination = "diverged"
+                break
+        slack0 = u - con @ stacked
         shifted = slack0 + binary
-        frac = shifted / (2.0 * binary)
-        g_cover = mat @ frac - 1.0
-        g_choice = np.bincount(agent_of, weights=frac, minlength=n_agents) - 1.0
-        ratio = slack0 / binary
-        g_binary = 0.25 * (ratio * ratio - 1.0)
-        if (
-            np.abs(g_binary).max() <= tol
-            and np.abs(g_choice).max() <= tol
-            and np.abs(g_cover).max() <= tol
-        ):
+        # the choice and cover gradients, stacked like the duals
+        g_joint = con.T @ (shifted / (2.0 * binary)) - 1.0
+        g_binary_norm = _binary_gradient_norm(slack0, binary)
+        if g_binary_norm <= tol and np.abs(g_joint).max() <= tol:
             termination = "converged"
             break
-        # each block step maximises the dual inside the cone, so a round
-        # that does not raise it can make no further progress
-        value = (
-            -0.25 * float(shifted @ (shifted / binary))
-            - float(cover.sum())
-            - float(choice.sum())
-        )
-        if not value > prev_value:
-            termination = "stagnation"
-            break
-        prev_value = value
+        # each block step maximises the dual inside the cone, so two rounds
+        # in a row that do not raise it can make no further progress
+        value = -0.25 * float(shifted @ (shifted / binary)) - float(stacked.sum())
+        if value > best_value:
+            best_value, flat_rounds = value, 0
+        else:
+            flat_rounds += 1
+            if flat_rounds == 2:
+                termination = "stagnation"
+                break
 
+    choice, cover = stacked[:n_agents], stacked[n_agents:]
     d = DualPoint(cover_dual=cover, choice_dual=choice, binary_dual=binary)
     diverged = termination == "diverged"
     violations: list[str] = []
@@ -527,7 +538,7 @@ def solve(
         except OracleCeilingError:
             no_cover = False
         if no_cover:
-            raise InfeasibleInstanceError("no exact-cover assignment exists for this instance")
+            raise InfeasibleInstanceError(NO_COVER)
 
     allocation = None
     primal = None
@@ -554,7 +565,7 @@ def solve(
         recovery_feasible=recovery_feasible,
         repaired=repaired,
         termination=termination,
-        iterations=(it_binary, it_choice, it_cover),
+        iterations=(it_binary, it_joint, it_joint),
         outer_iterations=outer_used,
         gap_report=gap_report,
         violations=violations,

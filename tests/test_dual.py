@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from scfdma_alloc import dual
-from scfdma_alloc.assignment import AssignmentInstance, InfeasibleInstanceError
+from scfdma_alloc.assignment import AssignmentInstance, InfeasibleInstanceError, to_assignment
 from scfdma_alloc.baselines import OracleCeilingError, brute_force
+from scfdma_alloc.channel import generate_channel
 from scfdma_alloc.dual import (
     DualDomainError,
     DualPoint,
@@ -19,7 +20,18 @@ from scfdma_alloc.dual import (
     solve,
     xi_value,
 )
-from scfdma_alloc.harness import sumax_assignment_for_seed
+from scfdma_alloc.harness import CampaignConfig, desk_scenario, run_drop, sumax_assignment_for_seed
+from scfdma_alloc.jamsc import FrameConfig, build_jamsc
+from scfdma_alloc.sumax import ModulationTable, build_sumax
+
+TIES = desk_scenario(3, 6, rayleigh_fading=False)
+ZF = desk_scenario(4, 6, equalizer="zf")
+
+
+def jamsc_assignment(seed: int) -> AssignmentInstance:
+    sc = desk_scenario(3, 6)
+    model = build_jamsc(generate_channel(sc, seed), sc, np.full(3, 140e3), ModulationTable(), FrameConfig())
+    return to_assignment(model)
 
 
 def hand_instance() -> AssignmentInstance:
@@ -169,8 +181,10 @@ def test_project_rho_floors_small_magnitudes():
 
 
 def test_project_rho_degenerate_zero_pair():
-    out = project_rho(np.array([0.0]), np.array([0.0]), 1e-3)
-    assert out[0] == 1e-3
+    out = project_rho(np.array([0.0, -0.0]), np.array([0.0, 0.0]), 1e-3)
+    # a negative-zero iterate counts as zero, so it takes the + sign too
+    assert out.tolist() == [1e-3, 1e-3]
+    assert not np.signbit(out).any()
 
 
 def test_exact_zero_slack_takes_one_binarity_step():
@@ -221,6 +235,86 @@ def test_unrepaired_solve_past_the_oracle_ceiling_has_no_allocation(monkeypatch)
     assert rep.allocation is None
     assert not rep.repaired
     assert not rep.certified
+
+
+def size_bound_instance(n_agents: int, n_resources: int) -> AssignmentInstance:
+    """Every agent's only options are the single sub-channels: sizes always sum to K."""
+    n_opt = n_agents * n_resources
+    return AssignmentInstance(
+        kind="jamsc",
+        n_agents=n_agents,
+        n_resources=n_resources,
+        weights=-np.ones(n_opt),
+        agent_of=np.repeat(np.arange(n_agents), n_resources),
+        agent_slices=tuple((k * n_resources, (k + 1) * n_resources) for k in range(n_agents)),
+        footprint_matrix=np.tile(np.eye(n_resources), n_agents),
+        provenance=tuple((k, j) for k in range(n_agents) for j in range(n_resources)),
+        patterns=None,
+    )
+
+
+@pytest.mark.parametrize("n_agents, n_resources", [(3, 2), (2, 3)])
+def test_size_bounds_refuse_before_the_first_round(monkeypatch, n_agents, n_resources):
+    # three one-sub-channel agents overfill two sub-channels; two leave one of three bare
+    a = size_bound_instance(n_agents, n_resources)
+    assert not dual.sizes_admit_cover(a)
+
+    def no_round(*args):
+        raise AssertionError("the ascent ran a round")
+
+    monkeypatch.setattr(dual, "joint_system", no_round)
+    with pytest.raises(InfeasibleInstanceError, match="no exact-cover assignment exists"):
+        solve(a)
+
+
+def test_size_bounds_admit_a_coverable_instance():
+    assert dual.sizes_admit_cover(size_bound_instance(2, 2))
+    assert dual.sizes_admit_cover(no_cover_instance())  # necessary, not sufficient
+    assert solve(size_bound_instance(2, 2)).allocation is not None
+
+
+def test_joint_system_is_gram_of_constraint_matrix():
+    # the stacked Gram system equals its block form: per-agent diagonal, cross block, cover Gram
+    rng = np.random.default_rng(11)
+    instances = [
+        sumax_assignment_for_seed(3, 6, 21),
+        to_assignment(build_sumax(generate_channel(TIES, 4), TIES)),  # equal sub-channels
+        to_assignment(build_sumax(generate_channel(ZF, 5), ZF)),
+        sumax_assignment_for_seed(5, 3, 8),  # more users than sub-channels
+        jamsc_assignment(7),  # masked (user, pattern) table
+    ]
+    for a in instances:
+        one_hot = np.zeros((a.n_agents, a.n_options))
+        one_hot[a.agent_of, np.arange(a.n_options)] = 1.0
+        mat = a.footprint_matrix
+        for _ in range(3):
+            binary = rng.choice([-1.0, 1.0], a.n_options) * rng.uniform(0.01, 3.0, a.n_options)
+            inv2b = 0.5 / binary
+            q_fixed = (binary - a.weights) * inv2b
+            cross = (mat * inv2b) @ one_hot.T
+            h_blocks = np.block(
+                [
+                    [np.diag(np.bincount(a.agent_of, weights=inv2b, minlength=a.n_agents)), cross.T],
+                    [cross, (mat * inv2b) @ mat.T],
+                ]
+            )
+            rhs_blocks = np.concatenate(
+                [np.bincount(a.agent_of, weights=q_fixed, minlength=a.n_agents), mat @ q_fixed]
+            ) - 1.0
+            h, rhs = dual.joint_system(a, binary)
+            assert np.abs(h - h_blocks).max() <= 1e-12 * np.abs(h_blocks).max()
+            assert np.abs(rhs - rhs_blocks).max() <= 1e-12 * np.abs(rhs_blocks).max()
+
+
+@pytest.mark.parametrize("problem, seed", [("sumax", 208), ("jamsc", 239)])
+def test_one_ulp_tie_does_not_end_the_ascent(problem, seed):
+    # drops 166 and 197 of the default campaigns of base seed 42: near
+    # convergence a round raises the dual by at most one ulp, and a single
+    # such round used to end these ascents uncertified, one round early
+    cfg = CampaignConfig(allocators_sumax=("dual",), allocators_jamsc=("dual_am",))
+    (rec,) = run_drop(cfg, seed, problem=problem).records.values()
+    assert rec.termination == "converged"
+    assert rec.certified
 
 
 def test_termination_names_each_exit():

@@ -18,7 +18,15 @@ from hypothesis import strategies as st
 from scfdma_alloc.assignment import Allocation, AssignmentInstance, InfeasibleInstanceError, to_assignment
 from scfdma_alloc.baselines import InfeasibleAllocationError, brute_force
 from scfdma_alloc.channel import generate_channel
-from scfdma_alloc.dual import DualPoint, SolverConfig, dual_gradient, dual_value, repair_selection, solve
+from scfdma_alloc.dual import (
+    DualPoint,
+    SolverConfig,
+    dual_gradient,
+    dual_value,
+    repair_selection,
+    sizes_admit_cover,
+    solve,
+)
 from scfdma_alloc.harness import desk_scenario
 from scfdma_alloc.jamsc import FrameConfig, build_jamsc, min_count_matrix, solve_pattern_power
 from scfdma_alloc.sumax import ModulationTable, build_sumax
@@ -178,6 +186,16 @@ def test_brute_force_equals_enumeration_jamsc(k, n, seed, ties, p_max, strict_ca
     a = jamsc_instance(k, n, seed, ties, p_max, strict_cap, radius, rate)
     if a is not None:
         assert oracle_optimum(a) == enumerated_optimum(a)
+
+
+@jamsc_properties
+@given(**jamsc_args)
+@example(k=4, n=3, seed=1, ties=False, p_max=None, strict_cap=False, radius=500.0, rate=50e3)
+@example(k=3, n=6, seed=1, ties=False, p_max=None, strict_cap=False, radius=500.0, rate=300e3)
+def test_size_bounds_never_refuse_a_coverable_instance(k, n, seed, ties, p_max, strict_cap, radius, rate):
+    a = jamsc_instance(k, n, seed, ties, p_max, strict_cap, radius, rate)
+    if a is not None and not sizes_admit_cover(a):
+        assert oracle_optimum(a) is None
 
 
 def assert_repair_bounded_by_oracle(a, seed):
