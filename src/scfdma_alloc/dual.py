@@ -3,20 +3,22 @@
 The binary program is relaxed through one dual variable per sub-channel cover
 constraint (``cover_dual``), one per agent's single-choice constraint
 (``choice_dual``) and one per option enforcing binarity (``binary_dual``).
-On the open cone where all three are positive the dual function is concave,
-and a stationary point there recovers the exact binary optimum with zero
-duality gap.  Each choice and cover constraint is one column of a stacked
-(option x constraint) matrix, ``AssignmentInstance.constraint_matrix``, so
-the choice and cover duals form one vector.  The solver is a
-block-coordinate ascent: each round takes one closed-form step of the
-separable binarity duals, then lands (choice, cover) on the stationary point
-of the quadratic left with the binarity duals held fixed, which is one Gram
-system of that matrix and one linear solve.  It certifies a run only when
-the converged point sits inside the cone and the recovered indicator rounds
-to a feasible assignment.  A run whose
-rounding is not a feasible assignment is repaired by a polynomial chain
-program over the agents, ordered by the recovered indicator; when the repair
-finds no cover, the exact oracle's forward sweep decides whether any exists.
+The choice and cover constraints are equalities, so their duals are free in
+sign; wherever every binarity dual is positive the dual function is concave
+and bounds the value of every exact cover from below (on a binary exact
+cover the Lagrangian is its value).  Each choice and cover constraint is one
+column of a stacked (option x constraint) matrix,
+``AssignmentInstance.constraint_matrix``, so the choice and cover duals form
+one vector.  The solver is a block-coordinate ascent that keeps the binarity
+duals positive: each round takes one closed-form step of those separable
+duals, then lands (choice, cover) on the stationary point of the quadratic
+left with the binarity duals held fixed, which is one Gram system of that
+matrix and one linear solve.  A converged run whose recovered indicator
+rounds to an exact cover is certified: the bound is then attained, so that
+cover is the exact optimum.  A run whose rounding is not an exact cover is
+repaired by a polynomial chain program over the agents, ordered by the
+recovered indicator; when the repair finds no cover, the exact oracle's
+forward sweep decides whether any exists.
 """
 
 from __future__ import annotations
@@ -35,7 +37,11 @@ NO_COVER = "no exact-cover assignment exists for this instance"
 
 
 class DualDomainError(ValueError):
-    """Dual quantities are undefined when a binarity dual is exactly zero."""
+    """A binarity dual is zero, where dual quantities are undefined.
+
+    ``solve`` also raises it for a warm start whose binarity duals are not
+    all positive.
+    """
 
 
 @dataclass(frozen=True)
@@ -45,14 +51,6 @@ class DualPoint:
     cover_dual: np.ndarray
     choice_dual: np.ndarray
     binary_dual: np.ndarray
-
-    @property
-    def in_positive_cone(self) -> bool:
-        return bool(
-            np.all(self.cover_dual > 0)
-            and np.all(self.choice_dual > 0)
-            and np.all(self.binary_dual > 0)
-        )
 
     def copy(self) -> "DualPoint":
         return DualPoint(
@@ -67,8 +65,9 @@ class SolverConfig:
     """Tolerances, budget and starting point of the dual ascent.
 
     ``tol`` bounds the sup-norm of each gradient at convergence;
-    ``projection_offset`` is the binarity duals' magnitude floor (see
-    ``project_rho``); ``init_value`` fills every dual at a cold start;
+    ``projection_offset`` is the binarity duals' floor (see
+    ``project_rho``); ``init_value`` fills every dual at a cold start, so
+    the ascent starts with positive binarity duals;
     ``max_outer`` caps the rounds, each of which is one binarity step and one
     joint (choice, cover) landing, so it bounds the whole solve's work;
     ``round_tol`` is how close to 0/1 the recovered indicator must be.
@@ -167,18 +166,16 @@ def joint_system(a: AssignmentInstance, binary: np.ndarray) -> tuple[np.ndarray,
     return h, rhs
 
 
-def project_rho(previous: np.ndarray, proposed: np.ndarray, offset: float) -> np.ndarray:
-    """Binarity step with a boundary guard: |proposed| floored at the offset.
+def project_rho(proposed: np.ndarray, offset: float) -> np.ndarray:
+    """Binarity step: |proposed| floored at the offset, so every dual stays positive.
 
-    The result takes the previous iterate's sign (+ at either zero), so a
-    dual never crosses zero.  The floor keeps a degenerate tie from driving
-    some dual to the cone boundary, where the quadratic curvature
-    ``1/(2 rho)`` overflows; an exact-zero proposal lands on the offset
-    itself.  The map is idempotent: a second step from its result with the
-    same proposal returns the same point.
+    On rho > 0 each binarity dual's 1-D sub-problem is concave with its
+    maximum at |slack|; the floor keeps a degenerate tie from driving some
+    dual to zero, where the quadratic curvature ``1/(2 rho)`` overflows.  An
+    exact-zero proposal lands on the offset itself, and the map is
+    idempotent.
     """
-    # adding +0.0 turns a -0.0 iterate into +0.0 and leaves every other sign
-    return np.copysign(np.maximum(np.abs(proposed), offset), previous + 0.0)
+    return np.maximum(np.abs(proposed), offset)
 
 
 @dataclass(frozen=True)
@@ -238,14 +235,12 @@ class SolveReport:
     primal_value: float | None
     dual_value: float
     duality_gap: float | None
-    in_positive_cone: bool
     binary_recovery: bool
     recovery_feasible: bool
     repaired: bool
     termination: str
     iterations: tuple[int, int, int]
     outer_iterations: int
-    gap_report: GapReport | None
     violations: list[str] = field(default_factory=list)
 
     @property
@@ -259,20 +254,14 @@ class SolveReport:
 
     @property
     def certified(self) -> bool:
-        """Exact-optimality guarantee: converged, in-cone, cleanly binarised."""
-        return (
-            not self.truncated
-            and self.in_positive_cone
-            and self.binary_recovery
-            and self.recovery_feasible
-        )
+        """Exact-optimality guarantee: converged, rounded to 0/1, an exact cover."""
+        return not self.truncated and self.binary_recovery and self.recovery_feasible
 
     def to_dict(self) -> dict:
         return {
             "primal_value": self.primal_value,
             "dual_value": self.dual_value,
             "duality_gap": self.duality_gap,
-            "in_positive_cone": self.in_positive_cone,
             "binary_recovery": self.binary_recovery,
             "recovery_feasible": self.recovery_feasible,
             "repaired": self.repaired,
@@ -406,25 +395,27 @@ def solve(
 ) -> SolveReport:
     """Run the block-coordinate dual ascent on one assignment instance.
 
-    Each round (1) takes one closed-form ``project_rho`` step of the
-    separable binarity duals, unless their gradient's sup-norm is within
-    tolerance, (2) lands (choice, cover) on the stationary point of the dual
-    with the binarity duals held fixed, a concave quadratic whose Hessian is
-    the Gram matrix of the stacked constraint matrix (``joint_system``,
-    solved once; least squares when it is singular), and (3) takes one
-    gradient pass for the convergence test.  The binarity count in
-    ``iterations`` adds 1 for the step and 1 more when it moved the duals
-    and their gradient still fails the re-check; the choice and cover counts
-    add 1 per landing.  ``termination`` records the exit: ``converged`` when
-    all three gradients pass, ``stagnation`` after two consecutive rounds
-    that do not raise the dual value above its best (inside the cone every
+    The binarity duals start positive and every step keeps them so.  Each
+    round (1) takes one closed-form ``project_rho`` step of the separable
+    binarity duals, unless their gradient's sup-norm is within tolerance,
+    (2) lands (choice, cover) on the stationary point of the dual with the
+    binarity duals held fixed, a concave quadratic whose Hessian is the Gram
+    matrix of the stacked constraint matrix (``joint_system``, solved once;
+    least squares when it is singular), and (3) takes one gradient pass for
+    the convergence test.  The binarity count in ``iterations`` is the
+    number of rounds that took a step; the choice and cover counts add 1 per
+    landing.  ``termination`` records the exit: ``converged`` when all three
+    gradients pass, ``stagnation`` after two consecutive rounds that do not
+    raise the dual value above its best (with positive binarity duals every
     block step is a maximisation, so the value never falls in exact
     arithmetic; one round may tie within an ulp just before convergence),
     ``budget`` after ``max_outer`` rounds, and ``diverged`` when an iterate
     is not finite.  None of them raises.  The indicator is then recovered
-    and rounded; when it is not a feasible assignment, ``repair_selection``
-    supplies one if it can.  A warm ``start`` with a zero binarity dual
-    raises DualDomainError before any work.
+    and rounded; the run is ``certified`` when it converged and the rounding
+    is an exact cover, and otherwise ``repair_selection`` supplies a cover
+    if it can.  A warm ``start`` whose binarity duals are not all positive
+    raises DualDomainError before any work; its choice and cover duals may
+    take either sign.
 
     Nothing is searched before the ascent.  An instance whose footprint
     sizes cannot sum to the band (``sizes_admit_cover``) raises
@@ -444,8 +435,9 @@ def solve(
         binary = np.full(n_opt, cfg.init_value)
     else:
         stacked = _stacked(start).astype(float)
-        binary = start.binary_dual.astype(float).copy()
-        _check_binary_dual(binary)
+        binary = start.binary_dual.astype(float)
+        if not (binary > 0).all():
+            raise DualDomainError("warm-start binary duals must all be positive")
     if not sizes_admit_cover(a):
         raise InfeasibleInstanceError(NO_COVER)
     tol = cfg.tol
@@ -461,15 +453,10 @@ def solve(
     for outer in range(1, cfg.max_outer + 1):
         outer_used = outer
         if g_binary_norm > tol:
-            # exact ascent target of each separable 1-D sub-problem on the
-            # current half-line: |slack| with the sign of the iterate, so
-            # one step lands every binarity dual
-            stepped = project_rho(binary, slack0, cfg.projection_offset)
+            # |slack| maximises each separable 1-D sub-problem on rho > 0,
+            # so one step lands every binarity dual
+            binary = project_rho(slack0, cfg.projection_offset)
             it_binary += 1
-            if not (stepped == binary).all():
-                binary = stepped
-                if _binary_gradient_norm(slack0, binary) > tol:
-                    it_binary += 1
         if not np.isfinite(binary).all():
             termination = "diverged"
             break
@@ -493,7 +480,7 @@ def solve(
         if g_binary_norm <= tol and np.abs(g_joint).max() <= tol:
             termination = "converged"
             break
-        # each block step maximises the dual inside the cone, so two rounds
+        # with rho > 0 each block step maximises the dual, so two rounds
         # in a row that do not raise it can make no further progress
         value = -0.25 * float(shifted @ (shifted / binary)) - float(stacked.sum())
         if value > best_value:
@@ -513,12 +500,10 @@ def solve(
         frac = np.zeros(n_opt)
         dval = float("nan")
         sel, binary_ok = np.zeros(n_opt, dtype=np.int8), False
-        cone = False
     else:
         frac = recover_indicator(a, d)
         dval = dual_value(a, d)
         sel, binary_ok = _binarize(frac, cfg.round_tol)
-        cone = d.in_positive_cone
     if not binary_ok and not diverged:
         violations.append("recovery is not within rounding tolerance of 0/1")
     recovery_feasible = False
@@ -549,10 +534,6 @@ def solve(
         if math.isfinite(dval):
             gap = primal - dval
 
-    gap_report = None
-    if not diverged:
-        gap_report = diagnose_gap(a, d, selection=final_sel)
-
     return SolveReport(
         dual_point=d,
         fractional=frac,
@@ -560,14 +541,12 @@ def solve(
         primal_value=primal,
         dual_value=dval,
         duality_gap=gap,
-        in_positive_cone=cone,
         binary_recovery=binary_ok,
         recovery_feasible=recovery_feasible,
         repaired=repaired,
         termination=termination,
         iterations=(it_binary, it_joint, it_joint),
         outer_iterations=outer_used,
-        gap_report=gap_report,
         violations=violations,
     )
 

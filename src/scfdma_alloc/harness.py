@@ -98,7 +98,6 @@ class AllocatorRecord:
     feasible: bool = False
     error: str = ""
     certified: bool | None = None
-    in_positive_cone: bool | None = None
     binary_recovery: bool | None = None
     repaired: bool | None = None
     termination: str | None = None
@@ -127,7 +126,6 @@ def _record_from_report(name: str, rep: SolveReport, sign: float, runtime_s: flo
         objective=objective,
         feasible=rep.feasible,
         certified=rep.certified,
-        in_positive_cone=rep.in_positive_cone,
         binary_recovery=rep.binary_recovery,
         repaired=rep.repaired,
         termination=rep.termination,
@@ -306,7 +304,7 @@ def _fmt(v) -> str:
 
 _DROP_COLUMNS = (
     "problem", "drop", "seed", "allocator", "objective", "feasible", "error",
-    "certified", "in_positive_cone", "binary_recovery", "repaired", "termination",
+    "certified", "binary_recovery", "repaired", "termination",
     "iters_binary", "iters_choice", "iters_cover", "outer_iterations",
 )
 
@@ -323,9 +321,8 @@ def _drop_csv_rows(results: Sequence[DropResult]) -> list[str]:
             it = rec.iterations or (None, None, None)
             row = (
                 res.problem, res.drop_index, res.seed, name, rec.objective, rec.feasible,
-                rec.error.replace(",", ";"), rec.certified, rec.in_positive_cone,
-                rec.binary_recovery, rec.repaired, rec.termination,
-                it[0], it[1], it[2], rec.outer_iterations,
+                rec.error.replace(",", ";"), rec.certified, rec.binary_recovery, rec.repaired,
+                rec.termination, it[0], it[1], it[2], rec.outer_iterations,
             )
             lines.append(",".join(_fmt(v) for v in row))
     return lines
@@ -555,7 +552,7 @@ def gradient_check(
 ) -> dict:
     """Central finite differences of the dual value against the analytic gradient.
 
-    Points are sampled inside the positive cone (coordinates in [0.5, 2.0]).
+    Every coordinate of a point is sampled in [0.5, 2.0].
     The per-point error is max|analytic - fd| / (1 + max|analytic|).
     """
     if not instances:

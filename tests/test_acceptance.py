@@ -102,9 +102,12 @@ def test_04_dual_function_is_midpoint_concave_on_cone():
                 binary_dual=vec[a.n_resources + a.n_agents :],
             )
 
+        # the choice and cover duals are free in sign; the binarity duals are positive
+        n_free = a.n_resources + a.n_agents
+        low = np.r_[np.full(n_free, -2.0), np.full(a.n_options, 0.5)]
         for _ in range(100):
-            x = rng.uniform(0.5, 2.0, dim)
-            y = rng.uniform(0.5, 2.0, dim)
+            x = rng.uniform(low, 2.0)
+            y = rng.uniform(low, 2.0)
             fx = dual_value(a, point(x))
             fy = dual_value(a, point(y))
             fm = dual_value(a, point(0.5 * (x + y)))

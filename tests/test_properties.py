@@ -247,6 +247,26 @@ def test_repair_is_a_cover_bounded_by_the_oracle_jamsc(k, n, seed, ties, p_max, 
         assert_repair_bounded_by_oracle(a, seed)
 
 
+@jamsc_properties
+@given(**jamsc_args)
+@example(k=3, n=5, seed=17, ties=True, p_max=[0.05, 1.0, 2.0, 0.5], strict_cap=True, radius=2000.0, rate=140e3)
+def test_certified_solve_equals_brute_force_jamsc(k, n, seed, ties, p_max, strict_cap, radius, rate):
+    # every converged solve whose rounding is an exact cover is certified,
+    # whatever the signs of its choice and cover duals, and is the optimum
+    a = jamsc_instance(k, n, seed, ties, p_max, strict_cap, radius, rate)
+    best = None if a is None else oracle_optimum(a)
+    if best is None:
+        return
+    rep = solve(a, SolverConfig())
+    exact_rounding = rep.binary_recovery and rep.recovery_feasible
+    assert rep.certified == (rep.termination == "converged" and exact_rounding)
+    if rep.certified:
+        assert rep.primal_value == best[0]
+    if rep.allocation is not None:
+        assert not a.allocation_violations(rep.allocation)
+        assert rep.primal_value >= best[0]
+
+
 def jamsc_optimum(gains, sc, targets, table, frame, strict_cap):
     """Exact-cover optimum over every (user, modulation, pattern) option, or None.
 
