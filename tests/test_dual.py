@@ -161,6 +161,16 @@ def test_xi_equals_dual_at_recovered_indicator():
         assert xi_value(a, frac, d) == pytest.approx(dual_value(a, d), rel=1e-10)
 
 
+def test_project_rho_sign_flip_on_exact_zero():
+    proposed = np.array([0.0, -0.4, 1.0])
+    out = project_rho(proposed, 1e-3)
+    # an exact-zero proposal lands on the floor; a negative one flips to |proposed|
+    assert out[0] == 1e-3
+    assert out[1] == 0.4
+    assert out[2] == 1.0
+    assert np.array_equal(project_rho(out, 1e-3), out)
+
+
 def test_project_rho_floors_small_magnitudes():
     proposed = np.array([1e-9, -1e-9, 0.0, -0.0, 2.0, -0.5])
     out = project_rho(proposed, 1e-3)
@@ -168,6 +178,13 @@ def test_project_rho_floors_small_magnitudes():
     assert out.tolist() == [1e-3, 1e-3, 1e-3, 1e-3, 2.0, 0.5]
     assert not np.signbit(out).any()
     assert np.array_equal(project_rho(out, 1e-3), out)
+
+
+def test_project_rho_degenerate_zero_pair():
+    out = project_rho(np.array([0.0, -0.0]), 1e-3)
+    # a negative zero counts as zero, so both land on the positive floor
+    assert out.tolist() == [1e-3, 1e-3]
+    assert not np.signbit(out).any()
 
 
 def test_exact_zero_slack_takes_one_binarity_step():
@@ -326,6 +343,42 @@ def test_termination_names_each_exit(monkeypatch):
     assert rep.outer_iterations == 1
     assert rep.allocation is not None  # the repair still supplies a cover
     assert "dual iterates diverged to non-finite values" in rep.violations
+
+
+def test_warm_start_outside_cone_stops_within_budget(monkeypatch):
+    # mixed-sign binarity duals and some negative choice duals: outside the
+    # cone the dual is not concave, so the start is refused before any round
+    a = sumax_assignment_for_seed(3, 5, 900)
+    rng = np.random.default_rng(7)
+    start = DualPoint(
+        cover_dual=rng.uniform(0.1, 3.0, a.n_resources),
+        choice_dual=rng.uniform(-1.0, 3.0, a.n_agents),
+        binary_dual=rng.choice([-1.0, 1.0], a.n_options) * rng.uniform(0.01, 3.0, a.n_options),
+    )
+    assert (start.binary_dual < 0).any()
+    rounds = []
+    exact_system = dual.joint_system
+
+    def counted_system(inst, binary):
+        rounds.append(1)
+        return exact_system(inst, binary)
+
+    monkeypatch.setattr(dual, "joint_system", counted_system)
+    with pytest.raises(DualDomainError, match="positive"):
+        solve(a, SolverConfig(), start=start)
+    assert not rounds
+    # the same start projected into the cone runs and stops within budget
+    cfg = SolverConfig()
+    inside = DualPoint(
+        cover_dual=start.cover_dual,
+        choice_dual=start.choice_dual,
+        binary_dual=project_rho(start.binary_dual, cfg.projection_offset),
+    )
+    rep = solve(a, cfg, start=inside)
+    assert 0 < len(rounds)
+    assert rep.outer_iterations <= cfg.max_outer
+    assert rep.iterations[0] <= rep.outer_iterations
+    assert (rep.dual_point.binary_dual > 0).all()
 
 
 def test_certified_runs_match_oracle():
