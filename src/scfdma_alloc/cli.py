@@ -89,9 +89,9 @@ def _cmd_campaign(args, problem: str) -> int:
         mean = entry["mean_objective"]
         mean_s = "n/a" if mean is None else f"{mean:.6g}"
         extra = ""
-        if "certification_rate" in entry:
-            exits = " ".join(f"{t}={v:.1%}" for t, v in entry["termination_shares"].items())
-            extra = f"  certified={entry['certification_rate']:.1%}  {exits}"
+        for shares in ("outcome_shares", "termination_shares"):
+            if shares in entry:
+                extra += "  " + " ".join(f"{k}={v:.1%}" for k, v in entry[shares].items())
         print(f"{problem} {name}: feasible {entry['n_feasible']}/{entry['n_drops']}  "
               f"mean objective {mean_s}{extra}")
     for err in out.summary["drop_errors"]:

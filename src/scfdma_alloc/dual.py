@@ -31,9 +31,15 @@ import numpy as np
 from .assignment import Allocation, AssignmentInstance, InfeasibleInstanceError
 from .baselines import OracleCeilingError, block_table, cover_sweep
 
-# How an ascent can stop; see ``solve``.
+# How an ascent can stop, and where its answer came from; see ``solve``.
 TERMINATIONS = ("converged", "stagnation", "budget", "diverged")
+OUTCOMES = ("certified", "rounded", "repaired", "unallocated")
 NO_COVER = "no exact-cover assignment exists for this instance"
+# The binarity duals' floor (see ``project_rho``), the value of every dual at
+# a cold start, and how close to 0/1 the recovered indicator must round.
+PROJECTION_OFFSET = 1e-3
+INIT_VALUE = 1.0
+ROUND_TOL = 0.1
 
 
 class DualDomainError(ValueError):
@@ -52,42 +58,22 @@ class DualPoint:
     choice_dual: np.ndarray
     binary_dual: np.ndarray
 
-    def copy(self) -> "DualPoint":
-        return DualPoint(
-            cover_dual=self.cover_dual.copy(),
-            choice_dual=self.choice_dual.copy(),
-            binary_dual=self.binary_dual.copy(),
-        )
-
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances, budget and starting point of the dual ascent.
+    """Accuracy and budget of the dual ascent.
 
     ``tol`` bounds the sup-norm of each gradient at convergence;
-    ``projection_offset`` is the binarity duals' floor (see
-    ``project_rho``); ``init_value`` fills every dual at a cold start, so
-    the ascent starts with positive binarity duals;
     ``max_outer`` caps the rounds, each of which is one binarity step and one
-    joint (choice, cover) landing, so it bounds the whole solve's work;
-    ``round_tol`` is how close to 0/1 the recovered indicator must be.
+    joint (choice, cover) landing, so it bounds the whole solve's work.
     """
 
     tol: float = 1e-6
-    projection_offset: float = 1e-3
-    init_value: float = 1.0
     max_outer: int = 1_000
-    round_tol: float = 0.1
 
     def __post_init__(self) -> None:
-        if not 0 < self.round_tol < 0.5:
-            raise ValueError("round_tol must be in (0, 0.5)")
-        if not 0 < self.projection_offset < 1:
-            raise ValueError("projection_offset must be in (0, 1)")
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if not (self.init_value > 0 and math.isfinite(self.init_value)):
-            raise ValueError(f"init_value must be positive and finite, got {self.init_value}")
         if self.max_outer < 1:
             raise ValueError(f"max_outer must be >= 1, got {self.max_outer}")
 
@@ -227,7 +213,14 @@ def modified_instance(a: AssignmentInstance, report: GapReport) -> AssignmentIns
 
 @dataclass
 class SolveReport:
-    """Full outcome of one dual solve; see ``certified`` for the guarantee flag."""
+    """Full outcome of one dual solve.
+
+    ``outcome`` is one of ``OUTCOMES``: ``certified`` when the ascent
+    converged and its rounding is an exact cover (the exact optimum),
+    ``rounded`` for an exact-cover rounding of an ascent that did not
+    converge, ``repaired`` when ``repair_selection`` supplied the cover, and
+    ``unallocated`` when there is no allocation.
+    """
 
     dual_point: DualPoint
     fractional: np.ndarray
@@ -235,9 +228,7 @@ class SolveReport:
     primal_value: float | None
     dual_value: float
     duality_gap: float | None
-    binary_recovery: bool
-    recovery_feasible: bool
-    repaired: bool
+    outcome: str
     termination: str
     iterations: tuple[int, int, int]
     outer_iterations: int
@@ -245,7 +236,7 @@ class SolveReport:
 
     @property
     def feasible(self) -> bool:
-        return self.allocation is not None
+        return self.outcome != "unallocated"
 
     @property
     def truncated(self) -> bool:
@@ -254,24 +245,8 @@ class SolveReport:
 
     @property
     def certified(self) -> bool:
-        """Exact-optimality guarantee: converged, rounded to 0/1, an exact cover."""
-        return not self.truncated and self.binary_recovery and self.recovery_feasible
-
-    def to_dict(self) -> dict:
-        return {
-            "primal_value": self.primal_value,
-            "dual_value": self.dual_value,
-            "duality_gap": self.duality_gap,
-            "binary_recovery": self.binary_recovery,
-            "recovery_feasible": self.recovery_feasible,
-            "repaired": self.repaired,
-            "termination": self.termination,
-            "certified": self.certified,
-            "iterations": list(self.iterations),
-            "outer_iterations": self.outer_iterations,
-            "violations": list(self.violations),
-            "allocation": None if self.allocation is None else list(self.allocation.option_index),
-        }
+        """Exact-optimality guarantee: converged, and the rounding is an exact cover."""
+        return self.outcome == "certified"
 
 
 def sizes_admit_cover(a: AssignmentInstance) -> bool:
@@ -293,9 +268,9 @@ def _binary_gradient_norm(slack0: np.ndarray, binary: np.ndarray) -> float:
     return 0.25 * float(np.abs(ratio * ratio - 1.0).max())
 
 
-def _binarize(frac: np.ndarray, round_tol: float) -> tuple[np.ndarray, bool]:
-    near_one = np.abs(frac - 1.0) <= round_tol
-    near_zero = np.abs(frac) <= round_tol
+def _binarize(frac: np.ndarray) -> tuple[np.ndarray, bool]:
+    near_one = np.abs(frac - 1.0) <= ROUND_TOL
+    near_zero = np.abs(frac) <= ROUND_TOL
     ok = bool(np.all(near_zero | near_one))
     return near_one.astype(np.int8), ok
 
@@ -411,11 +386,13 @@ def solve(
     arithmetic; one round may tie within an ulp just before convergence),
     ``budget`` after ``max_outer`` rounds, and ``diverged`` when an iterate
     is not finite.  None of them raises.  The indicator is then recovered
-    and rounded; the run is ``certified`` when it converged and the rounding
-    is an exact cover, and otherwise ``repair_selection`` supplies a cover
-    if it can.  A warm ``start`` whose binarity duals are not all positive
-    raises DualDomainError before any work; its choice and cover duals may
-    take either sign.
+    and rounded, and ``outcome`` records where the allocation came from: an
+    exact-cover rounding is ``certified`` when the ascent converged and
+    ``rounded`` otherwise; any other rounding is replaced by
+    ``repair_selection``'s cover (``repaired``) or by none
+    (``unallocated``).  A warm ``start`` whose binarity duals are not all
+    positive raises DualDomainError before any work; its choice and cover
+    duals may take either sign.
 
     Nothing is searched before the ascent.  An instance whose footprint
     sizes cannot sum to the band (``sizes_admit_cover``) raises
@@ -424,15 +401,15 @@ def solve(
     instance with no exact cover at all, whose dual is unbounded, raises
     InfeasibleInstanceError; one whose sweep would pass the oracle's default
     node ceiling, or that has a cover the repair missed, is reported without
-    an allocation.
+    an allocation (``unallocated``).
     """
     u = -a.weights
     con = a.constraint_matrix
     n_agents, n_opt = a.n_agents, a.n_options
 
     if start is None:
-        stacked = np.full(n_agents + a.n_resources, cfg.init_value)
-        binary = np.full(n_opt, cfg.init_value)
+        stacked = np.full(n_agents + a.n_resources, INIT_VALUE)
+        binary = np.full(n_opt, INIT_VALUE)
     else:
         stacked = _stacked(start).astype(float)
         binary = start.binary_dual.astype(float)
@@ -455,7 +432,7 @@ def solve(
         if g_binary_norm > tol:
             # |slack| maximises each separable 1-D sub-problem on rho > 0,
             # so one step lands every binarity dual
-            binary = project_rho(slack0, cfg.projection_offset)
+            binary = project_rho(slack0, PROJECTION_OFFSET)
             it_binary += 1
         if not np.isfinite(binary).all():
             termination = "diverged"
@@ -493,31 +470,29 @@ def solve(
 
     choice, cover = stacked[:n_agents], stacked[n_agents:]
     d = DualPoint(cover_dual=cover, choice_dual=choice, binary_dual=binary)
-    diverged = termination == "diverged"
     violations: list[str] = []
-    if diverged:
+    if termination == "diverged":
         violations.append("dual iterates diverged to non-finite values")
         frac = np.zeros(n_opt)
         dval = float("nan")
-        sel, binary_ok = np.zeros(n_opt, dtype=np.int8), False
+        exact_cover = False
     else:
         frac = recover_indicator(a, d)
         dval = dual_value(a, d)
-        sel, binary_ok = _binarize(frac, cfg.round_tol)
-    if not binary_ok and not diverged:
-        violations.append("recovery is not within rounding tolerance of 0/1")
-    recovery_feasible = False
-    if binary_ok:
-        sel_violations = a.selection_violations(sel)
-        recovery_feasible = not sel_violations
-        violations.extend(sel_violations)
+        sel, exact_cover = _binarize(frac)
+        if not exact_cover:
+            violations.append("recovery is not within rounding tolerance of 0/1")
+        else:
+            sel_violations = a.selection_violations(sel)
+            violations.extend(sel_violations)
+            exact_cover = not sel_violations
 
-    final_sel: np.ndarray | None = sel if (binary_ok and recovery_feasible) else None
-    repaired = False
-    if final_sel is None:
-        final_sel = repair_selection(a, frac)
-        repaired = final_sel is not None
-    if final_sel is None:
+    if exact_cover:
+        outcome = "certified" if termination == "converged" else "rounded"
+    else:
+        sel = repair_selection(a, frac)
+        outcome = "unallocated" if sel is None else "repaired"
+    if sel is None:
         try:
             no_cover = cover_sweep(a)[0][-1, -1] == math.inf
         except OracleCeilingError:
@@ -525,11 +500,9 @@ def solve(
         if no_cover:
             raise InfeasibleInstanceError(NO_COVER)
 
-    allocation = None
-    primal = None
-    gap = None
-    if final_sel is not None:
-        allocation = a.allocation_from_selection(final_sel)
+    allocation = primal = gap = None
+    if sel is not None:
+        allocation = a.allocation_from_selection(sel)
         primal = a.value(allocation)
         if math.isfinite(dval):
             gap = primal - dval
@@ -541,9 +514,7 @@ def solve(
         primal_value=primal,
         dual_value=dval,
         duality_gap=gap,
-        binary_recovery=binary_ok,
-        recovery_feasible=recovery_feasible,
-        repaired=repaired,
+        outcome=outcome,
         termination=termination,
         iterations=(it_binary, it_joint, it_joint),
         outer_iterations=outer_used,

@@ -19,7 +19,7 @@ import numpy as np
 from .assignment import Allocation, AssignmentInstance, InfeasibleInstanceError, to_assignment
 from .baselines import InfeasibleAllocationError, OracleCeilingError, brute_force, greedy, round_robin
 from .channel import ChannelGains, ScenarioConfig, generate_channel
-from .dual import TERMINATIONS, SolveReport, SolverConfig, dual_gradient, dual_value, DualPoint, solve
+from .dual import OUTCOMES, TERMINATIONS, SolveReport, SolverConfig, dual_gradient, dual_value, DualPoint, solve
 from .jamsc import FrameConfig, JamscInstance, build_jamsc
 from .patterns import PatternSet, enumerate_patterns
 from .sumax import ModulationTable, SumaxInstance, build_sumax, select_modulation
@@ -97,14 +97,17 @@ class AllocatorRecord:
     objective: float | None = None
     feasible: bool = False
     error: str = ""
-    certified: bool | None = None
-    binary_recovery: bool | None = None
-    repaired: bool | None = None
+    outcome: str | None = None
     termination: str | None = None
-    iterations: tuple[int, int, int] | None = None
+    iters_binary: int | None = None
     outer_iterations: int | None = None
     runtime_s: float = 0.0
     violations: list[str] = field(default_factory=list)
+
+    @property
+    def certified(self) -> bool | None:
+        """Whether a dual solve certified its answer; None for other allocators."""
+        return None if self.outcome is None else self.outcome == "certified"
 
 
 @dataclass
@@ -125,11 +128,9 @@ def _record_from_report(name: str, rep: SolveReport, sign: float, runtime_s: flo
         name=name,
         objective=objective,
         feasible=rep.feasible,
-        certified=rep.certified,
-        binary_recovery=rep.binary_recovery,
-        repaired=rep.repaired,
+        outcome=rep.outcome,
         termination=rep.termination,
-        iterations=rep.iterations,
+        iters_binary=rep.iterations[0],
         outer_iterations=rep.outer_iterations,
         runtime_s=runtime_s,
     )
@@ -304,8 +305,7 @@ def _fmt(v) -> str:
 
 _DROP_COLUMNS = (
     "problem", "drop", "seed", "allocator", "objective", "feasible", "error",
-    "certified", "binary_recovery", "repaired", "termination",
-    "iters_binary", "iters_choice", "iters_cover", "outer_iterations",
+    "outcome", "termination", "iters_binary", "outer_iterations",
 )
 
 _USER_COLUMNS = (
@@ -318,11 +318,10 @@ def _drop_csv_rows(results: Sequence[DropResult]) -> list[str]:
     lines = [",".join(_DROP_COLUMNS)]
     for res in results:
         for name, rec in res.records.items():
-            it = rec.iterations or (None, None, None)
             row = (
                 res.problem, res.drop_index, res.seed, name, rec.objective, rec.feasible,
-                rec.error.replace(",", ";"), rec.certified, rec.binary_recovery, rec.repaired,
-                rec.termination, it[0], it[1], it[2], rec.outer_iterations,
+                rec.error.replace(",", ";"), rec.outcome, rec.termination,
+                rec.iters_binary, rec.outer_iterations,
             )
             lines.append(",".join(_fmt(v) for v in row))
     return lines
@@ -363,9 +362,9 @@ def _summarise_problem(
             "mean_objective": float(np.mean([r.objective for r in feas])) if feas else None,
             "mean_runtime_s": float(np.mean([r.runtime_s for r in recs])) if recs else None,
         }
-        if any(r.certified is not None for r in recs):
-            done = [r for r in recs if r.certified is not None]
-            entry["certification_rate"] = float(np.mean([1.0 if r.certified else 0.0 for r in done]))
+        done = [r for r in recs if r.outcome is not None]
+        if done:
+            entry["outcome_shares"] = {o: sum(r.outcome == o for r in done) / len(done) for o in OUTCOMES}
             entry["termination_shares"] = {
                 t: sum(r.termination == t for r in done) / len(done) for t in TERMINATIONS
             }
@@ -451,6 +450,9 @@ def _write_lines(path: str, lines: Sequence[str]) -> None:
 # ---------------------------------------------------------------------------
 # Verification sweeps (shared by the CLI and the acceptance suite).
 
+# A certified run's duality gap, relative to 1 + |dual value|, may not exceed this.
+CERTIFIED_GAP_TOL = 1e-6
+
 
 def desk_scenario(n_users: int, n_subchannels: int, **overrides) -> ScenarioConfig:
     """Small-instance scenario used by the verification sweeps."""
@@ -477,13 +479,13 @@ def certification_sweep(
     combos: Sequence[tuple[int, int]] = ((2, 4), (2, 5), (2, 6), (3, 4), (3, 5), (3, 6)),
     per_combo: int = 90,
     base_seed: int = 2024,
-    solver: SolverConfig = SolverConfig(),
-    gap_tol: float = 1e-6,
 ) -> dict:
     """Compare the dual solver against the exact oracle on random instances.
 
-    Per run: certified runs must match the oracle optimum exactly; the value
-    ratio (after repair) and the complementary-duality residual are recorded.
+    Each run uses the default ``SolverConfig``.  Certified runs must match
+    the oracle optimum exactly and close the duality gap within
+    ``CERTIFIED_GAP_TOL``; the value ratio (after repair) and the solve's
+    outcome are recorded.
     """
     if per_combo < 1:
         raise ValueError(f"per_combo must be >= 1, got {per_combo}")
@@ -492,7 +494,7 @@ def certification_sweep(
         for i in range(per_combo):
             seed = base_seed + i
             a = sumax_assignment_for_seed(n_users, n_sub, seed)
-            rep = solve(a, solver)
+            rep = solve(a)
             _, opt_value = brute_force(a)
             achieved = rep.primal_value
             ratio = None
@@ -501,7 +503,7 @@ def certification_sweep(
             exact = (achieved == opt_value) if rep.certified else None
             gap_ok = None
             if rep.certified:
-                gap_ok = abs(rep.duality_gap) <= gap_tol * (1.0 + abs(rep.dual_value))
+                gap_ok = abs(rep.duality_gap) <= CERTIFIED_GAP_TOL * (1.0 + abs(rep.dual_value))
             rows.append(
                 {
                     "n_users": n_users,
@@ -509,7 +511,7 @@ def certification_sweep(
                     "seed": seed,
                     "certified": rep.certified,
                     "termination": rep.termination,
-                    "repaired": rep.repaired,
+                    "outcome": rep.outcome,
                     "exact": exact,
                     "ratio": ratio,
                     "gap_ok": gap_ok,
@@ -530,10 +532,6 @@ def certification_sweep(
         "min_ratio": float(np.min(ratios)) if ratios else None,
         "rows": rows,
     }
-
-
-def _pack(d: DualPoint) -> np.ndarray:
-    return np.concatenate([d.cover_dual, d.choice_dual, d.binary_dual])
 
 
 def _unpack(vec: np.ndarray, n_res: int, n_agents: int) -> DualPoint:
@@ -586,31 +584,29 @@ def complexity_table(
     k_values: Sequence[int] = (2, 3),
     n_values: Sequence[int] = (4, 6, 8, 10),
     seeds: Sequence[int] = (11, 12, 13),
-    solver: SolverConfig = SolverConfig(),
 ) -> list[dict]:
     """Iteration-count table over a (K, N) sweep of random sumax instances.
 
     Operations are counted from the round structure: each binarity step
-    touches every option, and each joint landing counts once per agent
-    (choice) and once per sub-channel (cover).  Wall time is informative only.
+    touches every option, and each round's joint landing counts once per
+    agent (choice) and once per sub-channel (cover).  Wall time is
+    informative only.
     """
     if len(seeds) < 1:
         raise ValueError(f"seeds must hold at least one seed, got {len(seeds)}")
     rows = []
     for n_agents in k_values:
         for n_sub in n_values:
-            tot = {"outer": 0.0, "binary": 0.0, "choice": 0.0, "cover": 0.0, "ops": 0.0, "wall_s": 0.0}
+            tot = {"outer": 0.0, "binary": 0.0, "ops": 0.0, "wall_s": 0.0}
             for seed in seeds:
                 inst = sumax_assignment_for_seed(n_agents, n_sub, seed)
                 t0 = time.perf_counter()
-                rep = solve(inst, solver)
+                rep = solve(inst)
                 dt = time.perf_counter() - t0
-                ib, ic, iv = rep.iterations
-                tot["outer"] += rep.outer_iterations
+                ib, outer = rep.iterations[0], rep.outer_iterations
+                tot["outer"] += outer
                 tot["binary"] += ib
-                tot["choice"] += ic
-                tot["cover"] += iv
-                tot["ops"] += ib * inst.n_options + ic * n_agents + iv * n_sub
+                tot["ops"] += ib * inst.n_options + outer * (n_agents + n_sub)
                 tot["wall_s"] += dt
             m = float(len(seeds))
             rows.append(
@@ -621,8 +617,6 @@ def complexity_table(
                     "n_options": inst.n_options,
                     "outer": tot["outer"] / m,
                     "iters_binary": tot["binary"] / m,
-                    "iters_choice": tot["choice"] / m,
-                    "iters_cover": tot["cover"] / m,
                     "ops": tot["ops"] / m,
                     "ops_per_outer": tot["ops"] / max(tot["outer"], 1.0),
                     "wall_s": tot["wall_s"] / m,
@@ -634,7 +628,7 @@ def complexity_table(
 def write_complexity_csv(path: str, rows: Sequence[dict]) -> None:
     cols = (
         "n_agents", "n_subchannels", "n_patterns", "n_options", "outer",
-        "iters_binary", "iters_choice", "iters_cover", "ops", "ops_per_outer", "wall_s",
+        "iters_binary", "ops", "ops_per_outer", "wall_s",
     )
     lines = [",".join(cols)]
     for row in rows:

@@ -129,8 +129,9 @@ def test_non_positive_drops_rejected(tmp_path):
 
 
 # Settings that used to fail only mid-campaign: a zero initial dual died in
-# numpy's SVD, a zero round budget passed with no ascent, and a 40-channel
-# band raised at the first drop.
+# numpy's SVD (the initial dual is now a module constant, so the key is
+# refused as unknown), a zero round budget passed with no ascent, and a
+# 40-channel band raised at the first drop.
 @pytest.mark.parametrize(
     "config, match",
     [

@@ -199,7 +199,7 @@ def test_exact_zero_slack_takes_one_binarity_step():
     cfg = SolverConfig()
     rep = solve(hand_instance(), cfg, start=start)
     assert rep.iterations[0] <= rep.outer_iterations
-    assert rep.dual_point.binary_dual[0] == cfg.projection_offset
+    assert rep.dual_point.binary_dual[0] == dual.PROJECTION_OFFSET
     assert rep.certified
     assert rep.primal_value == -5.0
     for k, n in ((2, 4), (2, 6), (3, 5)):
@@ -211,8 +211,7 @@ def test_exact_zero_slack_takes_one_binarity_step():
 def test_solve_hand_instance_certifies_exact():
     a = hand_instance()
     rep = solve(a, SolverConfig())
-    assert rep.certified
-    assert not rep.repaired
+    assert rep.outcome == "certified"
     assert rep.primal_value == -5.0
     assert rep.allocation.option_index == (1,)
     assert abs(rep.duality_gap) <= 1e-6 * (1.0 + abs(rep.dual_value))
@@ -233,8 +232,8 @@ def test_unrepaired_solve_past_the_oracle_ceiling_has_no_allocation(monkeypatch)
     monkeypatch.setattr(dual, "cover_sweep", refuse)
     rep = solve(no_cover_instance(), SolverConfig(max_outer=5))
     assert rep.allocation is None
-    assert not rep.repaired
-    assert not rep.certified
+    assert rep.outcome == "unallocated"
+    assert not rep.feasible
 
 
 def size_bound_instance(n_agents: int, n_resources: int) -> AssignmentInstance:
@@ -328,7 +327,6 @@ def test_termination_names_each_exit(monkeypatch):
         rep = solve(inst, cfg)
         assert rep.termination == want
         assert rep.truncated == (want != "converged")
-        assert rep.to_dict()["termination"] == want
         assert rep.outer_iterations <= cfg.max_outer
     exact_system = dual.joint_system
 
@@ -372,7 +370,7 @@ def test_warm_start_outside_cone_stops_within_budget(monkeypatch):
     inside = DualPoint(
         cover_dual=start.cover_dual,
         choice_dual=start.choice_dual,
-        binary_dual=project_rho(start.binary_dual, cfg.projection_offset),
+        binary_dual=project_rho(start.binary_dual, dual.PROJECTION_OFFSET),
     )
     rep = solve(a, cfg, start=inside)
     assert 0 < len(rounds)
@@ -402,8 +400,7 @@ def test_degenerate_tie_is_truncated_and_repaired():
     a = sumax_assignment_for_seed(2, 4, 5001)
     rep = solve(a, SolverConfig())
     assert rep.truncated
-    assert not rep.certified
-    assert rep.repaired
+    assert rep.outcome == "repaired"
     _, opt = brute_force(a)
     assert rep.primal_value == opt  # bounded repair recovers the optimum here
     mid = rep.fractional[(rep.fractional > 0.4) & (rep.fractional < 0.6)]
@@ -466,23 +463,14 @@ def test_solve_is_deterministic():
     assert np.array_equal(r1.dual_point.binary_dual, r2.dual_point.binary_dual)
 
 
-def test_solve_report_to_dict():
-    rep = solve(hand_instance(), SolverConfig())
-    d = rep.to_dict()
-    assert d["certified"] is True
-    assert d["primal_value"] == -5.0
-    assert d["allocation"] == [1]
-    assert d["iterations"] == list(rep.iterations)
-
-
 @pytest.mark.parametrize(
     "setting",
     [
         {"tol": math.nan},
         {"tol": math.inf},
-        {"init_value": 0.0},
-        {"init_value": -1.0},
-        {"init_value": math.nan},
+        {"tol": 0.0},
+        {"tol": -1.0},
+        {"max_outer": -1},
         {"max_outer": 0},
     ],
 )
@@ -541,7 +529,7 @@ def test_free_sign_choice_duals_certify_the_optimum():
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(round_tol=0.6)
-    with pytest.raises(ValueError):
-        SolverConfig(projection_offset=2.0)
+    # the floor, the cold start and the rounding tolerance are module constants
+    for removed in ("projection_offset", "init_value", "round_tol"):
+        with pytest.raises(TypeError, match=removed):
+            SolverConfig(**{removed: 0.1})

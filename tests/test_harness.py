@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from scfdma_alloc.dual import OUTCOMES
 from scfdma_alloc.harness import (
     CampaignConfig,
     certification_sweep,
@@ -125,6 +126,36 @@ def test_run_campaign_writes_reproducible_files(tmp_path):
     assert summary["per_allocator"]["sumax"]["dual"]["n_feasible"] == 2
 
 
+def test_both_campaign_reports_one_outcome_per_dual_solve(tmp_path):
+    # paper scale, seed 42: the jamsc dual_am solves are certified, rounded and repaired
+    out = run_campaign(CampaignConfig(problem="both", n_drops=4, base_seed=42, out_dir=str(tmp_path)))
+    assert out.ok
+    seen = set()
+    for prob in ("sumax", "jamsc"):
+        lines = (tmp_path / f"{prob}_drops.csv").read_text().splitlines()
+        assert lines[0] == (
+            "problem,drop,seed,allocator,objective,feasible,error,"
+            "outcome,termination,iters_binary,outer_iterations"
+        )
+        records = {(r.drop_index, n): rec for r in out.results if r.problem == prob for n, rec in r.records.items()}
+        for line in lines[1:]:
+            row = dict(zip(lines[0].split(","), line.split(",")))
+            rec = records[int(row["drop"]), row["allocator"]]
+            assert row["outcome"] == (rec.outcome or "")
+            seen.add(rec.outcome)
+            assert (rec.outcome is not None) == row["allocator"].startswith("dual")
+        for name, entry in out.summary["per_allocator"][prob].items():
+            if not name.startswith("dual"):
+                assert "outcome_shares" not in entry
+                continue
+            shares = entry["outcome_shares"]
+            assert tuple(shares) == OUTCOMES
+            assert sum(shares.values()) == pytest.approx(1.0)
+            recs = [r.records[name] for r in out.results if r.problem == prob]
+            assert shares["certified"] == sum(bool(r.certified) for r in recs) / len(recs)
+    assert {"certified", "rounded", "repaired"} <= seen
+
+
 def test_certification_sweep_tiny():
     out = certification_sweep(combos=((2, 4),), per_combo=5, base_seed=2024)
     assert out["n_runs"] == 5
@@ -133,7 +164,7 @@ def test_certification_sweep_tiny():
     assert out["n_feasible"] == 5
     assert out["mean_ratio"] >= 0.9
     row = out["rows"][0]
-    assert {"seed", "certified", "ratio", "oracle_value", "achieved_value"} <= set(row)
+    assert {"seed", "certified", "outcome", "ratio", "oracle_value", "achieved_value"} <= set(row)
 
 
 def test_gradient_check_small():
@@ -156,11 +187,7 @@ def test_complexity_table_and_csv(tmp_path):
     assert row["n_subchannels"] == 4
     assert row["n_patterns"] == 11
     assert row["n_options"] == 22
-    expect_ops = (
-        row["iters_binary"] * row["n_options"]
-        + row["iters_choice"] * row["n_agents"]
-        + row["iters_cover"] * row["n_subchannels"]
-    )
+    expect_ops = row["iters_binary"] * row["n_options"] + row["outer"] * (row["n_agents"] + row["n_subchannels"])
     assert row["ops"] == pytest.approx(expect_ops)
     assert row["ops_per_outer"] == pytest.approx(row["ops"] / row["outer"])
 
@@ -175,11 +202,8 @@ def test_count_iterations_ops_identity():
     rows = complexity_table(k_values=(2,), n_values=(4, 5), seeds=(1, 2))
     assert len(rows) == 2
     for row in rows:
-        expect = (
-            row["iters_binary"] * row["n_options"]
-            + row["iters_choice"] * row["n_agents"]
-            + row["iters_cover"] * row["n_subchannels"]
-        )
+        # one binarity step per option, one joint landing per choice and cover constraint each round
+        expect = row["iters_binary"] * row["n_options"] + row["outer"] * (row["n_agents"] + row["n_subchannels"])
         assert row["ops"] == pytest.approx(expect, rel=1e-12)
         assert row["n_patterns"] == row["n_subchannels"] * (row["n_subchannels"] + 1) // 2 + 1
 

@@ -19,6 +19,9 @@ from scfdma_alloc.assignment import Allocation, AssignmentInstance, InfeasibleIn
 from scfdma_alloc.baselines import InfeasibleAllocationError, brute_force
 from scfdma_alloc.channel import generate_channel
 from scfdma_alloc.dual import (
+    INIT_VALUE,
+    OUTCOMES,
+    ROUND_TOL,
     DualPoint,
     SolverConfig,
     dual_gradient,
@@ -43,6 +46,25 @@ def sumax_instance(k, n, seed, ties, zf, p_max):
     return to_assignment(build_sumax(generate_channel(sc, seed), sc, weights=weights))
 
 
+def assert_outcome_partition(a, rep):
+    """``rep.outcome`` names the one source of its allocation.
+
+    Certified: converged, and the rounding of the recovered indicator is an
+    exact cover.  Rounded: that rounding without convergence.  Repaired: the
+    rounding is no exact cover but an allocation exists.  Unallocated: none.
+    """
+    frac = rep.fractional
+    near_one = np.abs(frac - 1.0) <= ROUND_TOL
+    binary = bool(np.all(near_one | (np.abs(frac) <= ROUND_TOL)))
+    exact_rounding = binary and not a.selection_violations(near_one.astype(np.int8))
+    assert rep.outcome in OUTCOMES
+    assert (rep.outcome == "certified") == (rep.termination == "converged" and exact_rounding)
+    assert (rep.outcome == "rounded") == (rep.termination != "converged" and exact_rounding)
+    assert (rep.outcome == "repaired") == (not exact_rounding and rep.allocation is not None)
+    assert (rep.outcome == "unallocated") == (rep.allocation is None)
+    assert rep.certified == (rep.outcome == "certified")
+
+
 solver_properties = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 instance_args = dict(
     k=st.integers(2, 4),
@@ -61,6 +83,7 @@ def test_certified_solve_equals_brute_force(k, n, seed, ties, zf, p_max):
     a = sumax_instance(k, n, seed, ties, zf, p_max)
     rep = solve(a, SolverConfig())
     _, opt = brute_force(a)
+    assert_outcome_partition(a, rep)
     if rep.certified:
         assert rep.primal_value == opt
     if rep.allocation is not None:
@@ -97,13 +120,12 @@ def test_converged_iff_gradient_within_tolerance(k, n, seed, ties, zf, p_max):
 @example(k=4, n=3, seed=5, ties=True, zf=True, p_max=[0.1, 1.5, 0.3, 2.0])
 def test_ascent_never_ends_below_cold_start(k, n, seed, ties, zf, p_max):
     a = sumax_instance(k, n, seed, ties, zf, p_max)
-    cfg = SolverConfig()
     cold = DualPoint(
-        cover_dual=np.full(a.n_resources, cfg.init_value),
-        choice_dual=np.full(a.n_agents, cfg.init_value),
-        binary_dual=np.full(a.n_options, cfg.init_value),
+        cover_dual=np.full(a.n_resources, INIT_VALUE),
+        choice_dual=np.full(a.n_agents, INIT_VALUE),
+        binary_dual=np.full(a.n_options, INIT_VALUE),
     )
-    assert solve(a, cfg).dual_value >= dual_value(a, cold)
+    assert solve(a, SolverConfig()).dual_value >= dual_value(a, cold)
 
 
 def footprint_masks(a):
@@ -252,14 +274,14 @@ def test_repair_is_a_cover_bounded_by_the_oracle_jamsc(k, n, seed, ties, p_max, 
 @example(k=3, n=5, seed=17, ties=True, p_max=[0.05, 1.0, 2.0, 0.5], strict_cap=True, radius=2000.0, rate=140e3)
 def test_certified_solve_equals_brute_force_jamsc(k, n, seed, ties, p_max, strict_cap, radius, rate):
     # every converged solve whose rounding is an exact cover is certified,
-    # whatever the signs of its choice and cover duals, and is the optimum
+    # whatever the signs of its choice and cover duals, and is the optimum;
+    # every other answer is rounded, repaired or missing
     a = jamsc_instance(k, n, seed, ties, p_max, strict_cap, radius, rate)
     best = None if a is None else oracle_optimum(a)
     if best is None:
         return
     rep = solve(a, SolverConfig())
-    exact_rounding = rep.binary_recovery and rep.recovery_feasible
-    assert rep.certified == (rep.termination == "converged" and exact_rounding)
+    assert_outcome_partition(a, rep)
     if rep.certified:
         assert rep.primal_value == best[0]
     if rep.allocation is not None:
