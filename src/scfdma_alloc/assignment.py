@@ -62,6 +62,11 @@ class AssignmentInstance:
         return self.footprint_matrix.sum(axis=0).astype(np.int64)
 
     @cached_property
+    def utilities(self) -> np.ndarray:
+        """Each option's utility u = -weights, from which the dual subtracts its price."""
+        return -self.weights
+
+    @cached_property
     def constraint_matrix(self) -> np.ndarray:
         """(n_options, n_agents + n_resources): the choice rows' one-hot, then the footprint.
 

@@ -119,7 +119,8 @@ def _cmd_campaign(args, problem: str) -> int:
 def _cmd_certify(args) -> int:
     sweep = certification_sweep(per_combo=args.instances, base_seed=args.seed)
     print(f"runs: {sweep['n_runs']}")
-    print(f"certification rate: {sweep['certification_rate']:.1%}")
+    shares = ", ".join(f"{o} {share:.1%}" for o, share in sweep["outcome_shares"].items())
+    print(f"outcome shares: {shares}")
     print(f"certified runs exactly optimal: {sweep['all_certified_exact']}")
     print(f"certified runs zero-gap within tolerance: {sweep['all_certified_gap_ok']}")
     if sweep["mean_ratio"] is not None:

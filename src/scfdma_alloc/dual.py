@@ -11,9 +11,13 @@ column of a stacked (option x constraint) matrix,
 ``AssignmentInstance.constraint_matrix``, so the choice and cover duals form
 one vector.  The solver is a block-coordinate ascent that keeps the binarity
 duals positive: each round takes one closed-form step of those separable
-duals, then lands (choice, cover) on the stationary point of the quadratic
-left with the binarity duals held fixed, which is one Gram system of that
-matrix and one linear solve.  A converged run whose recovered indicator
+duals, rho = max(|slack|, offset), then lands (choice, cover) on the
+stationary point of the quadratic left with the binarity duals held fixed,
+which is one Gram system of that matrix and one linear solve.  Since every
+round takes that step, rho is a function of the previous (choice, cover)
+duals, and the dual at that rho is the Lagrangian dual of the assignment's
+LP relaxation (0 <= x <= 1); a solve can therefore certify only where that
+LP has an integral optimum.  A converged run whose recovered indicator
 rounds to an exact cover is certified: the bound is then attained, so that
 cover is the exact optimum.  A run whose rounding is not an exact cover is
 repaired by a polynomial chain program over the agents, ordered by the
@@ -35,8 +39,8 @@ from .baselines import OracleCeilingError, block_table, cover_sweep
 TERMINATIONS = ("converged", "stagnation", "budget", "diverged")
 OUTCOMES = ("certified", "rounded", "repaired", "unallocated")
 NO_COVER = "no exact-cover assignment exists for this instance"
-# The binarity duals' floor (see ``project_rho``), the value of every dual at
-# a cold start, and how close to 0/1 the recovered indicator must round.
+# The binarity duals' floor (see ``project_rho``), the choice and cover duals'
+# cold-start value, and how close to 0/1 the recovered indicator must round.
 PROJECTION_OFFSET = 1e-3
 INIT_VALUE = 1.0
 ROUND_TOL = 0.1
@@ -64,8 +68,9 @@ class SolverConfig:
     """Accuracy and budget of the dual ascent.
 
     ``tol`` bounds the sup-norm of each gradient at convergence;
-    ``max_outer`` caps the rounds, each of which is one binarity step and one
-    joint (choice, cover) landing, so it bounds the whole solve's work.
+    ``max_outer`` caps the rounds, each of which is one binarity step, one
+    joint (choice, cover) landing and one evaluation, so it bounds the whole
+    solve's work.
     """
 
     tol: float = 1e-6
@@ -88,17 +93,33 @@ def _stacked(d: DualPoint) -> np.ndarray:
     return np.concatenate([d.choice_dual, d.cover_dual])
 
 
-def dual_value(a: AssignmentInstance, d: DualPoint) -> float:
-    """Value of the canonical dual function at ``d``.
+def _slack(a: AssignmentInstance, stacked: np.ndarray) -> np.ndarray:
+    """Each option's slack u - A y at the stacked (choice, cover) duals y."""
+    return a.utilities - a.constraint_matrix @ stacked
 
-    -1/4 * sum((u + rho - slack_terms)^2 / rho) minus the sums of the cover
-    and choice duals, with u the option utilities (-weights) and slack_terms
-    each option's price ``constraint_matrix @ (choice, cover)``.
-    """
+
+def _evaluate(
+    a: AssignmentInstance, stacked: np.ndarray, binary: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float, np.ndarray, np.ndarray]:
+    """At stacked (choice, cover) duals y and binarity duals rho: the slack
+    u - A y, the indicator (slack + rho) / (2 rho), the dual value
+    -1/4 * sum((slack + rho)^2 / rho) - sum(y), its gradient A^T indicator - 1
+    in y, and its gradient ((slack / rho)^2 - 1) / 4 in rho, zero where
+    |slack| = rho, which is where the binarity step lands."""
+    slack = _slack(a, stacked)
+    shifted = slack + binary
+    frac = shifted / (2.0 * binary)
+    g_joint = a.constraint_matrix.T @ frac - 1.0
+    ratio = slack / binary
+    g_binary = 0.25 * (ratio * ratio - 1.0)
+    value = -0.25 * float(shifted @ (shifted / binary)) - float(stacked.sum())
+    return slack, frac, value, g_joint, g_binary
+
+
+def dual_value(a: AssignmentInstance, d: DualPoint) -> float:
+    """Value of the canonical dual function at ``d`` (see ``_evaluate``)."""
     _check_binary_dual(d.binary_dual)
-    slack = d.binary_dual - a.weights - a.constraint_matrix @ _stacked(d)
-    quad = -0.25 * float(np.sum(slack * slack / d.binary_dual))
-    return quad - float(np.sum(d.cover_dual)) - float(np.sum(d.choice_dual))
+    return _evaluate(a, _stacked(d), d.binary_dual)[2]
 
 
 def dual_gradient(a: AssignmentInstance, d: DualPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -106,24 +127,17 @@ def dual_gradient(a: AssignmentInstance, d: DualPoint) -> tuple[np.ndarray, np.n
 
     The cover and choice components equal the half-residual sums of the
     recovered fractional indicator; the binary component is
-    ((slack/rho)^2 - 1) / 4.  Its zero set |slack| = |rho| is what the
-    stationarity condition prescribes.
+    ((slack/rho)^2 - 1) / 4.
     """
     _check_binary_dual(d.binary_dual)
-    binary = d.binary_dual
-    slack0 = -a.weights - a.constraint_matrix @ _stacked(d)
-    frac = (slack0 + binary) / (2.0 * binary)
-    g_lin = a.constraint_matrix.T @ frac - 1.0
-    ratio = slack0 / binary
-    g_binary = 0.25 * (ratio * ratio - 1.0)
-    return g_lin[a.n_agents :], g_lin[: a.n_agents], g_binary
+    _, _, _, g_joint, g_binary = _evaluate(a, _stacked(d), d.binary_dual)
+    return g_joint[a.n_agents :], g_joint[: a.n_agents], g_binary
 
 
 def recover_indicator(a: AssignmentInstance, d: DualPoint) -> np.ndarray:
     """Fractional indicator (u + rho - choice - cover_terms) / (2 rho) per option."""
     _check_binary_dual(d.binary_dual)
-    slack = d.binary_dual - a.weights - a.constraint_matrix @ _stacked(d)
-    return slack / (2.0 * d.binary_dual)
+    return _evaluate(a, _stacked(d), d.binary_dual)[1]
 
 
 def xi_value(a: AssignmentInstance, selection: np.ndarray, d: DualPoint) -> float:
@@ -191,14 +205,13 @@ def diagnose_gap(
     ``selection`` is the reported 0/1 option vector (defaults to the branch
     implied by the recovered indicator, which yields all-zero theta).
     """
-    u = -a.weights
     frac = recover_indicator(a, d)
     implied = (frac >= 0.5).astype(np.int8)
     if selection is None:
         selection = implied
     sel = np.asarray(selection).astype(np.int8)
     theta = (implied - sel).astype(np.int8)
-    modified = u - 2.0 * theta * d.binary_dual
+    modified = a.utilities - 2.0 * theta * d.binary_dual
     return GapReport(
         theta=theta,
         modified_utilities=modified,
@@ -219,7 +232,8 @@ class SolveReport:
     converged and its rounding is an exact cover (the exact optimum),
     ``rounded`` for an exact-cover rounding of an ascent that did not
     converge, ``repaired`` when ``repair_selection`` supplied the cover, and
-    ``unallocated`` when there is no allocation.
+    ``unallocated`` when there is no allocation.  ``fractional`` and
+    ``dual_value`` are the ascent's last evaluation at ``dual_point``.
     """
 
     dual_point: DualPoint
@@ -230,9 +244,13 @@ class SolveReport:
     duality_gap: float | None
     outcome: str
     termination: str
-    iterations: tuple[int, int, int]
     outer_iterations: int
     violations: list[str] = field(default_factory=list)
+
+    @property
+    def iterations(self) -> tuple[int, int, int]:
+        """(binarity steps, choice landings, cover landings): one of each per round."""
+        return (self.outer_iterations,) * 3
 
     @property
     def feasible(self) -> bool:
@@ -260,12 +278,6 @@ def sizes_admit_cover(a: AssignmentInstance) -> bool:
     smallest = int(np.minimum.reduceat(a.sizes, starts).sum())
     largest = int(np.maximum.reduceat(a.sizes, starts).sum())
     return smallest <= a.n_resources <= largest
-
-
-def _binary_gradient_norm(slack0: np.ndarray, binary: np.ndarray) -> float:
-    """Sup-norm of the binarity gradient ((slack/rho)^2 - 1) / 4; nan if any term is."""
-    ratio = slack0 / binary
-    return 0.25 * float(np.abs(ratio * ratio - 1.0).max())
 
 
 def _binarize(frac: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -370,29 +382,29 @@ def solve(
 ) -> SolveReport:
     """Run the block-coordinate dual ascent on one assignment instance.
 
-    The binarity duals start positive and every step keeps them so.  Each
-    round (1) takes one closed-form ``project_rho`` step of the separable
-    binarity duals, unless their gradient's sup-norm is within tolerance,
-    (2) lands (choice, cover) on the stationary point of the dual with the
-    binarity duals held fixed, a concave quadratic whose Hessian is the Gram
-    matrix of the stacked constraint matrix (``joint_system``, solved once;
-    least squares when it is singular), and (3) takes one gradient pass for
-    the convergence test.  The binarity count in ``iterations`` is the
-    number of rounds that took a step; the choice and cover counts add 1 per
-    landing.  ``termination`` records the exit: ``converged`` when all three
+    The choice and cover duals start at ``INIT_VALUE`` or at ``start``.
+    Each round (1) sets the binarity duals to ``project_rho`` of the current
+    slack, the closed-form maximiser of their separable sub-problems, which
+    keeps them positive, (2) lands (choice, cover) on the stationary point of
+    the dual with the binarity duals held fixed, a concave quadratic whose
+    Hessian is the Gram matrix of the stacked constraint matrix
+    (``joint_system``, solved once; least squares when it is singular), and
+    (3) evaluates the dual's value, gradients and indicator once.
+    ``termination`` records the exit: ``converged`` when all three
     gradients pass, ``stagnation`` after two consecutive rounds that do not
     raise the dual value above its best (with positive binarity duals every
     block step is a maximisation, so the value never falls in exact
     arithmetic; one round may tie within an ulp just before convergence),
     ``budget`` after ``max_outer`` rounds, and ``diverged`` when an iterate
-    is not finite.  None of them raises.  The indicator is then recovered
-    and rounded, and ``outcome`` records where the allocation came from: an
+    is not finite.  None of them raises.  The last evaluation's indicator is
+    then rounded, and ``outcome`` records where the allocation came from: an
     exact-cover rounding is ``certified`` when the ascent converged and
     ``rounded`` otherwise; any other rounding is replaced by
     ``repair_selection``'s cover (``repaired``) or by none
     (``unallocated``).  A warm ``start`` whose binarity duals are not all
-    positive raises DualDomainError before any work; its choice and cover
-    duals may take either sign.
+    positive raises DualDomainError before any work; otherwise the first
+    round replaces them, so only its choice and cover duals, which may take
+    either sign, shape the ascent.
 
     Nothing is searched before the ascent.  An instance whose footprint
     sizes cannot sum to the band (``sizes_admit_cover``) raises
@@ -403,42 +415,29 @@ def solve(
     node ceiling, or that has a cover the repair missed, is reported without
     an allocation (``unallocated``).
     """
-    u = -a.weights
-    con = a.constraint_matrix
-    n_agents, n_opt = a.n_agents, a.n_options
-
+    n_agents = a.n_agents
     if start is None:
         stacked = np.full(n_agents + a.n_resources, INIT_VALUE)
-        binary = np.full(n_opt, INIT_VALUE)
     else:
         stacked = _stacked(start).astype(float)
-        binary = start.binary_dual.astype(float)
-        if not (binary > 0).all():
+        if not (start.binary_dual > 0).all():
             raise DualDomainError("warm-start binary duals must all be positive")
     if not sizes_admit_cover(a):
         raise InfeasibleInstanceError(NO_COVER)
-    tol = cfg.tol
 
-    it_binary = it_joint = 0
-    outer_used = 0
     termination = "budget"
     best_value = -math.inf
     flat_rounds = 0
-    slack0 = u - con @ stacked
-    g_binary_norm = _binary_gradient_norm(slack0, binary)
+    slack = _slack(a, stacked)
 
     for outer in range(1, cfg.max_outer + 1):
-        outer_used = outer
-        if g_binary_norm > tol:
-            # |slack| maximises each separable 1-D sub-problem on rho > 0,
-            # so one step lands every binarity dual
-            binary = project_rho(slack0, PROJECTION_OFFSET)
-            it_binary += 1
+        # |slack| maximises each separable 1-D sub-problem on rho > 0, so
+        # one step lands every binarity dual
+        binary = project_rho(slack, PROJECTION_OFFSET)
         if not np.isfinite(binary).all():
             termination = "diverged"
             break
         h, rhs = joint_system(a, binary)
-        it_joint += 1
         try:
             stacked = np.linalg.solve(h, rhs)
         except np.linalg.LinAlgError:
@@ -449,19 +448,16 @@ def solve(
             if not np.isfinite(stacked).all():
                 termination = "diverged"
                 break
-        slack0 = u - con @ stacked
-        shifted = slack0 + binary
-        # the choice and cover gradients, stacked like the duals
-        g_joint = con.T @ (shifted / (2.0 * binary)) - 1.0
-        g_binary_norm = _binary_gradient_norm(slack0, binary)
-        if g_binary_norm <= tol and np.abs(g_joint).max() <= tol:
+        slack, frac, dval, g_joint, g_binary = _evaluate(a, stacked, binary)
+        # the landing zeroes the (choice, cover) gradient up to rounding, so
+        # the binarity gradient decides, and is tested first
+        if np.abs(g_binary).max() <= cfg.tol and np.abs(g_joint).max() <= cfg.tol:
             termination = "converged"
             break
         # with rho > 0 each block step maximises the dual, so two rounds
         # in a row that do not raise it can make no further progress
-        value = -0.25 * float(shifted @ (shifted / binary)) - float(stacked.sum())
-        if value > best_value:
-            best_value, flat_rounds = value, 0
+        if dval > best_value:
+            best_value, flat_rounds = dval, 0
         else:
             flat_rounds += 1
             if flat_rounds == 2:
@@ -473,12 +469,10 @@ def solve(
     violations: list[str] = []
     if termination == "diverged":
         violations.append("dual iterates diverged to non-finite values")
-        frac = np.zeros(n_opt)
+        frac = np.zeros(a.n_options)
         dval = float("nan")
         exact_cover = False
     else:
-        frac = recover_indicator(a, d)
-        dval = dual_value(a, d)
         sel, exact_cover = _binarize(frac)
         if not exact_cover:
             violations.append("recovery is not within rounding tolerance of 0/1")
@@ -516,8 +510,7 @@ def solve(
         duality_gap=gap,
         outcome=outcome,
         termination=termination,
-        iterations=(it_binary, it_joint, it_joint),
-        outer_iterations=outer_used,
+        outer_iterations=outer,
         violations=violations,
     )
 

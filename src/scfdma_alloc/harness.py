@@ -99,7 +99,6 @@ class AllocatorRecord:
     error: str = ""
     outcome: str | None = None
     termination: str | None = None
-    iters_binary: int | None = None
     outer_iterations: int | None = None
     runtime_s: float = 0.0
     violations: list[str] = field(default_factory=list)
@@ -130,7 +129,6 @@ def _record_from_report(name: str, rep: SolveReport, sign: float, runtime_s: flo
         feasible=rep.feasible,
         outcome=rep.outcome,
         termination=rep.termination,
-        iters_binary=rep.iterations[0],
         outer_iterations=rep.outer_iterations,
         runtime_s=runtime_s,
     )
@@ -305,7 +303,7 @@ def _fmt(v) -> str:
 
 _DROP_COLUMNS = (
     "problem", "drop", "seed", "allocator", "objective", "feasible", "error",
-    "outcome", "termination", "iters_binary", "outer_iterations",
+    "outcome", "termination", "outer_iterations",
 )
 
 _USER_COLUMNS = (
@@ -321,7 +319,7 @@ def _drop_csv_rows(results: Sequence[DropResult]) -> list[str]:
             row = (
                 res.problem, res.drop_index, res.seed, name, rec.objective, rec.feasible,
                 rec.error.replace(",", ";"), rec.outcome, rec.termination,
-                rec.iters_binary, rec.outer_iterations,
+                rec.outer_iterations,
             )
             lines.append(",".join(_fmt(v) for v in row))
     return lines
@@ -485,7 +483,8 @@ def certification_sweep(
     Each run uses the default ``SolverConfig``.  Certified runs must match
     the oracle optimum exactly and close the duality gap within
     ``CERTIFIED_GAP_TOL``; the value ratio (after repair) and the solve's
-    outcome are recorded.
+    outcome are recorded, and the summary's ``outcome_shares`` gives each
+    of ``OUTCOMES``' share of the runs.
     """
     if per_combo < 1:
         raise ValueError(f"per_combo must be >= 1, got {per_combo}")
@@ -509,7 +508,6 @@ def certification_sweep(
                     "n_users": n_users,
                     "n_subchannels": n_sub,
                     "seed": seed,
-                    "certified": rep.certified,
                     "termination": rep.termination,
                     "outcome": rep.outcome,
                     "exact": exact,
@@ -520,11 +518,11 @@ def certification_sweep(
                 }
             )
     n = len(rows)
-    certified = [r for r in rows if r["certified"]]
+    certified = [r for r in rows if r["outcome"] == "certified"]
     ratios = [r["ratio"] for r in rows if r["ratio"] is not None]
     return {
         "n_runs": n,
-        "certification_rate": len(certified) / n if n else 0.0,
+        "outcome_shares": {o: sum(r["outcome"] == o for r in rows) / max(n, 1) for o in OUTCOMES},
         "all_certified_exact": all(r["exact"] for r in certified) if certified else True,
         "all_certified_gap_ok": all(r["gap_ok"] for r in certified) if certified else True,
         "n_feasible": len(ratios),
@@ -587,9 +585,9 @@ def complexity_table(
 ) -> list[dict]:
     """Iteration-count table over a (K, N) sweep of random sumax instances.
 
-    Operations are counted from the round structure: each binarity step
-    touches every option, and each round's joint landing counts once per
-    agent (choice) and once per sub-channel (cover).  Wall time is
+    Operations are counted from the round structure: each round's binarity
+    step touches every option, and its joint landing counts once per agent
+    (choice) and once per sub-channel (cover).  Wall time is
     informative only.
     """
     if len(seeds) < 1:
@@ -597,16 +595,14 @@ def complexity_table(
     rows = []
     for n_agents in k_values:
         for n_sub in n_values:
-            tot = {"outer": 0.0, "binary": 0.0, "ops": 0.0, "wall_s": 0.0}
+            tot = {"outer": 0.0, "ops": 0.0, "wall_s": 0.0}
             for seed in seeds:
                 inst = sumax_assignment_for_seed(n_agents, n_sub, seed)
                 t0 = time.perf_counter()
                 rep = solve(inst)
                 dt = time.perf_counter() - t0
-                ib, outer = rep.iterations[0], rep.outer_iterations
-                tot["outer"] += outer
-                tot["binary"] += ib
-                tot["ops"] += ib * inst.n_options + outer * (n_agents + n_sub)
+                tot["outer"] += rep.outer_iterations
+                tot["ops"] += rep.outer_iterations * (inst.n_options + n_agents + n_sub)
                 tot["wall_s"] += dt
             m = float(len(seeds))
             rows.append(
@@ -616,7 +612,6 @@ def complexity_table(
                     "n_patterns": inst.patterns.n_patterns,
                     "n_options": inst.n_options,
                     "outer": tot["outer"] / m,
-                    "iters_binary": tot["binary"] / m,
                     "ops": tot["ops"] / m,
                     "ops_per_outer": tot["ops"] / max(tot["outer"], 1.0),
                     "wall_s": tot["wall_s"] / m,
@@ -628,7 +623,7 @@ def complexity_table(
 def write_complexity_csv(path: str, rows: Sequence[dict]) -> None:
     cols = (
         "n_agents", "n_subchannels", "n_patterns", "n_options", "outer",
-        "iters_binary", "ops", "ops_per_outer", "wall_s",
+        "ops", "ops_per_outer", "wall_s",
     )
     lines = [",".join(cols)]
     for row in rows:

@@ -56,7 +56,7 @@ def test_01_certified_runs_match_exhaustive_oracle(oracle_sweep):
     assert sweep["mean_ratio"] >= 0.98
     assert elapsed <= 300.0
     print(
-        f"runs={sweep['n_runs']} certification_rate={sweep['certification_rate']:.3f} "
+        f"runs={sweep['n_runs']} certified_share={sweep['outcome_shares']['certified']:.3f} "
         f"mean_ratio={sweep['mean_ratio']:.6f} min_ratio={sweep['min_ratio']:.6f} "
         f"elapsed={elapsed:.1f}s"
     )
@@ -64,7 +64,7 @@ def test_01_certified_runs_match_exhaustive_oracle(oracle_sweep):
 
 def test_02_certified_runs_close_duality_gap(oracle_sweep):
     sweep, _ = oracle_sweep
-    certified = [r for r in sweep["rows"] if r["certified"]]
+    certified = [r for r in sweep["rows"] if r["outcome"] == "certified"]
     assert certified
     assert all(r["gap_ok"] is True for r in certified)
     assert sweep["all_certified_gap_ok"] is True

@@ -23,3 +23,27 @@ def test_summarise_counts_strict_wins_in_the_better_direction():
         assert out["base"]["median"] == 2.5
         assert out["change"]["median"] == 2.0
         assert out["median_change"] == 2.0 / 2.5 - 1.0
+
+
+def test_summarise_flags_a_median_past_its_bound_and_an_unresolved_spread():
+    spec = {"end_to_end": [{"name": "m", "unit": "u", "better": "higher", "bound": 0.1}]}
+    tight = runs([10.0, 10.0, 10.0, 10.0])  # no spread
+    wide = runs([8.0, 10.0, 10.0, 12.0])  # IQR 1.0 over median 10.0: exactly the bound
+    wider = runs([6.0, 10.0, 10.0, 14.0])  # IQR 2.0 over median 10.0: past the bound
+    cases = (
+        (tight, runs([9.1, 9.1, 9.1, 9.1]), False, False),  # 9% worse: within the bound
+        (tight, runs([8.9, 8.9, 8.9, 8.9]), True, False),  # 11% worse: past it
+        (wide, runs([1.0, 1.0, 1.0, 1.0]), True, False),  # the spread is not past the bound
+        (wider, runs([9.0, 10.0, 10.0, 11.0]), False, True),
+        (wider, runs([15.0, 15.0, 15.0, 15.0]), False, False),  # every change run beats every parent run
+    )
+    for base, change, worse, unresolved in cases:
+        out = bench_pairs.summarise(spec, base, change)["m"]
+        assert (out["worse_than_bound"], out["unresolved"]) == (worse, unresolved)
+        assert out["bound"] == 0.1
+    # for a lower-is-better metric the same runs mirror
+    spec["end_to_end"][0]["better"] = "lower"
+    out = bench_pairs.summarise(spec, tight, runs([11.1, 11.1, 11.1, 11.1]))["m"]
+    assert (out["worse_than_bound"], out["unresolved"]) == (True, False)
+    out = bench_pairs.summarise(spec, wider, runs([5.0, 5.0, 5.0, 5.0]))["m"]
+    assert (out["worse_than_bound"], out["unresolved"]) == (False, False)

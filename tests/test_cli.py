@@ -169,7 +169,7 @@ def test_certify_small(tmp_path, capsys):
     rc = main(["certify", "--instances", "2", "--seed", "2024", "--out", str(tmp_path)])
     out = capsys.readouterr().out
     assert rc == 0
-    assert "certification rate" in out
+    assert "outcome shares: certified " in out
     assert (tmp_path / "certify.json").exists()
     with open(tmp_path / "certify.json", encoding="utf-8") as fh:
         payload = json.load(fh)

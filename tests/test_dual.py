@@ -379,6 +379,26 @@ def test_warm_start_outside_cone_stops_within_budget(monkeypatch):
     assert (rep.dual_point.binary_dual > 0).all()
 
 
+def test_warm_start_binary_duals_are_replaced_by_the_first_step():
+    # every round opens with the binarity step, so a warm start's rho only
+    # has to be positive: rho = project_rho(slack) and rho = 1 run the same ascent
+    a = sumax_assignment_for_seed(3, 5, 900)
+    choice, cover = np.ones(a.n_agents), np.ones(a.n_resources)
+    slack = -a.weights - a.constraint_matrix @ np.concatenate([choice, cover])
+    assert (np.abs(slack) >= 1.0).all()
+    reports = [
+        solve(a, SolverConfig(), start=DualPoint(cover_dual=cover, choice_dual=choice, binary_dual=rho))
+        for rho in (project_rho(slack, dual.PROJECTION_OFFSET), np.ones(a.n_options))
+    ]
+    for rep in reports:
+        assert rep.iterations == (rep.outer_iterations,) * 3
+    first, second = reports
+    for name in ("cover_dual", "choice_dual", "binary_dual"):
+        assert np.array_equal(getattr(first.dual_point, name), getattr(second.dual_point, name))
+    assert np.array_equal(first.fractional, second.fractional)
+    assert (first.outcome, first.outer_iterations) == (second.outcome, second.outer_iterations)
+
+
 def test_certified_runs_match_oracle():
     cfg = SolverConfig()
     n_cert = 0

@@ -135,7 +135,7 @@ def test_both_campaign_reports_one_outcome_per_dual_solve(tmp_path):
         lines = (tmp_path / f"{prob}_drops.csv").read_text().splitlines()
         assert lines[0] == (
             "problem,drop,seed,allocator,objective,feasible,error,"
-            "outcome,termination,iters_binary,outer_iterations"
+            "outcome,termination,outer_iterations"
         )
         records = {(r.drop_index, n): rec for r in out.results if r.problem == prob for n, rec in r.records.items()}
         for line in lines[1:]:
@@ -164,7 +164,10 @@ def test_certification_sweep_tiny():
     assert out["n_feasible"] == 5
     assert out["mean_ratio"] >= 0.9
     row = out["rows"][0]
-    assert {"seed", "certified", "outcome", "ratio", "oracle_value", "achieved_value"} <= set(row)
+    assert {"seed", "outcome", "ratio", "oracle_value", "achieved_value"} <= set(row)
+    assert "certified" not in row
+    assert tuple(out["outcome_shares"]) == OUTCOMES
+    assert out["outcome_shares"]["certified"] == sum(r["outcome"] == "certified" for r in out["rows"]) / 5
 
 
 def test_gradient_check_small():
@@ -187,7 +190,7 @@ def test_complexity_table_and_csv(tmp_path):
     assert row["n_subchannels"] == 4
     assert row["n_patterns"] == 11
     assert row["n_options"] == 22
-    expect_ops = row["iters_binary"] * row["n_options"] + row["outer"] * (row["n_agents"] + row["n_subchannels"])
+    expect_ops = row["outer"] * (row["n_options"] + row["n_agents"] + row["n_subchannels"])
     assert row["ops"] == pytest.approx(expect_ops)
     assert row["ops_per_outer"] == pytest.approx(row["ops"] / row["outer"])
 
@@ -202,8 +205,8 @@ def test_count_iterations_ops_identity():
     rows = complexity_table(k_values=(2,), n_values=(4, 5), seeds=(1, 2))
     assert len(rows) == 2
     for row in rows:
-        # one binarity step per option, one joint landing per choice and cover constraint each round
-        expect = row["iters_binary"] * row["n_options"] + row["outer"] * (row["n_agents"] + row["n_subchannels"])
+        # each round: one binarity step per option, one joint landing per choice and cover constraint
+        expect = row["outer"] * (row["n_options"] + row["n_agents"] + row["n_subchannels"])
         assert row["ops"] == pytest.approx(expect, rel=1e-12)
         assert row["n_patterns"] == row["n_subchannels"] * (row["n_subchannels"] + 1) // 2 + 1
 

@@ -10,14 +10,20 @@ runs first alternates from pair to pair, so drift of the host's speed falls
 on both.  Every run must pass perfbench's correctness gate.  The file written
 at the repository root holds, per end-to-end metric of ``BENCHMARK.json``,
 the per-run values of both sides, their quartiles, the relative change of the
-medians and the number of pairs the change won, together with the commits,
-the command line and the environment record of the first change-side run.
+medians, the number of pairs the change won and two flags from the metric's
+``bound``: ``worse_than_bound`` when the change's median is worse than the
+parent's by more than ``bound`` (relative, in the metric's ``better``
+direction), and ``unresolved`` when the parent's interquartile range exceeds
+``bound`` of its median and not every change run beats every parent run.
+The commits, the command line and the environment record of the first
+change-side run are stored beside them.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -71,13 +77,20 @@ def summarise(spec: dict, base: list[dict], change: list[dict]) -> dict:
         b = [r["metrics"][name]["value"] for r in base]
         c = [r["metrics"][name]["value"] for r in change]
         sign = 1.0 if m["better"] == "higher" else -1.0
+        bound = m.get("bound", math.inf)
+        base_q, change_q = quartiles(b), quartiles(c)
+        spread = base_q["q3"] - base_q["q1"]
         out[name] = {
             "unit": m["unit"],
             "better": m["better"],
-            "base": quartiles(b),
-            "change": quartiles(c),
-            "median_change": statistics.median(c) / statistics.median(b) - 1.0,
+            "bound": bound,
+            "base": base_q,
+            "change": change_q,
+            "median_change": change_q["median"] / base_q["median"] - 1.0,
             "change_wins": sum(sign * (y - x) > 0 for x, y in zip(b, c)),
+            "worse_than_bound": sign * (change_q["median"] - base_q["median"]) < -bound * abs(base_q["median"]),
+            "unresolved": spread > bound * abs(base_q["median"])
+            and not min(sign * y for y in c) > max(sign * x for x in b),
         }
     return out
 
@@ -125,7 +138,8 @@ def main(argv: list[str] | None = None) -> int:
     for name, m in bench["metrics"].items():
         print(f"{name}: base median {m['base']['median']:.4g}, change median "
               f"{m['change']['median']:.4g} ({m['median_change']:+.1%}), "
-              f"change wins {m['change_wins']}/{args.pairs}")
+              f"change wins {m['change_wins']}/{args.pairs}, bound {m['bound']:g}, "
+              f"worse than bound {m['worse_than_bound']}, unresolved {m['unresolved']}")
     print(f"wrote {path}")
     return 0
 
