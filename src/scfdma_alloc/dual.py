@@ -17,9 +17,16 @@ which is one Gram system of that matrix and one linear solve.  Since every
 round takes that step, rho is a function of the previous (choice, cover)
 duals, and the dual at that rho is the Lagrangian dual of the assignment's
 LP relaxation (0 <= x <= 1); a solve can therefore certify only where that
-LP has an integral optimum.  A converged run whose recovered indicator
-rounds to an exact cover is certified: the bound is then attained, so that
-cover is the exact optimum.  A run whose rounding is not an exact cover is
+LP has an integral optimum.  A round is a minorize-maximize step on that
+rho-eliminated dual phi, so it converges only linearly; the rounds are
+therefore grouped into SQUAREM cycles (Varadhan and Roland, 2008): two
+rounds, a squared extrapolation from them that is kept only where phi does
+not fall, and one stabilising round from the extrapolated point.  That
+leaves the round map, hence its fixed points, the convergence test and the
+certificate, as they were, and cuts the rounds to about a third at the
+paper's scale.  A converged run whose recovered indicator rounds to an exact
+cover is certified: the bound is then attained, so that cover is the exact
+optimum.  A run whose rounding is not an exact cover is
 repaired by a polynomial chain program over the agents, ordered by the
 recovered indicator; when the repair finds no cover, the exact oracle's
 forward sweep decides whether any exists.
@@ -44,6 +51,9 @@ NO_COVER = "no exact-cover assignment exists for this instance"
 PROJECTION_OFFSET = 1e-3
 INIT_VALUE = 1.0
 ROUND_TOL = 0.1
+# How many times an extrapolation step is halved towards the plain round's
+# before the cycle falls back to that round (see ``solve``).
+EXTRAPOLATION_BACKTRACKS = 3
 
 
 class DualDomainError(ValueError):
@@ -70,7 +80,8 @@ class SolverConfig:
     ``tol`` bounds the sup-norm of each gradient at convergence;
     ``max_outer`` caps the rounds, each of which is one binarity step, one
     joint (choice, cover) landing and one evaluation, so it bounds the whole
-    solve's work.
+    solve's work (an extrapolation between rounds costs a few products with
+    the constraint matrix, and is not a round).
     """
 
     tol: float = 1e-6
@@ -112,8 +123,12 @@ def _evaluate(
     g_joint = a.constraint_matrix.T @ frac - 1.0
     ratio = slack / binary
     g_binary = 0.25 * (ratio * ratio - 1.0)
-    value = -0.25 * float(shifted @ (shifted / binary)) - float(stacked.sum())
-    return slack, frac, value, g_joint, g_binary
+    return slack, frac, _value(stacked, shifted, binary), g_joint, g_binary
+
+
+def _value(stacked: np.ndarray, shifted: np.ndarray, binary: np.ndarray) -> float:
+    """The dual value from y, slack + rho and rho (see ``_evaluate``)."""
+    return -0.25 * float(shifted @ (shifted / binary)) - float(stacked.sum())
 
 
 def dual_value(a: AssignmentInstance, d: DualPoint) -> float:
@@ -233,7 +248,8 @@ class SolveReport:
     ``rounded`` for an exact-cover rounding of an ascent that did not
     converge, ``repaired`` when ``repair_selection`` supplied the cover, and
     ``unallocated`` when there is no allocation.  ``fractional`` and
-    ``dual_value`` are the ascent's last evaluation at ``dual_point``.
+    ``dual_value`` are the evaluation at the ascent's last landing,
+    ``dual_point``.
     """
 
     dual_point: DualPoint
@@ -292,8 +308,9 @@ def repair_selection(a: AssignmentInstance, frac: np.ndarray) -> np.ndarray | No
 
     Orders the agents left to right by the centre of their blocks, weighted
     by the positive part of ``frac`` (an agent with no such weight sits at
-    the band's centre; ties keep agent order).  Along that chain the lightest
-    exact cover is a segmentation program: the cover of sub-channels 1..n by
+    the band's centre; centres are compared on a 1e-9 grid, so that rounding
+    noise in ``frac`` cannot split a tie, and ties keep agent order).  Along
+    that chain the lightest exact cover is a segmentation program: the cover of sub-channels 1..n by
     the first t agents of the order extends the cover of 1..n' by the first
     t-1 with agent t's lightest option on block n'+1..n, or with its empty
     option when n' = n, both read from ``brute_force``'s block table.  That is
@@ -350,7 +367,8 @@ def repair_selection(a: AssignmentInstance, frac: np.ndarray) -> np.ndarray | No
     total = np.bincount(a.agent_of, weights=mass, minlength=n_agents)
     moment = np.bincount(a.agent_of, weights=mass * (ends - (sizes - 1) / 2.0), minlength=n_agents)
     centre = np.divide(moment, total, out=np.full(n_agents, (n_res + 1) / 2.0), where=total > 0)
-    order = np.argsort(centre, kind="stable").tolist()
+    # on a grid far coarser than rounding noise, centres equal in exact arithmetic tie
+    order = np.argsort(np.round(centre, 9), kind="stable").tolist()
     best, chosen = cover(order)
     while True:
         moves = []
@@ -375,6 +393,37 @@ def repair_selection(a: AssignmentInstance, frac: np.ndarray) -> np.ndarray | No
     return sel
 
 
+def _extrapolate(
+    a: AssignmentInstance, y0: np.ndarray, y1: np.ndarray, y2: np.ndarray, floor: float
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """SQUAREM's squared extrapolation of two rounds y0 -> y1 -> y2.
+
+    With r = y1 - y0, v = y2 - 2 y1 + y0 and alpha = min(-|r|/|v|, -1), the
+    point is y' = y0 - 2 alpha r + alpha^2 v (alpha = -1 gives y2).  It is
+    kept only where phi(y'), the dual at rho = ``project_rho`` of its slack,
+    is at least ``floor``, the y2 landing's value; otherwise alpha moves
+    halfway to -1, up to ``EXTRAPOLATION_BACKTRACKS`` times.  Returns y' and
+    its slack, or None when v = 0, alpha reaches -1 or no step is kept.
+    """
+    r = y1 - y0
+    v = (y2 - y1) - r
+    vv = float(v @ v)
+    if vv == 0.0:
+        return None
+    alpha = min(-math.sqrt(float(r @ r) / vv), -1.0)
+    for _ in range(EXTRAPOLATION_BACKTRACKS):
+        if alpha == -1.0:
+            return None
+        trial = y0 - 2.0 * alpha * r + alpha * alpha * v
+        slack = _slack(a, trial)
+        binary = project_rho(slack, PROJECTION_OFFSET)
+        # a NaN phi fails the test too
+        if _value(trial, slack + binary, binary) >= floor:
+            return trial, slack
+        alpha = 0.5 * (alpha - 1.0)
+    return None
+
+
 def solve(
     a: AssignmentInstance,
     cfg: SolverConfig = SolverConfig(),
@@ -382,24 +431,35 @@ def solve(
 ) -> SolveReport:
     """Run the block-coordinate dual ascent on one assignment instance.
 
-    The choice and cover duals start at ``INIT_VALUE`` or at ``start``.
-    Each round (1) sets the binarity duals to ``project_rho`` of the current
-    slack, the closed-form maximiser of their separable sub-problems, which
-    keeps them positive, (2) lands (choice, cover) on the stationary point of
-    the dual with the binarity duals held fixed, a concave quadratic whose
-    Hessian is the Gram matrix of the stacked constraint matrix
-    (``joint_system``, solved once; least squares when it is singular), and
-    (3) evaluates the dual's value, gradients and indicator once.
-    ``termination`` records the exit: ``converged`` when all three
-    gradients pass, ``stagnation`` after two consecutive rounds that do not
-    raise the dual value above its best (with positive binarity duals every
-    block step is a maximisation, so the value never falls in exact
-    arithmetic; one round may tie within an ulp just before convergence),
-    ``budget`` after ``max_outer`` rounds, and ``diverged`` when an iterate
-    is not finite.  None of them raises.  The last evaluation's indicator is
-    then rounded, and ``outcome`` records where the allocation came from: an
-    exact-cover rounding is ``certified`` when the ascent converged and
-    ``rounded`` otherwise; any other rounding is replaced by
+    The choice and cover duals y start at ``INIT_VALUE`` or at ``start``.
+    One round T (1) sets the binarity duals to ``project_rho`` of the slack
+    at y, the closed-form maximiser of their separable sub-problems, which
+    keeps them positive, (2) lands y on the stationary point of the dual
+    with the binarity duals held fixed, a concave quadratic whose Hessian is
+    the Gram matrix of the stacked constraint matrix (``joint_system``,
+    solved once; least squares when it is singular), and (3) evaluates the
+    dual's value, gradients and indicator once at that landing.  The value
+    at a landing is a lower bound of phi there, where phi(y) is the dual at
+    rho = ``project_rho`` of y's slack, and the next round's value is at
+    least phi, so landing values never fall: T is a monotone
+    minorize-maximize map of phi.
+
+    The rounds run in SQUAREM cycles.  From y0 a cycle lands y1 = T(y0) and
+    y2 = T(y1), extrapolates them to y' (``_extrapolate``), keeping y' only
+    where phi(y') is at least the y2 landing's value, and lands the
+    stabilising round y3 = T(y'), which starts the next cycle; when no y' is
+    kept the next cycle starts from y2.  So landing values still never fall,
+    and the cycles add no fixed point: at a fixed point of T, r = v = 0 and
+    the cycle carries on from it.  ``max_outer`` counts landings, and every
+    landing, whichever step of a cycle it is, is tested as follows.
+    ``termination`` records the exit: ``converged`` when all three gradients
+    pass, ``stagnation`` after two consecutive landings that do not raise
+    the dual value above its best (one may tie within an ulp just before
+    convergence), ``budget`` after ``max_outer`` landings, and ``diverged``
+    when an iterate is not finite.  None of them raises.  The last landing's
+    indicator is then rounded, and ``outcome`` records where the allocation
+    came from: an exact-cover rounding is ``certified`` when the ascent
+    converged and ``rounded`` otherwise; any other rounding is replaced by
     ``repair_selection``'s cover (``repaired``) or by none
     (``unallocated``).  A warm ``start`` whose binarity duals are not all
     positive raises DualDomainError before any work; otherwise the first
@@ -429,8 +489,12 @@ def solve(
     best_value = -math.inf
     flat_rounds = 0
     slack = _slack(a, stacked)
+    # the cycle's iterates so far: y0, then the landings y1 and y2
+    path = [stacked]
+    outer = 0
 
-    for outer in range(1, cfg.max_outer + 1):
+    while outer < cfg.max_outer:
+        outer += 1
         # |slack| maximises each separable 1-D sub-problem on rho > 0, so
         # one step lands every binarity dual
         binary = project_rho(slack, PROJECTION_OFFSET)
@@ -454,8 +518,8 @@ def solve(
         if np.abs(g_binary).max() <= cfg.tol and np.abs(g_joint).max() <= cfg.tol:
             termination = "converged"
             break
-        # with rho > 0 each block step maximises the dual, so two rounds
-        # in a row that do not raise it can make no further progress
+        # no landing lowers the dual (see the docstring), so two in a row
+        # that do not raise it can make no further progress
         if dval > best_value:
             best_value, flat_rounds = dval, 0
         else:
@@ -463,6 +527,15 @@ def solve(
             if flat_rounds == 2:
                 termination = "stagnation"
                 break
+        path.append(stacked)
+        if len(path) == 3 and outer < cfg.max_outer:
+            jump = _extrapolate(a, *path, dval)
+            if jump is None:
+                path = [stacked]  # carry on from y2
+            else:
+                # the stabilising landing from y' starts the next cycle
+                stacked, slack = jump
+                path = []
 
     choice, cover = stacked[:n_agents], stacked[n_agents:]
     d = DualPoint(cover_dual=cover, choice_dual=choice, binary_dual=binary)

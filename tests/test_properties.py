@@ -12,9 +12,11 @@ import math
 from typing import Sequence
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from scfdma_alloc import dual
 from scfdma_alloc.assignment import Allocation, AssignmentInstance, InfeasibleInstanceError, to_assignment
 from scfdma_alloc.baselines import InfeasibleAllocationError, brute_force
 from scfdma_alloc.channel import generate_channel
@@ -287,6 +289,61 @@ def test_certified_solve_equals_brute_force_jamsc(k, n, seed, ties, p_max, stric
     if rep.allocation is not None:
         assert not a.allocation_violations(rep.allocation)
         assert rep.primal_value >= best[0]
+
+
+def solve_with_landing_values(a):
+    """``solve(a)`` and the dual value at each of its landings, in order.
+
+    A landing is one ``joint_system`` call; its value is that of the
+    ``_evaluate`` call that follows it.  Other ``_evaluate`` calls, such as
+    the extrapolation safeguard's, are not landings and are skipped.
+    """
+    values, pending = [], []
+    exact_system, exact_evaluate = dual.joint_system, dual._evaluate
+
+    def system(inst, binary):
+        pending.append(1)
+        return exact_system(inst, binary)
+
+    def evaluate(inst, stacked, binary):
+        out = exact_evaluate(inst, stacked, binary)
+        if pending:
+            pending.clear()
+            values.append(out[2])
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dual, "joint_system", system)
+        mp.setattr(dual, "_evaluate", evaluate)
+        rep = solve(a, SolverConfig())
+    return rep, values
+
+
+def assert_landings_never_lower_the_dual(a, optimum):
+    rep, values = solve_with_landing_values(a)
+    assert len(values) == rep.outer_iterations
+    for prev, cur in itertools.pairwise(values):
+        assert cur >= prev - 1e-12 * abs(prev)
+    if rep.certified:
+        assert rep.primal_value == optimum
+
+
+@solver_properties
+@given(**instance_args)
+@example(k=4, n=3, seed=5, ties=True, zf=True, p_max=[0.1, 1.5, 0.3, 2.0])
+def test_landings_never_lower_the_dual_sumax(k, n, seed, ties, zf, p_max):
+    a = sumax_instance(k, n, seed, ties, zf, p_max)
+    assert_landings_never_lower_the_dual(a, brute_force(a)[1])
+
+
+@jamsc_properties
+@given(**jamsc_args)
+@example(k=3, n=5, seed=17, ties=True, p_max=[0.05, 1.0, 2.0, 0.5], strict_cap=True, radius=2000.0, rate=140e3)
+def test_landings_never_lower_the_dual_jamsc(k, n, seed, ties, p_max, strict_cap, radius, rate):
+    a = jamsc_instance(k, n, seed, ties, p_max, strict_cap, radius, rate)
+    best = None if a is None else oracle_optimum(a)
+    if best is not None:
+        assert_landings_never_lower_the_dual(a, best[0])
 
 
 def jamsc_optimum(gains, sc, targets, table, frame, strict_cap):
