@@ -26,10 +26,10 @@ leaves the round map, hence its fixed points, the convergence test and the
 certificate, as they were, and cuts the rounds to about a third at the
 paper's scale.  A converged run whose recovered indicator rounds to an exact
 cover is certified: the bound is then attained, so that cover is the exact
-optimum.  A run whose rounding is not an exact cover is
-repaired by a polynomial chain program over the agents, ordered by the
-recovered indicator; when the repair finds no cover, the exact oracle's
-forward sweep decides whether any exists.
+optimum.  A run whose rounding is not an exact cover is repaired by a
+polynomial chain program over the agents, ordered by the recovered
+indicator; when the repair finds no cover, the exact oracle's forward sweep
+decides whether any exists.
 """
 
 from __future__ import annotations
@@ -310,16 +310,17 @@ def repair_selection(a: AssignmentInstance, frac: np.ndarray) -> np.ndarray | No
     by the positive part of ``frac`` (an agent with no such weight sits at
     the band's centre; centres are compared on a 1e-9 grid, so that rounding
     noise in ``frac`` cannot split a tie, and ties keep agent order).  Along
-    that chain the lightest exact cover is a segmentation program: the cover of sub-channels 1..n by
-    the first t agents of the order extends the cover of 1..n' by the first
-    t-1 with agent t's lightest option on block n'+1..n, or with its empty
-    option when n' = n, both read from ``brute_force``'s block table.  That is
-    O(K * N^2) per order.  It then relocates one agent at a time (out of the
-    order and back in at another position, which covers adjacent swaps): the
-    prefix and suffix programs of the other agents price every position of
-    each agent at once, and the lightest of all those moves is taken while
-    its cover strictly lowers ``a.value``.  Returns a 0/1 selection, or None
-    when no order reached that way admits an exact cover.
+    that chain the lightest exact cover is a segmentation program: the cover
+    of sub-channels 1..n by the first t agents of the order extends the
+    cover of 1..n' by the first t-1 with agent t's lightest option on block
+    n'+1..n, or with its empty option when n' = n, both read from
+    ``brute_force``'s block table.  That is O(K * N^2) per order.  It then
+    relocates one agent at a time (out of the order and back in at another
+    position, which covers adjacent swaps): the prefix and suffix programs
+    of the other agents price every position of each agent at once, and the
+    lightest of all those moves is taken while its cover strictly lowers
+    ``a.value``.  Returns a 0/1 selection, or None when no order reached
+    that way admits an exact cover.
     """
     ends, block, empty = block_table(a)
     n_agents, n_res, sizes = a.n_agents, a.n_resources, a.sizes

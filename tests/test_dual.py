@@ -359,7 +359,8 @@ def test_repair_order_ignores_rounding_noise_in_the_indicator():
     # equal-cost blocks
     sc = ScenarioConfig(rayleigh_fading=False, equalizer="zf", p_max_w=(0.3, 1.0, 2.0, 0.6))
     fixed = ModulationTable().restricted("16QAM")
-    a = to_assignment(build_jamsc(generate_channel(sc, 50), sc, np.full(4, 140e3), fixed, FrameConfig()))
+    model = build_jamsc(generate_channel(sc, 50), sc, np.full(4, 140e3), fixed, FrameConfig())
+    a = to_assignment(model)
     rep = solve(a)
     assert rep.outcome == "repaired"
     assert rep.primal_value == -3.7789510477987873
