@@ -109,14 +109,8 @@ class AssignmentInstance:
         for k, o in enumerate(allocation.option_index):
             if not (self.agent_slices[k][0] <= o < self.agent_slices[k][1]):
                 out.append(f"agent {k} chose option {o} outside its range")
-        if out:
-            return out
-        cover = np.zeros(self.n_resources, dtype=np.int64)
-        for o in allocation.option_index:
-            cover += self.footprint_matrix[:, o].astype(np.int64)
-        for n in np.nonzero(cover != 1)[0]:
-            out.append(f"sub-channel {n + 1} covered {int(cover[n])} times")
-        return out
+        # in range, every agent has exactly one option, so only the cover can fail
+        return out or self.selection_violations(self.selection_vector(allocation))
 
     def selection_violations(self, selection: np.ndarray) -> list[str]:
         """Violations of a 0/1 option vector: one per agent, exact cover."""

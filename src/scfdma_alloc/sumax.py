@@ -118,11 +118,6 @@ class SumaxInstance:
     def n_users(self) -> int:
         return self.utilities.shape[0]
 
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for row in self.utilities:
-                fh.write(",".join(repr(float(v)) for v in row) + "\n")
-
 
 def build_sumax(
     gains: ChannelGains,

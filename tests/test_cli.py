@@ -148,6 +148,20 @@ def test_unusable_config_rejected_before_first_drop(tmp_path, config, match):
     assert not (tmp_path / "out").exists()
 
 
+def test_jamsc_campaign_with_overflowing_costs_is_refused(tmp_path):
+    # exp(p_max_w - power) overflows at 800 W; the campaign used to warn and
+    # then die in the repair with an argmin of an empty sequence
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"scenario": {"p_max_w": 800.0}}))
+    argv = [
+        "jamsc", "--drops", "3", "--seed", "5", "--config", str(path), "--out", str(tmp_path / "out"),
+        "--allocators", "dual_am,oracle_am,dual_fixed,round_robin",
+    ]
+    with pytest.raises(ValueError, match="p_max_w up to 800 W overflows the jamsc costs"):
+        main(argv)
+    assert not (tmp_path / "out" / "summary.json").exists()
+
+
 def test_negative_base_seed_rejected(tmp_path):
     with pytest.raises(ValueError, match="base_seed must be >= 0, got -5"):
         main(["sumax", "--drops", "1", "--seed", "-5", "--out", str(tmp_path)])

@@ -363,7 +363,7 @@ def test_repair_order_ignores_rounding_noise_in_the_indicator():
     a = to_assignment(model)
     rep = solve(a)
     assert rep.outcome == "repaired"
-    assert rep.primal_value == -3.7789510477987873
+    assert rep.primal_value == -3.7789510477987855
     repaired = dual.repair_selection(a, rep.fractional)
     rng = np.random.default_rng(8)
     for _ in range(20):

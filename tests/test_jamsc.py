@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from scfdma_alloc import jamsc
 from scfdma_alloc.channel import ScenarioConfig, effective_snr_mmse, generate_channel
 from scfdma_alloc.jamsc import (
     FrameConfig,
+    PowerSolveError,
     _solve_powers_vec,
     build_jamsc,
     cost,
@@ -91,7 +93,7 @@ def test_power_solver_monotone_in_threshold():
 
 
 def fixed_bisection(gains_padded, sizes, thresholds):
-    """The power bisection run for all 120 iterations, with no early stop."""
+    """Reference powers: a doubling bracket, then 120 bisection steps."""
     sizes = np.asarray(sizes, dtype=float)
     target = sizes * thresholds / (1.0 + thresholds)
 
@@ -111,7 +113,7 @@ def fixed_bisection(gains_padded, sizes, thresholds):
     return 0.5 * (lo + hi)
 
 
-def test_power_bisection_early_stop_is_bit_identical():
+def test_newton_powers_match_bisection_and_batch_equals_rows():
     rng = np.random.default_rng(11)
     rows = 300
     sizes = rng.integers(1, 9, rows)
@@ -122,10 +124,23 @@ def test_power_bisection_early_stop_is_bit_identical():
     thresholds = 10.0 ** rng.uniform(-2, 2, rows)
     want = fixed_bisection(gains, sizes, thresholds)
     assert want.min() < 1e-9 and want.max() > 1e9
-    assert _solve_powers_vec(gains, sizes, thresholds).tobytes() == want.tobytes()
-    for t in range(0, rows, 37):  # one row at a time settles at its own iteration
+    got = _solve_powers_vec(gains, sizes, thresholds)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+    for t in range(0, rows, 37):  # rows are independent: a one-row call gives the same bits
         one = _solve_powers_vec(gains[t : t + 1], sizes[t : t + 1], thresholds[t : t + 1])
-        assert one.tobytes() == want[t : t + 1].tobytes()
+        assert one.tobytes() == got[t : t + 1].tobytes()
+
+
+def test_power_solver_raises_at_the_step_cap(monkeypatch):
+    monkeypatch.setattr(jamsc, "MAX_NEWTON_STEPS", 2)
+    with pytest.raises(PowerSolveError, match="did not settle in 2 Newton steps"):
+        solve_pattern_power([0.5, 2.0, 8.0], 3.0)
+
+
+def test_power_solver_raises_on_a_non_finite_power():
+    gains = np.array([[1.0, 3.0], [0.0, 0.0]])
+    with pytest.raises(PowerSolveError, match="not finite"):
+        _solve_powers_vec(gains, np.array([2, 2]), np.array([1.0, 1.0]))
 
 
 def test_power_solver_rejects_bad_inputs():
@@ -204,6 +219,19 @@ def test_build_jamsc_strict_cap_blocks_over_budget():
         col = plain.patterns.columns[j]
         for m in range(int(plain.modulation[k, j]) + 1, table.n_modulations):
             assert solve_pattern_power(ch.gains[k, [n - 1 for n in col]], table.thresholds[m]) > p_max[k]
+
+
+# p_max_w = 800 overflows single costs; at 709 every cost is finite but the
+# per-user maxima add up past the float64 range
+@pytest.mark.parametrize("p_max_w", [800.0, 709.0])
+def test_build_jamsc_refuses_costs_that_overflow(p_max_w):
+    cfg, ch, table, frame = _small_setup(seed=5, n_users=4, n_sub=8)
+    base = build_jamsc(ch, cfg, np.full(4, 140e3), table, frame)
+    big = ScenarioConfig(n_users=4, n_subchannels=8, p_max_w=p_max_w)
+    with pytest.raises(ValueError, match="p_max_w up to .* W overflows the jamsc costs"):
+        build_jamsc(ch, big, np.full(4, 140e3), table, frame)
+    if p_max_w < 710.0:
+        assert np.isfinite(np.exp(p_max_w - np.nanmin(base.powers)))
 
 
 def test_build_jamsc_flags_users_without_any_option():
