@@ -118,13 +118,13 @@ def _solve_powers_vec(gains_padded: np.ndarray, sizes: np.ndarray, thresholds: n
             den = sizes + pg
             lhs = np.sum(pg / den, axis=1)
             slope = np.sum(gains_padded * sizes / (den * den), axis=1)
-            step = p + (target - lhs) / slope
-            if not np.isfinite(step).all():
+            p_next = p + (target - lhs) / slope
+            if not np.isfinite(p_next).all():
                 raise PowerSolveError("target-SNR power is not finite")
-            moves = step > p
+            moves = p_next > p
             if not moves.any():
                 return p
-            p = np.where(moves, step, p)
+            p = np.where(moves, p_next, p)
     raise PowerSolveError(f"target-SNR power did not settle in {MAX_NEWTON_STEPS} Newton steps")
 
 
@@ -197,7 +197,9 @@ def build_jamsc(
     are masked out; every higher modulation on that pattern needs still more
     power, so masking the whole (user, pattern) is exact.  By default they
     stay allowed and simply price in as very costly.  Users left with no option at all are
-    listed in ``infeasible_users`` rather than raising here.
+    listed in ``infeasible_users`` rather than raising here.  A ``p_max_w`` so
+    large that the costs, or their per-user maxima summed, overflow float64
+    raises ValueError.
     """
     g = gains.gains
     k_users, n_sub = g.shape
