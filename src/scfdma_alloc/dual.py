@@ -24,8 +24,11 @@ rounds, a squared extrapolation from them that is kept only where phi does
 not fall, and one stabilising round from the extrapolated point.  That
 leaves the round map, hence its fixed points, the convergence test and the
 certificate, as they were, and cuts the rounds to about a third at the
-paper's scale.  A converged run whose recovered indicator rounds to an exact
-cover is certified: the bound is then attained, so that cover is the exact
+paper's scale.  A cold start takes its first binarity step at a uniform rho
+of the utilities' mean magnitude, which starts the ascent in the
+utilities' own units and cuts the paper-scale sumax rounds by a further two
+fifths.  A converged run whose recovered indicator rounds to an exact cover
+is certified: the bound is then attained, so that cover is the exact
 optimum.  A run whose rounding is not an exact cover is repaired by a
 polynomial chain program over the agents, ordered by the recovered
 indicator; when the repair finds no cover, the exact oracle's forward sweep
@@ -46,10 +49,9 @@ from .baselines import OracleCeilingError, block_table, cover_sweep
 TERMINATIONS = ("converged", "stagnation", "budget", "diverged")
 OUTCOMES = ("certified", "rounded", "repaired", "unallocated")
 NO_COVER = "no exact-cover assignment exists for this instance"
-# The binarity duals' floor (see ``project_rho``), the choice and cover duals'
-# cold-start value, and how close to 0/1 the recovered indicator must round.
+# The binarity duals' floor (see ``project_rho``) and how close to 0/1 the
+# recovered indicator must round.
 PROJECTION_OFFSET = 1e-3
-INIT_VALUE = 1.0
 ROUND_TOL = 0.1
 # How many times an extrapolation step is halved towards the plain round's
 # before the cycle falls back to that round (see ``solve``).
@@ -122,8 +124,13 @@ def _evaluate(
     frac = shifted / (2.0 * binary)
     g_joint = a.constraint_matrix.T @ frac - 1.0
     ratio = slack / binary
-    g_binary = 0.25 * (ratio * ratio - 1.0)
-    return slack, frac, _value(stacked, shifted, binary), g_joint, g_binary
+    # a slack far beyond its rho squares past float64: the binarity gradient
+    # then reads inf, which fails the convergence test, and the value -inf,
+    # which raises no best value
+    with np.errstate(over="ignore"):
+        g_binary = 0.25 * (ratio * ratio - 1.0)
+        value = _value(stacked, shifted, binary)
+    return slack, frac, value, g_joint, g_binary
 
 
 def _value(stacked: np.ndarray, shifted: np.ndarray, binary: np.ndarray) -> float:
@@ -400,18 +407,20 @@ def _extrapolate(
     """SQUAREM's squared extrapolation of two rounds y0 -> y1 -> y2.
 
     With r = y1 - y0, v = y2 - 2 y1 + y0 and alpha = min(-|r|/|v|, -1), the
-    point is y' = y0 - 2 alpha r + alpha^2 v (alpha = -1 gives y2).  It is
-    kept only where phi(y'), the dual at rho = ``project_rho`` of its slack,
-    is at least ``floor``, the y2 landing's value; otherwise alpha moves
-    halfway to -1, up to ``EXTRAPOLATION_BACKTRACKS`` times.  Returns y' and
-    its slack, or None when v = 0, alpha reaches -1 or no step is kept.
+    point is y' = y0 - 2 alpha r + alpha^2 v (alpha = -1 gives y2).  The
+    norms are taken without squaring the differences, which overflow float64
+    long before the duals do.  y' is kept only where phi(y'), the dual at
+    rho = ``project_rho`` of its slack, is at least ``floor``, the y2
+    landing's value; otherwise alpha moves halfway to -1, up to
+    ``EXTRAPOLATION_BACKTRACKS`` times.  Returns y' and its slack, or None
+    when v = 0, alpha reaches -1 or no step is kept.
     """
     r = y1 - y0
     v = (y2 - y1) - r
-    vv = float(v @ v)
-    if vv == 0.0:
+    norm_v = math.hypot(*v.tolist())
+    if norm_v == 0.0:
         return None
-    alpha = min(-math.sqrt(float(r @ r) / vv), -1.0)
+    alpha = min(-math.hypot(*r.tolist()) / norm_v, -1.0)
     for _ in range(EXTRAPOLATION_BACKTRACKS):
         if alpha == -1.0:
             return None
@@ -432,7 +441,6 @@ def solve(
 ) -> SolveReport:
     """Run the block-coordinate dual ascent on one assignment instance.
 
-    The choice and cover duals y start at ``INIT_VALUE`` or at ``start``.
     One round T (1) sets the binarity duals to ``project_rho`` of the slack
     at y, the closed-form maximiser of their separable sub-problems, which
     keeps them positive, (2) lands y on the stationary point of the dual
@@ -445,13 +453,21 @@ def solve(
     least phi, so landing values never fall: T is a monotone
     minorize-maximize map of phi.
 
+    A warm ``start`` supplies the first y.  A cold start has no y before its
+    first landing: its first round takes rho = ``project_rho`` of mean |u|
+    on every option, the uniform binarity dual whose landing is the
+    least-squares fit of the utilities by the constraint columns, and lands
+    y from there.  The value of that landing is at most phi of it, so
+    landing values never fall from the first one on.
+
     The rounds run in SQUAREM cycles.  From y0 a cycle lands y1 = T(y0) and
     y2 = T(y1), extrapolates them to y' (``_extrapolate``), keeping y' only
     where phi(y') is at least the y2 landing's value, and lands the
     stabilising round y3 = T(y'), which starts the next cycle; when no y' is
     kept the next cycle starts from y2.  So landing values still never fall,
     and the cycles add no fixed point: at a fixed point of T, r = v = 0 and
-    the cycle carries on from it.  ``max_outer`` counts landings, and every
+    the cycle carries on from it.  A cold start's first cycle starts from its
+    first landing.  ``max_outer`` counts landings, and every
     landing, whichever step of a cycle it is, is tested as follows.
     ``termination`` records the exit: ``converged`` when all three gradients
     pass, ``stagnation`` after two consecutive landings that do not raise
@@ -477,21 +493,26 @@ def solve(
     an allocation (``unallocated``).
     """
     n_agents = a.n_agents
+    # ``path`` holds the cycle's iterates so far: y0, then the landings y1 and y2
     if start is None:
-        stacked = np.full(n_agents + a.n_resources, INIT_VALUE)
+        # no y before the first landing: the report's duals only if the
+        # first binarity step is already not finite
+        stacked = np.full(n_agents + a.n_resources, math.nan)
+        # a uniform slack of mean |u|, so the first step lands rho there
+        slack = np.full(a.n_options, float(np.abs(a.utilities).mean()))
+        path = []
     else:
         stacked = _stacked(start).astype(float)
         if not (start.binary_dual > 0).all():
             raise DualDomainError("warm-start binary duals must all be positive")
+        slack = _slack(a, stacked)
+        path = [stacked]
     if not sizes_admit_cover(a):
         raise InfeasibleInstanceError(NO_COVER)
 
     termination = "budget"
     best_value = -math.inf
     flat_rounds = 0
-    slack = _slack(a, stacked)
-    # the cycle's iterates so far: y0, then the landings y1 and y2
-    path = [stacked]
     outer = 0
 
     while outer < cfg.max_outer:

@@ -47,3 +47,24 @@ def test_summarise_flags_a_median_past_its_bound_and_an_unresolved_spread():
     assert (out["worse_than_bound"], out["unresolved"]) == (True, False)
     out = bench_pairs.summarise(spec, wider, runs([5.0, 5.0, 5.0, 5.0]))["m"]
     assert (out["worse_than_bound"], out["unresolved"]) == (False, False)
+
+
+def attempts(pairs):
+    return [{"attempted": n, "failed": f} for n, f in pairs]
+
+
+def test_failures_record_each_run_and_flag_a_larger_failed_share():
+    base = attempts([(100, 0), (200, 2), (50, 0)])  # shares 0, 0.01, 0
+    out = bench_pairs.failures(base, attempts([(120, 0), (80, 0), (90, 0)]))
+    assert out["base"] == {
+        "attempted": [100, 200, 50],
+        "failed": [0, 2, 0],
+        "failed_share": {"median": 0.0, "max": 0.01},
+    }
+    assert out["change"]["failed_share"] == {"median": 0.0, "max": 0.0}
+    assert not out["change_fails_more"]
+    # a larger largest share flags the change, and so does a larger median
+    assert bench_pairs.failures(base, attempts([(100, 0), (100, 2), (100, 0)]))["change_fails_more"]
+    assert bench_pairs.failures(base, attempts([(100, 1), (100, 1), (100, 0)]))["change_fails_more"]
+    # equal shares do not
+    assert not bench_pairs.failures(base, attempts([(10, 0), (100, 1), (10, 0)]))["change_fails_more"]

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,13 @@ from scfdma_alloc.dual import (
     solve,
     xi_value,
 )
-from scfdma_alloc.harness import CampaignConfig, desk_scenario, run_drop, sumax_assignment_for_seed
+from scfdma_alloc.harness import (
+    CampaignConfig,
+    desk_scenario,
+    run_campaign,
+    run_drop,
+    sumax_assignment_for_seed,
+)
 from scfdma_alloc.jamsc import FrameConfig, build_jamsc
 from scfdma_alloc.sumax import ModulationTable, build_sumax
 
@@ -64,14 +71,21 @@ def no_cover_instance() -> AssignmentInstance:
     )
 
 
+def unit_start(a: AssignmentInstance) -> DualPoint:
+    """A warm start with every dual at 1."""
+    return DualPoint(
+        cover_dual=np.ones(a.n_resources), choice_dual=np.ones(a.n_agents), binary_dual=np.ones(a.n_options)
+    )
+
+
 @pytest.fixture
 def landings(monkeypatch):
-    """One entry per ``joint_system`` call, i.e. per landing of the ascent."""
+    """The binarity duals of each ``joint_system`` call, i.e. of each landing of the ascent."""
     calls = []
     exact_system = dual.joint_system
 
     def counted_system(inst, binary):
-        calls.append(1)
+        calls.append(binary.copy())
         return exact_system(inst, binary)
 
     monkeypatch.setattr(dual, "joint_system", counted_system)
@@ -389,6 +403,12 @@ def test_termination_names_each_exit(monkeypatch):
         h, rhs = exact_system(inst, binary)
         return h, np.full_like(rhs, np.nan)
 
+    # a non-finite utility diverges at the first binarity step, cold or warm
+    weights = a.weights.copy()
+    weights[3] = math.inf
+    for start in (None, unit_start(a)):
+        rep = solve(a.with_weights(weights), SolverConfig(), start=start)
+        assert (rep.termination, rep.outer_iterations) == ("diverged", 1)
     monkeypatch.setattr(dual, "joint_system", nan_system)
     rep = solve(a, SolverConfig())
     assert rep.termination == "diverged"
@@ -442,6 +462,67 @@ def test_warm_start_binary_duals_are_replaced_by_the_first_step():
         assert np.array_equal(getattr(first.dual_point, name), getattr(second.dual_point, name))
     assert np.array_equal(first.fractional, second.fractional)
     assert (first.outcome, first.outer_iterations) == (second.outcome, second.outer_iterations)
+
+
+def test_cold_start_lands_first_at_a_uniform_rho_sized_to_the_utilities(landings):
+    a = sumax_assignment_for_seed(3, 5, 900)
+    for scale in (1.0, 1e-5):  # the second puts mean |u| below the floor
+        inst = a.with_weights(scale * a.weights)
+        landings.clear()
+        solve(inst, SolverConfig())
+        rho = max(np.abs(inst.utilities).mean(), dual.PROJECTION_OFFSET)
+        assert np.array_equal(landings[0], np.full(a.n_options, rho))
+    assert rho == dual.PROJECTION_OFFSET
+    # a warm start's first landing still takes the binarity step from its slack
+    landings.clear()
+    solve(a, SolverConfig(), start=unit_start(a))
+    slack = a.utilities - a.constraint_matrix @ np.ones(a.n_agents + a.n_resources)
+    assert np.array_equal(landings[0], project_rho(slack, dual.PROJECTION_OFFSET))
+
+
+def test_zero_utilities_start_on_the_floor_and_return_an_exact_cover(landings):
+    a = sumax_assignment_for_seed(3, 5, 900)
+    a = a.with_weights(np.zeros(a.n_options))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = solve(a, SolverConfig())
+    assert np.array_equal(landings[0], np.full(a.n_options, dual.PROJECTION_OFFSET))
+    assert rep.allocation is not None
+    assert not a.allocation_violations(rep.allocation)
+    assert rep.primal_value == 0.0
+
+
+def test_cold_start_takes_at_most_three_quarters_of_the_unit_start_landings():
+    # a start at y = 1 is the cold start the uniform rho replaced
+    sc = ScenarioConfig(n_users=4, n_subchannels=8)
+    cold = unit = 0
+    for seed in range(30):
+        a = to_assignment(build_sumax(generate_channel(sc, seed), sc))
+        rep, ref = solve(a), solve(a, start=unit_start(a))
+        cold += rep.outer_iterations
+        unit += ref.outer_iterations
+        assert rep.certified == ref.certified, seed
+        if rep.certified:
+            assert rep.allocation == ref.allocation, seed
+    assert cold <= 0.75 * unit
+
+
+@pytest.mark.parametrize("p_max_w", [400.0, 700.0])
+def test_high_power_budgets_raise_no_overflow_warning(p_max_w):
+    # costs near -exp(p_max_w) put the ascent's differences and slacks where
+    # their squares overflow float64
+    cfg = CampaignConfig(
+        problem="jamsc",
+        n_drops=20,
+        base_seed=5,
+        scenario=ScenarioConfig(p_max_w=p_max_w),
+        allocators_jamsc=("dual_am", "oracle_am", "dual_fixed", "round_robin"),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = run_campaign(cfg)
+    assert out.ok
+    assert out.summary["per_allocator"]["jamsc"]["dual_am"]["outcome_shares"]["certified"] > 0
 
 
 def test_certified_runs_match_oracle():

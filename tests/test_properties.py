@@ -21,13 +21,10 @@ from scfdma_alloc.assignment import Allocation, AssignmentInstance, InfeasibleIn
 from scfdma_alloc.baselines import InfeasibleAllocationError, brute_force
 from scfdma_alloc.channel import generate_channel
 from scfdma_alloc.dual import (
-    INIT_VALUE,
     OUTCOMES,
     ROUND_TOL,
-    DualPoint,
     SolverConfig,
     dual_gradient,
-    dual_value,
     repair_selection,
     sizes_admit_cover,
     solve,
@@ -122,12 +119,9 @@ def test_converged_iff_gradient_within_tolerance(k, n, seed, ties, zf, p_max):
 @example(k=4, n=3, seed=5, ties=True, zf=True, p_max=[0.1, 1.5, 0.3, 2.0])
 def test_ascent_never_ends_below_cold_start(k, n, seed, ties, zf, p_max):
     a = sumax_instance(k, n, seed, ties, zf, p_max)
-    cold = DualPoint(
-        cover_dual=np.full(a.n_resources, INIT_VALUE),
-        choice_dual=np.full(a.n_agents, INIT_VALUE),
-        binary_dual=np.full(a.n_options, INIT_VALUE),
-    )
-    assert solve(a, SolverConfig()).dual_value >= dual_value(a, cold)
+    # a cold start has no dual point before its first landing
+    rep, values = solve_with_landing_values(a)
+    assert rep.dual_value >= values[0]
 
 
 def footprint_masks(a):

@@ -15,8 +15,11 @@ medians, the number of pairs the change won and two flags from the metric's
 parent's by more than ``bound`` (relative, in the metric's ``better``
 direction), and ``unresolved`` when the parent's interquartile range exceeds
 ``bound`` of its median and not every change run beats every parent run.
-The commits, the command line and the environment record of the first
-change-side run are stored beside them.
+Beside them it stores each side's drops attempted and failed per run, the
+median and largest share of failed drops over its runs, and the flag
+``change_fails_more`` when either of the change's shares exceeds the
+parent's.  The commits, the command line and the environment record of the
+first change-side run are stored too.
 """
 
 from __future__ import annotations
@@ -95,6 +98,21 @@ def summarise(spec: dict, base: list[dict], change: list[dict]) -> dict:
     return out
 
 
+def failures(base: list[dict], change: list[dict]) -> dict:
+    """Drops attempted and failed per run of each side, and their failed shares."""
+    out: dict = {}
+    for side, recs in (("base", base), ("change", change)):
+        shares = [r["failed"] / r["attempted"] for r in recs]
+        out[side] = {
+            "attempted": [r["attempted"] for r in recs],
+            "failed": [r["failed"] for r in recs],
+            "failed_share": {"median": statistics.median(shares), "max": max(shares)},
+        }
+    b, c = out["base"]["failed_share"], out["change"]["failed_share"]
+    out["change_fails_more"] = c["median"] > b["median"] or c["max"] > b["max"]
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--workload", required=True)
@@ -132,6 +150,7 @@ def main(argv: list[str] | None = None) -> int:
         "environment": runs["change"][0]["environment"],
         "digests": {side: [r["digest"] for r in recs] for side, recs in runs.items()},
         "metrics": summarise(spec, runs["base"], runs["change"]),
+        "failures": failures(runs["base"], runs["change"]),
     }
     path = ROOT / f"BENCH_{args.workload}.json"
     path.write_text(json.dumps(bench, indent=2) + "\n")
@@ -140,6 +159,11 @@ def main(argv: list[str] | None = None) -> int:
               f"{m['change']['median']:.4g} ({m['median_change']:+.1%}), "
               f"change wins {m['change_wins']}/{args.pairs}, bound {m['bound']:g}, "
               f"worse than bound {m['worse_than_bound']}, unresolved {m['unresolved']}")
+    f = bench["failures"]
+    print("failed share: " + ", ".join(
+        f"{side} median {f[side]['failed_share']['median']:.4g} max {f[side]['failed_share']['max']:.4g}"
+        for side in runs
+    ) + f", change fails more {f['change_fails_more']}")
     print(f"wrote {path}")
     return 0
 
