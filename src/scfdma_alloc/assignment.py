@@ -8,8 +8,8 @@ results can be mapped back.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -30,41 +30,45 @@ class Allocation:
     option_index: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class AssignmentInstance:
-    """Flattened option table of a minimisation assignment problem.
+# Layouts ``to_assignment`` keeps, one per (pattern set, option mask): a
+# campaign has one or two masks, unless a strict power cap masks per drop.
+LAYOUT_CACHE_SIZE = 8
+# The largest per-option outer-product table (entries) a layout builds; past
+# it the Gram matrix's dense product beats the table's (see ``gram_table``).
+GRAM_TABLE_ENTRIES = 1 << 16
 
-    Options are grouped by agent (``agent_slices``); ``footprint_matrix`` is
-    the (n_resources, n_options) 0/1 cover matrix.  ``provenance`` holds the
-    (user, pattern) tag of every option.
+
+def _read_only(array) -> np.ndarray:
+    """A view of ``array`` that raises ValueError on an in-place write."""
+    view = np.asarray(array).view()
+    view.flags.writeable = False
+    return view
+
+
+@dataclass(frozen=True, eq=False)
+class OptionLayout:
+    """The structure of an option table, shared by every drop with that structure.
+
+    It holds what does not depend on the weights: each option's agent,
+    footprint and (user, pattern) tag, and the arrays the dual and the
+    oracle derive from them, each built on first use.  Every array is
+    read-only, since one layout serves many instances.
     """
 
-    kind: str
     n_agents: int
     n_resources: int
-    weights: np.ndarray
     agent_of: np.ndarray
     agent_slices: tuple[tuple[int, int], ...]
     footprint_matrix: np.ndarray
     provenance: tuple[tuple[int, int], ...]
-    patterns: PatternSet
 
-    @property
-    def n_options(self) -> int:
-        return len(self.weights)
-
-    def agent_options(self, agent: int) -> range:
-        lo, hi = self.agent_slices[agent]
-        return range(lo, hi)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "agent_of", _read_only(self.agent_of))
+        object.__setattr__(self, "footprint_matrix", _read_only(self.footprint_matrix))
 
     @cached_property
     def sizes(self) -> np.ndarray:
-        return self.footprint_matrix.sum(axis=0).astype(np.int64)
-
-    @cached_property
-    def utilities(self) -> np.ndarray:
-        """Each option's utility u = -weights, from which the dual subtracts its price."""
-        return -self.weights
+        return _read_only(self.footprint_matrix.sum(axis=0).astype(np.int64))
 
     @cached_property
     def constraint_matrix(self) -> np.ndarray:
@@ -76,17 +80,107 @@ class AssignmentInstance:
         and ``constraint_matrix @ y`` prices every option at stacked
         (choice, cover) duals ``y``.
         """
-        one_hot = np.zeros((self.n_options, self.n_agents))
-        one_hot[np.arange(self.n_options), self.agent_of] = 1.0
-        return np.hstack([one_hot, self.footprint_matrix.T])
+        n_options = len(self.agent_of)
+        one_hot = np.zeros((n_options, self.n_agents))
+        one_hot[np.arange(n_options), self.agent_of] = 1.0
+        return _read_only(np.hstack([one_hot, self.footprint_matrix.T]))
 
     @cached_property
-    def _option_by_tag(self) -> dict[tuple[int, int], int]:
+    def half_colsum_minus_one(self) -> np.ndarray:
+        """1/2 * colsum(A) - 1, the weight-free part of the landing's right-hand side."""
+        return _read_only(0.5 * self.constraint_matrix.sum(axis=0) - 1.0)
+
+    @cached_property
+    def gram_table(self) -> np.ndarray | None:
+        """(n_options, m^2): row o is the flattened outer product a_o a_o^T of A's row o.
+
+        ``d @ gram_table`` is then the flattened Gram matrix A^T diag(d) A in
+        one product.  That beats the dense A^T (A * d) only while the table
+        is small, as at the paper's scale: past ``GRAM_TABLE_ENTRIES`` it is
+        None, and the Gram matrix takes the dense product.
+        """
+        con = self.constraint_matrix
+        n_options, m = con.shape
+        if n_options * m * m > GRAM_TABLE_ENTRIES:
+            return None
+        return _read_only((con[:, :, None] * con[:, None, :]).reshape(n_options, m * m))
+
+    @cached_property
+    def ends(self) -> np.ndarray:
+        """Each option's last sub-channel, 0 for the empty footprint."""
+        last = self.n_resources - self.footprint_matrix[::-1].argmax(axis=0)
+        return _read_only(np.where(self.sizes > 0, last, 0))
+
+    @cached_property
+    def contiguous(self) -> bool:
+        """Whether every footprint is one block of consecutive sub-channels."""
+        first = self.footprint_matrix.argmax(axis=0)
+        return not ((self.sizes > 0) & (self.ends - first != self.sizes)).any()
+
+    @cached_property
+    def option_by_tag(self) -> dict[tuple[int, int], int]:
         return {tag: o for o, tag in enumerate(self.provenance)}
+
+
+@dataclass(frozen=True)
+class AssignmentInstance:
+    """Flattened option table of a minimisation assignment problem.
+
+    Options are grouped by agent (``agent_slices``); ``footprint_matrix`` is
+    the (n_resources, n_options) 0/1 cover matrix.  ``provenance`` holds the
+    (user, pattern) tag of every option.  ``layout`` holds the structure
+    apart from the weights: ``to_assignment`` and ``with_weights`` share
+    one, and an instance built by hand builds its own from its fields.
+    """
+
+    kind: str
+    n_agents: int
+    n_resources: int
+    weights: np.ndarray
+    agent_of: np.ndarray
+    agent_slices: tuple[tuple[int, int], ...]
+    footprint_matrix: np.ndarray
+    provenance: tuple[tuple[int, int], ...]
+    patterns: PatternSet
+    layout: OptionLayout | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.layout is None:
+            layout = OptionLayout(
+                n_agents=self.n_agents,
+                n_resources=self.n_resources,
+                agent_of=self.agent_of,
+                agent_slices=self.agent_slices,
+                footprint_matrix=self.footprint_matrix,
+                provenance=self.provenance,
+            )
+            object.__setattr__(self, "layout", layout)
+
+    @property
+    def n_options(self) -> int:
+        return len(self.weights)
+
+    def agent_options(self, agent: int) -> range:
+        lo, hi = self.agent_slices[agent]
+        return range(lo, hi)
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return self.layout.sizes
+
+    @cached_property
+    def utilities(self) -> np.ndarray:
+        """Each option's utility u = -weights, from which the dual subtracts its price."""
+        return -self.weights
+
+    @property
+    def constraint_matrix(self) -> np.ndarray:
+        """The layout's stacked (choice, cover) matrix; see ``OptionLayout``."""
+        return self.layout.constraint_matrix
 
     def option_for(self, tag: tuple[int, int]) -> int:
         try:
-            return self._option_by_tag[tag]
+            return self.layout.option_by_tag[tag]
         except KeyError:
             raise KeyError(f"no option with tag {tag} (masked or out of range)") from None
 
@@ -138,7 +232,7 @@ class AssignmentInstance:
     def with_weights(self, weights: np.ndarray) -> "AssignmentInstance":
         if weights.shape != self.weights.shape:
             raise ValueError("replacement weights must keep the option count")
-        return replace(self, weights=np.asarray(weights, dtype=float))
+        return replace(self, weights=np.asarray(weights, dtype=float))  # shares the layout
 
 
 def to_assignment(instance: SumaxInstance | JamscInstance) -> AssignmentInstance:
@@ -147,8 +241,10 @@ def to_assignment(instance: SumaxInstance | JamscInstance) -> AssignmentInstance
     Both models are (K, J) tables: options are the allowed (user, pattern)
     entries in user-then-pattern order, each tagged (k, j).  sumax allows
     every pattern, the empty one included, at weight -utility; jamsc allows
-    its unmasked entries at weight cost.  Raises InfeasibleInstanceError
-    naming the users that have no option.
+    its unmasked entries at weight cost.  Instances with the same pattern
+    set and mask share one ``OptionLayout``, of which the last
+    ``LAYOUT_CACHE_SIZE`` are kept.  Raises InfeasibleInstanceError naming
+    the users that have no option.
     """
     if isinstance(instance, SumaxInstance):
         kind, weights = "sumax", -instance.utilities
@@ -157,23 +253,38 @@ def to_assignment(instance: SumaxInstance | JamscInstance) -> AssignmentInstance
         kind, weights, allowed = "jamsc", instance.costs, instance.allowed
     else:
         raise TypeError(f"cannot convert {type(instance).__name__} to an assignment instance")
+    layout = _layout(instance.patterns, instance.n_users, allowed.tobytes())
+    return AssignmentInstance(
+        kind=kind,
+        n_agents=layout.n_agents,
+        n_resources=layout.n_resources,
+        weights=weights[allowed],
+        agent_of=layout.agent_of,
+        agent_slices=layout.agent_slices,
+        footprint_matrix=layout.footprint_matrix,
+        provenance=layout.provenance,
+        patterns=instance.patterns,
+        layout=layout,
+    )
+
+
+@lru_cache(maxsize=LAYOUT_CACHE_SIZE)
+def _layout(patterns: PatternSet, n_users: int, mask: bytes) -> OptionLayout:
+    """The layout of the (user, pattern) entries that ``mask``, a (K, J) bool array's bytes, allows."""
+    allowed = np.frombuffer(mask, dtype=bool).reshape(n_users, patterns.n_patterns)
     counts = allowed.sum(axis=1)
     if not counts.all():
         raise InfeasibleInstanceError(
             "users without any allowed option: "
             + ", ".join(str(k) for k in np.nonzero(counts == 0)[0].tolist())
         )
-    patterns = instance.patterns
     k_idx, j_idx = np.nonzero(allowed)
     stops = np.cumsum(counts).tolist()
-    return AssignmentInstance(
-        kind=kind,
-        n_agents=instance.n_users,
+    return OptionLayout(
+        n_agents=n_users,
         n_resources=patterns.n_subchannels,
-        weights=weights[k_idx, j_idx],
         agent_of=k_idx.astype(np.int64),
         agent_slices=tuple(zip([0] + stops[:-1], stops)),
         footprint_matrix=patterns.matrix[:, j_idx].astype(np.float64),
         provenance=tuple(zip(k_idx.tolist(), j_idx.tolist())),
-        patterns=patterns,
     )

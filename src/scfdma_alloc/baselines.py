@@ -29,13 +29,14 @@ def block_table(a: AssignmentInstance) -> tuple[np.ndarray, np.ndarray, np.ndarr
     ``ends[o]`` is option o's last sub-channel (0 for the empty footprint),
     ``block[n, k, s - 1]`` agent k's lightest option of size s ending at n and
     ``empty[k]`` its lightest empty option; both are infinite where the agent
-    has no such option.  Raises ValueError for a footprint that is not one
-    contiguous block.
+    has no such option; ``ends`` and the contiguity of every footprint come
+    from the instance's layout.  Raises ValueError for a footprint that is
+    not one contiguous block.
     """
-    n_res, sizes = a.n_resources, a.sizes
-    ends = np.where(sizes > 0, n_res - a.footprint_matrix[::-1].argmax(axis=0), 0)
-    if ((sizes > 0) & (ends - a.footprint_matrix.argmax(axis=0) != sizes)).any():
+    layout = a.layout
+    if not layout.contiguous:
         raise ValueError("the subset program needs every footprint to be one contiguous block")
+    n_res, sizes, ends = a.n_resources, layout.sizes, layout.ends
     nz = np.flatnonzero(sizes)
     block = np.full((n_res + 1, a.n_agents, n_res), math.inf)
     np.minimum.at(block, (ends[nz], a.agent_of[nz], sizes[nz] - 1), a.weights[nz])

@@ -108,21 +108,20 @@ def _stacked(d: DualPoint) -> np.ndarray:
 
 def _slack(a: AssignmentInstance, stacked: np.ndarray) -> np.ndarray:
     """Each option's slack u - A y at the stacked (choice, cover) duals y."""
-    return a.utilities - a.constraint_matrix @ stacked
+    return a.utilities - a.layout.constraint_matrix @ stacked
 
 
 def _evaluate(
     a: AssignmentInstance, stacked: np.ndarray, binary: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
     """At stacked (choice, cover) duals y and binarity duals rho: the slack
-    u - A y, the indicator (slack + rho) / (2 rho), the dual value
-    -1/4 * sum((slack + rho)^2 / rho) - sum(y), its gradient A^T indicator - 1
-    in y, and its gradient ((slack / rho)^2 - 1) / 4 in rho, zero where
-    |slack| = rho, which is where the binarity step lands."""
+    u - A y, slack + rho, the dual value -1/4 * sum((slack + rho)^2 / rho)
+    - sum(y), and its gradient ((slack / rho)^2 - 1) / 4 in rho, zero where
+    |slack| = rho, which is where the binarity step lands.  The indicator
+    and the gradient in y follow from slack + rho (``_indicator``,
+    ``_joint_gradient``)."""
     slack = _slack(a, stacked)
     shifted = slack + binary
-    frac = shifted / (2.0 * binary)
-    g_joint = a.constraint_matrix.T @ frac - 1.0
     ratio = slack / binary
     # a slack far beyond its rho squares past float64: the binarity gradient
     # then reads inf, which fails the convergence test, and the value -inf,
@@ -130,7 +129,17 @@ def _evaluate(
     with np.errstate(over="ignore"):
         g_binary = 0.25 * (ratio * ratio - 1.0)
         value = _value(stacked, shifted, binary)
-    return slack, frac, value, g_joint, g_binary
+    return slack, shifted, value, g_binary
+
+
+def _indicator(shifted: np.ndarray, binary: np.ndarray) -> np.ndarray:
+    """The recovered indicator (slack + rho) / (2 rho) from slack + rho and rho."""
+    return shifted / (2.0 * binary)
+
+
+def _joint_gradient(a: AssignmentInstance, frac: np.ndarray) -> np.ndarray:
+    """The dual's gradient A^T x - 1 in the stacked duals y, at indicator x."""
+    return a.layout.constraint_matrix.T @ frac - 1.0
 
 
 def _value(stacked: np.ndarray, shifted: np.ndarray, binary: np.ndarray) -> float:
@@ -152,14 +161,15 @@ def dual_gradient(a: AssignmentInstance, d: DualPoint) -> tuple[np.ndarray, np.n
     ((slack/rho)^2 - 1) / 4.
     """
     _check_binary_dual(d.binary_dual)
-    _, _, _, g_joint, g_binary = _evaluate(a, _stacked(d), d.binary_dual)
+    _, shifted, _, g_binary = _evaluate(a, _stacked(d), d.binary_dual)
+    g_joint = _joint_gradient(a, _indicator(shifted, d.binary_dual))
     return g_joint[a.n_agents :], g_joint[: a.n_agents], g_binary
 
 
 def recover_indicator(a: AssignmentInstance, d: DualPoint) -> np.ndarray:
     """Fractional indicator (u + rho - choice - cover_terms) / (2 rho) per option."""
     _check_binary_dual(d.binary_dual)
-    return _evaluate(a, _stacked(d), d.binary_dual)[1]
+    return _indicator(_evaluate(a, _stacked(d), d.binary_dual)[1], d.binary_dual)
 
 
 def xi_value(a: AssignmentInstance, selection: np.ndarray, d: DualPoint) -> float:
@@ -180,11 +190,21 @@ def joint_system(a: AssignmentInstance, binary: np.ndarray) -> tuple[np.ndarray,
     the stacked duals y = (choice, cover).  With A the constraint matrix and
     W = diag(1 / (2 rho)), its stationary point solves the Gram system
     (A^T W A) y = A^T W (u + rho) - 1; returns that matrix and right-hand side.
+    Both come from the instance's layout: the matrix is one product of W's
+    diagonal with the table of per-option outer products (the dense
+    A^T (W A) where the layout keeps no table), and since u = -w the
+    right-hand side is 1/2 * colsum(A) - 1 - A^T W w.
     """
-    con = a.constraint_matrix
+    layout = a.layout
+    con = layout.constraint_matrix
     inv2b = 0.5 / binary
-    h = con.T @ (con * inv2b[:, None])
-    rhs = con.T @ ((binary - a.weights) * inv2b) - 1.0
+    table = layout.gram_table
+    if table is None:
+        h = con.T @ (con * inv2b[:, None])
+    else:
+        m = con.shape[1]
+        h = (inv2b @ table).reshape(m, m)
+    rhs = layout.half_colsum_minus_one - (a.weights * inv2b) @ con
     return h, rhs
 
 
@@ -447,7 +467,9 @@ def solve(
     with the binarity duals held fixed, a concave quadratic whose Hessian is
     the Gram matrix of the stacked constraint matrix (``joint_system``,
     solved once; least squares when it is singular), and (3) evaluates the
-    dual's value, gradients and indicator once at that landing.  The value
+    dual's value and binarity gradient once at that landing; the indicator
+    and the (choice, cover) gradient are formed only when the binarity
+    gradient passes the convergence test, and once at the exit.  The value
     at a landing is a lower bound of phi there, where phi(y) is the dual at
     rho = ``project_rho`` of y's slack, and the next round's value is at
     least phi, so landing values never fall: T is a monotone
@@ -534,12 +556,14 @@ def solve(
             if not np.isfinite(stacked).all():
                 termination = "diverged"
                 break
-        slack, frac, dval, g_joint, g_binary = _evaluate(a, stacked, binary)
+        slack, shifted, dval, g_binary = _evaluate(a, stacked, binary)
         # the landing zeroes the (choice, cover) gradient up to rounding, so
-        # the binarity gradient decides, and is tested first
-        if np.abs(g_binary).max() <= cfg.tol and np.abs(g_joint).max() <= cfg.tol:
-            termination = "converged"
-            break
+        # the binarity gradient decides, and only once it passes are the
+        # indicator and the (choice, cover) gradient formed
+        if np.abs(g_binary).max() <= cfg.tol:
+            if np.abs(_joint_gradient(a, _indicator(shifted, binary))).max() <= cfg.tol:
+                termination = "converged"
+                break
         # no landing lowers the dual (see the docstring), so two in a row
         # that do not raise it can make no further progress
         if dval > best_value:
@@ -568,6 +592,7 @@ def solve(
         dval = float("nan")
         exact_cover = False
     else:
+        frac = _indicator(shifted, binary)
         sel, exact_cover = _binarize(frac)
         if not exact_cover:
             violations.append("recovery is not within rounding tolerance of 0/1")

@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from scfdma_alloc.assignment import (
+    LAYOUT_CACHE_SIZE,
     Allocation,
+    AssignmentInstance,
     InfeasibleInstanceError,
+    _layout,
     to_assignment,
 )
 from scfdma_alloc.channel import ScenarioConfig, generate_channel
+from scfdma_alloc.harness import CampaignConfig, run_drop
 from scfdma_alloc.jamsc import FrameConfig, build_jamsc
 from scfdma_alloc.sumax import ModulationTable, build_sumax, sum_utility
 
@@ -149,3 +153,60 @@ def test_with_weights_rejects_shape_change():
     a = to_assignment(_sumax_instance())
     with pytest.raises(ValueError):
         a.with_weights(np.zeros(a.n_options + 1))
+
+
+def _layout_arrays(layout):
+    return {
+        name: getattr(layout, name)
+        for name in (
+            "agent_of", "footprint_matrix", "sizes", "constraint_matrix",
+            "half_colsum_minus_one", "gram_table", "ends",
+        )
+    }
+
+
+def test_drops_with_one_mask_share_one_read_only_layout():
+    a, b = (to_assignment(_sumax_instance(seed, n_users=3, n_sub=5)) for seed in (1, 2))
+    assert not np.array_equal(a.weights, b.weights)
+    assert b.layout is a.layout
+    for name, array in _layout_arrays(a.layout).items():
+        assert getattr(b.layout, name) is array, name
+        with pytest.raises(ValueError, match="read-only"):
+            array.flat[0] = 1
+    assert a.footprint_matrix is a.layout.footprint_matrix
+    assert a.constraint_matrix is b.constraint_matrix
+    c = a.with_weights(np.arange(a.n_options, dtype=float))
+    assert c.layout is a.layout
+    # another mask has its own layout
+    cfg = ScenarioConfig(n_users=3, n_subchannels=5)
+    jamsc = build_jamsc(generate_channel(cfg, 1), cfg, np.full(3, 140e3), ModulationTable(), FrameConfig())
+    assert not jamsc.allowed.all()
+    assert to_assignment(jamsc).layout is not a.layout
+
+
+def test_hand_built_instance_builds_the_same_layout():
+    a = to_assignment(_sumax_instance(3))
+    hand = AssignmentInstance(
+        kind=a.kind, n_agents=a.n_agents, n_resources=a.n_resources, weights=a.weights.copy(),
+        agent_of=a.agent_of.copy(), agent_slices=a.agent_slices,
+        footprint_matrix=a.footprint_matrix.copy(), provenance=a.provenance, patterns=None,
+    )
+    assert hand.layout is not a.layout
+    for name, array in _layout_arrays(hand.layout).items():
+        assert np.array_equal(array, getattr(a.layout, name)), name
+        assert not array.flags.writeable
+    assert hand.agent_of.flags.writeable  # the caller's own arrays stay writeable
+    assert hand.option_for((1, 2)) == a.option_for((1, 2))
+
+
+def test_masks_varying_by_drop_never_outgrow_the_layout_cache():
+    # a strict power cap at a 2 km radius masks options drop by drop
+    cfg = CampaignConfig(
+        scenario=ScenarioConfig(n_users=4, n_subchannels=8, cell_radius_m=2000.0),
+        problem="jamsc", strict_cap=True, allocators_jamsc=("round_robin",),
+    )
+    misses = _layout.cache_info().misses
+    for i in range(2 * LAYOUT_CACHE_SIZE):
+        run_drop(cfg, 500 + i, i)
+        assert _layout.cache_info().currsize <= LAYOUT_CACHE_SIZE
+    assert _layout.cache_info().misses - misses > LAYOUT_CACHE_SIZE

@@ -7,6 +7,7 @@ from scfdma_alloc.assignment import AssignmentInstance, to_assignment
 from scfdma_alloc.baselines import (
     InfeasibleAllocationError,
     OracleCeilingError,
+    block_table,
     brute_force,
     greedy,
     round_robin,
@@ -146,3 +147,24 @@ def test_round_robin_guards():
         round_robin(0, 4)
     with pytest.raises(ValueError):
         round_robin(3, 0)
+
+
+def test_block_table_reads_the_layout_and_refuses_a_split_footprint():
+    a = sumax_assignment_for_seed(3, 5, 7)
+    ends, _, _ = block_table(a)
+    assert ends is a.layout.ends
+    assert block_table(a)[0] is ends  # a second call rebuilds nothing
+    split = AssignmentInstance(
+        kind="sumax",
+        n_agents=1,
+        n_resources=3,
+        weights=np.array([-1.0]),
+        agent_of=np.zeros(1, dtype=np.int64),
+        agent_slices=((0, 1),),
+        footprint_matrix=np.array([[1.0], [0.0], [1.0]]),
+        provenance=((0, 0),),
+        patterns=None,
+    )
+    for oracle in (block_table, brute_force):
+        with pytest.raises(ValueError, match="one contiguous block"):
+            oracle(split)

@@ -1,0 +1,34 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SPEC = importlib.util.spec_from_file_location(
+    "drop_ab", Path(__file__).resolve().parent.parent / "tools" / "drop_ab.py"
+)
+drop_ab = importlib.util.module_from_spec(SPEC)
+SPEC.loader.exec_module(drop_ab)
+
+
+def test_summarise_gives_per_drop_times_and_ratios_of_totals():
+    times = {
+        "base": {"run_drop": [0.004, 0.006, 0.005], "solve": [0.002, 0.004, 0.003], "oracle": [0.0] * 3},
+        "change": {"run_drop": [0.003, 0.006, 0.006], "solve": [0.001, 0.002, 0.003], "oracle": [0.0] * 3},
+    }
+    out = drop_ab.summarise(times)
+    assert list(out) == ["run_drop", "solve", "oracle"]
+    assert out["run_drop"]["base_ms"] == pytest.approx(5.0)
+    assert out["run_drop"]["change_ms"] == pytest.approx(5.0)
+    assert out["run_drop"]["ratio"] == pytest.approx(1.0)
+    assert out["run_drop"]["change_faster"] == 1  # the tie counts for neither side
+    assert out["solve"]["ratio"] == pytest.approx(6.0 / 9.0)
+    assert "change_faster" not in out["solve"]
+    assert out["oracle"] == {"base_ms": 0.0, "change_ms": 0.0, "ratio": None}  # a layer never entered
+
+
+def test_every_layer_wraps_an_attribute_of_the_package():
+    import scfdma_alloc
+
+    for attrs in drop_ab.LAYERS.values():
+        for module, attr in attrs:
+            assert callable(getattr(getattr(scfdma_alloc, module), attr))

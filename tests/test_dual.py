@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from scfdma_alloc import dual
+from scfdma_alloc import dual, harness
 from scfdma_alloc.assignment import AssignmentInstance, InfeasibleInstanceError, to_assignment
 from scfdma_alloc.baselines import OracleCeilingError, brute_force
 from scfdma_alloc.channel import ScenarioConfig, generate_channel
@@ -310,7 +310,9 @@ def test_joint_system_is_gram_of_constraint_matrix():
         to_assignment(build_sumax(generate_channel(ZF, 5), ZF)),
         sumax_assignment_for_seed(5, 3, 8),  # more users than sub-channels
         jamsc_assignment(7),  # masked (user, pattern) table
+        sumax_assignment_for_seed(6, 12, 3),  # past the outer-product table's size
     ]
+    assert {a.layout.gram_table is None for a in instances} == {False, True}
     for a in instances:
         one_hot = np.zeros((a.n_agents, a.n_options))
         one_hot[a.agent_of, np.arange(a.n_options)] = 1.0
@@ -332,6 +334,35 @@ def test_joint_system_is_gram_of_constraint_matrix():
             h, rhs = dual.joint_system(a, binary)
             assert np.abs(h - h_blocks).max() <= 1e-12 * np.abs(h_blocks).max()
             assert np.abs(rhs - rhs_blocks).max() <= 1e-12 * np.abs(rhs_blocks).max()
+
+
+def test_report_holds_the_indicator_and_value_of_its_dual_point(monkeypatch):
+    # a solve forms the indicator only at its exit; it must be the evaluation
+    # at the reported dual point, bit for bit, whichever exit was taken
+    solves = []
+
+    def recording(a, cfg=SolverConfig(), start=None):
+        rep = solve(a, cfg, start)
+        solves.append((a, rep))
+        return rep
+
+    monkeypatch.setattr(harness, "solve", recording)
+    cfg = CampaignConfig()  # the paper's K = 4, N = 8
+    for problem in ("sumax", "jamsc"):
+        for i in range(60):
+            run_drop(cfg, 42 + i, i, problem)
+    for a, cfg in (
+        (hand_instance(), SolverConfig()),
+        (size_bound_instance(2, 2), SolverConfig()),
+        (sumax_assignment_for_seed(2, 4, 5001), SolverConfig()),
+        (sumax_assignment_for_seed(3, 6, 21), SolverConfig(max_outer=3)),
+    ):
+        recording(a, cfg)
+        recording(a, cfg, unit_start(a))
+    assert {rep.termination for _, rep in solves} == {"converged", "stagnation", "budget"}
+    for a, rep in solves:
+        assert np.array_equal(rep.fractional, recover_indicator(a, rep.dual_point))
+        assert rep.dual_value == dual_value(a, rep.dual_point)
 
 
 @pytest.mark.parametrize("problem, seed", [("sumax", 208), ("jamsc", 239)])

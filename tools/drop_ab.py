@@ -1,0 +1,169 @@
+"""In-process A/B of two commits' ``harness.run_drop``, in total and per layer.
+
+    python3 tools/drop_ab.py --base <rev> --change HEAD --workload jamsc-paper --drops 300
+
+Exports each commit with ``git archive`` (``tools/bench_pairs.py``'s
+``export``) and imports each one's package under its own name into this one
+process.  Drop i, seed ``seed * 10**6 + i`` as perfbench numbers them, runs
+on both sides, and the side that runs first alternates from drop to drop, so
+the host's speed drift falls on both sides alike.  Back-to-back processes of
+the same code can differ by tens of percent on a small shared host, which
+hides a layer's change of a few percent; paired drops in one process do not.
+One untimed drop per side fills the caches first.
+
+Each layer is timed by wrapping the module attribute the drop path looks up,
+as perfbench's trace does: channel (``generate_channel``), model
+(``build_sumax`` and ``build_jamsc``), to_assignment, solve (including its
+repair), oracle (``brute_force``) and repair (``dual.repair_selection``).
+Prints, for ``run_drop`` and each layer, both sides' ms per drop and the
+change/base ratio of their totals, and for ``run_drop`` the drops on which
+the change was faster.
+"""
+
+from __future__ import annotations
+
+import os
+
+# One BLAS thread, set before numpy loads, as perfbench runs.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import importlib.util  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
+SEED_STRIDE = 1_000_000  # perfbench's numbering: --seed n draws seeds n * SEED_STRIDE + i
+SIDES = ("base", "change")
+# layer -> (module of the package, attribute the drop path looks up)
+LAYERS = {
+    "channel": (("harness", "generate_channel"),),
+    "model": (("harness", "build_sumax"), ("harness", "build_jamsc")),
+    "to_assignment": (("harness", "to_assignment"),),
+    "solve": (("harness", "solve"),),
+    "oracle": (("harness", "brute_force"),),
+    "repair": (("dual", "repair_selection"),),
+}
+
+
+def load_package(src: Path, name: str):
+    """Import the ``scfdma_alloc`` package under ``src`` as module ``name``."""
+    pkg_dir = src / "scfdma_alloc"
+    spec = importlib.util.spec_from_file_location(
+        name, pkg_dir / "__init__.py", submodule_search_locations=[str(pkg_dir)]
+    )
+    pkg = importlib.util.module_from_spec(spec)
+    sys.modules[name] = pkg
+    spec.loader.exec_module(pkg)
+    return pkg
+
+
+def time_layers(pkg, totals: dict[str, list[float]]) -> None:
+    """Wrap each layer's functions in ``pkg`` so every call adds its seconds to
+    the last entry of ``totals[layer]``."""
+    for layer, attrs in LAYERS.items():
+        for module, attr in attrs:
+            mod = getattr(pkg, module)
+            inner = getattr(mod, attr)
+
+            def timed(*args, _inner=inner, _layer=layer, **kwargs):
+                t0 = time.perf_counter()
+                try:
+                    return _inner(*args, **kwargs)
+                finally:
+                    totals[_layer][-1] += time.perf_counter() - t0
+
+            setattr(mod, attr, timed)
+
+
+def campaign(pkg, workload):
+    """The workload's campaign configuration, built from ``pkg``'s own classes."""
+    key = "allocators_sumax" if workload.problem == "sumax" else "allocators_jamsc"
+    return pkg.harness.CampaignConfig(
+        scenario=pkg.channel.ScenarioConfig(
+            n_users=workload.n_users, n_subchannels=workload.n_subchannels
+        ),
+        problem=workload.problem,
+        **{key: workload.allocators},
+    )
+
+
+def summarise(times: dict[str, dict[str, list[float]]]) -> dict[str, dict]:
+    """Per layer: each side's ms per drop and the change/base ratio of the totals.
+
+    ``times[side][layer]`` holds one entry of seconds per drop, the drops in
+    the same order on both sides; ``run_drop`` also counts the drops on which
+    the change was strictly faster.  A layer that neither side entered has
+    ratio None.
+    """
+    out = {}
+    for layer in times["base"]:
+        base, change = times["base"][layer], times["change"][layer]
+        entry = {
+            "base_ms": 1e3 * sum(base) / len(base),
+            "change_ms": 1e3 * sum(change) / len(change),
+            "ratio": sum(change) / sum(base) if sum(base) > 0 else None,
+        }
+        if layer == "run_drop":
+            entry["change_faster"] = sum(c < b for b, c in zip(base, change))
+        out[layer] = entry
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--base", required=True, help="git revision of the parent side")
+    ap.add_argument("--change", default="HEAD", help="git revision of the change side")
+    ap.add_argument("--workload", required=True, help="a perfbench workload name")
+    ap.add_argument("--drops", type=int, default=300)
+    ap.add_argument("--seed", type=int, default=101, help="drop i uses seed seed * 10**6 + i")
+    args = ap.parse_args(argv)
+    if args.drops < 1:
+        ap.error("--drops must be at least 1")
+
+    sys.path[:0] = [str(HERE), str(ROOT / "perfbench"), str(ROOT / "src")]
+    from bench_pairs import export
+    from workloads import WORKLOADS
+
+    if args.workload not in WORKLOADS:
+        ap.error(f"unknown workload {args.workload!r}; one of {', '.join(WORKLOADS)}")
+    workload = WORKLOADS[args.workload]
+    times = {side: {layer: [] for layer in ("run_drop", *LAYERS)} for side in SIDES}
+    with tempfile.TemporaryDirectory() as tmp:
+        commits = {side: export(getattr(args, side), Path(tmp) / side) for side in SIDES}
+        sides = {}
+        for side in SIDES:
+            pkg = load_package(Path(tmp) / side / "src", f"drop_ab_{side}")
+            cfg = campaign(pkg, workload)
+            # one untimed drop fills the caches
+            pkg.harness.run_drop(cfg, args.seed * SEED_STRIDE - 1, -1, workload.problem)
+            time_layers(pkg, times[side])
+            sides[side] = pkg.harness.run_drop, cfg
+        for i in range(args.drops):
+            seed = args.seed * SEED_STRIDE + i
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                run_drop, cfg = sides[side]
+                for entries in times[side].values():
+                    entries.append(0.0)
+                t0 = time.perf_counter()
+                run_drop(cfg, seed, i, workload.problem)
+                times[side]["run_drop"][-1] = time.perf_counter() - t0
+
+    print(f"{args.workload}: {args.drops} drops from seed {args.seed * SEED_STRIDE}, "
+          f"base {commits['base'][:12]}, change {commits['change'][:12]}")
+    for layer, m in summarise(times).items():
+        ratio = "n/a" if m["ratio"] is None else f"{m['ratio']:.3f}"
+        line = (f"{layer:>14}: base {m['base_ms']:8.3f} ms/drop, "
+                f"change {m['change_ms']:8.3f} ms/drop, ratio {ratio}")
+        if "change_faster" in m:
+            line += f", change faster on {m['change_faster']}/{args.drops} drops"
+        print(line)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
