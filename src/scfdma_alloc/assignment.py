@@ -31,7 +31,8 @@ class Allocation:
 
 
 # Layouts ``to_assignment`` keeps, one per (pattern set, option mask): a
-# campaign has one or two masks, unless a strict power cap masks per drop.
+# campaign has at most three masks (sumax's, jamsc's joint and fixed-
+# modulation tables), unless a strict power cap masks drop by drop.
 LAYOUT_CACHE_SIZE = 8
 # The largest per-option outer-product table (entries) a layout builds; past
 # it the Gram matrix's dense product beats the table's (see ``gram_table``).
@@ -242,8 +243,8 @@ def to_assignment(instance: SumaxInstance | JamscInstance) -> AssignmentInstance
     entries in user-then-pattern order, each tagged (k, j).  sumax allows
     every pattern, the empty one included, at weight -utility; jamsc allows
     its unmasked entries at weight cost.  Instances with the same pattern
-    set and mask share one ``OptionLayout``, of which the last
-    ``LAYOUT_CACHE_SIZE`` are kept.  Raises InfeasibleInstanceError naming
+    set and mask share one ``OptionLayout``, of which the
+    ``LAYOUT_CACHE_SIZE`` most recently used are kept.  Raises InfeasibleInstanceError naming
     the users that have no option.
     """
     if isinstance(instance, SumaxInstance):
