@@ -34,9 +34,6 @@ class Allocation:
 # campaign has at most three masks (sumax's, jamsc's joint and fixed-
 # modulation tables), unless a strict power cap masks drop by drop.
 LAYOUT_CACHE_SIZE = 8
-# The largest per-option outer-product table (entries) a layout builds; past
-# it the Gram matrix's dense product beats the table's (see ``gram_table``).
-GRAM_TABLE_ENTRIES = 1 << 16
 
 
 def _read_only(array) -> np.ndarray:
@@ -79,32 +76,19 @@ class OptionLayout:
         constraint: ``constraint_matrix.T @ x`` stacks the per-agent choice
         counts and the per-sub-channel cover counts of an indicator ``x``,
         and ``constraint_matrix @ y`` prices every option at stacked
-        (choice, cover) duals ``y``.
+        (choice, cover) duals ``y``.  It is stored column-major, so its
+        transpose is C-contiguous for the Gram product of every landing.
         """
         n_options = len(self.agent_of)
-        one_hot = np.zeros((n_options, self.n_agents))
-        one_hot[np.arange(n_options), self.agent_of] = 1.0
-        return _read_only(np.hstack([one_hot, self.footprint_matrix.T]))
+        con = np.zeros((n_options, self.n_agents + self.n_resources), order="F")
+        con[np.arange(n_options), self.agent_of] = 1.0
+        con[:, self.n_agents :] = self.footprint_matrix.T
+        return _read_only(con)
 
     @cached_property
     def half_colsum_minus_one(self) -> np.ndarray:
         """1/2 * colsum(A) - 1, the weight-free part of the landing's right-hand side."""
         return _read_only(0.5 * self.constraint_matrix.sum(axis=0) - 1.0)
-
-    @cached_property
-    def gram_table(self) -> np.ndarray | None:
-        """(n_options, m^2): row o is the flattened outer product a_o a_o^T of A's row o.
-
-        ``d @ gram_table`` is then the flattened Gram matrix A^T diag(d) A in
-        one product.  That beats the dense A^T (A * d) only while the table
-        is small, as at the paper's scale: past ``GRAM_TABLE_ENTRIES`` it is
-        None, and the Gram matrix takes the dense product.
-        """
-        con = self.constraint_matrix
-        n_options, m = con.shape
-        if n_options * m * m > GRAM_TABLE_ENTRIES:
-            return None
-        return _read_only((con[:, :, None] * con[:, None, :]).reshape(n_options, m * m))
 
     @cached_property
     def ends(self) -> np.ndarray:
@@ -127,35 +111,48 @@ class OptionLayout:
 class AssignmentInstance:
     """Flattened option table of a minimisation assignment problem.
 
-    Options are grouped by agent (``agent_slices``); ``footprint_matrix`` is
-    the (n_resources, n_options) 0/1 cover matrix.  ``provenance`` holds the
-    (user, pattern) tag of every option.  ``layout`` holds the structure
-    apart from the weights: ``to_assignment`` and ``with_weights`` share
-    one, and an instance built by hand builds its own from its fields.
+    An instance is its option weights plus the ``OptionLayout`` that holds
+    everything else: options are grouped by agent (``agent_slices``),
+    ``footprint_matrix`` is the (n_resources, n_options) 0/1 cover matrix
+    and ``provenance`` holds the (user, pattern) tag of every option, each
+    read from the layout.  ``to_assignment`` and ``with_weights`` share one
+    layout across instances.  Raises ValueError when the weights are not
+    one per option of the layout.
     """
 
-    kind: str
-    n_agents: int
-    n_resources: int
     weights: np.ndarray
-    agent_of: np.ndarray
-    agent_slices: tuple[tuple[int, int], ...]
-    footprint_matrix: np.ndarray
-    provenance: tuple[tuple[int, int], ...]
-    patterns: PatternSet
-    layout: OptionLayout | None = field(default=None, repr=False, compare=False)
+    layout: OptionLayout = field(repr=False)
 
     def __post_init__(self) -> None:
-        if self.layout is None:
-            layout = OptionLayout(
-                n_agents=self.n_agents,
-                n_resources=self.n_resources,
-                agent_of=self.agent_of,
-                agent_slices=self.agent_slices,
-                footprint_matrix=self.footprint_matrix,
-                provenance=self.provenance,
+        if np.shape(self.weights) != self.layout.agent_of.shape:
+            raise ValueError(
+                f"weights of shape {np.shape(self.weights)} do not match the layout's "
+                f"{len(self.layout.agent_of)} options"
             )
-            object.__setattr__(self, "layout", layout)
+
+    @property
+    def n_agents(self) -> int:
+        return self.layout.n_agents
+
+    @property
+    def n_resources(self) -> int:
+        return self.layout.n_resources
+
+    @property
+    def agent_of(self) -> np.ndarray:
+        return self.layout.agent_of
+
+    @property
+    def agent_slices(self) -> tuple[tuple[int, int], ...]:
+        return self.layout.agent_slices
+
+    @property
+    def footprint_matrix(self) -> np.ndarray:
+        return self.layout.footprint_matrix
+
+    @property
+    def provenance(self) -> tuple[tuple[int, int], ...]:
+        return self.layout.provenance
 
     @property
     def n_options(self) -> int:
@@ -231,8 +228,6 @@ class AssignmentInstance:
         return Allocation(option_index=tuple(self.option_for(tag) for tag in tags))
 
     def with_weights(self, weights: np.ndarray) -> "AssignmentInstance":
-        if weights.shape != self.weights.shape:
-            raise ValueError("replacement weights must keep the option count")
         return replace(self, weights=np.asarray(weights, dtype=float))  # shares the layout
 
 
@@ -248,25 +243,14 @@ def to_assignment(instance: SumaxInstance | JamscInstance) -> AssignmentInstance
     the users that have no option.
     """
     if isinstance(instance, SumaxInstance):
-        kind, weights = "sumax", -instance.utilities
+        weights = -instance.utilities
         allowed = np.ones(weights.shape, dtype=bool)
     elif isinstance(instance, JamscInstance):
-        kind, weights, allowed = "jamsc", instance.costs, instance.allowed
+        weights, allowed = instance.costs, instance.allowed
     else:
         raise TypeError(f"cannot convert {type(instance).__name__} to an assignment instance")
     layout = _layout(instance.patterns, instance.n_users, allowed.tobytes())
-    return AssignmentInstance(
-        kind=kind,
-        n_agents=layout.n_agents,
-        n_resources=layout.n_resources,
-        weights=weights[allowed],
-        agent_of=layout.agent_of,
-        agent_slices=layout.agent_slices,
-        footprint_matrix=layout.footprint_matrix,
-        provenance=layout.provenance,
-        patterns=instance.patterns,
-        layout=layout,
-    )
+    return AssignmentInstance(weights=weights[allowed], layout=layout)
 
 
 @lru_cache(maxsize=LAYOUT_CACHE_SIZE)

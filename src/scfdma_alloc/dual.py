@@ -190,20 +190,15 @@ def joint_system(a: AssignmentInstance, binary: np.ndarray) -> tuple[np.ndarray,
     the stacked duals y = (choice, cover).  With A the constraint matrix and
     W = diag(1 / (2 rho)), its stationary point solves the Gram system
     (A^T W A) y = A^T W (u + rho) - 1; returns that matrix and right-hand side.
-    Both come from the instance's layout: the matrix is one product of W's
-    diagonal with the table of per-option outer products (the dense
-    A^T (W A) where the layout keeps no table), and since u = -w the
-    right-hand side is 1/2 * colsum(A) - 1 - A^T W w.
+    Both come from the instance's layout: the matrix is the product
+    (A^T W) A, whose left factor is C-contiguous because the layout stores
+    A column-major, and since u = -w the right-hand side is
+    1/2 * colsum(A) - 1 - A^T W w.
     """
     layout = a.layout
     con = layout.constraint_matrix
     inv2b = 0.5 / binary
-    table = layout.gram_table
-    if table is None:
-        h = con.T @ (con * inv2b[:, None])
-    else:
-        m = con.shape[1]
-        h = (inv2b @ table).reshape(m, m)
+    h = (con.T * inv2b) @ con
     rhs = layout.half_colsum_minus_one - (a.weights * inv2b) @ con
     return h, rhs
 

@@ -27,15 +27,6 @@ from .sumax import ModulationTable, SumaxInstance, build_sumax, select_modulatio
 SUMAX_ALLOCATORS = ("dual", "oracle", "greedy", "round_robin")
 JAMSC_ALLOCATORS = ("dual_am", "dual_fixed", "oracle_am", "round_robin")
 
-_PATTERN_CACHE: dict[int, PatternSet] = {}
-
-
-def _patterns_for(n_subchannels: int) -> PatternSet:
-    if n_subchannels not in _PATTERN_CACHE:
-        _PATTERN_CACHE[n_subchannels] = enumerate_patterns(n_subchannels)
-    return _PATTERN_CACHE[n_subchannels]
-
-
 @dataclass
 class CampaignConfig:
     """Everything one campaign needs; see the CLI for the file format."""
@@ -234,7 +225,7 @@ def run_drop(cfg: CampaignConfig, seed: int, drop_index: int = 0, problem: str |
     if prob not in _PROBLEMS:
         raise ValueError(f"run_drop needs a concrete problem, got {prob!r}")
     spec = _PROBLEMS[prob]
-    patterns = _patterns_for(cfg.scenario.n_subchannels)
+    patterns = enumerate_patterns(cfg.scenario.n_subchannels)
     gains = generate_channel(cfg.scenario, seed)
     models = spec.models(cfg, gains, patterns)
     forms: dict[int, AssignmentInstance | InfeasibleInstanceError] = {}
@@ -467,10 +458,7 @@ def sumax_assignment_for_seed(n_users: int, n_subchannels: int, seed: int) -> As
     """Random desk-scale sumax instance in assignment form, fully seed-determined."""
     sc = desk_scenario(n_users, n_subchannels)
     gains = generate_channel(sc, seed)
-    inst = build_sumax(
-        gains, sc, weights=_desk_weights(seed, n_users), patterns=_patterns_for(n_subchannels)
-    )
-    return to_assignment(inst)
+    return to_assignment(build_sumax(gains, sc, weights=_desk_weights(seed, n_users)))
 
 
 def certification_sweep(
@@ -609,7 +597,7 @@ def complexity_table(
                 {
                     "n_agents": n_agents,
                     "n_subchannels": n_sub,
-                    "n_patterns": inst.patterns.n_patterns,
+                    "n_patterns": enumerate_patterns(n_sub).n_patterns,
                     "n_options": inst.n_options,
                     "outer": tot["outer"] / m,
                     "ops": tot["ops"] / m,

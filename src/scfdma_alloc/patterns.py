@@ -9,7 +9,7 @@ scores it as one (user, pattern) table.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -20,13 +20,15 @@ class PatternBoundsError(ValueError):
     """Sub-channel count outside the supported 1..MAX_SUBCHANNELS range."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PatternSet:
     """Ordered catalogue of contiguous patterns on ``n_subchannels`` channels.
 
     Column 0 is the empty pattern.  The remaining columns are sorted by
     (length, start), both ascending.  Sub-channel indices are 1-based.
-    Instances are immutable; treat the derived arrays as read-only.
+    Instances are immutable; treat the derived arrays as read-only.  A set
+    hashes and compares by identity, as ``enumerate_patterns`` keeps one
+    catalogue per sub-channel count.
     """
 
     n_subchannels: int
@@ -78,9 +80,11 @@ class PatternSet:
 
 
 def enumerate_patterns(n_subchannels: int) -> PatternSet:
-    """Enumerate the empty pattern plus every contiguous block.
+    """The empty pattern plus every contiguous block, one catalogue per count.
 
-    Raises PatternBoundsError unless 1 <= n_subchannels <= MAX_SUBCHANNELS.
+    Every call with the same count, a Python or a numpy int, returns the same
+    PatternSet.  Raises PatternBoundsError unless 1 <= n_subchannels <=
+    MAX_SUBCHANNELS.
     """
     if not isinstance(n_subchannels, (int, np.integer)) or isinstance(n_subchannels, bool):
         raise PatternBoundsError(f"sub-channel count must be an int, got {n_subchannels!r}")
@@ -88,6 +92,11 @@ def enumerate_patterns(n_subchannels: int) -> PatternSet:
         raise PatternBoundsError(
             f"sub-channel count must be in 1..{MAX_SUBCHANNELS}, got {n_subchannels}"
         )
+    return _catalogue(int(n_subchannels))
+
+
+@cache
+def _catalogue(n_subchannels: int) -> PatternSet:
     cols: list[tuple[int, ...]] = [()]
     for length in range(1, n_subchannels + 1):
         for start in range(1, n_subchannels - length + 2):

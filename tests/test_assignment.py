@@ -8,6 +8,7 @@ from scfdma_alloc.assignment import (
     Allocation,
     AssignmentInstance,
     InfeasibleInstanceError,
+    OptionLayout,
     _layout,
     to_assignment,
 )
@@ -27,7 +28,6 @@ def test_sumax_conversion_shape_and_weights():
     inst = _sumax_instance()
     a = to_assignment(inst)
     j = inst.patterns.n_patterns
-    assert a.kind == "sumax"
     assert a.n_agents == 2
     assert a.n_resources == 3
     assert a.n_options == 2 * j
@@ -130,7 +130,6 @@ def test_jamsc_conversion_uses_mask():
     ch = generate_channel(cfg, 2)
     inst = build_jamsc(ch, cfg, (140e3, 140e3), ModulationTable(), FrameConfig())
     a = to_assignment(inst)
-    assert a.kind == "jamsc"
     assert a.n_options == int(inst.allowed.sum())
     assert list(a.provenance) == sorted(a.provenance)  # user, then pattern
     for o in range(a.n_options):
@@ -155,12 +154,20 @@ def test_with_weights_rejects_shape_change():
         a.with_weights(np.zeros(a.n_options + 1))
 
 
+def test_weights_must_match_the_layout():
+    layout = to_assignment(_sumax_instance()).layout
+    n_options = len(layout.agent_of)
+    for weights in (np.zeros(n_options - 1), np.zeros(n_options + 1), np.zeros((1, n_options))):
+        with pytest.raises(ValueError, match="do not match the layout"):
+            AssignmentInstance(weights=weights, layout=layout)
+
+
 def _layout_arrays(layout):
     return {
         name: getattr(layout, name)
         for name in (
             "agent_of", "footprint_matrix", "sizes", "constraint_matrix",
-            "half_colsum_minus_one", "gram_table", "ends",
+            "half_colsum_minus_one", "ends",
         )
     }
 
@@ -186,16 +193,20 @@ def test_drops_with_one_mask_share_one_read_only_layout():
 
 def test_hand_built_instance_builds_the_same_layout():
     a = to_assignment(_sumax_instance(3))
+    agent_of = a.agent_of.copy()
     hand = AssignmentInstance(
-        kind=a.kind, n_agents=a.n_agents, n_resources=a.n_resources, weights=a.weights.copy(),
-        agent_of=a.agent_of.copy(), agent_slices=a.agent_slices,
-        footprint_matrix=a.footprint_matrix.copy(), provenance=a.provenance, patterns=None,
+        weights=a.weights.copy(),
+        layout=OptionLayout(
+            n_agents=a.n_agents, n_resources=a.n_resources, agent_of=agent_of,
+            agent_slices=a.agent_slices, footprint_matrix=a.footprint_matrix.copy(),
+            provenance=a.provenance,
+        ),
     )
     assert hand.layout is not a.layout
     for name, array in _layout_arrays(hand.layout).items():
         assert np.array_equal(array, getattr(a.layout, name)), name
         assert not array.flags.writeable
-    assert hand.agent_of.flags.writeable  # the caller's own arrays stay writeable
+    assert agent_of.flags.writeable  # the caller's own arrays stay writeable
     assert hand.option_for((1, 2)) == a.option_for((1, 2))
 
 

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from scfdma_alloc.assignment import AssignmentInstance, to_assignment
+from scfdma_alloc.assignment import AssignmentInstance, OptionLayout, to_assignment
 from scfdma_alloc.baselines import (
     InfeasibleAllocationError,
     OracleCeilingError,
@@ -54,15 +54,15 @@ def test_brute_force_tie_breaks_lexicographically():
 
 def test_brute_force_infeasible_cover_raises():
     a = AssignmentInstance(
-        kind="sumax",
-        n_agents=1,
-        n_resources=2,
         weights=np.array([-1.0]),
-        agent_of=np.zeros(1, dtype=np.int64),
-        agent_slices=((0, 1),),
-        footprint_matrix=np.array([[1.0], [0.0]]),
-        provenance=((0, 1),),
-        patterns=None,
+        layout=OptionLayout(
+            n_agents=1,
+            n_resources=2,
+            agent_of=np.zeros(1, dtype=np.int64),
+            agent_slices=((0, 1),),
+            footprint_matrix=np.array([[1.0], [0.0]]),
+            provenance=((0, 1),),
+        ),
     )
     with pytest.raises(InfeasibleAllocationError):
         brute_force(a)
@@ -155,15 +155,15 @@ def test_block_table_reads_the_layout_and_refuses_a_split_footprint():
     assert ends is a.layout.ends
     assert block_table(a)[0] is ends  # a second call rebuilds nothing
     split = AssignmentInstance(
-        kind="sumax",
-        n_agents=1,
-        n_resources=3,
         weights=np.array([-1.0]),
-        agent_of=np.zeros(1, dtype=np.int64),
-        agent_slices=((0, 1),),
-        footprint_matrix=np.array([[1.0], [0.0], [1.0]]),
-        provenance=((0, 0),),
-        patterns=None,
+        layout=OptionLayout(
+            n_agents=1,
+            n_resources=3,
+            agent_of=np.zeros(1, dtype=np.int64),
+            agent_slices=((0, 1),),
+            footprint_matrix=np.array([[1.0], [0.0], [1.0]]),
+            provenance=((0, 0),),
+        ),
     )
     for oracle in (block_table, brute_force):
         with pytest.raises(ValueError, match="one contiguous block"):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from scfdma_alloc import dual, harness
-from scfdma_alloc.assignment import AssignmentInstance, InfeasibleInstanceError, to_assignment
+from scfdma_alloc.assignment import AssignmentInstance, InfeasibleInstanceError, OptionLayout, to_assignment
 from scfdma_alloc.baselines import OracleCeilingError, brute_force
 from scfdma_alloc.channel import ScenarioConfig, generate_channel
 from scfdma_alloc.dual import (
@@ -44,30 +44,30 @@ def jamsc_assignment(seed: int) -> AssignmentInstance:
 def hand_instance() -> AssignmentInstance:
     """One user, one sub-channel: empty option worth 0, full option worth 5."""
     return AssignmentInstance(
-        kind="sumax",
-        n_agents=1,
-        n_resources=1,
         weights=np.array([0.0, -5.0]),
-        agent_of=np.zeros(2, dtype=np.int64),
-        agent_slices=((0, 2),),
-        footprint_matrix=np.array([[0.0, 1.0]]),
-        provenance=((0, 0), (0, 1)),
-        patterns=None,
+        layout=OptionLayout(
+            n_agents=1,
+            n_resources=1,
+            agent_of=np.zeros(2, dtype=np.int64),
+            agent_slices=((0, 2),),
+            footprint_matrix=np.array([[0.0, 1.0]]),
+            provenance=((0, 0), (0, 1)),
+        ),
     )
 
 
 def no_cover_instance() -> AssignmentInstance:
     """Two users on two sub-channels whose only option is sub-channel 1: no exact cover."""
     return AssignmentInstance(
-        kind="jamsc",
-        n_agents=2,
-        n_resources=2,
         weights=np.array([-1.0, -1.0]),
-        agent_of=np.array([0, 1], dtype=np.int64),
-        agent_slices=((0, 1), (1, 2)),
-        footprint_matrix=np.array([[1.0, 1.0], [0.0, 0.0]]),
-        provenance=((0, 1), (1, 1)),
-        patterns=None,
+        layout=OptionLayout(
+            n_agents=2,
+            n_resources=2,
+            agent_of=np.array([0, 1], dtype=np.int64),
+            agent_slices=((0, 1), (1, 2)),
+            footprint_matrix=np.array([[1.0, 1.0], [0.0, 0.0]]),
+            provenance=((0, 1), (1, 1)),
+        ),
     )
 
 
@@ -269,15 +269,15 @@ def size_bound_instance(n_agents: int, n_resources: int) -> AssignmentInstance:
     """Every agent's only options are the single sub-channels: sizes always sum to K."""
     n_opt = n_agents * n_resources
     return AssignmentInstance(
-        kind="jamsc",
-        n_agents=n_agents,
-        n_resources=n_resources,
         weights=-np.ones(n_opt),
-        agent_of=np.repeat(np.arange(n_agents), n_resources),
-        agent_slices=tuple((k * n_resources, (k + 1) * n_resources) for k in range(n_agents)),
-        footprint_matrix=np.tile(np.eye(n_resources), n_agents),
-        provenance=tuple((k, j) for k in range(n_agents) for j in range(n_resources)),
-        patterns=None,
+        layout=OptionLayout(
+            n_agents=n_agents,
+            n_resources=n_resources,
+            agent_of=np.repeat(np.arange(n_agents), n_resources),
+            agent_slices=tuple((k * n_resources, (k + 1) * n_resources) for k in range(n_agents)),
+            footprint_matrix=np.tile(np.eye(n_resources), n_agents),
+            provenance=tuple((k, j) for k in range(n_agents) for j in range(n_resources)),
+        ),
     )
 
 
@@ -310,9 +310,8 @@ def test_joint_system_is_gram_of_constraint_matrix():
         to_assignment(build_sumax(generate_channel(ZF, 5), ZF)),
         sumax_assignment_for_seed(5, 3, 8),  # more users than sub-channels
         jamsc_assignment(7),  # masked (user, pattern) table
-        sumax_assignment_for_seed(6, 12, 3),  # past the outer-product table's size
+        sumax_assignment_for_seed(6, 12, 3),  # 546 options
     ]
-    assert {a.layout.gram_table is None for a in instances} == {False, True}
     for a in instances:
         one_hot = np.zeros((a.n_agents, a.n_options))
         one_hot[a.agent_of, np.arange(a.n_options)] = 1.0

@@ -98,6 +98,18 @@ def test_bounds_guard():
         enumerate_patterns(4.0)
 
 
+def test_one_catalogue_per_count():
+    assert enumerate_patterns(8) is enumerate_patterns(8)
+    assert enumerate_patterns(np.int64(8)) is enumerate_patterns(8)
+    assert enumerate_patterns(8) is not enumerate_patterns(7)
+    ps = enumerate_patterns(8)
+    assert hash(ps) == object.__hash__(ps)  # by identity: no column is rehashed
+    # a cached count does not let an invalid one through
+    for bad in (0, MAX_SUBCHANNELS + 1, True, 8.0):
+        with pytest.raises(PatternBoundsError):
+            enumerate_patterns(bad)
+
+
 def test_sizes_property():
     ps = enumerate_patterns(8)
     assert ps.sizes.tolist() == [len(col) for col in ps.columns]

@@ -1,0 +1,144 @@
+"""Diff the outputs of two commits: the seed-42 campaign CSVs and the certification sweep.
+
+    python3 tools/campaign_diff.py --base <rev> --change HEAD
+
+Exports each commit with ``git archive`` (``tools/bench_pairs.py``'s
+``export``) and imports each one's package under its own name into this one
+process (``tools/drop_ab.py``'s ``load_package``).  Each side runs the
+200-drop ``both`` campaign from base seed 42 with all four allocators of
+each problem, writing its CSVs, and ``harness.certification_sweep()`` with
+its defaults (the acceptance sweep, 540 runs).  Prints the CSVs that are
+byte-identical, every changed drop-CSV row as (problem, drop, allocator,
+field: old -> new), each other changed CSV's count of changed lines, each
+allocator's rounds (``outer_iterations`` summed over its drops), each side's
+certified sweep runs and every changed sweep row.
+"""
+
+from __future__ import annotations
+
+import argparse
+import csv
+import io
+import sys
+import tempfile
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+SIDES = ("base", "change")
+DROPS, BASE_SEED = 200, 42
+DROP_KEY = ("problem", "drop", "allocator")
+SWEEP_KEY = ("n_users", "n_subchannels", "seed")
+
+
+def _rows(text: str) -> dict[tuple, dict[str, str]]:
+    return {tuple(r[c] for c in DROP_KEY): r for r in csv.DictReader(io.StringIO(text))}
+
+
+def diff_drop_rows(old: str, new: str) -> list[tuple]:
+    """(problem, drop, allocator, field, old, new) for every field that differs
+    between two drop-CSV texts; a row on one side only has field ``row``."""
+    a, b = _rows(old), _rows(new)
+    out = []
+    for key in sorted(a.keys() | b.keys(), key=lambda k: (k[0], int(k[1]), k[2])):
+        if key not in a or key not in b:
+            presence = ["present" if key in side else "absent" for side in (a, b)]
+            out.append((*key, "row", *presence))
+            continue
+        for field in a[key].keys() | b[key].keys():
+            if a[key].get(field, "") != b[key].get(field, ""):
+                out.append((*key, field, a[key].get(field, ""), b[key].get(field, "")))
+    return sorted(out, key=lambda d: (d[0], int(d[1]), d[2], d[3]))
+
+
+def rounds(text: str) -> dict[tuple[str, str], int]:
+    """(problem, allocator) -> ``outer_iterations`` summed over the drops that have one."""
+    out: dict[tuple[str, str], int] = {}
+    for r in csv.DictReader(io.StringIO(text)):
+        if r["outer_iterations"]:
+            key = (r["problem"], r["allocator"])
+            out[key] = out.get(key, 0) + int(r["outer_iterations"])
+    return out
+
+
+def diff_sweep(old: list[dict], new: list[dict]) -> list[tuple]:
+    """((n_users, n_subchannels, seed), field, old, new) for every field that differs."""
+    a = {tuple(r[c] for c in SWEEP_KEY): r for r in old}
+    b = {tuple(r[c] for c in SWEEP_KEY): r for r in new}
+    out = []
+    for key in sorted(a.keys() | b.keys()):
+        ra, rb = a.get(key, {}), b.get(key, {})
+        for field in sorted(ra.keys() | rb.keys()):
+            if ra.get(field) != rb.get(field):
+                out.append((key, field, ra.get(field), rb.get(field)))
+    return out
+
+
+def run_side(pkg, out_dir: Path) -> tuple[dict[str, str], list[dict]]:
+    """The side's campaign CSVs by file name, and its sweep rows."""
+    h = pkg.harness
+    cfg = h.CampaignConfig(
+        problem="both", n_drops=DROPS, base_seed=BASE_SEED, out_dir=str(out_dir),
+        allocators_sumax=h.SUMAX_ALLOCATORS, allocators_jamsc=h.JAMSC_ALLOCATORS,
+    )
+    h.run_campaign(cfg)
+    csvs = {p.name: p.read_text() for p in sorted(out_dir.glob("*.csv"))}
+    return csvs, h.certification_sweep()["rows"]
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--base", required=True, help="git revision of the parent side")
+    ap.add_argument("--change", default="HEAD", help="git revision of the change side")
+    args = ap.parse_args(argv)
+
+    sys.path.insert(0, str(HERE))
+    from bench_pairs import export
+    from drop_ab import load_package  # also pins BLAS to one thread
+
+    results = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        commits = {}
+        for side in SIDES:
+            commits[side] = export(getattr(args, side), Path(tmp) / side)
+            pkg = load_package(Path(tmp) / side / "src", f"campaign_diff_{side}")
+            out_dir = Path(tmp) / f"{side}_out"
+            results[side] = run_side(pkg, out_dir)
+    (base_csvs, base_sweep), (change_csvs, change_sweep) = results["base"], results["change"]
+
+    print(f"base {commits['base'][:12]}, change {commits['change'][:12]}: "
+          f"{DROPS}-drop both campaign from seed {BASE_SEED}, all allocators; acceptance sweep")
+    names = sorted(base_csvs.keys() | change_csvs.keys())
+    same = [n for n in names if base_csvs.get(n) == change_csvs.get(n)]
+    print(f"byte-identical ({len(same)} of {len(names)}): {', '.join(same) or 'none'}")
+    for name in names:
+        old, new = base_csvs.get(name, ""), change_csvs.get(name, "")
+        if old == new:
+            continue
+        if name.endswith("_drops.csv"):
+            diffs = diff_drop_rows(old, new)
+            print(f"{name}: {len({d[:3] for d in diffs})} rows changed")
+            for problem, drop, allocator, field, was, now in diffs:
+                print(f"  {problem} {drop} {allocator} {field}: {was} -> {now}")
+        else:
+            a, b = old.splitlines(), new.splitlines()
+            changed = sum(x != y for x, y in zip(a, b)) + abs(len(a) - len(b))
+            print(f"{name}: {changed} of {max(len(a), len(b))} lines changed")
+
+    print("rounds (outer_iterations summed over drops):")
+    for problem in ("sumax", "jamsc"):
+        name = f"{problem}_drops.csv"
+        old, new = rounds(base_csvs.get(name, "")), rounds(change_csvs.get(name, ""))
+        for key in sorted(old.keys() | new.keys()):
+            print(f"  {key[0]} {key[1]}: {old.get(key, 0)} -> {new.get(key, 0)}")
+
+    certified = {side: sum(r["outcome"] == "certified" for r in results[side][1]) for side in SIDES}
+    diffs = diff_sweep(base_sweep, change_sweep)
+    print(f"sweep certified: {certified['base']} of {len(base_sweep)} -> "
+          f"{certified['change']} of {len(change_sweep)}; {len({d[0] for d in diffs})} rows changed")
+    for key, field, was, now in diffs:
+        print(f"  {key} {field}: {was} -> {now}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
