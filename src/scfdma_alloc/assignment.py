@@ -8,14 +8,14 @@ results can be mapped back.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
-from typing import Sequence
 
 import numpy as np
 
 from .jamsc import JamscInstance
-from .patterns import PatternSet
+from .patterns import PatternSet, read_only
 from .sumax import SumaxInstance
 
 
@@ -36,13 +36,6 @@ class Allocation:
 LAYOUT_CACHE_SIZE = 8
 
 
-def _read_only(array) -> np.ndarray:
-    """A view of ``array`` that raises ValueError on an in-place write."""
-    view = np.asarray(array).view()
-    view.flags.writeable = False
-    return view
-
-
 @dataclass(frozen=True, eq=False)
 class OptionLayout:
     """The structure of an option table, shared by every drop with that structure.
@@ -61,12 +54,12 @@ class OptionLayout:
     provenance: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "agent_of", _read_only(self.agent_of))
-        object.__setattr__(self, "footprint_matrix", _read_only(self.footprint_matrix))
+        object.__setattr__(self, "agent_of", read_only(self.agent_of))
+        object.__setattr__(self, "footprint_matrix", read_only(self.footprint_matrix))
 
     @cached_property
     def sizes(self) -> np.ndarray:
-        return _read_only(self.footprint_matrix.sum(axis=0).astype(np.int64))
+        return read_only(self.footprint_matrix.sum(axis=0).astype(np.int64))
 
     @cached_property
     def constraint_matrix(self) -> np.ndarray:
@@ -83,18 +76,18 @@ class OptionLayout:
         con = np.zeros((n_options, self.n_agents + self.n_resources), order="F")
         con[np.arange(n_options), self.agent_of] = 1.0
         con[:, self.n_agents :] = self.footprint_matrix.T
-        return _read_only(con)
+        return read_only(con)
 
     @cached_property
     def half_colsum_minus_one(self) -> np.ndarray:
         """1/2 * colsum(A) - 1, the weight-free part of the landing's right-hand side."""
-        return _read_only(0.5 * self.constraint_matrix.sum(axis=0) - 1.0)
+        return read_only(0.5 * self.constraint_matrix.sum(axis=0) - 1.0)
 
     @cached_property
     def ends(self) -> np.ndarray:
         """Each option's last sub-channel, 0 for the empty footprint."""
         last = self.n_resources - self.footprint_matrix[::-1].argmax(axis=0)
-        return _read_only(np.where(self.sizes > 0, last, 0))
+        return read_only(np.where(self.sizes > 0, last, 0))
 
     @cached_property
     def contiguous(self) -> bool:
@@ -103,8 +96,26 @@ class OptionLayout:
         return not ((self.sizes > 0) & (self.ends - first != self.sizes)).any()
 
     @cached_property
-    def option_by_tag(self) -> dict[tuple[int, int], int]:
-        return {tag: o for o, tag in enumerate(self.provenance)}
+    def option_at(self) -> np.ndarray:
+        """(n_agents, N + 1, N + 1): agent k's option covering exactly n+1..m, or -1.
+
+        Entry [k, n, m] is the option of agent k whose footprint is the
+        block of sub-channels n+1..m, and its empty option sits on every
+        diagonal cell [k, n, n].  Raises ValueError for a footprint that is
+        not one contiguous block, or for two options of one agent on one
+        footprint.
+        """
+        if not self.contiguous:
+            raise ValueError("every footprint must be one contiguous block")
+        firsts = self.ends - self.sizes
+        table = np.full((self.n_agents, self.n_resources + 1, self.n_resources + 1), -1)
+        table[self.agent_of, firsts, self.ends] = np.arange(len(self.agent_of))
+        placed = np.count_nonzero(table >= 0)
+        if placed < len(self.agent_of):
+            raise ValueError(f"{len(self.agent_of) - placed} options share an agent and a footprint")
+        diagonal = np.arange(self.n_resources + 1)
+        table[:, diagonal, diagonal] = table[:, :1, 0]
+        return read_only(table)
 
 
 @dataclass(frozen=True)
@@ -176,11 +187,11 @@ class AssignmentInstance:
         """The layout's stacked (choice, cover) matrix; see ``OptionLayout``."""
         return self.layout.constraint_matrix
 
-    def option_for(self, tag: tuple[int, int]) -> int:
-        try:
-            return self.layout.option_by_tag[tag]
-        except KeyError:
-            raise KeyError(f"no option with tag {tag} (masked or out of range)") from None
+    @cached_property
+    def cover_costs(self) -> np.ndarray:
+        """(n_agents, N + 1, N + 1): the weight of ``layout.option_at``'s option, inf where none."""
+        at = self.layout.option_at
+        return read_only(np.where(at >= 0, self.weights[at], math.inf))
 
     def value(self, allocation: Allocation) -> float:
         """Total weight, summed in agent order (stable for exact comparisons)."""
@@ -222,10 +233,6 @@ class AssignmentInstance:
             raise ValueError("selection does not pick exactly one option per agent")
         order = np.argsort(self.agent_of[chosen], kind="stable")
         return Allocation(option_index=tuple(int(o) for o in chosen[order]))
-
-    def allocation_from_tags(self, tags: Sequence[tuple[int, int]]) -> Allocation:
-        """Build an Allocation from per-agent provenance tags, in agent order."""
-        return Allocation(option_index=tuple(self.option_for(tag) for tag in tags))
 
     def with_weights(self, weights: np.ndarray) -> "AssignmentInstance":
         return replace(self, weights=np.asarray(weights, dtype=float))  # shares the layout

@@ -8,7 +8,6 @@ import math
 import numpy as np
 
 from .assignment import Allocation, AssignmentInstance
-from .sumax import SumaxInstance
 
 
 class OracleCeilingError(RuntimeError):
@@ -23,39 +22,15 @@ class InfeasibleAllocationError(ValueError):
 NODE_CEILING = 10**8
 
 
-def block_table(a: AssignmentInstance) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each agent's lightest option per footprint: (ends, block, empty).
-
-    ``ends[o]`` is option o's last sub-channel (0 for the empty footprint),
-    ``block[n, k, s - 1]`` agent k's lightest option of size s ending at n and
-    ``empty[k]`` its lightest empty option; both are infinite where the agent
-    has no such option; ``ends`` and the contiguity of every footprint come
-    from the instance's layout.  Raises ValueError for a footprint that is
-    not one contiguous block.
-    """
-    layout = a.layout
-    if not layout.contiguous:
-        raise ValueError("the subset program needs every footprint to be one contiguous block")
-    n_res, sizes, ends = a.n_resources, layout.sizes, layout.ends
-    nz = np.flatnonzero(sizes)
-    block = np.full((n_res + 1, a.n_agents, n_res), math.inf)
-    np.minimum.at(block, (ends[nz], a.agent_of[nz], sizes[nz] - 1), a.weights[nz])
-    empty = np.full(a.n_agents, math.inf)
-    none = np.flatnonzero(sizes == 0)
-    np.minimum.at(empty, a.agent_of[none], a.weights[none])
-    return ends, block, empty
-
-
-def cover_sweep(
-    a: AssignmentInstance, node_ceiling: int = NODE_CEILING
-) -> tuple[np.ndarray, np.ndarray]:
-    """Forward sweep of the subset program: its table ``f`` and ``ends``.
+def cover_sweep(a: AssignmentInstance, node_ceiling: int = NODE_CEILING) -> np.ndarray:
+    """Forward sweep of the subset program over ``a.cover_costs``: its table ``f``.
 
     ``f[n, S]`` is the lightest assignment of the agents in S that covers
-    sub-channels 1..n exactly (see ``brute_force``), and ``ends`` is
-    ``block_table``'s; ``f[N, all]`` is infinite exactly when no exact cover
-    exists.  Raises OracleCeilingError, before any work, when the sweep's
-    2^(K-1) * n_options relaxations exceed ``node_ceiling``.
+    sub-channels 1..n exactly (see ``brute_force``); ``f[N, all]`` is
+    infinite exactly when no exact cover exists.  Raises OracleCeilingError,
+    before any work, when the sweep's 2^(K-1) * n_options relaxations exceed
+    ``node_ceiling``, and ValueError for a layout that ``option_at``
+    refuses.
     """
     n_agents, n_res = a.n_agents, a.n_resources
     n_states = 1 << n_agents
@@ -64,20 +39,20 @@ def cover_sweep(
         raise OracleCeilingError(
             f"subset program needs {relaxations} relaxations, over the node ceiling ({node_ceiling})"
         )
-    ends, block, empty = block_table(a)
+    cost = a.cover_costs
     f = np.full((n_res + 1, n_states), math.inf)
     f[0, 0] = 0.0
     for k in range(n_agents):
         # the states with highest agent k extend those below it: agent-order sums
-        f[0, 1 << k : 2 << k] = f[0, : 1 << k] + empty[k]
+        f[0, 1 << k : 2 << k] = f[0, : 1 << k] + cost[k, 0, 0]
     for n in range(1, n_res + 1):
         for k in range(n_agents):
-            # agent k's block ending at n after a cover of 1..n-size, for every state
-            lightest = (block[n, k, :n, None] + f[n - 1 :: -1]).min(axis=0)
+            # agent k's block n'+1..n after a cover of 1..n', for every n' and state
+            lightest = (cost[k, :n, n, None] + f[:n]).min(axis=0)
             # the states holding k, against the same states without k
             into = f[n].reshape(-1, 2, 1 << k)[:, 1]
             np.minimum(into, lightest.reshape(-1, 2, 1 << k)[:, 0], out=into)
-    return f, ends
+    return f
 
 
 def brute_force(a: AssignmentInstance, node_ceiling: int = NODE_CEILING) -> tuple[Allocation, float]:
@@ -113,9 +88,9 @@ def brute_force(a: AssignmentInstance, node_ceiling: int = NODE_CEILING) -> tupl
     ``node_ceiling``, and during the backtrack once more than ``node_ceiling``
     partial covers have been visited: an explicit refusal, never a wrong
     answer.  Raises ValueError for a footprint that is not one contiguous
-    block.
+    block, or for two options of one agent on one footprint.
     """
-    f, ends = cover_sweep(a, node_ceiling)
+    f = cover_sweep(a, node_ceiling)
     n_agents, n_res = a.n_agents, a.n_resources
     n_states = 1 << n_agents
     weights = a.weights.tolist()
@@ -123,7 +98,7 @@ def brute_force(a: AssignmentInstance, node_ceiling: int = NODE_CEILING) -> tupl
     agent_of = a.agent_of.tolist()
     # ending[n]: the options ending at sub-channel n, in option order
     ending: list[list[int]] = [[] for _ in range(n_res + 1)]
-    for o, e in enumerate(ends.tolist()):
+    for o, e in enumerate(a.layout.ends.tolist()):
         ending[e].append(o)
     empties: list[list[int]] = [[] for _ in range(n_agents)]
     for o in ending[0]:
@@ -188,47 +163,51 @@ def brute_force(a: AssignmentInstance, node_ceiling: int = NODE_CEILING) -> tupl
     return Allocation(option_index=best[1]), best[0]
 
 
-def greedy(instance: SumaxInstance) -> tuple[int, ...]:
-    """Grow per-user contiguous blocks one sub-channel at a time.
+def greedy(a: AssignmentInstance) -> Allocation:
+    """Grow per-agent contiguous blocks one sub-channel at a time.
 
-    Each step grants the single free sub-channel with the best marginal
-    utility over all users, seeding a new block or extending an existing one
-    at either edge; ties go to the lowest user then the lowest sub-channel.
-    Runs until every sub-channel is assigned, so the result is always a
-    feasible exact cover.  Returns one pattern index per user.
+    Each step grants the single free sub-channel with the least marginal
+    weight over all agents (``a.cover_costs``), seeding a new block at the
+    block's own weight or extending an existing one at either edge; ties go
+    to the lowest agent then the lowest sub-channel.  Runs until every
+    sub-channel is assigned, and an agent left without a block takes its
+    empty option.  Raises InfeasibleAllocationError when a block so grown,
+    or an empty option so taken, is not one of the agent's options.
     """
-    pats = instance.patterns
-    n_sub = pats.n_subchannels
-    n_users = instance.n_users
-    util = instance.utilities
+    n_sub = a.n_resources
+    cost = a.cover_costs.tolist()
     free = [True] * (n_sub + 1)
-    blocks: list[tuple[int, int] | None] = [None] * n_users
+    # blocks[k]: agent k's block n+1..m as (n, m)
+    blocks: list[tuple[int, int] | None] = [None] * a.n_agents
 
     for _ in range(n_sub):
         best: tuple[float, int, int, tuple[int, int]] | None = None
-        for k in range(n_users):
-            blk = blocks[k]
+        for k, blk in enumerate(blocks):
             if blk is None:
                 current = 0.0
-                candidates = [(n, (n, 1)) for n in range(1, n_sub + 1) if free[n]]
+                candidates = [(c, (c - 1, c)) for c in range(1, n_sub + 1) if free[c]]
             else:
-                start, length = blk
-                current = float(util[k, pats.index_of(start, length)])
+                n, m = blk
+                current = cost[k][n][m]
                 candidates = []
-                if start > 1 and free[start - 1]:
-                    candidates.append((start - 1, (start - 1, length + 1)))
-                if start + length <= n_sub and free[start + length]:
-                    candidates.append((start + length, (start, length + 1)))
-            for n_new, blk_new in candidates:
-                delta = float(util[k, pats.index_of(*blk_new)]) - current
-                if best is None or delta > best[0]:
-                    best = (delta, k, n_new, blk_new)
+                if n > 0 and free[n]:
+                    candidates.append((n, (n - 1, m)))
+                if m < n_sub and free[m + 1]:
+                    candidates.append((m + 1, (n, m + 1)))
+            for c, (n, m) in candidates:
+                delta = cost[k][n][m] - current
+                if best is None or delta < best[0]:
+                    best = (delta, k, c, (n, m))
         assert best is not None  # a free sub-channel always has an adjacent grower
-        _, k, n_new, blk_new = best
-        blocks[k] = blk_new
-        free[n_new] = False
+        _, k, c, blocks[k] = best
+        free[c] = False
 
-    return tuple(pats.index_of(*blk) if blk else pats.EMPTY for blk in blocks)
+    at = a.layout.option_at
+    spans = [blk or (0, 0) for blk in blocks]
+    options = tuple(int(at[k, n, m]) for k, (n, m) in enumerate(spans))
+    if min(options) < 0:
+        raise InfeasibleAllocationError("greedy grew a block that is not one of its agent's options")
+    return Allocation(option_index=options)
 
 
 def round_robin(n_users: int, n_subchannels: int) -> tuple[tuple[int, ...], ...]:

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assignment import Allocation, AssignmentInstance, InfeasibleInstanceError
-from .baselines import OracleCeilingError, block_table, cover_sweep
+from .baselines import OracleCeilingError, cover_sweep
 
 # How an ascent can stop, and where its answer came from; see ``solve``.
 TERMINATIONS = ("converged", "stagnation", "budget", "diverged")
@@ -334,9 +334,9 @@ def repair_selection(a: AssignmentInstance, frac: np.ndarray) -> np.ndarray | No
     noise in ``frac`` cannot split a tie, and ties keep agent order).  Along
     that chain the lightest exact cover is a segmentation program: the cover
     of sub-channels 1..n by the first t agents of the order extends the
-    cover of 1..n' by the first t-1 with agent t's lightest option on block
-    n'+1..n, or with its empty option when n' = n, both read from
-    ``brute_force``'s block table.  That is O(K * N^2) per order.  It then
+    cover of 1..n' by the first t-1 with agent t's option on block n'+1..n,
+    or with its empty option when n' = n, both read from the instance's
+    ``cover_costs``.  That is O(K * N^2) per order.  It then
     relocates one agent at a time (out of the order and back in at another
     position, which covers adjacent swaps): the prefix and suffix programs
     of the other agents price every position of each agent at once, and the
@@ -344,13 +344,8 @@ def repair_selection(a: AssignmentInstance, frac: np.ndarray) -> np.ndarray | No
     ``a.value``.  Returns a 0/1 selection, or None when no order reached
     that way admits an exact cover.
     """
-    ends, block, empty = block_table(a)
-    n_agents, n_res, sizes = a.n_agents, a.n_resources, a.sizes
-    # cost[k, n, m]: agent k covering exactly n+1..m, with its empty option when m == n
-    cost = np.full((n_agents, n_res + 1, n_res + 1), math.inf)
-    lo, hi = np.triu_indices(n_res + 1, 1)
-    cost[:, lo, hi] = block[hi, :, hi - lo - 1].T
-    cost[:, np.arange(n_res + 1), np.arange(n_res + 1)] = empty[:, None]
+    n_agents, n_res, sizes, ends = a.n_agents, a.n_resources, a.sizes, a.layout.ends
+    option_at, cost = a.layout.option_at, a.cover_costs
 
     def prefix(order: list[int]) -> np.ndarray:
         """[t, n]: the lightest cover of 1..n by order[:t]."""
@@ -377,12 +372,7 @@ def repair_selection(a: AssignmentInstance, frac: np.ndarray) -> np.ndarray | No
         n = 0
         for t, k in enumerate(order):
             m = int((cost[k, n] + h[t + 1]).argmin())
-            first, stop = a.agent_slices[k]
-            fits = sizes[first:stop] == m - n
-            if m > n:
-                fits &= ends[first:stop] == m
-            options = np.flatnonzero(fits) + first
-            chosen[k] = int(options[a.weights[options].argmin()])
+            chosen[k] = int(option_at[k, n, m])
             n = m
         return a.value(Allocation(tuple(chosen))), chosen
 
@@ -603,7 +593,7 @@ def solve(
         outcome = "unallocated" if sel is None else "repaired"
     if sel is None:
         try:
-            no_cover = cover_sweep(a)[0][-1, -1] == math.inf
+            no_cover = cover_sweep(a)[-1, -1] == math.inf
         except OracleCeilingError:
             no_cover = False
         if no_cover:

@@ -201,18 +201,16 @@ _PROBLEMS = {
 }
 
 
-def _round_robin_columns(model, patterns: PatternSet) -> list[int]:
-    cols = []
-    for k, block in enumerate(round_robin(model.n_users, patterns.n_subchannels)):
-        j = patterns.index_of_set(block)
-        # only jamsc masks options; its round robin runs the one fixed modulation
-        if isinstance(model, JamscInstance) and not model.allowed[k, j]:
+def _round_robin_allocation(a: AssignmentInstance) -> Allocation:
+    options = []
+    for k, block in enumerate(round_robin(a.n_agents, a.n_resources)):
+        o = int(a.layout.option_at[k, block[0] - 1, block[-1]])
+        if o < 0:
             raise InfeasibleAllocationError(
-                f"user {k}: round-robin block of {len(block)} sub-channels cannot carry "
-                f"the target rate under {model.table.names[0]}"
+                f"user {k} has no option on its round-robin block of sub-channels {block[0]}..{block[-1]}"
             )
-        cols.append(j)
-    return cols
+        options.append(o)
+    return Allocation(option_index=tuple(options))
 
 
 def run_drop(cfg: CampaignConfig, seed: int, drop_index: int = 0, problem: str | None = None) -> DropResult:
@@ -254,8 +252,7 @@ def run_drop(cfg: CampaignConfig, seed: int, drop_index: int = 0, problem: str |
                 if name.startswith("oracle"):
                     alloc, value = brute_force(a, cfg.oracle_ceiling)
                 else:
-                    cols = greedy(model) if name == "greedy" else _round_robin_columns(model, patterns)
-                    alloc = a.allocation_from_tags(list(enumerate(cols)))
+                    alloc = greedy(a) if name == "greedy" else _round_robin_allocation(a)
                     value = a.value(alloc)
                 rec = AllocatorRecord(
                     name=name, objective=spec.sign * value, feasible=True,

@@ -16,6 +16,13 @@ import numpy as np
 MAX_SUBCHANNELS = 32
 
 
+def read_only(array) -> np.ndarray:
+    """A view of ``array`` that raises ValueError on an in-place write."""
+    view = np.asarray(array).view()
+    view.flags.writeable = False
+    return view
+
+
 class PatternBoundsError(ValueError):
     """Sub-channel count outside the supported 1..MAX_SUBCHANNELS range."""
 
@@ -26,15 +33,13 @@ class PatternSet:
 
     Column 0 is the empty pattern.  The remaining columns are sorted by
     (length, start), both ascending.  Sub-channel indices are 1-based.
-    Instances are immutable; treat the derived arrays as read-only.  A set
-    hashes and compares by identity, as ``enumerate_patterns`` keeps one
-    catalogue per sub-channel count.
+    Instances are immutable and the derived arrays read-only, since every
+    caller shares them.  A set hashes and compares by identity, as
+    ``enumerate_patterns`` keeps one catalogue per sub-channel count.
     """
 
     n_subchannels: int
     columns: tuple[tuple[int, ...], ...]
-
-    EMPTY = 0
 
     @property
     def n_patterns(self) -> int:
@@ -42,7 +47,7 @@ class PatternSet:
 
     @cached_property
     def sizes(self) -> np.ndarray:
-        return np.array([len(c) for c in self.columns], dtype=np.int64)
+        return read_only(np.array([len(c) for c in self.columns], dtype=np.int64))
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -51,32 +56,7 @@ class PatternSet:
         for j, col in enumerate(self.columns):
             for n in col:
                 mat[n - 1, j] = 1
-        return mat
-
-    @cached_property
-    def _index(self) -> dict[tuple[int, int], int]:
-        out = {}
-        for j, col in enumerate(self.columns):
-            if col:
-                out[(col[0], len(col))] = j
-        return out
-
-    def index_of(self, start: int, length: int) -> int:
-        """Column index of the block [start, start+length-1]; 0 selects empty."""
-        if length == 0:
-            return self.EMPTY
-        try:
-            return self._index[(start, length)]
-        except KeyError:
-            raise KeyError(f"no contiguous pattern with start={start} length={length}") from None
-
-    def index_of_set(self, subchannels: tuple[int, ...]) -> int:
-        sub = tuple(sorted(subchannels))
-        if not sub:
-            return self.EMPTY
-        if sub != tuple(range(sub[0], sub[0] + len(sub))):
-            raise KeyError(f"{subchannels} is not contiguous")
-        return self.index_of(sub[0], len(sub))
+        return read_only(mat)
 
 
 def enumerate_patterns(n_subchannels: int) -> PatternSet:

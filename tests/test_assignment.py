@@ -70,7 +70,7 @@ def test_value_matches_agent_order_sum_bitwise():
     rng = np.random.default_rng(10)
     for _ in range(25):
         combo = tuple(int(rng.integers(0, inst.patterns.n_patterns)) for _ in range(3))
-        alloc = a.allocation_from_tags([(k, j) for k, j in enumerate(combo)])
+        alloc = Allocation(option_index=tuple(a.agent_options(k)[j] for k, j in enumerate(combo)))
         manual = 0.0
         for o in alloc.option_index:
             manual = manual + float(a.weights[o])
@@ -80,7 +80,7 @@ def test_value_matches_agent_order_sum_bitwise():
 
 def test_selection_vector_roundtrip():
     a = to_assignment(_sumax_instance(n_users=2, n_sub=3))
-    alloc = a.allocation_from_tags([(0, 2), (1, 1)])
+    alloc = Allocation(option_index=(a.agent_options(0)[2], a.agent_options(1)[1]))
     sel = a.selection_vector(alloc)
     assert sel.sum() == 2
     back = a.allocation_from_selection(sel)
@@ -104,15 +104,9 @@ def test_selection_violations_messages():
 
 def test_allocation_violations_reports_uncovered():
     a = to_assignment(_sumax_instance(n_users=2, n_sub=3))
-    alloc = a.allocation_from_tags([(0, 0), (1, 0)])
+    alloc = Allocation(option_index=(a.agent_options(0)[0], a.agent_options(1)[0]))
     v = a.allocation_violations(alloc)
     assert v
-
-
-def test_option_for_unknown_tag():
-    a = to_assignment(_sumax_instance())
-    with pytest.raises(KeyError):
-        a.option_for((5, 0))
 
 
 def test_with_weights_replaces_only_weights():
@@ -167,7 +161,7 @@ def _layout_arrays(layout):
         name: getattr(layout, name)
         for name in (
             "agent_of", "footprint_matrix", "sizes", "constraint_matrix",
-            "half_colsum_minus_one", "ends",
+            "half_colsum_minus_one", "ends", "option_at",
         )
     }
 
@@ -207,7 +201,6 @@ def test_hand_built_instance_builds_the_same_layout():
         assert np.array_equal(array, getattr(a.layout, name)), name
         assert not array.flags.writeable
     assert agent_of.flags.writeable  # the caller's own arrays stay writeable
-    assert hand.option_for((1, 2)) == a.option_for((1, 2))
 
 
 def test_masks_varying_by_drop_never_outgrow_the_layout_cache():
@@ -221,3 +214,30 @@ def test_masks_varying_by_drop_never_outgrow_the_layout_cache():
         run_drop(cfg, 500 + i, i)
         assert _layout.cache_info().currsize <= LAYOUT_CACHE_SIZE
     assert _layout.cache_info().misses - misses > LAYOUT_CACHE_SIZE
+
+
+def test_option_at_matches_a_scan_of_sizes_and_ends_on_strict_cap_masks():
+    # a strict power cap masks options drop by drop; at a 500 m radius most drops stay feasible
+    scen = ScenarioConfig(n_users=4, n_subchannels=8, cell_radius_m=500.0)
+    n_res = scen.n_subchannels
+    masks = set()
+    for seed in range(400, 412):
+        inst = build_jamsc(
+            generate_channel(scen, seed), scen, np.full(4, 140e3), ModulationTable(),
+            FrameConfig(), strict_cap=True,
+        )
+        try:
+            a = to_assignment(inst)
+        except InfeasibleInstanceError:
+            continue
+        masks.add(inst.allowed.tobytes())
+        sizes, ends = a.sizes.tolist(), a.layout.ends.tolist()
+        for k in range(a.n_agents):
+            for n in range(n_res + 1):
+                for m in range(n, n_res + 1):
+                    scan = [o for o in a.agent_options(k) if sizes[o] == m - n and (m == n or ends[o] == m)]
+                    assert a.layout.option_at[k, n, m] == (scan[0] if scan else -1)
+                    assert len(scan) <= 1
+        below = np.tril(np.ones((n_res + 1, n_res + 1), dtype=bool), -1)
+        assert (a.layout.option_at[:, below] == -1).all()
+    assert len(masks) > 5

@@ -7,7 +7,6 @@ from scfdma_alloc.assignment import AssignmentInstance, OptionLayout, to_assignm
 from scfdma_alloc.baselines import (
     InfeasibleAllocationError,
     OracleCeilingError,
-    block_table,
     brute_force,
     greedy,
     round_robin,
@@ -91,7 +90,7 @@ def test_oracle_finishes_at_twelve_by_twentyfour():
     alloc, best = brute_force(a)
     assert not a.allocation_violations(alloc)
     assert best == a.value(alloc)
-    assert sum_utility(inst, greedy(inst)) <= -best
+    assert a.value(greedy(a)) >= best
     # the default ceiling refuses (16, 32) before any work
     big = desk_scenario(16, 32)
     with pytest.raises(OracleCeilingError, match="relaxations"):
@@ -101,26 +100,33 @@ def test_oracle_finishes_at_twelve_by_twentyfour():
 @pytest.mark.parametrize("seed", [50, 51, 52])
 def test_greedy_returns_exact_cover(seed):
     cfg = desk_scenario(3, 6)
-    inst = build_sumax(generate_channel(cfg, seed), cfg)
-    choice = greedy(inst)
-    assert len(choice) == 3
-    assert (inst.patterns.matrix[:, list(choice)].sum(axis=1) == 1).all()
+    a = to_assignment(build_sumax(generate_channel(cfg, seed), cfg))
+    alloc = greedy(a)
+    assert len(alloc.option_index) == 3
+    assert not a.allocation_violations(alloc)
 
 
 @pytest.mark.parametrize("seed", [60, 61, 62, 63])
 def test_greedy_never_beats_oracle(seed):
     cfg = desk_scenario(2, 5)
     inst = build_sumax(generate_channel(cfg, seed), cfg)
-    got = sum_utility(inst, greedy(inst))
-    _, best = brute_force(to_assignment(inst))
-    assert got <= -best + 1e-9
+    a = to_assignment(inst)
+    cols = [a.provenance[o][1] for o in greedy(a).option_index]
+    _, best = brute_force(a)
+    assert sum_utility(inst, cols) <= -best + 1e-9
 
 
 def test_greedy_deterministic():
     cfg = desk_scenario(3, 6)
     inst = build_sumax(generate_channel(cfg, 70), cfg)
     again = build_sumax(generate_channel(cfg, 70), cfg)
-    assert greedy(inst) == greedy(again)
+    assert greedy(to_assignment(inst)) == greedy(to_assignment(again))
+
+
+def test_greedy_refuses_an_agent_left_without_its_empty_option():
+    # two agents, each with only the block of the one sub-channel
+    with pytest.raises(InfeasibleAllocationError, match="not one of its agent's options"):
+        greedy(_hand_built([[1.0, 1.0]], [0, 1], n_agents=2))
 
 
 def test_round_robin_blocks():
@@ -149,22 +155,53 @@ def test_round_robin_guards():
         round_robin(3, 0)
 
 
-def test_block_table_reads_the_layout_and_refuses_a_split_footprint():
-    a = sumax_assignment_for_seed(3, 5, 7)
-    ends, _, _ = block_table(a)
-    assert ends is a.layout.ends
-    assert block_table(a)[0] is ends  # a second call rebuilds nothing
-    split = AssignmentInstance(
-        weights=np.array([-1.0]),
+def _hand_built(footprints, agent_of, n_agents=1):
+    """An instance of unit weights on the given (n_resources, n_options) footprints."""
+    footprints = np.asarray(footprints, dtype=float)
+    agent_of = np.asarray(agent_of, dtype=np.int64)
+    stops = np.cumsum(np.bincount(agent_of, minlength=n_agents)).tolist()
+    return AssignmentInstance(
+        weights=np.ones(len(agent_of)),
         layout=OptionLayout(
-            n_agents=1,
-            n_resources=3,
-            agent_of=np.zeros(1, dtype=np.int64),
-            agent_slices=((0, 1),),
-            footprint_matrix=np.array([[1.0], [0.0], [1.0]]),
-            provenance=((0, 0),),
+            n_agents=n_agents,
+            n_resources=footprints.shape[0],
+            agent_of=agent_of,
+            agent_slices=tuple(zip([0] + stops[:-1], stops)),
+            footprint_matrix=footprints,
+            provenance=tuple((int(k), o) for o, k in enumerate(agent_of)),
         ),
     )
-    for oracle in (block_table, brute_force):
+
+
+def test_option_at_reads_the_layout_and_refuses_a_split_footprint():
+    a = sumax_assignment_for_seed(3, 5, 7)
+    at = a.layout.option_at
+    assert a.layout.option_at is at  # a second read rebuilds nothing
+    for o in range(a.n_options):
+        k, end, size = a.agent_of[o], a.layout.ends[o], a.sizes[o]
+        assert at[k, end - size, end] == o
+    split = _hand_built([[1.0], [0.0], [1.0]], [0])
+    for oracle in (lambda a: a.layout.option_at, brute_force, greedy):
         with pytest.raises(ValueError, match="one contiguous block"):
             oracle(split)
+
+
+def test_option_at_refuses_two_options_on_one_footprint():
+    for footprints in ([[1.0, 1.0], [1.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]]):
+        twice = _hand_built(footprints, [0, 0])
+        with pytest.raises(ValueError, match="share an agent and a footprint"):
+            brute_force(twice)
+    # the same footprint for two agents is two cells
+    shared = _hand_built([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]], [0, 1, 0, 1], n_agents=2)
+    assert shared.layout.option_at[:, 0, 2].tolist() == [0, 1]
+    assert shared.layout.option_at[:, 1, 1].tolist() == [2, 3]
+
+
+def test_cover_costs_gather_the_weights_and_are_read_only():
+    a = sumax_assignment_for_seed(3, 5, 8)
+    at, cost = a.layout.option_at, a.cover_costs
+    assert np.array_equal(cost[at >= 0], a.weights[at[at >= 0]])
+    assert (cost[at < 0] == np.inf).all()
+    assert a.cover_costs is cost
+    with pytest.raises(ValueError, match="read-only"):
+        cost[0, 0, 0] = 0.0

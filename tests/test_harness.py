@@ -79,6 +79,19 @@ def test_run_drop_jamsc_all_allocators():
         assert all(r["modulation"] for r in rows)
 
 
+def test_round_robin_refusal_names_the_user_and_the_block():
+    # two sub-channels of 16QAM cannot carry 400 kbps
+    cfg = CampaignConfig(
+        scenario=desk_scenario(4, 8), problem="jamsc", target_rate_bps=400e3,
+        allocators_jamsc=("round_robin",),
+    )
+    res = run_drop(cfg, seed=3)
+    rec = res.records["round_robin"]
+    assert not rec.feasible
+    assert rec.error == "user 0 has no option on its round-robin block of sub-channels 1..2"
+    assert not res.user_rows
+
+
 def test_emit_cdf_pairs():
     assert emit_cdf([3.0, 1.0, 2.0, 2.0]) == [(1.0, 0.25), (2.0, 0.5), (2.0, 0.75), (3.0, 1.0)]
 

@@ -34,7 +34,6 @@ def test_pattern_count_n25():
 def test_empty_pattern_first():
     ps = enumerate_patterns(6)
     assert ps.columns[0] == ()
-    assert ps.EMPTY == 0
     assert ps.sizes[0] == 0
 
 
@@ -71,22 +70,12 @@ def test_matrix_matches_columns():
     assert ps.matrix[:, 0].sum() == 0
 
 
-def test_index_of_roundtrip():
-    ps = enumerate_patterns(7)
-    for j, col in enumerate(ps.columns):
-        if not col:
-            continue
-        assert ps.index_of(col[0], len(col)) == j
-        assert ps.index_of_set(col) == j
-    assert ps.index_of_set(()) == ps.EMPTY
-
-
-def test_index_of_rejects_unknown():
-    ps = enumerate_patterns(4)
-    with pytest.raises(KeyError):
-        ps.index_of(1, 5)
-    with pytest.raises(KeyError):
-        ps.index_of_set((1, 3))
+def test_shared_catalogue_arrays_are_read_only():
+    ps = enumerate_patterns(3)
+    for array in (ps.matrix, ps.sizes):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    assert enumerate_patterns(3).matrix[:, 0].sum() == 0
 
 
 def test_bounds_guard():
@@ -128,7 +117,7 @@ def test_feasibility_mask_allows_only_large_enough():
 def test_feasibility_mask_excludes_empty_everywhere():
     ps = enumerate_patterns(5)
     lowest = lowest_modulation(ps, np.ones((3, 3), dtype=int))
-    assert (lowest[:, ps.EMPTY] == -1).all()
+    assert (lowest[:, 0] == -1).all()  # column 0 is the empty pattern
     assert (lowest[:, 1:] == 0).all()
 
 

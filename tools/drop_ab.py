@@ -14,7 +14,9 @@ One untimed drop per side fills the caches first.
 Each layer is timed by wrapping the module attribute the drop path looks up,
 as perfbench's trace does: channel (``generate_channel``), model
 (``build_sumax`` and ``build_jamsc``), to_assignment, solve (including its
-repair), oracle (``brute_force``) and repair (``dual.repair_selection``).
+repair), oracle (``brute_force``), repair (``dual.repair_selection``),
+greedy and round robin (``round_robin``'s block partition only, as in
+perfbench).
 Prints, for ``run_drop`` and each layer, both sides' ms per drop and the
 change/base ratio of their totals, and for ``run_drop`` the drops on which
 the change was faster.
@@ -47,6 +49,8 @@ LAYERS = {
     "solve": (("harness", "solve"),),
     "oracle": (("harness", "brute_force"),),
     "repair": (("dual", "repair_selection"),),
+    "greedy": (("harness", "greedy"),),
+    "round_robin": (("harness", "round_robin"),),
 }
 
 
