@@ -24,12 +24,13 @@ rounds, a squared extrapolation from them that is kept only where phi does
 not fall, and one stabilising round from the extrapolated point.  That
 leaves the round map, hence its fixed points, the convergence test and the
 certificate, as they were, and cuts the rounds to about a third at the
-paper's scale.  A cold start takes its first binarity step at a uniform rho
-of the utilities' mean magnitude, which starts the ascent in the
-utilities' own units and cuts the paper-scale sumax rounds by a further two
-fifths.  A converged run whose recovered indicator rounds to an exact cover
-is certified: the bound is then attained, so that cover is the exact
-optimum.  A run whose rounding is not an exact cover is repaired by a
+paper's scale.  The binarity floor is a fixed fraction of the utilities'
+mean magnitude, and a cold start takes its first binarity step at a uniform
+rho of that magnitude, so the ascent runs in the utilities' own units:
+scaling every weight by a power of two scales every dual by the same power
+and leaves every round, exit and allocation as it was.  A converged run
+whose recovered indicator rounds to an exact cover is certified: the bound
+is then attained, so that cover is the exact optimum.  A run whose rounding is not an exact cover is repaired by a
 polynomial chain program over the agents, ordered by the recovered
 indicator; when the repair finds no cover, the exact oracle's forward sweep
 decides whether any exists.
@@ -49,8 +50,10 @@ from .baselines import OracleCeilingError, cover_sweep
 TERMINATIONS = ("converged", "stagnation", "budget", "diverged")
 OUTCOMES = ("certified", "rounded", "repaired", "unallocated")
 NO_COVER = "no exact-cover assignment exists for this instance"
-# The binarity duals' floor (see ``project_rho``) and how close to 0/1 the
-# recovered indicator must round.
+# The binarity duals' floor (see ``project_rho``) is FLOOR_SCALE times the
+# utilities' mean magnitude, or PROJECTION_OFFSET where that is 0; and how
+# close to 0/1 the recovered indicator must round.
+FLOOR_SCALE = 1e-5
 PROJECTION_OFFSET = 1e-3
 ROUND_TOL = 0.1
 # How many times an extrapolation step is halved towards the plain round's
@@ -407,7 +410,12 @@ def repair_selection(a: AssignmentInstance, frac: np.ndarray) -> np.ndarray | No
 
 
 def _extrapolate(
-    a: AssignmentInstance, y0: np.ndarray, y1: np.ndarray, y2: np.ndarray, floor: float
+    a: AssignmentInstance,
+    y0: np.ndarray,
+    y1: np.ndarray,
+    y2: np.ndarray,
+    least: float,
+    offset: float,
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """SQUAREM's squared extrapolation of two rounds y0 -> y1 -> y2.
 
@@ -415,9 +423,9 @@ def _extrapolate(
     point is y' = y0 - 2 alpha r + alpha^2 v (alpha = -1 gives y2).  The
     norms are taken without squaring the differences, which overflow float64
     long before the duals do.  y' is kept only where phi(y'), the dual at
-    rho = ``project_rho`` of its slack, is at least ``floor``, the y2
-    landing's value; otherwise alpha moves halfway to -1, up to
-    ``EXTRAPOLATION_BACKTRACKS`` times.  Returns y' and its slack, or None
+    rho = ``project_rho`` of its slack with the solve's floor ``offset``, is
+    at least ``least``, the y2 landing's value; otherwise alpha moves halfway
+    to -1, up to ``EXTRAPOLATION_BACKTRACKS`` times.  Returns y' and its slack, or None
     when v = 0, alpha reaches -1 or no step is kept.
     """
     r = y1 - y0
@@ -431,9 +439,9 @@ def _extrapolate(
             return None
         trial = y0 - 2.0 * alpha * r + alpha * alpha * v
         slack = _slack(a, trial)
-        binary = project_rho(slack, PROJECTION_OFFSET)
+        binary = project_rho(slack, offset)
         # a NaN phi fails the test too
-        if _value(trial, slack + binary, binary) >= floor:
+        if _value(trial, slack + binary, binary) >= least:
             return trial, slack
         alpha = 0.5 * (alpha - 1.0)
     return None
@@ -448,8 +456,11 @@ def solve(
 
     One round T (1) sets the binarity duals to ``project_rho`` of the slack
     at y, the closed-form maximiser of their separable sub-problems, which
-    keeps them positive, (2) lands y on the stationary point of the dual
-    with the binarity duals held fixed, a concave quadratic whose Hessian is
+    keeps them positive (the floor is delta = ``FLOOR_SCALE`` * mean |u|,
+    computed once per solve and used by every binarity step, the
+    extrapolation's included, or ``PROJECTION_OFFSET`` when every utility
+    is 0), (2) lands y on the stationary point of the dual with the
+    binarity duals held fixed, a concave quadratic whose Hessian is
     the Gram matrix of the stacked constraint matrix (``joint_system``,
     solved once; least squares when it is singular), and (3) evaluates the
     dual's value and binarity gradient once at that landing; the indicator
@@ -461,10 +472,13 @@ def solve(
     minorize-maximize map of phi.
 
     A warm ``start`` supplies the first y.  A cold start has no y before its
-    first landing: its first round takes rho = ``project_rho`` of mean |u|
-    on every option, the uniform binarity dual whose landing is the
-    least-squares fit of the utilities by the constraint columns, and lands
-    y from there.  The value of that landing is at most phi of it, so
+    first landing: its first round takes rho = mean |u| on every option (the
+    floor when every utility is 0), the uniform binarity dual whose landing
+    is the least-squares fit of the utilities by the constraint columns, and
+    lands y from there.  Since delta and the cold start are both in the
+    utilities' units, scaling the weights by a power of two scales every
+    dual by the same power and leaves every round, exit and allocation
+    unchanged.  The value of that landing is at most phi of it, so
     landing values never fall from the first one on.
 
     The rounds run in SQUAREM cycles.  From y0 a cycle lands y1 = T(y0) and
@@ -485,10 +499,13 @@ def solve(
     came from: an exact-cover rounding is ``certified`` when the ascent
     converged and ``rounded`` otherwise; any other rounding is replaced by
     ``repair_selection``'s cover (``repaired``) or by none
-    (``unallocated``).  A warm ``start`` whose binarity duals are not all
-    positive raises DualDomainError before any work; otherwise the first
-    round replaces them, so only its choice and cover duals, which may take
-    either sign, shape the ascent.
+    (``unallocated``).  A warm ``start`` whose choice, cover or binarity
+    duals do not number the instance's agents, sub-channels and options
+    raises ValueError, and one whose binarity duals are not all positive
+    raises DualDomainError, both before any work; otherwise the first round
+    replaces its binarity duals, so only its choice and cover duals, which
+    may take either sign, shape the ascent.  They may come from another
+    instance on the same agents and sub-channels.
 
     Nothing is searched before the ascent.  An instance whose footprint
     sizes cannot sum to the band (``sizes_admit_cover``) raises
@@ -500,15 +517,24 @@ def solve(
     an allocation (``unallocated``).
     """
     n_agents = a.n_agents
+    scale = float(np.abs(a.utilities).mean())
+    # the binarity floor, in the utilities' units
+    offset = FLOOR_SCALE * scale or PROJECTION_OFFSET
     # ``path`` holds the cycle's iterates so far: y0, then the landings y1 and y2
     if start is None:
         # no y before the first landing: the report's duals only if the
         # first binarity step is already not finite
         stacked = np.full(n_agents + a.n_resources, math.nan)
         # a uniform slack of mean |u|, so the first step lands rho there
-        slack = np.full(a.n_options, float(np.abs(a.utilities).mean()))
+        slack = np.full(a.n_options, scale)
         path = []
     else:
+        got = tuple(len(v) for v in (start.choice_dual, start.cover_dual, start.binary_dual))
+        if got != (n_agents, a.n_resources, a.n_options):
+            raise ValueError(
+                f"warm start has (choice, cover, binary) lengths {got}, "
+                f"the instance needs {(n_agents, a.n_resources, a.n_options)}"
+            )
         stacked = _stacked(start).astype(float)
         if not (start.binary_dual > 0).all():
             raise DualDomainError("warm-start binary duals must all be positive")
@@ -526,7 +552,7 @@ def solve(
         outer += 1
         # |slack| maximises each separable 1-D sub-problem on rho > 0, so
         # one step lands every binarity dual
-        binary = project_rho(slack, PROJECTION_OFFSET)
+        binary = project_rho(slack, offset)
         if not np.isfinite(binary).all():
             termination = "diverged"
             break
@@ -560,7 +586,7 @@ def solve(
                 break
         path.append(stacked)
         if len(path) == 3 and outer < cfg.max_outer:
-            jump = _extrapolate(a, *path, dval)
+            jump = _extrapolate(a, *path, dval, offset)
             if jump is None:
                 path = [stacked]  # carry on from y2
             else:

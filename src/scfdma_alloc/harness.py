@@ -8,6 +8,7 @@ files and a JSON summary.  CSV content is byte-reproducible for identical
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import time
@@ -218,6 +219,10 @@ def run_drop(cfg: CampaignConfig, seed: int, drop_index: int = 0, problem: str |
 
     Each model instance is flattened to the assignment form once per drop;
     when that fails, every allocator that uses the instance gets the error.
+    ``dual_fixed`` starts from ``dual_am``'s choice and cover duals when
+    ``dual_am`` ran earlier in the drop and did not diverge: both jamsc
+    instances constrain the same users and sub-channels, and the first round
+    replaces the binarity duals.  Otherwise it starts cold.
     """
     prob = problem or cfg.problem
     if prob not in _PROBLEMS:
@@ -229,6 +234,7 @@ def run_drop(cfg: CampaignConfig, seed: int, drop_index: int = 0, problem: str |
     forms: dict[int, AssignmentInstance | InfeasibleInstanceError] = {}
     records: dict[str, AllocatorRecord] = {}
     user_rows: list[dict] = []
+    joint_point: DualPoint | None = None  # dual_am's duals, once it has run
 
     for name in cfg.allocators_for(prob):
         t0 = time.perf_counter()
@@ -245,7 +251,16 @@ def run_drop(cfg: CampaignConfig, seed: int, drop_index: int = 0, problem: str |
         alloc: Allocation | None = None
         try:
             if name.startswith("dual"):
-                rep = solve(a, cfg.solver)
+                start = None
+                if name == "dual_fixed" and joint_point is not None:
+                    start = DualPoint(
+                        cover_dual=joint_point.cover_dual,
+                        choice_dual=joint_point.choice_dual,
+                        binary_dual=np.ones(a.n_options),
+                    )
+                rep = solve(a, cfg.solver, start=start)
+                if name == "dual_am" and rep.termination != "diverged":
+                    joint_point = rep.dual_point
                 rec = _record_from_report(name, rep, spec.sign, time.perf_counter() - t0)
                 alloc = rep.allocation
             else:
@@ -300,29 +315,26 @@ _USER_COLUMNS = (
 )
 
 
-def _drop_csv_rows(results: Sequence[DropResult]) -> list[str]:
-    lines = [",".join(_DROP_COLUMNS)]
+def _drop_csv_rows(results: Sequence[DropResult]) -> list[Sequence]:
+    rows: list[Sequence] = [_DROP_COLUMNS]
     for res in results:
         for name, rec in res.records.items():
-            row = (
+            rows.append((
                 res.problem, res.drop_index, res.seed, name, rec.objective, rec.feasible,
-                rec.error.replace(",", ";"), rec.outcome, rec.termination,
-                rec.outer_iterations,
-            )
-            lines.append(",".join(_fmt(v) for v in row))
-    return lines
+                rec.error, rec.outcome, rec.termination, rec.outer_iterations,
+            ))
+    return rows
 
 
-def _user_csv_rows(results: Sequence[DropResult]) -> list[str]:
-    lines = [",".join(_USER_COLUMNS)]
+def _user_csv_rows(results: Sequence[DropResult]) -> list[Sequence]:
+    rows: list[Sequence] = [_USER_COLUMNS]
     for res in results:
         for row in res.user_rows:
-            out = (
+            rows.append((
                 res.problem, res.drop_index, res.seed, row["allocator"], row["user"],
                 row["start"], row["length"], row["modulation"], row["power_w"], row["snr_eff"],
-            )
-            lines.append(",".join(_fmt(v) for v in out))
-    return lines
+            ))
+    return rows
 
 
 @dataclass
@@ -410,27 +422,27 @@ def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
         os.makedirs(cfg.out_dir, exist_ok=True)
         for prob in problems:
             sub = [r for r in all_results if r.problem == prob]
-            _write_lines(os.path.join(cfg.out_dir, f"{prob}_drops.csv"), _drop_csv_rows(sub))
-            _write_lines(os.path.join(cfg.out_dir, f"{prob}_users.csv"), _user_csv_rows(sub))
+            _write_csv(os.path.join(cfg.out_dir, f"{prob}_drops.csv"), _drop_csv_rows(sub))
+            _write_csv(os.path.join(cfg.out_dir, f"{prob}_users.csv"), _user_csv_rows(sub))
             for name in cfg.allocators_for(prob):
                 vals = [
                     r.records[name].objective
                     for r in sub
                     if name in r.records and r.records[name].feasible
                 ]
-                lines = ["value,fraction"] + [
-                    f"{_fmt(v)},{_fmt(f)}" for v, f in emit_cdf(vals)
-                ]
-                _write_lines(os.path.join(cfg.out_dir, f"{prob}_cdf_{name}.csv"), lines)
+                rows = [("value", "fraction"), *emit_cdf(vals)]
+                _write_csv(os.path.join(cfg.out_dir, f"{prob}_cdf_{name}.csv"), rows)
         with open(os.path.join(cfg.out_dir, "summary.json"), "w", encoding="utf-8") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return CampaignSummary(results=all_results, summary=summary, ok=ok, failures=failures)
 
 
-def _write_lines(path: str, lines: Sequence[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+def _write_csv(path: str, rows: Sequence[Sequence]) -> None:
+    """One line per row of ``_fmt``-formatted cells; only a cell holding a
+    comma, a quote or a line break is quoted."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([_fmt(v) for v in row] for row in rows)
 
 
 # ---------------------------------------------------------------------------
@@ -610,7 +622,4 @@ def write_complexity_csv(path: str, rows: Sequence[dict]) -> None:
         "n_agents", "n_subchannels", "n_patterns", "n_options", "outer",
         "ops", "ops_per_outer", "wall_s",
     )
-    lines = [",".join(cols)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in cols))
-    _write_lines(path, lines)
+    _write_csv(path, [cols, *([row[c] for c in cols] for row in rows)])

@@ -37,6 +37,32 @@ def test_rounds_sum_outer_iterations_per_allocator():
     assert campaign_diff.rounds(NEW) == {("jamsc", "dual_am"): 64}  # the oracle has no rounds
 
 
+def test_outcome_counts_count_drops_per_allocator_and_outcome():
+    assert campaign_diff.outcome_counts(OLD) == {
+        ("jamsc", "dual_am", "repaired"): 1,
+        ("jamsc", "dual_am", "certified"): 1,
+        ("sumax", "dual", "certified"): 1,
+    }
+    assert campaign_diff.outcome_counts(NEW) == {
+        ("jamsc", "dual_am", "repaired"): 1,
+        ("jamsc", "dual_am", "certified"): 2,
+    }  # the oracle has no outcome
+
+
+def test_print_tallies_shows_rounds_and_outcome_counts_of_both_sides(capsys):
+    campaign_diff.print_tallies({"jamsc_drops.csv": OLD}, {"jamsc_drops.csv": NEW})
+    lines = capsys.readouterr().out.splitlines()
+    rounds_at, outcomes_at = lines.index("rounds (outer_iterations summed over drops):"), lines.index(
+        "outcomes (drops per dual allocator and outcome):"
+    )
+    assert lines[rounds_at + 1 : outcomes_at] == ["  jamsc dual_am: 52 -> 64", "  sumax dual: 20 -> 0"]
+    assert lines[outcomes_at + 1 :] == [
+        "  jamsc dual_am certified 1 -> 2",
+        "  jamsc dual_am repaired 1 -> 1",
+        "  sumax dual certified 1 -> 0",
+    ]
+
+
 def test_diff_sweep_keys_rows_by_instance():
     old = [
         {"n_users": 2, "n_subchannels": 4, "seed": 7, "outcome": "certified", "ratio": 1.0},

@@ -217,17 +217,18 @@ def test_project_rho_degenerate_zero_pair():
 
 def test_exact_zero_slack_takes_one_binarity_step(landings):
     # option 0's slack u - choice - cover_terms is exactly 0 at this start:
-    # one step floors its dual at the offset, where a per-pass bump of the
-    # offset would walk it one offset per round
+    # one step floors its dual at the offset, FLOOR_SCALE * mean |u|, where a
+    # per-pass bump of the offset would walk it one offset per round
     start = DualPoint(
         cover_dual=np.array([1.0]),
         choice_dual=np.array([0.0]),
         binary_dual=np.array([1.0, 1.0]),
     )
     cfg = SolverConfig()
-    rep = solve(hand_instance(), cfg, start=start)
+    a = hand_instance()
+    rep = solve(a, cfg, start=start)
     assert len(landings) == rep.outer_iterations
-    assert rep.dual_point.binary_dual[0] == dual.PROJECTION_OFFSET
+    assert rep.dual_point.binary_dual[0] == dual.FLOOR_SCALE * np.abs(a.utilities).mean() == 2.5e-5
     assert rep.certified
     assert rep.primal_value == -5.0
     for k, n in ((2, 4), (2, 6), (3, 5)):
@@ -496,18 +497,22 @@ def test_warm_start_binary_duals_are_replaced_by_the_first_step():
 
 def test_cold_start_lands_first_at_a_uniform_rho_sized_to_the_utilities(landings):
     a = sumax_assignment_for_seed(3, 5, 900)
-    for scale in (1.0, 1e-5):  # the second puts mean |u| below the floor
+    # the floor is relative, so even a mean |u| far below the old absolute
+    # floor of 1e-3 is where the cold start lands
+    for scale in (1.0, 1e-5, 1e5):
         inst = a.with_weights(scale * a.weights)
         landings.clear()
         solve(inst, SolverConfig())
-        rho = max(np.abs(inst.utilities).mean(), dual.PROJECTION_OFFSET)
+        rho = np.abs(inst.utilities).mean()
         assert np.array_equal(landings[0], np.full(a.n_options, rho))
-    assert rho == dual.PROJECTION_OFFSET
-    # a warm start's first landing still takes the binarity step from its slack
+    assert rho > 1e3 * dual.PROJECTION_OFFSET
+    # a warm start's first landing still takes the binarity step from its
+    # slack, floored at FLOOR_SCALE * mean |u|
     landings.clear()
     solve(a, SolverConfig(), start=unit_start(a))
     slack = a.utilities - a.constraint_matrix @ np.ones(a.n_agents + a.n_resources)
-    assert np.array_equal(landings[0], project_rho(slack, dual.PROJECTION_OFFSET))
+    offset = dual.FLOOR_SCALE * np.abs(a.utilities).mean()
+    assert np.array_equal(landings[0], project_rho(slack, offset))
 
 
 def test_zero_utilities_start_on_the_floor_and_return_an_exact_cover(landings):
@@ -535,6 +540,116 @@ def test_cold_start_takes_at_most_three_quarters_of_the_unit_start_landings():
         if rep.certified:
             assert rep.allocation == ref.allocation, seed
     assert cold <= 0.75 * unit
+
+
+def paper_instances(seed: int) -> tuple[AssignmentInstance, AssignmentInstance, AssignmentInstance]:
+    """One paper-scale drop (K = 4, N = 8): its sumax, joint jamsc and 16QAM jamsc instances."""
+    sc = ScenarioConfig(n_users=4, n_subchannels=8)
+    gains = generate_channel(sc, seed)
+    joint, fixed = (
+        to_assignment(build_jamsc(gains, sc, np.full(4, 140e3), table, FrameConfig()))
+        for table in (ModulationTable(), ModulationTable().restricted("16QAM"))
+    )
+    return to_assignment(build_sumax(gains, sc)), joint, fixed
+
+
+def warm_start(rep: dual.SolveReport, a: AssignmentInstance) -> DualPoint:
+    """``rep``'s choice and cover duals as a start for ``a``, as ``run_drop`` passes them."""
+    point = rep.dual_point
+    return DualPoint(cover_dual=point.cover_dual, choice_dual=point.choice_dual, binary_dual=np.ones(a.n_options))
+
+
+def test_scaling_the_weights_by_a_power_of_four_scales_every_dual():
+    # the floor and the cold start are in the utilities' units, and scaling
+    # by a power of two is exact in float64, so every round is the same
+    # round in other units
+    def solves(instances, scale):
+        sumax, joint, fixed = (a.with_weights(scale * a.weights) for a in instances)
+        reps = [solve(sumax), solve(joint), solve(fixed)]
+        return reps + [solve(fixed, start=warm_start(reps[1], fixed))]
+
+    for seed in range(42, 62):
+        instances = paper_instances(seed)
+        base = solves(instances, 1.0)
+        for k in (-10, -5, 5, 10):
+            scale = 4.0**k
+            for which, ref, rep in zip(("sumax", "dual_am", "dual_fixed", "warm dual_fixed"), base, solves(instances, scale)):
+                where = (seed, k, which)
+                assert (rep.outcome, rep.termination, rep.outer_iterations) == (
+                    ref.outcome, ref.termination, ref.outer_iterations
+                ), where
+                assert rep.allocation == ref.allocation, where
+                assert np.array_equal(rep.dual_point.choice_dual, scale * ref.dual_point.choice_dual), where
+                assert np.array_equal(rep.dual_point.cover_dual, scale * ref.dual_point.cover_dual), where
+
+
+def test_warm_started_dual_fixed_certifies_only_the_optimum(monkeypatch):
+    solves = []
+
+    def recording(a, cfg=SolverConfig(), start=None):
+        rep = solve(a, cfg, start=start)
+        solves.append((a, start, rep))
+        return rep
+
+    monkeypatch.setattr(harness, "solve", recording)
+    cfg = CampaignConfig(problem="jamsc")  # the paper's K = 4, N = 8
+    certified = 0
+    for i in range(40):
+        solves.clear()
+        run_drop(cfg, 42 + i, i)
+        (_, cold, am), (fixed, start, rep) = solves
+        assert cold is None
+        # dual_am never diverges here, so dual_fixed always starts from its duals
+        assert am.termination != "diverged"
+        assert np.array_equal(start.choice_dual, am.dual_point.choice_dual)
+        assert np.array_equal(start.cover_dual, am.dual_point.cover_dual)
+        if rep.certified:
+            certified += 1
+            assert rep.primal_value == brute_force(fixed)[1], i
+    assert certified >= 30
+
+
+def test_dual_fixed_before_dual_am_starts_cold():
+    order = CampaignConfig(problem="jamsc", allocators_jamsc=("dual_fixed", "dual_am", "oracle_am", "round_robin"))
+    alone = CampaignConfig(problem="jamsc", allocators_jamsc=("dual_fixed",))
+    warm = CampaignConfig(problem="jamsc")
+    moved = 0
+    for seed in range(42, 52):
+        first, cold, after = (run_drop(cfg, seed).records["dual_fixed"] for cfg in (order, alone, warm))
+        for name in ("objective", "outcome", "termination", "outer_iterations"):
+            assert getattr(first, name) == getattr(cold, name), (seed, name)
+        moved += after.outer_iterations != cold.outer_iterations
+    assert moved  # the default order does take the warm start
+
+
+@pytest.mark.parametrize("failure", ["diverged", "raised"])
+def test_dual_am_that_failed_leaves_dual_fixed_cold(monkeypatch, failure):
+    starts = []
+
+    def failing_am(a, cfg=SolverConfig(), start=None):
+        starts.append(start)
+        rep = solve(a, cfg, start=start)
+        if len(starts) == 1:
+            if failure == "raised":
+                raise InfeasibleInstanceError("no exact-cover assignment exists for this instance")
+            rep.termination = "diverged"
+        return rep
+
+    monkeypatch.setattr(harness, "solve", failing_am)
+    res = run_drop(CampaignConfig(problem="jamsc"), 42)
+    assert starts == [None, None]
+    assert res.records["dual_fixed"].outcome is not None
+
+
+def test_warm_start_of_another_shape_is_refused(landings):
+    a = sumax_assignment_for_seed(3, 5, 900)
+    k, n, o = a.n_agents, a.n_resources, a.n_options
+    # the first keeps the stacked length K + N, so nothing else would catch it
+    for choice, cover, binary in ((k + 1, n - 1, o), (k, n, o + 1), (k - 1, n, o)):
+        start = DualPoint(cover_dual=np.ones(cover), choice_dual=np.ones(choice), binary_dual=np.ones(binary))
+        with pytest.raises(ValueError, match="lengths"):
+            solve(a, SolverConfig(), start=start)
+    assert not landings
 
 
 @pytest.mark.parametrize("p_max_w", [400.0, 700.0])

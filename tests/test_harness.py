@@ -1,9 +1,12 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
-from scfdma_alloc.dual import OUTCOMES
+from scfdma_alloc import harness
+from scfdma_alloc.baselines import InfeasibleAllocationError
+from scfdma_alloc.dual import OUTCOMES, SolverConfig
 from scfdma_alloc.harness import (
     CampaignConfig,
     certification_sweep,
@@ -127,11 +130,12 @@ def test_run_campaign_writes_reproducible_files(tmp_path):
             b = (tmp_path / "run2" / name).read_bytes()
             assert a == b
 
-    drops = (tmp_path / "run1" / "sumax_drops.csv").read_text().splitlines()
-    header = drops[0].split(",")
-    assert "runtime" not in drops[0]
-    assert header[0] == "problem"
-    assert len(drops) == 1 + 2 * 3
+    with open(tmp_path / "run1" / "sumax_drops.csv", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        drops = list(reader)
+    assert not any("runtime" in name for name in reader.fieldnames)
+    assert reader.fieldnames[0] == "problem"
+    assert len(drops) == 2 * 3
 
     with open(tmp_path / "run1" / "summary.json", encoding="utf-8") as fh:
         summary = json.load(fh)
@@ -140,19 +144,25 @@ def test_run_campaign_writes_reproducible_files(tmp_path):
 
 
 def test_both_campaign_reports_one_outcome_per_dual_solve(tmp_path):
-    # paper scale, seeds 74-77: the jamsc dual_am solves are repaired, certified and rounded
-    out = run_campaign(CampaignConfig(problem="both", n_drops=4, base_seed=74, out_dir=str(tmp_path)))
+    # paper scale, seeds 74-77, ten rounds: the sumax solves are repaired and
+    # rounded, and the warm-started jamsc dual_fixed solves certify
+    cfg = CampaignConfig(
+        problem="both", n_drops=4, base_seed=74, solver=SolverConfig(max_outer=10), out_dir=str(tmp_path)
+    )
+    out = run_campaign(cfg)
     assert out.ok
     seen = set()
     for prob in ("sumax", "jamsc"):
-        lines = (tmp_path / f"{prob}_drops.csv").read_text().splitlines()
-        assert lines[0] == (
-            "problem,drop,seed,allocator,objective,feasible,error,"
-            "outcome,termination,outer_iterations"
+        with open(tmp_path / f"{prob}_drops.csv", encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            rows = list(reader)
+        assert tuple(reader.fieldnames) == (
+            "problem", "drop", "seed", "allocator", "objective", "feasible", "error",
+            "outcome", "termination", "outer_iterations",
         )
         records = {(r.drop_index, n): rec for r in out.results if r.problem == prob for n, rec in r.records.items()}
-        for line in lines[1:]:
-            row = dict(zip(lines[0].split(","), line.split(",")))
+        assert len(rows) == len(records)
+        for row in rows:
             rec = records[int(row["drop"]), row["allocator"]]
             assert row["outcome"] == (rec.outcome or "")
             seen.add(rec.outcome)
@@ -167,6 +177,25 @@ def test_both_campaign_reports_one_outcome_per_dual_solve(tmp_path):
             recs = [r.records[name] for r in out.results if r.problem == prob]
             assert shares["certified"] == sum(bool(r.certified) for r in recs) / len(recs)
     assert {"certified", "rounded", "repaired"} <= seen
+
+
+def test_drop_csv_error_cell_holds_the_exception_text(tmp_path, monkeypatch):
+    message = 'user 1 refused, sub-channels 1..2 "busy"'
+
+    def refuse(a):
+        raise InfeasibleAllocationError(message)
+
+    monkeypatch.setattr(harness, "_round_robin_allocation", refuse)
+    cfg = CampaignConfig(
+        scenario=desk_scenario(2, 4), n_drops=2, allocators_sumax=("greedy", "round_robin"), out_dir=str(tmp_path)
+    )
+    run_campaign(cfg)
+    with open(tmp_path / "sumax_drops.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["allocator"], r["error"]) for r in rows] == [("greedy", ""), ("round_robin", message)] * 2
+    # rows without a comma or a quote are written unquoted
+    lines = (tmp_path / "sumax_drops.csv").read_text().splitlines()
+    assert lines[1].startswith("sumax,0,1,greedy,") and '"' not in lines[1]
 
 
 def test_certification_sweep_tiny():

@@ -10,7 +10,8 @@ each problem, writing its CSVs, and ``harness.certification_sweep()`` with
 its defaults (the acceptance sweep, 540 runs).  Prints the CSVs that are
 byte-identical, every changed drop-CSV row as (problem, drop, allocator,
 field: old -> new), each other changed CSV's count of changed lines, each
-allocator's rounds (``outer_iterations`` summed over its drops), each side's
+allocator's rounds (``outer_iterations`` summed over its drops) and its
+drops per outcome (``jamsc dual_am certified 131 -> 148``), each side's
 certified sweep runs and every changed sweep row.
 """
 
@@ -60,6 +61,16 @@ def rounds(text: str) -> dict[tuple[str, str], int]:
     return out
 
 
+def outcome_counts(text: str) -> dict[tuple[str, str, str], int]:
+    """(problem, allocator, outcome) -> drops; allocators without an outcome are left out."""
+    out: dict[tuple[str, str, str], int] = {}
+    for r in csv.DictReader(io.StringIO(text)):
+        if r["outcome"]:
+            key = (r["problem"], r["allocator"], r["outcome"])
+            out[key] = out.get(key, 0) + 1
+    return out
+
+
 def diff_sweep(old: list[dict], new: list[dict]) -> list[tuple]:
     """((n_users, n_subchannels, seed), field, old, new) for every field that differs."""
     a = {tuple(r[c] for c in SWEEP_KEY): r for r in old}
@@ -71,6 +82,20 @@ def diff_sweep(old: list[dict], new: list[dict]) -> list[tuple]:
             if ra.get(field) != rb.get(field):
                 out.append((key, field, ra.get(field), rb.get(field)))
     return out
+
+
+def print_tallies(base_csvs: dict[str, str], change_csvs: dict[str, str]) -> None:
+    """Print each allocator's rounds and its drops per outcome on both sides."""
+    for title, tally, sep in (
+        ("rounds (outer_iterations summed over drops)", rounds, ": "),
+        ("outcomes (drops per dual allocator and outcome)", outcome_counts, " "),
+    ):
+        print(f"{title}:")
+        for problem in ("sumax", "jamsc"):
+            name = f"{problem}_drops.csv"
+            old, new = tally(base_csvs.get(name, "")), tally(change_csvs.get(name, ""))
+            for key in sorted(old.keys() | new.keys()):
+                print(f"  {' '.join(key)}{sep}{old.get(key, 0)} -> {new.get(key, 0)}")
 
 
 def run_side(pkg, out_dir: Path) -> tuple[dict[str, str], list[dict]]:
@@ -124,12 +149,7 @@ def main(argv: list[str] | None = None) -> int:
             changed = sum(x != y for x, y in zip(a, b)) + abs(len(a) - len(b))
             print(f"{name}: {changed} of {max(len(a), len(b))} lines changed")
 
-    print("rounds (outer_iterations summed over drops):")
-    for problem in ("sumax", "jamsc"):
-        name = f"{problem}_drops.csv"
-        old, new = rounds(base_csvs.get(name, "")), rounds(change_csvs.get(name, ""))
-        for key in sorted(old.keys() | new.keys()):
-            print(f"  {key[0]} {key[1]}: {old.get(key, 0)} -> {new.get(key, 0)}")
+    print_tallies(base_csvs, change_csvs)
 
     certified = {side: sum(r["outcome"] == "certified" for r in results[side][1]) for side in SIDES}
     diffs = diff_sweep(base_sweep, change_sweep)
