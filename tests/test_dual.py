@@ -573,7 +573,8 @@ def test_scaling_the_weights_by_a_power_of_four_scales_every_dual():
         base = solves(instances, 1.0)
         for k in (-10, -5, 5, 10):
             scale = 4.0**k
-            for which, ref, rep in zip(("sumax", "dual_am", "dual_fixed", "warm dual_fixed"), base, solves(instances, scale)):
+            names = ("sumax", "dual_am", "dual_fixed", "warm dual_fixed")
+            for which, ref, rep in zip(names, base, solves(instances, scale)):
                 where = (seed, k, which)
                 assert (rep.outcome, rep.termination, rep.outer_iterations) == (
                     ref.outcome, ref.termination, ref.outer_iterations
