@@ -133,12 +133,9 @@ def _sumax_models(cfg: CampaignConfig, gains: ChannelGains, patterns: PatternSet
 
 def _jamsc_models(cfg: CampaignConfig, gains: ChannelGains, patterns: PatternSet) -> dict:
     targets = np.full(cfg.scenario.n_users, float(cfg.target_rate_bps))
-    joint, fixed = (
-        build_jamsc(
-            gains, cfg.scenario, targets, table,
-            frame=cfg.frame, patterns=patterns, strict_cap=cfg.strict_cap,
-        )
-        for table in (cfg.modulations, cfg.modulations.restricted(cfg.fixed_modulation))
+    joint, fixed = build_jamsc(
+        gains, cfg.scenario, targets, (cfg.modulations, cfg.modulations.restricted(cfg.fixed_modulation)),
+        frame=cfg.frame, patterns=patterns, strict_cap=cfg.strict_cap,
     )
     return {"dual_am": joint, "oracle_am": joint, "dual_fixed": fixed, "round_robin": fixed}
 

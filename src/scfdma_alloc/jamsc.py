@@ -111,13 +111,14 @@ def _solve_powers_vec(gains_padded: np.ndarray, sizes: np.ndarray, thresholds: n
     sizes = np.asarray(sizes, dtype=float)[:, None]
     target = sizes[:, 0] * thresholds / (1.0 + thresholds)
     p = np.zeros(len(target))
+    weighted_gains = gains_padded * sizes
     # a non-finite step raises below, so numpy's own warnings would only repeat it
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(MAX_NEWTON_STEPS):
             pg = p[:, None] * gains_padded
             den = sizes + pg
             lhs = np.sum(pg / den, axis=1)
-            slope = np.sum(gains_padded * sizes / (den * den), axis=1)
+            slope = np.sum(weighted_gains / (den * den), axis=1)
             p_next = p + (target - lhs) / slope
             if not np.isfinite(p_next).all():
                 raise PowerSolveError("target-SNR power is not finite")
@@ -186,20 +187,22 @@ def build_jamsc(
     gains: ChannelGains,
     config: ScenarioConfig,
     targets_bps: Sequence[float],
-    table: ModulationTable,
+    tables: Sequence[ModulationTable],
     frame: FrameConfig = FrameConfig(),
     patterns: PatternSet | None = None,
     strict_cap: bool = False,
-) -> JamscInstance:
-    """Build the jamsc option tables for one channel realisation.
+) -> tuple[JamscInstance, ...]:
+    """Build the jamsc option tables for one channel realisation, one per modulation table.
 
-    With ``strict_cap`` options whose solved power exceeds the user's budget
-    are masked out; every higher modulation on that pattern needs still more
-    power, so masking the whole (user, pattern) is exact.  By default they
-    stay allowed and simply price in as very costly.  Users left with no option at all are
-    listed in ``infeasible_users`` rather than raising here.  A ``p_max_w`` so
-    large that the costs, or their per-user maxima summed, overflow float64
-    raises ValueError.
+    The options of every table go through one batched power solve; its rows
+    are independent, so each instance holds the bits a build on its table
+    alone gives.  With ``strict_cap`` options whose solved power exceeds the
+    user's budget are masked out; every higher modulation on that pattern needs
+    still more power, so masking the whole (user, pattern) is exact.  By
+    default they stay allowed and simply price in as very costly.  Users left
+    with no option at all are listed in ``infeasible_users`` rather than
+    raising here.  A ``p_max_w`` so large that the costs, or their per-user
+    maxima summed, overflow float64 raises ValueError.
     """
     g = gains.gains
     k_users, n_sub = g.shape
@@ -212,43 +215,56 @@ def build_jamsc(
         raise ValueError(f"targets_bps must have shape ({k_users},)")
     p_max = config.per_user("p_max_w")
 
-    modulation = lowest_modulation(patterns, min_count_matrix(targets, table, frame))
-    k_idx, j_idx = np.nonzero(modulation >= 0)
-    powers = np.full(modulation.shape, np.nan)
-    costs = np.full(modulation.shape, np.nan)
-    if len(k_idx):
-        sizes = patterns.sizes[j_idx]
+    modulations = [lowest_modulation(patterns, min_count_matrix(targets, table, frame)) for table in tables]
+    options = [np.nonzero(modulation >= 0) for modulation in modulations]
+    k_all = np.concatenate([k for k, _ in options])
+    j_all = np.concatenate([j for _, j in options])
+    solved = np.empty(0)
+    if len(k_all):
+        sizes = patterns.sizes[j_all]
         # row t holds option t's block of gains, zero-padded to the longest block
         lanes = np.arange(int(sizes.max()))
         inside = lanes < sizes[:, None]
-        first = patterns.matrix.argmax(axis=0)[j_idx]
+        first = patterns.matrix.argmax(axis=0)[j_all]
         sub = np.where(inside, first[:, None] + lanes, 0)
-        padded = np.where(inside, g[k_idx[:, None], sub], 0.0)
-        thr = np.asarray(table.thresholds, dtype=float)[modulation[k_idx, j_idx]]
-        p = _solve_powers_vec(padded, sizes, thr)
-        powers[k_idx, j_idx] = p
-        with np.errstate(over="ignore"):  # an overflow is refused below
-            costs[k_idx, j_idx] = -np.exp(p_max[k_idx] - p)
-            # the oracle and the assignment value add up one cost per user
-            scale = np.abs(np.where(modulation >= 0, costs, 0.0)).max(axis=1).sum()
-        if not np.isfinite(scale):
-            raise ValueError(f"p_max_w up to {p_max.max():g} W overflows the jamsc costs -exp(p_max_w - power)")
-        if strict_cap:
-            over = p > p_max[k_idx]
-            modulation[k_idx[over], j_idx[over]] = -1
-            powers[k_idx[over], j_idx[over]] = np.nan
-            costs[k_idx[over], j_idx[over]] = np.nan
+        padded = np.where(inside, g[k_all[:, None], sub], 0.0)
+        thr = np.concatenate([
+            np.asarray(table.thresholds, dtype=float)[modulation[k_idx, j_idx]]
+            for table, modulation, (k_idx, j_idx) in zip(tables, modulations, options)
+        ])
+        solved = _solve_powers_vec(padded, sizes, thr)
 
-    return JamscInstance(
-        modulation=modulation,
-        powers=powers,
-        costs=costs,
-        patterns=patterns,
-        table=table,
-        targets_bps=targets,
-        p_max=p_max,
-        seed=gains.seed,
-    )
+    instances = []
+    per_table = np.split(solved, np.cumsum([len(k_idx) for k_idx, _ in options])[:-1])
+    for table, modulation, (k_idx, j_idx), p in zip(tables, modulations, options, per_table):
+        powers = np.full(modulation.shape, np.nan)
+        costs = np.full(modulation.shape, np.nan)
+        if len(k_idx):
+            powers[k_idx, j_idx] = p
+            with np.errstate(over="ignore"):  # an overflow is refused below
+                costs[k_idx, j_idx] = -np.exp(p_max[k_idx] - p)
+                # the oracle and the assignment value add up one cost per user
+                scale = np.abs(np.where(modulation >= 0, costs, 0.0)).max(axis=1).sum()
+            if not np.isfinite(scale):
+                raise ValueError(f"p_max_w up to {p_max.max():g} W overflows the jamsc costs -exp(p_max_w - power)")
+            if strict_cap:
+                over = p > p_max[k_idx]
+                modulation[k_idx[over], j_idx[over]] = -1
+                powers[k_idx[over], j_idx[over]] = np.nan
+                costs[k_idx[over], j_idx[over]] = np.nan
+        instances.append(
+            JamscInstance(
+                modulation=modulation,
+                powers=powers,
+                costs=costs,
+                patterns=patterns,
+                table=table,
+                targets_bps=targets,
+                p_max=p_max,
+                seed=gains.seed,
+            )
+        )
+    return tuple(instances)
 
 
 def sum_cost(instance: JamscInstance, pattern_choice: Sequence[int]) -> float:

@@ -122,7 +122,7 @@ def test_with_weights_replaces_only_weights():
 def test_jamsc_conversion_uses_mask():
     cfg = ScenarioConfig(n_users=2, n_subchannels=4)
     ch = generate_channel(cfg, 2)
-    inst = build_jamsc(ch, cfg, (140e3, 140e3), ModulationTable(), FrameConfig())
+    (inst,) = build_jamsc(ch, cfg, (140e3, 140e3), (ModulationTable(),), FrameConfig())
     a = to_assignment(inst)
     assert a.n_options == int(inst.allowed.sum())
     assert list(a.provenance) == sorted(a.provenance)  # user, then pattern
@@ -137,7 +137,7 @@ def test_jamsc_conversion_uses_mask():
 def test_jamsc_conversion_rejects_infeasible_users():
     cfg = ScenarioConfig(n_users=2, n_subchannels=4)
     ch = generate_channel(cfg, 2)
-    inst = build_jamsc(ch, cfg, (4e6, 140e3), ModulationTable(), FrameConfig())
+    (inst,) = build_jamsc(ch, cfg, (4e6, 140e3), (ModulationTable(),), FrameConfig())
     with pytest.raises(InfeasibleInstanceError):
         to_assignment(inst)
 
@@ -180,7 +180,7 @@ def test_drops_with_one_mask_share_one_read_only_layout():
     assert c.layout is a.layout
     # another mask has its own layout
     cfg = ScenarioConfig(n_users=3, n_subchannels=5)
-    jamsc = build_jamsc(generate_channel(cfg, 1), cfg, np.full(3, 140e3), ModulationTable(), FrameConfig())
+    (jamsc,) = build_jamsc(generate_channel(cfg, 1), cfg, np.full(3, 140e3), (ModulationTable(),), FrameConfig())
     assert not jamsc.allowed.all()
     assert to_assignment(jamsc).layout is not a.layout
 
@@ -222,8 +222,8 @@ def test_option_at_matches_a_scan_of_sizes_and_ends_on_strict_cap_masks():
     n_res = scen.n_subchannels
     masks = set()
     for seed in range(400, 412):
-        inst = build_jamsc(
-            generate_channel(scen, seed), scen, np.full(4, 140e3), ModulationTable(),
+        (inst,) = build_jamsc(
+            generate_channel(scen, seed), scen, np.full(4, 140e3), (ModulationTable(),),
             FrameConfig(), strict_cap=True,
         )
         try:

@@ -74,3 +74,53 @@ def test_diff_sweep_keys_rows_by_instance():
         ((3, 6, 7), "ratio", 0.99, 1.0),
     ]
     assert campaign_diff.diff_sweep(old, old) == []
+
+
+USERS = "problem,drop,seed,allocator,user,start,length,modulation,power_w,snr_eff\n"
+USERS_OLD = USERS + (
+    "jamsc,9,51,dual_am,0,1,2,QPSK,0.5,4.0\n"
+    "jamsc,9,51,dual_am,1,3,1,64QAM,0.25,64.0\n"
+    "jamsc,10,52,dual_am,0,1,3,QPSK,0.75,4.0\n"
+)
+USERS_NEW = USERS + (
+    "jamsc,9,51,dual_am,0,1,2,QPSK,0.5000000000000001,4.0\n"
+    "jamsc,9,51,dual_am,1,3,1,64QAM,0.25,64.0\n"
+    "jamsc,10,52,dual_am,0,2,3,QPSK,0.75,4.0\n"
+)
+
+
+def test_relative_change_reads_numbers_only():
+    assert campaign_diff.relative_change("40", "43") == 0.075
+    assert campaign_diff.relative_change("-2.0", "-2.0") == 0.0
+    assert campaign_diff.relative_change("0", "1e-300") == float("inf")
+    assert campaign_diff.relative_change("nan", "1.0") == float("inf")
+    assert campaign_diff.relative_change("repaired", "certified") is None
+
+
+def test_column_changes_count_cells_and_the_largest_relative_change():
+    got = campaign_diff.column_changes(OLD, NEW, campaign_diff.DROP_KEY)
+    # rows on one side only are left to diff_drop_rows
+    assert got == {"objective": (1, abs(-7.1 + 7.2) / 7.2), "outer_iterations": (1, 0.075)}
+    assert campaign_diff.column_changes(OLD, OLD) == {}
+    old = OLD.replace("repaired,stagnation,40", "certified,converged,40")
+    assert campaign_diff.column_changes(old, NEW, campaign_diff.DROP_KEY)["outcome"] == (1, None)
+
+
+def test_user_csv_diff_lists_moved_blocks_apart_from_last_bit_powers(capsys):
+    assert campaign_diff.diff_allocations(USERS_OLD, USERS_NEW) == [
+        ("jamsc", "10", "dual_am", "0", "1/3/QPSK", "2/3/QPSK"),
+    ]
+    assert campaign_diff.diff_allocations(USERS_OLD, USERS_OLD) == []
+    campaign_diff.print_csv_diff("jamsc_users.csv", USERS_OLD, USERS_NEW)
+    assert capsys.readouterr().out.splitlines() == [
+        "jamsc_users.csv: 1 allocations (start/length/modulation) changed",
+        "  jamsc 10 dual_am user 0: 1/3/QPSK -> 2/3/QPSK",
+        "  column power_w: 1 cells, largest relative change 2.22e-16",
+    ]
+    campaign_diff.print_csv_diff("jamsc_drops.csv", OLD, NEW)
+    assert capsys.readouterr().out.splitlines()[:4] == [
+        "jamsc_drops.csv: 3 rows changed",
+        "  column objective: 1 cells, largest relative change 0.0139",
+        "  column outer_iterations: 1 cells, largest relative change 0.075",
+        "  jamsc 9 dual_am objective: -7.2 -> -7.1",
+    ]

@@ -37,7 +37,7 @@ ZF = desk_scenario(4, 6, equalizer="zf")
 
 def jamsc_assignment(seed: int) -> AssignmentInstance:
     sc = desk_scenario(3, 6)
-    model = build_jamsc(generate_channel(sc, seed), sc, np.full(3, 140e3), ModulationTable(), FrameConfig())
+    (model,) = build_jamsc(generate_channel(sc, seed), sc, np.full(3, 140e3), (ModulationTable(),), FrameConfig())
     return to_assignment(model)
 
 
@@ -404,7 +404,7 @@ def test_repair_order_ignores_rounding_noise_in_the_indicator():
     # equal-cost blocks
     sc = ScenarioConfig(rayleigh_fading=False, equalizer="zf", p_max_w=(0.3, 1.0, 2.0, 0.6))
     fixed = ModulationTable().restricted("16QAM")
-    model = build_jamsc(generate_channel(sc, 50), sc, np.full(4, 140e3), fixed, FrameConfig())
+    (model,) = build_jamsc(generate_channel(sc, 50), sc, np.full(4, 140e3), (fixed,), FrameConfig())
     a = to_assignment(model)
     rep = solve(a)
     assert rep.outcome == "repaired"
@@ -547,8 +547,10 @@ def paper_instances(seed: int) -> tuple[AssignmentInstance, AssignmentInstance, 
     sc = ScenarioConfig(n_users=4, n_subchannels=8)
     gains = generate_channel(sc, seed)
     joint, fixed = (
-        to_assignment(build_jamsc(gains, sc, np.full(4, 140e3), table, FrameConfig()))
-        for table in (ModulationTable(), ModulationTable().restricted("16QAM"))
+        to_assignment(model)
+        for model in build_jamsc(
+            gains, sc, np.full(4, 140e3), (ModulationTable(), ModulationTable().restricted("16QAM")), FrameConfig()
+        )
     )
     return to_assignment(build_sumax(gains, sc)), joint, fixed
 

@@ -82,6 +82,25 @@ def test_run_drop_jamsc_all_allocators():
         assert all(r["modulation"] for r in rows)
 
 
+def test_a_jamsc_drop_builds_both_option_tables_in_one_call(monkeypatch, tmp_path):
+    # perfbench's build_jamsc probe times the whole jamsc model layer only
+    # while each drop builds it in one call
+    calls = []
+    build = harness.build_jamsc
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "build_jamsc", counted)
+    cfg = CampaignConfig(
+        scenario=desk_scenario(4, 8), problem="both", n_drops=3, fixed_modulation="QPSK",
+        allocators_jamsc=harness.JAMSC_ALLOCATORS, out_dir=str(tmp_path),
+    )
+    assert run_campaign(cfg).ok
+    assert calls == [(cfg.modulations, cfg.modulations.restricted("QPSK"))] * 3
+
+
 def test_round_robin_refusal_names_the_user_and_the_block():
     # two sub-channels of 16QAM cannot carry 400 kbps
     cfg = CampaignConfig(

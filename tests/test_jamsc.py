@@ -175,7 +175,7 @@ def _lowest_reachable(length, counts_row):
 
 def test_build_jamsc_masks_and_costs():
     cfg, ch, table, frame = _small_setup()
-    inst = build_jamsc(ch, cfg, (140e3, 140e3), table, frame)
+    (inst,) = build_jamsc(ch, cfg, (140e3, 140e3), (table,), frame)
     ps = enumerate_patterns(4)
     counts = min_count_matrix((140e3, 140e3), table, frame)
     p_max = cfg.per_user("p_max_w")
@@ -202,8 +202,8 @@ def test_build_jamsc_strict_cap_blocks_over_budget():
     cfg, ch, table, frame = _small_setup(seed=5)
     cfg.cell_radius_m = 1500.0
     ch = generate_channel(cfg, 5)
-    plain = build_jamsc(ch, cfg, (140e3, 140e3), table, frame)
-    strict = build_jamsc(ch, cfg, (140e3, 140e3), table, frame, strict_cap=True)
+    (plain,) = build_jamsc(ch, cfg, (140e3, 140e3), (table,), frame)
+    (strict,) = build_jamsc(ch, cfg, (140e3, 140e3), (table,), frame, strict_cap=True)
     p_max = cfg.per_user("p_max_w")
     over = (plain.powers > p_max[:, None]) & plain.allowed
     assert over.any() and not over.all()
@@ -226,24 +226,54 @@ def test_build_jamsc_strict_cap_blocks_over_budget():
 @pytest.mark.parametrize("p_max_w", [800.0, 709.0])
 def test_build_jamsc_refuses_costs_that_overflow(p_max_w):
     cfg, ch, table, frame = _small_setup(seed=5, n_users=4, n_sub=8)
-    base = build_jamsc(ch, cfg, np.full(4, 140e3), table, frame)
+    (base,) = build_jamsc(ch, cfg, np.full(4, 140e3), (table,), frame)
     big = ScenarioConfig(n_users=4, n_subchannels=8, p_max_w=p_max_w)
     with pytest.raises(ValueError, match="p_max_w up to .* W overflows the jamsc costs"):
-        build_jamsc(ch, big, np.full(4, 140e3), table, frame)
+        build_jamsc(ch, big, np.full(4, 140e3), (table,), frame)
     if p_max_w < 710.0:
         assert np.isfinite(np.exp(p_max_w - np.nanmin(base.powers)))
+
+
+@pytest.mark.parametrize("strict_cap", [False, True])
+@pytest.mark.parametrize(
+    "n_users, n_sub, radius, targets",
+    [
+        (4, 8, 1500.0, (4e6, 140e3, 140e3, 140e3)),  # user 0 has no option at 4 Mbps
+        (5, 3, 1000.0, (140e3,) * 5),  # more users than sub-channels
+    ],
+)
+def test_one_build_of_several_tables_equals_one_build_per_table(strict_cap, n_users, n_sub, radius, targets):
+    cfg = ScenarioConfig(n_users=n_users, n_subchannels=n_sub, cell_radius_m=radius)
+    frame = FrameConfig()
+    full = ModulationTable()
+    tables = (full, *(full.restricted(name) for name in full.names))
+    for seed in range(3):
+        ch = generate_channel(cfg, seed)
+        together = build_jamsc(ch, cfg, targets, tables, frame, strict_cap=strict_cap)
+        assert len(together) == len(tables)
+        for table, got in zip(tables, together):
+            (want,) = build_jamsc(ch, cfg, targets, (table,), frame, strict_cap=strict_cap)
+            assert got.table == table
+            for field in ("modulation", "powers", "costs", "allowed"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
+            assert got.infeasible_users == want.infeasible_users
+        if n_users == 4:
+            assert all(inst.infeasible_users[:1] == (0,) for inst in together)
+        if strict_cap:  # the cap masks options in every table
+            uncapped = build_jamsc(ch, cfg, targets, tables, frame)
+            assert all(c.allowed.sum() < u.allowed.sum() for c, u in zip(together, uncapped))
 
 
 def test_build_jamsc_flags_users_without_any_option():
     cfg, ch, table, frame = _small_setup(n_sub=4)
     # 4 Mbps needs more sub-channels than exist at any modulation order
-    inst = build_jamsc(ch, cfg, (4e6, 140e3), table, frame)
+    (inst,) = build_jamsc(ch, cfg, (4e6, 140e3), (table,), frame)
     assert inst.infeasible_users == (0,)
 
 
 def test_sum_cost_and_masked_choice_rejection():
     cfg, ch, table, frame = _small_setup(seed=3)
-    inst = build_jamsc(ch, cfg, (140e3, 140e3), table, frame)
+    (inst,) = build_jamsc(ch, cfg, (140e3, 140e3), (table,), frame)
     choices = [int(np.argmax(inst.allowed[k])) for k in range(2)]
     total = sum_cost(inst, choices)
     manual = sum(float(inst.costs[k, j]) for k, j in enumerate(choices))
@@ -261,7 +291,7 @@ def test_sum_cost_and_masked_choice_rejection():
 
 def test_vectorised_powers_match_scalar_solver():
     cfg, ch, table, frame = _small_setup(seed=8, n_users=3, n_sub=5)
-    inst = build_jamsc(ch, cfg, (140e3,) * 3, table, frame)
+    (inst,) = build_jamsc(ch, cfg, (140e3,) * 3, (table,), frame)
     ps = inst.patterns
     idx = np.argwhere(inst.allowed)
     rng = np.random.default_rng(0)

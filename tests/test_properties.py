@@ -174,8 +174,8 @@ def jamsc_instance(k, n, seed, ties, p_max, strict_cap, radius, rate):
     if p_max is not None:
         over["p_max_w"] = tuple(p_max[:k])
     sc = desk_scenario(k, n, **over)
-    inst = build_jamsc(
-        generate_channel(sc, seed), sc, np.full(k, rate), ModulationTable(), FrameConfig(),
+    (inst,) = build_jamsc(
+        generate_channel(sc, seed), sc, np.full(k, rate), (ModulationTable(),), FrameConfig(),
         strict_cap=strict_cap,
     )
     try:
@@ -406,7 +406,7 @@ def test_lowest_modulation_table_keeps_the_joint_optimum(
     want = jamsc_optimum(gains.gains, sc, targets, table, frame, strict_cap)
     try:
         _, got = brute_force(
-            to_assignment(build_jamsc(gains, sc, targets, table, frame, strict_cap=strict_cap))
+            to_assignment(build_jamsc(gains, sc, targets, (table,), frame, strict_cap=strict_cap)[0])
         )
     except (InfeasibleInstanceError, InfeasibleAllocationError):
         got = None

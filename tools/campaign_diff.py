@@ -8,8 +8,13 @@ process (``tools/drop_ab.py``'s ``load_package``).  Each side runs the
 200-drop ``both`` campaign from base seed 42 with all four allocators of
 each problem, writing its CSVs, and ``harness.certification_sweep()`` with
 its defaults (the acceptance sweep, 540 runs).  Prints the CSVs that are
-byte-identical, every changed drop-CSV row as (problem, drop, allocator,
-field: old -> new), each other changed CSV's count of changed lines, each
+byte-identical and, for each changed CSV, every changed column's count of
+changed cells and largest relative change (``power_w: 44 cells, largest
+relative change 1.2e-16``).  A drop CSV also lists every changed row as
+(problem, drop, allocator, field: old -> new).  A user CSV lists every user
+whose allocation (start, length, modulation) changed, apart from its
+``power_w`` and ``snr_eff`` columns, so a last-bit move of a power reads as
+one line and a moved block cannot hide among them.  Then come each
 allocator's rounds (``outer_iterations`` summed over its drops) and its
 drops per outcome (``jamsc dual_am certified 131 -> 148``), each side's
 certified sweep runs and every changed sweep row.
@@ -20,6 +25,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -28,11 +34,84 @@ HERE = Path(__file__).resolve().parent
 SIDES = ("base", "change")
 DROPS, BASE_SEED = 200, 42
 DROP_KEY = ("problem", "drop", "allocator")
+USER_KEY = ("problem", "drop", "allocator", "user")
+ALLOCATION = ("start", "length", "modulation")
 SWEEP_KEY = ("n_users", "n_subchannels", "seed")
 
 
-def _rows(text: str) -> dict[tuple, dict[str, str]]:
-    return {tuple(r[c] for c in DROP_KEY): r for r in csv.DictReader(io.StringIO(text))}
+def _rows(text: str, key: tuple[str, ...] = DROP_KEY) -> dict[tuple, dict[str, str]]:
+    """CSV rows by their ``key`` columns; by line number when ``key`` is empty."""
+    rows = csv.DictReader(io.StringIO(text))
+    return {tuple(r[c] for c in key) if key else (i,): r for i, r in enumerate(rows)}
+
+
+def relative_change(was: str, now: str) -> float | None:
+    """|now - was| / |was| of two cells; None when either is not a number."""
+    try:
+        a, b = float(was), float(now)
+    except ValueError:
+        return None
+    if a == b:
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)) or a == 0:
+        return math.inf
+    return abs(b - a) / abs(a)
+
+
+def column_changes(old: str, new: str, key: tuple[str, ...] = ()) -> dict[str, tuple[int, float | None]]:
+    """column -> (changed cells, largest relative change) over the rows, matched
+    by ``key`` (line number when empty), that both CSV texts hold.  The largest
+    change is None when a changed cell of the column is not a number."""
+    a, b = _rows(old, key), _rows(new, key)
+    out: dict[str, tuple[int, float | None]] = {}
+    for k in a.keys() & b.keys():
+        for field in a[k].keys() | b[k].keys():
+            was, now = a[k].get(field, ""), b[k].get(field, "")
+            if was != now:
+                cells, largest = out.get(field, (0, 0.0))
+                rel = relative_change(was, now)
+                largest = None if rel is None or largest is None else max(largest, rel)
+                out[field] = (cells + 1, largest)
+    return dict(sorted(out.items()))
+
+
+def diff_allocations(old: str, new: str) -> list[tuple]:
+    """(problem, drop, allocator, user, old, new) for every user-CSV row whose
+    start, length or modulation differs, each side as ``start/length/modulation``
+    (``absent`` for a row on one side only)."""
+    a, b = _rows(old, USER_KEY), _rows(new, USER_KEY)
+
+    def block(rows: dict, k: tuple) -> str:
+        return "/".join(rows[k][c] for c in ALLOCATION) if k in rows else "absent"
+
+    out = [(*k, block(a, k), block(b, k)) for k in a.keys() | b.keys() if block(a, k) != block(b, k)]
+    return sorted(out, key=lambda d: (d[0], int(d[1]), d[2], int(d[3])))
+
+
+def print_csv_diff(name: str, old: str, new: str) -> None:
+    """Print one changed CSV: its changed rows or allocations, then per changed column
+    the changed cells and the largest relative change."""
+    key: tuple[str, ...] = ()
+    if name.endswith("_drops.csv"):
+        key, diffs = DROP_KEY, diff_drop_rows(old, new)
+        print(f"{name}: {len({d[:3] for d in diffs})} rows changed")
+    elif name.endswith("_users.csv"):
+        key, moved = USER_KEY, diff_allocations(old, new)
+        print(f"{name}: {len(moved)} allocations (start/length/modulation) changed")
+        for problem, drop, allocator, user, was, now in moved:
+            print(f"  {problem} {drop} {allocator} user {user}: {was} -> {now}")
+    else:
+        a, b = old.splitlines(), new.splitlines()
+        changed = sum(x != y for x, y in zip(a, b)) + abs(len(a) - len(b))
+        print(f"{name}: {changed} of {max(len(a), len(b))} lines changed")
+    for column, (cells, largest) in column_changes(old, new, key).items():
+        if key == USER_KEY and column in ALLOCATION:
+            continue  # listed above, row by row
+        tail = "" if largest is None else f", largest relative change {largest:.3g}"
+        print(f"  column {column}: {cells} cells{tail}")
+    if key == DROP_KEY:
+        for problem, drop, allocator, field, was, now in diffs:
+            print(f"  {problem} {drop} {allocator} {field}: {was} -> {now}")
 
 
 def diff_drop_rows(old: str, new: str) -> list[tuple]:
@@ -137,17 +216,8 @@ def main(argv: list[str] | None = None) -> int:
     print(f"byte-identical ({len(same)} of {len(names)}): {', '.join(same) or 'none'}")
     for name in names:
         old, new = base_csvs.get(name, ""), change_csvs.get(name, "")
-        if old == new:
-            continue
-        if name.endswith("_drops.csv"):
-            diffs = diff_drop_rows(old, new)
-            print(f"{name}: {len({d[:3] for d in diffs})} rows changed")
-            for problem, drop, allocator, field, was, now in diffs:
-                print(f"  {problem} {drop} {allocator} {field}: {was} -> {now}")
-        else:
-            a, b = old.splitlines(), new.splitlines()
-            changed = sum(x != y for x, y in zip(a, b)) + abs(len(a) - len(b))
-            print(f"{name}: {changed} of {max(len(a), len(b))} lines changed")
+        if old != new:
+            print_csv_diff(name, old, new)
 
     print_tallies(base_csvs, change_csvs)
 
