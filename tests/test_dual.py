@@ -408,8 +408,12 @@ def test_repair_order_ignores_rounding_noise_in_the_indicator():
     a = to_assignment(model)
     rep = solve(a)
     assert rep.outcome == "repaired"
-    assert rep.primal_value == -3.7789510477987855
+    # users 0..3 on blocks 1-2, 3-4, 5-6, 7-8; the value's last bit follows the
+    # power solve's rounding
+    assert rep.allocation.option_index == (0, 30, 60, 90)
+    assert rep.primal_value == -3.7789510477987847
     repaired = dual.repair_selection(a, rep.fractional)
+    assert np.flatnonzero(repaired).tolist() == [0, 30, 60, 90]
     rng = np.random.default_rng(8)
     for _ in range(20):
         noise = rng.choice([-1e-13, 0.0, 1e-13], a.n_options)

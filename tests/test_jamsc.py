@@ -8,6 +8,7 @@ from scfdma_alloc.channel import ScenarioConfig, effective_snr_mmse, generate_ch
 from scfdma_alloc.jamsc import (
     FrameConfig,
     PowerSolveError,
+    _jensen_start,
     _solve_powers_vec,
     build_jamsc,
     cost,
@@ -129,6 +130,30 @@ def test_newton_powers_match_bisection_and_batch_equals_rows():
     for t in range(0, rows, 37):  # rows are independent: a one-row call gives the same bits
         one = _solve_powers_vec(gains[t : t + 1], sizes[t : t + 1], thresholds[t : t + 1])
         assert one.tobytes() == got[t : t + 1].tobytes()
+
+
+def test_the_jensen_start_is_a_lower_bound_on_the_power():
+    rng = np.random.default_rng(11)  # the rows of the Newton-against-bisection test
+    sizes = rng.integers(1, 9, 300)
+    scale = 10.0 ** rng.uniform(-12, 12, 300)
+    gains = rng.uniform(0.1, 2.0, (300, 8)) * scale[:, None]
+    gains[np.arange(8)[None, :] >= sizes[:, None]] = 0.0
+    cases = [(gains, sizes, 10.0 ** rng.uniform(-2, 2, 300))]
+    rng = np.random.default_rng(5)  # gains spread over ten decades within a row
+    sizes = rng.integers(1, 9, 10_000)
+    gains = 10.0 ** rng.uniform(-5, 5, (10_000, 8))
+    gains[np.arange(8)[None, :] >= sizes[:, None]] = 0.0
+    cases.append((gains, sizes, 10.0 ** rng.uniform(-2, 2, 10_000)))
+    for gains, sizes, thresholds in cases:
+        p0 = _jensen_start(gains, sizes, thresholds)
+        pg = p0[:, None] * gains
+        lhs = np.sum(pg / (sizes[:, None] + pg), axis=1)
+        target = sizes * thresholds / (1.0 + thresholds)
+        several = sizes > 1
+        assert (lhs[several] <= target[several]).all()
+        # on one sub-channel the start is the root, up to the rounding of both sides
+        assert (lhs[~several] <= target[~several] + 4 * np.spacing(target[~several])).all()
+        assert (p0 <= _solve_powers_vec(gains, sizes, thresholds)).all()
 
 
 def test_power_solver_raises_at_the_step_cap(monkeypatch):
