@@ -34,23 +34,14 @@ from .dual import (
 from .harness import CampaignConfig, emit_cdf, run_campaign, run_drop
 from .jamsc import (
     FrameConfig,
-    JamscInstance,
     PowerSolveError,
     build_jamsc,
     cost,
     lowest_modulation,
     min_subchannels,
     solve_pattern_power,
-    sum_cost,
 )
-from .patterns import PatternBoundsError, PatternSet, enumerate_patterns
-from .sumax import (
-    ModulationTable,
-    SumaxInstance,
-    build_sumax,
-    pattern_effective_snr,
-    select_modulation,
-    sum_utility,
-)
+from .patterns import OptionTable, PatternBoundsError, PatternSet, enumerate_patterns
+from .sumax import ModulationTable, build_sumax, pattern_effective_snr, select_modulation
 
 __version__ = "0.1.0"

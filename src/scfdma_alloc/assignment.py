@@ -1,9 +1,9 @@
 """Unified one-option-per-agent assignment form with exact sub-channel cover.
 
 Both models reduce to: pick exactly one option per agent, minimising the total
-option weight, such that every sub-channel is covered exactly once.  Both are
-(user, pattern) tables, so every option carries its originating (k, j) tag and
-results can be mapped back.
+option weight, such that every sub-channel is covered exactly once.  Both
+build one ``OptionTable``, and its allowed (user, pattern) entries are the
+options, so every option maps back to its entry of the table.
 """
 
 from __future__ import annotations
@@ -14,9 +14,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .jamsc import JamscInstance
-from .patterns import PatternSet, read_only
-from .sumax import SumaxInstance
+from .patterns import OptionTable, PatternSet, read_only
 
 
 class InfeasibleInstanceError(ValueError):
@@ -40,26 +38,55 @@ LAYOUT_CACHE_SIZE = 8
 class OptionLayout:
     """The structure of an option table, shared by every drop with that structure.
 
-    It holds what does not depend on the weights: each option's agent,
-    footprint and (user, pattern) tag, and the arrays the dual and the
-    oracle derive from them, each built on first use.  Every array is
-    read-only, since one layout serves many instances.
+    The options are the entries that ``allowed``, a (K, J) mask over the
+    catalogue ``patterns``, allows, in user-then-pattern order: option o
+    is agent ``agent_of[o]``'s pattern ``pattern_of[o]``.  The layout holds
+    what does not depend on the weights, each array built on first use and
+    read-only, since one layout serves many instances.  Raises
+    InfeasibleInstanceError naming the users that have no option.
     """
 
-    n_agents: int
-    n_resources: int
-    agent_of: np.ndarray
-    agent_slices: tuple[tuple[int, int], ...]
-    footprint_matrix: np.ndarray
-    provenance: tuple[tuple[int, int], ...]
+    patterns: PatternSet
+    allowed: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "agent_of", read_only(self.agent_of))
-        object.__setattr__(self, "footprint_matrix", read_only(self.footprint_matrix))
+        allowed = read_only(np.array(self.allowed, dtype=bool))
+        if allowed.ndim != 2 or allowed.shape[1] != self.patterns.n_patterns:
+            raise ValueError(f"mask of shape {allowed.shape} is not (K, {self.patterns.n_patterns})")
+        bare = np.nonzero(~allowed.any(axis=1))[0].tolist()
+        if bare:
+            raise InfeasibleInstanceError("users without any allowed option: " + ", ".join(map(str, bare)))
+        object.__setattr__(self, "allowed", allowed)
+
+    @property
+    def n_agents(self) -> int:
+        return self.allowed.shape[0]
+
+    @property
+    def n_resources(self) -> int:
+        return self.patterns.n_subchannels
+
+    @cached_property
+    def agent_of(self) -> np.ndarray:
+        return read_only(np.nonzero(self.allowed)[0])
+
+    @cached_property
+    def pattern_of(self) -> np.ndarray:
+        return read_only(np.nonzero(self.allowed)[1])
+
+    @cached_property
+    def agent_slices(self) -> tuple[tuple[int, int], ...]:
+        stops = np.cumsum(self.allowed.sum(axis=1)).tolist()
+        return tuple(zip([0] + stops[:-1], stops))
+
+    @cached_property
+    def footprint_matrix(self) -> np.ndarray:
+        """(n_resources, n_options) 0/1 cover matrix."""
+        return read_only(self.patterns.matrix[:, self.pattern_of].astype(np.float64))
 
     @cached_property
     def sizes(self) -> np.ndarray:
-        return read_only(self.footprint_matrix.sum(axis=0).astype(np.int64))
+        return read_only(self.patterns.sizes[self.pattern_of])
 
     @cached_property
     def constraint_matrix(self) -> np.ndarray:
@@ -85,34 +112,20 @@ class OptionLayout:
 
     @cached_property
     def ends(self) -> np.ndarray:
-        """Each option's last sub-channel, 0 for the empty footprint."""
-        last = self.n_resources - self.footprint_matrix[::-1].argmax(axis=0)
-        return read_only(np.where(self.sizes > 0, last, 0))
-
-    @cached_property
-    def contiguous(self) -> bool:
-        """Whether every footprint is one block of consecutive sub-channels."""
-        first = self.footprint_matrix.argmax(axis=0)
-        return not ((self.sizes > 0) & (self.ends - first != self.sizes)).any()
+        """Each option's last sub-channel, 0 for the empty pattern."""
+        first = self.patterns.matrix.argmax(axis=0)[self.pattern_of]
+        return read_only(first + self.sizes)
 
     @cached_property
     def option_at(self) -> np.ndarray:
         """(n_agents, N + 1, N + 1): agent k's option covering exactly n+1..m, or -1.
 
-        Entry [k, n, m] is the option of agent k whose footprint is the
-        block of sub-channels n+1..m, and its empty option sits on every
-        diagonal cell [k, n, n].  Raises ValueError for a footprint that is
-        not one contiguous block, or for two options of one agent on one
-        footprint.
+        Entry [k, n, m] is the option of agent k whose pattern is the block
+        of sub-channels n+1..m, and its empty option sits on every diagonal
+        cell [k, n, n].
         """
-        if not self.contiguous:
-            raise ValueError("every footprint must be one contiguous block")
-        firsts = self.ends - self.sizes
         table = np.full((self.n_agents, self.n_resources + 1, self.n_resources + 1), -1)
-        table[self.agent_of, firsts, self.ends] = np.arange(len(self.agent_of))
-        placed = np.count_nonzero(table >= 0)
-        if placed < len(self.agent_of):
-            raise ValueError(f"{len(self.agent_of) - placed} options share an agent and a footprint")
+        table[self.agent_of, self.ends - self.sizes, self.ends] = np.arange(len(self.agent_of))
         diagonal = np.arange(self.n_resources + 1)
         table[:, diagonal, diagonal] = table[:, :1, 0]
         return read_only(table)
@@ -123,10 +136,9 @@ class AssignmentInstance:
     """Flattened option table of a minimisation assignment problem.
 
     An instance is its option weights plus the ``OptionLayout`` that holds
-    everything else: options are grouped by agent (``agent_slices``),
-    ``footprint_matrix`` is the (n_resources, n_options) 0/1 cover matrix
-    and ``provenance`` holds the (user, pattern) tag of every option, each
-    read from the layout.  ``to_assignment`` and ``with_weights`` share one
+    everything else: options are grouped by agent (``agent_slices``) and
+    ``footprint_matrix`` is the (n_resources, n_options) 0/1 cover matrix,
+    each read from the layout.  ``to_assignment`` and ``with_weights`` share one
     layout across instances.  Raises ValueError when the weights are not
     one per option of the layout.
     """
@@ -160,10 +172,6 @@ class AssignmentInstance:
     @property
     def footprint_matrix(self) -> np.ndarray:
         return self.layout.footprint_matrix
-
-    @property
-    def provenance(self) -> tuple[tuple[int, int], ...]:
-        return self.layout.provenance
 
     @property
     def n_options(self) -> int:
@@ -217,14 +225,10 @@ class AssignmentInstance:
 
     def selection_violations(self, selection: np.ndarray) -> list[str]:
         """Violations of a 0/1 option vector: one per agent, exact cover."""
-        out: list[str] = []
-        sel = np.asarray(selection)
-        per_agent = np.bincount(self.agent_of, weights=sel, minlength=self.n_agents)
-        for k in np.nonzero(per_agent != 1)[0]:
-            out.append(f"agent {k} selects {int(per_agent[k])} options")
-        cover = self.footprint_matrix.astype(np.int64) @ sel.astype(np.int64)
-        for n in np.nonzero(cover != 1)[0]:
-            out.append(f"sub-channel {n + 1} covered {int(cover[n])} times")
+        counts = self.constraint_matrix.T @ np.asarray(selection)
+        per_agent, cover = counts[: self.n_agents], counts[self.n_agents :]
+        out = [f"agent {k} selects {int(per_agent[k])} options" for k in np.nonzero(per_agent != 1)[0]]
+        out += [f"sub-channel {n + 1} covered {int(cover[n])} times" for n in np.nonzero(cover != 1)[0]]
         return out
 
     def allocation_from_selection(self, selection: np.ndarray) -> Allocation:
@@ -238,45 +242,19 @@ class AssignmentInstance:
         return replace(self, weights=np.asarray(weights, dtype=float))  # shares the layout
 
 
-def to_assignment(instance: SumaxInstance | JamscInstance) -> AssignmentInstance:
-    """Flatten a model instance into the minimisation assignment form.
+def to_assignment(table: OptionTable) -> AssignmentInstance:
+    """Flatten an option table into the minimisation assignment form.
 
-    Both models are (K, J) tables: options are the allowed (user, pattern)
-    entries in user-then-pattern order, each tagged (k, j).  sumax allows
-    every pattern, the empty one included, at weight -utility; jamsc allows
-    its unmasked entries at weight cost.  Instances with the same pattern
-    set and mask share one ``OptionLayout``, of which the
-    ``LAYOUT_CACHE_SIZE`` most recently used are kept.  Raises InfeasibleInstanceError naming
-    the users that have no option.
+    The options are the table's allowed entries, at its weights.  Tables
+    with the same pattern set and mask share one ``OptionLayout``, of which
+    the ``LAYOUT_CACHE_SIZE`` most recently used are kept.  Raises
+    InfeasibleInstanceError naming the users that have no option.
     """
-    if isinstance(instance, SumaxInstance):
-        weights = -instance.utilities
-        allowed = np.ones(weights.shape, dtype=bool)
-    elif isinstance(instance, JamscInstance):
-        weights, allowed = instance.costs, instance.allowed
-    else:
-        raise TypeError(f"cannot convert {type(instance).__name__} to an assignment instance")
-    layout = _layout(instance.patterns, instance.n_users, allowed.tobytes())
-    return AssignmentInstance(weights=weights[allowed], layout=layout)
+    layout = _layout(table.patterns, table.n_users, table.allowed.tobytes())
+    return AssignmentInstance(weights=table.weights[table.allowed], layout=layout)
 
 
 @lru_cache(maxsize=LAYOUT_CACHE_SIZE)
 def _layout(patterns: PatternSet, n_users: int, mask: bytes) -> OptionLayout:
-    """The layout of the (user, pattern) entries that ``mask``, a (K, J) bool array's bytes, allows."""
-    allowed = np.frombuffer(mask, dtype=bool).reshape(n_users, patterns.n_patterns)
-    counts = allowed.sum(axis=1)
-    if not counts.all():
-        raise InfeasibleInstanceError(
-            "users without any allowed option: "
-            + ", ".join(str(k) for k in np.nonzero(counts == 0)[0].tolist())
-        )
-    k_idx, j_idx = np.nonzero(allowed)
-    stops = np.cumsum(counts).tolist()
-    return OptionLayout(
-        n_agents=n_users,
-        n_resources=patterns.n_subchannels,
-        agent_of=k_idx.astype(np.int64),
-        agent_slices=tuple(zip([0] + stops[:-1], stops)),
-        footprint_matrix=patterns.matrix[:, j_idx].astype(np.float64),
-        provenance=tuple(zip(k_idx.tolist(), j_idx.tolist())),
-    )
+    """The layout of ``mask``, a (K, J) bool array's bytes."""
+    return OptionLayout(patterns, np.frombuffer(mask, dtype=bool).reshape(n_users, patterns.n_patterns))

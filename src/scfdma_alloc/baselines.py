@@ -29,8 +29,7 @@ def cover_sweep(a: AssignmentInstance, node_ceiling: int = NODE_CEILING) -> np.n
     sub-channels 1..n exactly (see ``brute_force``); ``f[N, all]`` is
     infinite exactly when no exact cover exists.  Raises OracleCeilingError,
     before any work, when the sweep's 2^(K-1) * n_options relaxations exceed
-    ``node_ceiling``, and ValueError for a layout that ``option_at``
-    refuses.
+    ``node_ceiling``.
     """
     n_agents, n_res = a.n_agents, a.n_resources
     n_states = 1 << n_agents
@@ -87,8 +86,7 @@ def brute_force(a: AssignmentInstance, node_ceiling: int = NODE_CEILING) -> tupl
     Raises OracleCeilingError, before any work, when the relaxations exceed
     ``node_ceiling``, and during the backtrack once more than ``node_ceiling``
     partial covers have been visited: an explicit refusal, never a wrong
-    answer.  Raises ValueError for a footprint that is not one contiguous
-    block, or for two options of one agent on one footprint.
+    answer.
     """
     f = cover_sweep(a, node_ceiling)
     n_agents, n_res = a.n_agents, a.n_resources
@@ -210,23 +208,28 @@ def greedy(a: AssignmentInstance) -> Allocation:
     return Allocation(option_index=options)
 
 
-def round_robin(n_users: int, n_subchannels: int) -> tuple[tuple[int, ...], ...]:
-    """Equal consecutive blocks in user order; first N mod K users get one extra.
+def round_robin(a: AssignmentInstance) -> Allocation:
+    """Equal consecutive blocks in agent order; the first N mod K agents get one extra.
 
-    Returns per-user tuples of 1-based sub-channel indices.  Requires
-    n_users <= n_subchannels so every user receives at least one sub-channel.
+    Each agent takes its option on its block.  Raises
+    InfeasibleAllocationError when there are more agents than sub-channels,
+    so some agent would get none, or when an agent has no option on its
+    block.
     """
-    if n_users < 1 or n_subchannels < 1:
-        raise ValueError("n_users and n_subchannels must be >= 1")
+    n_users, n_subchannels = a.n_agents, a.n_resources
     if n_users > n_subchannels:
         raise InfeasibleAllocationError(
             f"round robin needs n_users <= n_subchannels, got {n_users} > {n_subchannels}"
         )
     base, extra = divmod(n_subchannels, n_users)
-    out = []
-    nxt = 1
+    options = []
+    end = 0
     for k in range(n_users):
-        length = base + (1 if k < extra else 0)
-        out.append(tuple(range(nxt, nxt + length)))
-        nxt += length
-    return tuple(out)
+        start, end = end, end + base + (k < extra)
+        o = int(a.layout.option_at[k, start, end])
+        if o < 0:
+            raise InfeasibleAllocationError(
+                f"user {k} has no option on its round-robin block of sub-channels {start + 1}..{end}"
+            )
+        options.append(o)
+    return Allocation(option_index=tuple(options))

@@ -21,9 +21,9 @@ from .assignment import Allocation, AssignmentInstance, InfeasibleInstanceError,
 from .baselines import InfeasibleAllocationError, OracleCeilingError, brute_force, greedy, round_robin
 from .channel import ChannelGains, ScenarioConfig, generate_channel
 from .dual import OUTCOMES, TERMINATIONS, SolveReport, SolverConfig, dual_gradient, dual_value, DualPoint, solve
-from .jamsc import FrameConfig, JamscInstance, build_jamsc
-from .patterns import PatternSet, enumerate_patterns
-from .sumax import ModulationTable, SumaxInstance, build_sumax, select_modulation
+from .jamsc import FrameConfig, build_jamsc
+from .patterns import OptionTable, PatternSet, enumerate_patterns
+from .sumax import ModulationTable, build_sumax
 
 SUMAX_ALLOCATORS = ("dual", "oracle", "greedy", "round_robin")
 JAMSC_ALLOCATORS = ("dual_am", "dual_fixed", "oracle_am", "round_robin")
@@ -126,12 +126,12 @@ def _record_from_report(name: str, rep: SolveReport, sign: float, runtime_s: flo
     )
 
 
-def _sumax_models(cfg: CampaignConfig, gains: ChannelGains, patterns: PatternSet) -> dict:
-    inst = build_sumax(gains, cfg.scenario, weights=cfg.weights, patterns=patterns)
-    return dict.fromkeys(SUMAX_ALLOCATORS, inst)
+def _sumax_tables(cfg: CampaignConfig, gains: ChannelGains, patterns: PatternSet) -> dict:
+    table = build_sumax(gains, cfg.scenario, weights=cfg.weights, patterns=patterns, modulations=cfg.modulations)
+    return dict.fromkeys(SUMAX_ALLOCATORS, table)
 
 
-def _jamsc_models(cfg: CampaignConfig, gains: ChannelGains, patterns: PatternSet) -> dict:
+def _jamsc_tables(cfg: CampaignConfig, gains: ChannelGains, patterns: PatternSet) -> dict:
     targets = np.full(cfg.scenario.n_users, float(cfg.target_rate_bps))
     joint, fixed = build_jamsc(
         gains, cfg.scenario, targets, (cfg.modulations, cfg.modulations.restricted(cfg.fixed_modulation)),
@@ -140,45 +140,21 @@ def _jamsc_models(cfg: CampaignConfig, gains: ChannelGains, patterns: PatternSet
     return {"dual_am": joint, "oracle_am": joint, "dual_fixed": fixed, "round_robin": fixed}
 
 
-def _sumax_user_rows(inst: SumaxInstance, cfg: CampaignConfig, cols: Sequence[int]) -> list[dict]:
+def _user_rows(table: OptionTable, a: AssignmentInstance, alloc: Allocation) -> list[dict]:
+    """One row per user: the chosen option's entry of ``table``."""
     rows = []
-    p_max = cfg.scenario.per_user("p_max_w")
-    p_peak = cfg.scenario.per_user("p_peak_w")
-    for k, j in enumerate(cols):
-        col = inst.patterns.columns[j]
-        if col:
-            snr = float(inst.pattern_snr[k, j])
-            m = select_modulation(snr, cfg.modulations)
-            rows.append(
-                {
-                    "user": k,
-                    "start": col[0],
-                    "length": len(col),
-                    "modulation": "" if m is None else cfg.modulations.names[m],
-                    "power_w": min(float(p_peak[k]), float(p_max[k]) / len(col)),
-                    "snr_eff": snr,
-                }
-            )
-        else:
-            rows.append(
-                {"user": k, "start": 0, "length": 0, "modulation": "", "power_w": 0.0, "snr_eff": float("nan")}
-            )
-    return rows
-
-
-def _jamsc_user_rows(inst: JamscInstance, cfg: CampaignConfig, cols: Sequence[int]) -> list[dict]:
-    rows = []
-    for k, j in enumerate(cols):
-        col = inst.patterns.columns[j]
-        m = int(inst.modulation[k, j])
+    for k, o in enumerate(alloc.option_index):
+        j = a.layout.pattern_of[o]
+        col = table.patterns.columns[j]
+        m = table.modulation[k, j]
         rows.append(
             {
                 "user": k,
-                "start": col[0],
+                "start": col[0] if col else 0,
                 "length": len(col),
-                "modulation": inst.table.names[m],
-                "power_w": float(inst.powers[k, j]),
-                "snr_eff": float(inst.table.thresholds[m]),
+                "modulation": table.modulation_names[m] if m >= 0 else "",
+                "power_w": float(table.power_w[k, j]),
+                "snr_eff": float(table.snr_eff[k, j]),
             }
         )
     return rows
@@ -189,33 +165,20 @@ class _Problem:
     """The parts of a drop that differ between the two problems."""
 
     sign: float  # recorded objective = sign * assignment value; sumax reports utility
-    models: Callable[[CampaignConfig, ChannelGains, PatternSet], dict]  # model per allocator
-    user_rows: Callable[[object, CampaignConfig, Sequence[int]], list[dict]]
+    tables: Callable[[CampaignConfig, ChannelGains, PatternSet], dict]  # option table per allocator
 
 
 _PROBLEMS = {
-    "sumax": _Problem(-1.0, _sumax_models, _sumax_user_rows),
-    "jamsc": _Problem(1.0, _jamsc_models, _jamsc_user_rows),
+    "sumax": _Problem(-1.0, _sumax_tables),
+    "jamsc": _Problem(1.0, _jamsc_tables),
 }
-
-
-def _round_robin_allocation(a: AssignmentInstance) -> Allocation:
-    options = []
-    for k, block in enumerate(round_robin(a.n_agents, a.n_resources)):
-        o = int(a.layout.option_at[k, block[0] - 1, block[-1]])
-        if o < 0:
-            raise InfeasibleAllocationError(
-                f"user {k} has no option on its round-robin block of sub-channels {block[0]}..{block[-1]}"
-            )
-        options.append(o)
-    return Allocation(option_index=tuple(options))
 
 
 def run_drop(cfg: CampaignConfig, seed: int, drop_index: int = 0, problem: str | None = None) -> DropResult:
     """Run every configured allocator on one independent channel drop.
 
-    Each model instance is flattened to the assignment form once per drop;
-    when that fails, every allocator that uses the instance gets the error.
+    Each option table is flattened to the assignment form once per drop;
+    when that fails, every allocator that uses the table gets the error.
     ``dual_fixed`` starts from ``dual_am``'s choice and cover duals when
     ``dual_am`` ran earlier in the drop and did not diverge: both jamsc
     instances constrain the same users and sub-channels, and the first round
@@ -227,7 +190,7 @@ def run_drop(cfg: CampaignConfig, seed: int, drop_index: int = 0, problem: str |
     spec = _PROBLEMS[prob]
     patterns = enumerate_patterns(cfg.scenario.n_subchannels)
     gains = generate_channel(cfg.scenario, seed)
-    models = spec.models(cfg, gains, patterns)
+    tables = spec.tables(cfg, gains, patterns)
     forms: dict[int, AssignmentInstance | InfeasibleInstanceError] = {}
     records: dict[str, AllocatorRecord] = {}
     user_rows: list[dict] = []
@@ -235,13 +198,13 @@ def run_drop(cfg: CampaignConfig, seed: int, drop_index: int = 0, problem: str |
 
     for name in cfg.allocators_for(prob):
         t0 = time.perf_counter()
-        model = models[name]
-        if id(model) not in forms:
+        table = tables[name]
+        if id(table) not in forms:
             try:
-                forms[id(model)] = to_assignment(model)
+                forms[id(table)] = to_assignment(table)
             except InfeasibleInstanceError as exc:
-                forms[id(model)] = exc
-        a = forms[id(model)]
+                forms[id(table)] = exc
+        a = forms[id(table)]
         if isinstance(a, InfeasibleInstanceError):
             records[name] = AllocatorRecord(name=name, error=str(a), runtime_s=time.perf_counter() - t0)
             continue
@@ -264,7 +227,7 @@ def run_drop(cfg: CampaignConfig, seed: int, drop_index: int = 0, problem: str |
                 if name.startswith("oracle"):
                     alloc, value = brute_force(a, cfg.oracle_ceiling)
                 else:
-                    alloc = greedy(a) if name == "greedy" else _round_robin_allocation(a)
+                    alloc = greedy(a) if name == "greedy" else round_robin(a)
                     value = a.value(alloc)
                 rec = AllocatorRecord(
                     name=name, objective=spec.sign * value, feasible=True,
@@ -277,9 +240,7 @@ def run_drop(cfg: CampaignConfig, seed: int, drop_index: int = 0, problem: str |
             if bad:
                 rec.violations.extend(bad)
                 rec.feasible = False
-            cols = [a.provenance[o][1] for o in alloc.option_index]
-            for row in spec.user_rows(model, cfg, cols):
-                user_rows.append({"allocator": name, **row})
+            user_rows.extend({"allocator": name, **row} for row in _user_rows(table, a, alloc))
         records[name] = rec
     return DropResult(prob, drop_index, seed, records, user_rows)
 

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .channel import ChannelGains, EmptyPatternError, ScenarioConfig
-from .patterns import PatternSet, enumerate_patterns
+from .patterns import OptionTable, PatternSet, enumerate_patterns
 from .sumax import ModulationTable
 
 # Ceiling guard: keeps exact rate/capacity matches from rounding up on fp dust.
@@ -164,38 +164,6 @@ def cost(p_max: float, power: float) -> float:
     return -math.exp(p_max - power)
 
 
-@dataclass(frozen=True)
-class JamscInstance:
-    """Per-(user, pattern) modulation, power and cost for one realisation.
-
-    ``modulation``, ``powers`` and ``costs`` have shape (K, J).  A masked
-    option has modulation -1 and NaN power and cost; masked options carry no
-    usable numbers.
-    """
-
-    modulation: np.ndarray
-    powers: np.ndarray
-    costs: np.ndarray
-    patterns: PatternSet
-    table: ModulationTable
-    targets_bps: np.ndarray
-    p_max: np.ndarray
-    seed: int | None = None
-
-    @property
-    def n_users(self) -> int:
-        return self.costs.shape[0]
-
-    @property
-    def allowed(self) -> np.ndarray:
-        return self.modulation >= 0
-
-    @property
-    def infeasible_users(self) -> tuple[int, ...]:
-        """Users left with no allowed option at all."""
-        return tuple(np.nonzero(~self.allowed.any(axis=1))[0].tolist())
-
-
 def build_jamsc(
     gains: ChannelGains,
     config: ScenarioConfig,
@@ -204,17 +172,19 @@ def build_jamsc(
     frame: FrameConfig = FrameConfig(),
     patterns: PatternSet | None = None,
     strict_cap: bool = False,
-) -> tuple[JamscInstance, ...]:
+) -> tuple[OptionTable, ...]:
     """Build the jamsc option tables for one channel realisation, one per modulation table.
 
-    The options of every table go through one batched power solve; its rows
-    are independent, so each instance holds the bits a build on its table
-    alone gives.  With ``strict_cap`` options whose solved power exceeds the
-    user's budget are masked out; every higher modulation on that pattern needs
-    still more power, so masking the whole (user, pattern) is exact.  By
-    default they stay allowed and simply price in as very costly.  Users left
-    with no option at all are listed in ``infeasible_users`` rather than
-    raising here.  A ``p_max_w`` so large that the costs, or their per-user
+    An option's weight is its cost and its SNR the threshold of its
+    modulation; a masked option has modulation -1 and NaN weight, power
+    and SNR.  The options of every table go through one batched power
+    solve; its rows are independent, so each table holds the bits a build
+    on its table alone gives.  With ``strict_cap`` options whose solved
+    power exceeds the user's budget are masked out; every higher modulation
+    on that pattern needs still more power, so masking the whole
+    (user, pattern) is exact.  By default they stay allowed and simply
+    price in as very costly.  Users left with no option at all are listed
+    in the table's ``infeasible_users`` rather than raising here.  A ``p_max_w`` so large that the costs, or their per-user
     maxima summed, overflow float64 raises ValueError.
     """
     g = gains.gains
@@ -247,7 +217,7 @@ def build_jamsc(
         ])
         solved = _solve_powers_vec(padded, sizes, thr)
 
-    instances = []
+    built = []
     per_table = np.split(solved, np.cumsum([len(k_idx) for k_idx, _ in options])[:-1])
     for table, modulation, (k_idx, j_idx), p in zip(tables, modulations, options, per_table):
         powers = np.full(modulation.shape, np.nan)
@@ -265,32 +235,18 @@ def build_jamsc(
                 modulation[k_idx[over], j_idx[over]] = -1
                 powers[k_idx[over], j_idx[over]] = np.nan
                 costs[k_idx[over], j_idx[over]] = np.nan
-        instances.append(
-            JamscInstance(
-                modulation=modulation,
-                powers=powers,
-                costs=costs,
+        allowed = modulation >= 0
+        built.append(
+            OptionTable(
                 patterns=patterns,
-                table=table,
-                targets_bps=targets,
-                p_max=p_max,
+                weights=costs,
+                allowed=allowed,
+                modulation=modulation,
+                modulation_names=table.names,
+                power_w=powers,
+                snr_eff=np.where(allowed, np.asarray(table.thresholds)[modulation], np.nan),
                 seed=gains.seed,
             )
         )
-    return tuple(instances)
+    return tuple(built)
 
-
-def sum_cost(instance: JamscInstance, pattern_choice: Sequence[int]) -> float:
-    """Total cost of one pattern index per user, each at its lowest modulation.
-
-    Raises ValueError when a chosen option is masked; masked entries never
-    contribute a numeric cost.
-    """
-    if len(pattern_choice) != instance.n_users:
-        raise ValueError("need exactly one pattern index per user")
-    total = 0.0
-    for k, j in enumerate(pattern_choice):
-        if instance.modulation[k, j] < 0:
-            raise ValueError(f"choice (user={k}, pattern={j}) is masked")
-        total += float(instance.costs[k, j])
-    return total

@@ -1,15 +1,16 @@
-"""Contiguous sub-channel allocation patterns.
+"""Contiguous sub-channel allocation patterns and the (user, pattern) option table.
 
 Every allocatable unit is a contiguous block of sub-channels (the single-carrier
 constraint), so the full catalogue of options on N sub-channels is one empty
 pattern plus N*(N+1)/2 blocks.  All users share the same catalogue; each model
-scores it as one (user, pattern) table.
+scores it as one ``OptionTable``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -82,3 +83,49 @@ def _catalogue(n_subchannels: int) -> PatternSet:
         for start in range(1, n_subchannels - length + 2):
             cols.append(tuple(range(start, start + length)))
     return PatternSet(n_subchannels=n_subchannels, columns=tuple(cols))
+
+
+@dataclass(frozen=True)
+class OptionTable:
+    """One drop's (user, pattern) options, as both models build them.
+
+    Every array has shape (K, J), column j scoring ``patterns.columns[j]``.
+    ``weights`` is what the assignment minimises (-utility for sumax, cost
+    for jamsc), NaN where ``allowed`` is False.  ``modulation`` indexes
+    ``modulation_names``, -1 for none; ``power_w`` is the per-sub-channel
+    transmit power and ``snr_eff`` the effective SNR, NaN where undefined.
+    """
+
+    patterns: PatternSet
+    weights: np.ndarray
+    allowed: np.ndarray
+    modulation: np.ndarray
+    modulation_names: tuple[str, ...]
+    power_w: np.ndarray
+    snr_eff: np.ndarray
+    seed: int | None = None
+
+    @property
+    def n_users(self) -> int:
+        return self.weights.shape[0]
+
+    @property
+    def infeasible_users(self) -> tuple[int, ...]:
+        """Users left with no allowed option at all."""
+        return tuple(np.nonzero(~self.allowed.any(axis=1))[0].tolist())
+
+    def total(self, pattern_choice: Sequence[int]) -> float:
+        """Total weight of one pattern index per user, summed in user order.
+
+        Raises ValueError unless there is one choice per user and each is
+        allowed; overlapping patterns are summed, as feasibility is checked
+        elsewhere.
+        """
+        if len(pattern_choice) != self.n_users:
+            raise ValueError("need exactly one pattern index per user")
+        total = 0.0
+        for k, j in enumerate(pattern_choice):
+            if not self.allowed[k, j]:
+                raise ValueError(f"choice (user={k}, pattern={j}) is masked")
+            total += float(self.weights[k, j])
+        return total

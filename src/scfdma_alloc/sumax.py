@@ -3,7 +3,8 @@
 Each user k is scored on every contiguous pattern j: the total power budget is
 spread evenly over the pattern (respecting the per-sub-channel peak), the
 equaliser's effective SNR is computed, and the utility defaults to the weighted
-rate  w_k * |pattern| * log2(1 + snr_eff).  The empty pattern scores 0.
+rate  w_k * |pattern| * log2(1 + snr_eff).  The empty pattern scores 0.  Each
+option carries the highest modulation whose SNR threshold it meets.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .channel import ChannelGains, EmptyPatternError, ScenarioConfig, effective_snr_mmse, effective_snr_zf
-from .patterns import PatternSet, enumerate_patterns
+from .patterns import OptionTable, PatternSet, enumerate_patterns
 
 
 @dataclass(frozen=True)
@@ -100,37 +101,23 @@ def weighted_rate(n_subchannels: int, snr_eff: np.ndarray) -> np.ndarray:
     return n_subchannels * np.log2(1.0 + snr_eff)
 
 
-@dataclass(frozen=True)
-class SumaxInstance:
-    """Per-(user, pattern) utilities for one channel realisation.
-
-    ``utilities`` and ``pattern_snr`` have shape (K, J); column 0 (empty
-    pattern) has utility 0 and NaN SNR as the undefined marker.
-    """
-
-    utilities: np.ndarray
-    pattern_snr: np.ndarray
-    patterns: PatternSet
-    weights: np.ndarray
-    seed: int | None = None
-
-    @property
-    def n_users(self) -> int:
-        return self.utilities.shape[0]
-
-
 def build_sumax(
     gains: ChannelGains,
     config: ScenarioConfig,
     weights: Sequence[float] | None = None,
     patterns: PatternSet | None = None,
     rate_fn: Callable[[int, np.ndarray], np.ndarray] = weighted_rate,
-) -> SumaxInstance:
+    modulations: ModulationTable = ModulationTable(),
+) -> OptionTable:
     """Score every (user, pattern) pair on one channel realisation.
 
     ``rate_fn(size, snr_eff)`` is the pluggable utility shape; the per-user
-    weight multiplies it.  Utilities are non-negative for non-decreasing
-    rate_fn with rate_fn(size, 0) = 0.
+    weight multiplies it, and the table's weights are the utilities negated.
+    Utilities are non-negative for non-decreasing rate_fn with
+    rate_fn(size, 0) = 0.  Every option is allowed, at power
+    min(p_peak, p_max / size) and the highest of ``modulations`` whose
+    threshold its effective SNR meets (``select_modulation``).  The empty
+    pattern has utility 0, power 0, NaN SNR and no modulation.
     """
     g = gains.gains
     k_users, n_sub = g.shape
@@ -144,16 +131,17 @@ def build_sumax(
     p_max = config.per_user("p_max_w")
     p_peak = config.per_user("p_peak_w")
 
-    n_pat = patterns.n_patterns
-    utilities = np.zeros((k_users, n_pat))
-    pattern_snr = np.full((k_users, n_pat), np.nan)
+    shape = (k_users, patterns.n_patterns)
+    utilities = np.zeros(shape)
+    power_w = np.zeros(shape)
+    power_w[:, 1:] = np.minimum(p_peak[:, None], p_max[:, None] / patterns.sizes[1:])
+    snr_eff = np.full(shape, np.nan)
 
     # Columns for a given length are consecutive, so score one length at a time
     # with windowed means over the per-sub-channel SNR transform.
     col = 1
     for length in range(1, n_sub + 1):
-        power = np.minimum(p_peak, p_max / length)
-        snr = power[:, None] * g
+        snr = power_w[:, col, None] * g
         if config.equalizer == "mmse":
             t = snr / (1.0 + snr)
         else:
@@ -165,23 +153,19 @@ def build_sumax(
         else:
             gamma = 1.0 / mean
         n_starts = n_sub - length + 1
-        pattern_snr[:, col : col + n_starts] = gamma
+        snr_eff[:, col : col + n_starts] = gamma
         utilities[:, col : col + n_starts] = w[:, None] * rate_fn(length, gamma)
         col += n_starts
-    return SumaxInstance(
-        utilities=utilities,
-        pattern_snr=pattern_snr,
+    # the count of thresholds at or below the SNR, less one, as select_modulation
+    modulation = np.searchsorted(modulations.thresholds, snr_eff, "right") - 1
+    modulation[:, 0] = -1  # the empty pattern's NaN SNR sorts past every threshold
+    return OptionTable(
         patterns=patterns,
-        weights=w,
+        weights=-utilities,
+        allowed=np.ones(shape, dtype=bool),
+        modulation=modulation,
+        modulation_names=modulations.names,
+        power_w=power_w,
+        snr_eff=snr_eff,
         seed=gains.seed,
     )
-
-
-def sum_utility(instance: SumaxInstance, pattern_choice: Sequence[int]) -> float:
-    """Total utility of one pattern index per user; no feasibility checking here."""
-    if len(pattern_choice) != instance.n_users:
-        raise ValueError("need exactly one pattern index per user")
-    total = 0.0
-    for k, j in enumerate(pattern_choice):
-        total += float(instance.utilities[k, j])
-    return total

@@ -15,7 +15,7 @@ from scfdma_alloc.assignment import (
 from scfdma_alloc.channel import ScenarioConfig, generate_channel
 from scfdma_alloc.harness import CampaignConfig, run_drop
 from scfdma_alloc.jamsc import FrameConfig, build_jamsc
-from scfdma_alloc.sumax import ModulationTable, build_sumax, sum_utility
+from scfdma_alloc.sumax import ModulationTable, build_sumax
 
 
 def _sumax_instance(seed=0, n_users=2, n_sub=3):
@@ -35,8 +35,8 @@ def test_sumax_conversion_shape_and_weights():
         opts = a.agent_options(k)
         assert len(opts) == j
         for j_idx, o in enumerate(opts):
-            assert a.weights[o] == -inst.utilities[k, j_idx]
-            assert a.provenance[o] == (k, j_idx)
+            assert a.weights[o] == inst.weights[k, j_idx]
+            assert (a.agent_of[o], a.layout.pattern_of[o]) == (k, j_idx)
             col = inst.patterns.columns[j_idx]
             ones = set(np.nonzero(a.footprint_matrix[:, o])[0] + 1)
             assert ones == set(col)
@@ -75,7 +75,7 @@ def test_value_matches_agent_order_sum_bitwise():
         for o in alloc.option_index:
             manual = manual + float(a.weights[o])
         assert a.value(alloc) == manual
-        assert -a.value(alloc) == sum_utility(inst, combo)
+        assert a.value(alloc) == inst.total(combo)
 
 
 def test_selection_vector_roundtrip():
@@ -115,8 +115,8 @@ def test_with_weights_replaces_only_weights():
     b = a.with_weights(w)
     assert np.array_equal(b.weights, w)
     assert np.array_equal(b.footprint_matrix, a.footprint_matrix)
-    assert b.provenance == a.provenance
-    assert np.array_equal(a.weights, -_sumax_instance().utilities.ravel())
+    assert b.layout is a.layout
+    assert np.array_equal(a.weights, _sumax_instance().weights.ravel())
 
 
 def test_jamsc_conversion_uses_mask():
@@ -125,12 +125,11 @@ def test_jamsc_conversion_uses_mask():
     (inst,) = build_jamsc(ch, cfg, (140e3, 140e3), (ModulationTable(),), FrameConfig())
     a = to_assignment(inst)
     assert a.n_options == int(inst.allowed.sum())
-    assert list(a.provenance) == sorted(a.provenance)  # user, then pattern
-    for o in range(a.n_options):
-        k, j = a.provenance[o]
+    entries = list(zip(a.agent_of.tolist(), a.layout.pattern_of.tolist()))
+    assert entries == sorted(entries)  # user, then pattern
+    for o, (k, j) in enumerate(entries):
         assert inst.allowed[k, j]
-        assert a.weights[o] == inst.costs[k, j]
-        assert a.agent_of[o] == k
+        assert a.weights[o] == inst.weights[k, j]
         assert np.array_equal(a.footprint_matrix[:, o], inst.patterns.matrix[:, j])
 
 
@@ -160,7 +159,7 @@ def _layout_arrays(layout):
     return {
         name: getattr(layout, name)
         for name in (
-            "agent_of", "footprint_matrix", "sizes", "constraint_matrix",
+            "agent_of", "pattern_of", "footprint_matrix", "sizes", "constraint_matrix",
             "half_colsum_minus_one", "ends", "option_at",
         )
     }
@@ -187,20 +186,25 @@ def test_drops_with_one_mask_share_one_read_only_layout():
 
 def test_hand_built_instance_builds_the_same_layout():
     a = to_assignment(_sumax_instance(3))
-    agent_of = a.agent_of.copy()
-    hand = AssignmentInstance(
-        weights=a.weights.copy(),
-        layout=OptionLayout(
-            n_agents=a.n_agents, n_resources=a.n_resources, agent_of=agent_of,
-            agent_slices=a.agent_slices, footprint_matrix=a.footprint_matrix.copy(),
-            provenance=a.provenance,
-        ),
-    )
+    allowed = np.ones((a.n_agents, a.layout.patterns.n_patterns), dtype=bool)
+    hand = AssignmentInstance(weights=a.weights.copy(), layout=OptionLayout(a.layout.patterns, allowed))
     assert hand.layout is not a.layout
     for name, array in _layout_arrays(hand.layout).items():
         assert np.array_equal(array, getattr(a.layout, name)), name
         assert not array.flags.writeable
-    assert agent_of.flags.writeable  # the caller's own arrays stay writeable
+    assert hand.layout.agent_slices == a.agent_slices
+    allowed[0, 0] = False  # the caller's own mask stays writeable, and the layout keeps its copy
+    assert hand.layout.allowed.all()
+
+
+def test_hand_built_layout_refuses_users_without_options_and_a_foreign_mask():
+    patterns = _sumax_instance().patterns
+    allowed = np.ones((3, patterns.n_patterns), dtype=bool)
+    allowed[[0, 2]] = False
+    with pytest.raises(InfeasibleInstanceError, match="users without any allowed option: 0, 2"):
+        OptionLayout(patterns, allowed)
+    with pytest.raises(ValueError, match="is not"):
+        OptionLayout(patterns, np.ones((2, patterns.n_patterns + 1), dtype=bool))
 
 
 def test_masks_varying_by_drop_never_outgrow_the_layout_cache():

@@ -13,7 +13,8 @@ from scfdma_alloc.baselines import (
 )
 from scfdma_alloc.channel import generate_channel
 from scfdma_alloc.harness import desk_scenario, sumax_assignment_for_seed
-from scfdma_alloc.sumax import build_sumax, sum_utility
+from scfdma_alloc.patterns import enumerate_patterns
+from scfdma_alloc.sumax import build_sumax
 
 
 def product_minimum(a: AssignmentInstance) -> tuple[tuple[int, ...], float]:
@@ -52,19 +53,9 @@ def test_brute_force_tie_breaks_lexicographically():
 
 
 def test_brute_force_infeasible_cover_raises():
-    a = AssignmentInstance(
-        weights=np.array([-1.0]),
-        layout=OptionLayout(
-            n_agents=1,
-            n_resources=2,
-            agent_of=np.zeros(1, dtype=np.int64),
-            agent_slices=((0, 1),),
-            footprint_matrix=np.array([[1.0], [0.0]]),
-            provenance=((0, 1),),
-        ),
-    )
+    # one user whose only option is sub-channel 1 of two
     with pytest.raises(InfeasibleAllocationError):
-        brute_force(a)
+        brute_force(_masked(2, [[0, 1, 0, 0]]))
 
 
 def test_brute_force_node_ceiling_refuses():
@@ -111,9 +102,9 @@ def test_greedy_never_beats_oracle(seed):
     cfg = desk_scenario(2, 5)
     inst = build_sumax(generate_channel(cfg, seed), cfg)
     a = to_assignment(inst)
-    cols = [a.provenance[o][1] for o in greedy(a).option_index]
+    cols = [a.layout.pattern_of[o] for o in greedy(a).option_index]
     _, best = brute_force(a)
-    assert sum_utility(inst, cols) <= -best + 1e-9
+    assert inst.total(cols) >= best - 1e-9
 
 
 def test_greedy_deterministic():
@@ -126,75 +117,64 @@ def test_greedy_deterministic():
 def test_greedy_refuses_an_agent_left_without_its_empty_option():
     # two agents, each with only the block of the one sub-channel
     with pytest.raises(InfeasibleAllocationError, match="not one of its agent's options"):
-        greedy(_hand_built([[1.0, 1.0]], [0, 1], n_agents=2))
+        greedy(_masked(1, [[0, 1], [0, 1]]))
+
+
+def _blocks(a: AssignmentInstance, alloc) -> tuple[tuple[int, ...], ...]:
+    """Each agent's chosen sub-channels, 1-based."""
+    return tuple(tuple((np.nonzero(a.footprint_matrix[:, o])[0] + 1).tolist()) for o in alloc.option_index)
 
 
 def test_round_robin_blocks():
-    assert round_robin(3, 4) == ((1, 2), (3,), (4,))
-    assert round_robin(2, 8) == ((1, 2, 3, 4), (5, 6, 7, 8))
-    assert round_robin(4, 4) == ((1,), (2,), (3,), (4,))
-    assert round_robin(4, 6) == ((1, 2), (3, 4), (5,), (6,))
+    for (n_users, n_sub), want in {
+        (3, 4): ((1, 2), (3,), (4,)),
+        (2, 8): ((1, 2, 3, 4), (5, 6, 7, 8)),
+        (4, 4): ((1,), (2,), (3,), (4,)),
+        (4, 6): ((1, 2), (3, 4), (5,), (6,)),
+    }.items():
+        a = sumax_assignment_for_seed(n_users, n_sub, 0)
+        assert _blocks(a, round_robin(a)) == want
 
 
 @pytest.mark.parametrize("n_users,n_sub", [(3, 7), (5, 12), (1, 4)])
 def test_round_robin_partitions_all_subchannels(n_users, n_sub):
-    blocks = round_robin(n_users, n_sub)
-    flat = [n for blk in blocks for n in blk]
-    assert sorted(flat) == list(range(1, n_sub + 1))
-    assert len(flat) == n_sub
-    sizes = [len(b) for b in blocks]
+    a = sumax_assignment_for_seed(n_users, n_sub, 0)
+    alloc = round_robin(a)
+    assert not a.allocation_violations(alloc)
+    sizes = [len(b) for b in _blocks(a, alloc)]
+    assert sum(sizes) == n_sub
     assert max(sizes) - min(sizes) <= 1
 
 
 def test_round_robin_guards():
-    with pytest.raises(InfeasibleAllocationError):
-        round_robin(5, 4)
-    with pytest.raises(ValueError):
-        round_robin(0, 4)
-    with pytest.raises(ValueError):
-        round_robin(3, 0)
+    a = sumax_assignment_for_seed(5, 4, 0)
+    with pytest.raises(InfeasibleAllocationError, match=r"^round robin needs n_users <= n_subchannels, got 5 > 4$"):
+        round_robin(a)
+    # user 1's block is sub-channel 2, but its only option is sub-channel 1
+    lopsided = _masked(2, [[0, 1, 1, 0], [0, 1, 0, 0]])
+    with pytest.raises(
+        InfeasibleAllocationError, match=r"^user 1 has no option on its round-robin block of sub-channels 2\.\.2$"
+    ):
+        round_robin(lopsided)
 
 
-def _hand_built(footprints, agent_of, n_agents=1):
-    """An instance of unit weights on the given (n_resources, n_options) footprints."""
-    footprints = np.asarray(footprints, dtype=float)
-    agent_of = np.asarray(agent_of, dtype=np.int64)
-    stops = np.cumsum(np.bincount(agent_of, minlength=n_agents)).tolist()
-    return AssignmentInstance(
-        weights=np.ones(len(agent_of)),
-        layout=OptionLayout(
-            n_agents=n_agents,
-            n_resources=footprints.shape[0],
-            agent_of=agent_of,
-            agent_slices=tuple(zip([0] + stops[:-1], stops)),
-            footprint_matrix=footprints,
-            provenance=tuple((int(k), o) for o, k in enumerate(agent_of)),
-        ),
-    )
+def _masked(n_sub: int, allowed) -> AssignmentInstance:
+    """An instance of unit weights on the (user, pattern) entries that ``allowed`` allows."""
+    layout = OptionLayout(enumerate_patterns(n_sub), np.array(allowed, dtype=bool))
+    return AssignmentInstance(weights=np.ones(len(layout.agent_of)), layout=layout)
 
 
-def test_option_at_reads_the_layout_and_refuses_a_split_footprint():
+def test_option_at_reads_the_layout():
     a = sumax_assignment_for_seed(3, 5, 7)
     at = a.layout.option_at
     assert a.layout.option_at is at  # a second read rebuilds nothing
     for o in range(a.n_options):
         k, end, size = a.agent_of[o], a.layout.ends[o], a.sizes[o]
         assert at[k, end - size, end] == o
-    split = _hand_built([[1.0], [0.0], [1.0]], [0])
-    for oracle in (lambda a: a.layout.option_at, brute_force, greedy):
-        with pytest.raises(ValueError, match="one contiguous block"):
-            oracle(split)
-
-
-def test_option_at_refuses_two_options_on_one_footprint():
-    for footprints in ([[1.0, 1.0], [1.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]]):
-        twice = _hand_built(footprints, [0, 0])
-        with pytest.raises(ValueError, match="share an agent and a footprint"):
-            brute_force(twice)
-    # the same footprint for two agents is two cells
-    shared = _hand_built([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0]], [0, 1, 0, 1], n_agents=2)
-    assert shared.layout.option_at[:, 0, 2].tolist() == [0, 1]
-    assert shared.layout.option_at[:, 1, 1].tolist() == [2, 3]
+    # the same block for two agents is two cells; patterns on 2: (), (1,), (2,), (1, 2)
+    shared = _masked(2, [[1, 0, 0, 1], [1, 0, 0, 1]])
+    assert shared.layout.option_at[:, 0, 2].tolist() == [1, 3]
+    assert shared.layout.option_at[:, 1, 1].tolist() == [0, 2]
 
 
 def test_cover_costs_gather_the_weights_and_are_read_only():

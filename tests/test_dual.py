@@ -29,6 +29,7 @@ from scfdma_alloc.harness import (
     sumax_assignment_for_seed,
 )
 from scfdma_alloc.jamsc import FrameConfig, build_jamsc
+from scfdma_alloc.patterns import enumerate_patterns
 from scfdma_alloc.sumax import ModulationTable, build_sumax
 
 TIES = desk_scenario(3, 6, rayleigh_fading=False)
@@ -41,34 +42,20 @@ def jamsc_assignment(seed: int) -> AssignmentInstance:
     return to_assignment(model)
 
 
+def masked_instance(n_sub: int, allowed, weights) -> AssignmentInstance:
+    """The (user, pattern) entries that ``allowed`` allows, at ``weights``."""
+    layout = OptionLayout(enumerate_patterns(n_sub), np.array(allowed, dtype=bool))
+    return AssignmentInstance(weights=np.array(weights, dtype=float), layout=layout)
+
+
 def hand_instance() -> AssignmentInstance:
     """One user, one sub-channel: empty option worth 0, full option worth 5."""
-    return AssignmentInstance(
-        weights=np.array([0.0, -5.0]),
-        layout=OptionLayout(
-            n_agents=1,
-            n_resources=1,
-            agent_of=np.zeros(2, dtype=np.int64),
-            agent_slices=((0, 2),),
-            footprint_matrix=np.array([[0.0, 1.0]]),
-            provenance=((0, 0), (0, 1)),
-        ),
-    )
+    return masked_instance(1, [[1, 1]], [0.0, -5.0])
 
 
 def no_cover_instance() -> AssignmentInstance:
     """Two users on two sub-channels whose only option is sub-channel 1: no exact cover."""
-    return AssignmentInstance(
-        weights=np.array([-1.0, -1.0]),
-        layout=OptionLayout(
-            n_agents=2,
-            n_resources=2,
-            agent_of=np.array([0, 1], dtype=np.int64),
-            agent_slices=((0, 1), (1, 2)),
-            footprint_matrix=np.array([[1.0, 1.0], [0.0, 0.0]]),
-            provenance=((0, 1), (1, 1)),
-        ),
-    )
+    return masked_instance(2, [[0, 1, 0, 0], [0, 1, 0, 0]], [-1.0, -1.0])
 
 
 def unit_start(a: AssignmentInstance) -> DualPoint:
@@ -268,18 +255,8 @@ def test_unrepaired_solve_past_the_oracle_ceiling_has_no_allocation(monkeypatch)
 
 def size_bound_instance(n_agents: int, n_resources: int) -> AssignmentInstance:
     """Every agent's only options are the single sub-channels: sizes always sum to K."""
-    n_opt = n_agents * n_resources
-    return AssignmentInstance(
-        weights=-np.ones(n_opt),
-        layout=OptionLayout(
-            n_agents=n_agents,
-            n_resources=n_resources,
-            agent_of=np.repeat(np.arange(n_agents), n_resources),
-            agent_slices=tuple((k * n_resources, (k + 1) * n_resources) for k in range(n_agents)),
-            footprint_matrix=np.tile(np.eye(n_resources), n_agents),
-            provenance=tuple((k, j) for k in range(n_agents) for j in range(n_resources)),
-        ),
-    )
+    singles = enumerate_patterns(n_resources).sizes == 1
+    return masked_instance(n_resources, np.tile(singles, (n_agents, 1)), -np.ones(n_agents * n_resources))
 
 
 @pytest.mark.parametrize("n_agents, n_resources", [(3, 2), (2, 3)])

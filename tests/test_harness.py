@@ -204,7 +204,7 @@ def test_drop_csv_error_cell_holds_the_exception_text(tmp_path, monkeypatch):
     def refuse(a):
         raise InfeasibleAllocationError(message)
 
-    monkeypatch.setattr(harness, "_round_robin_allocation", refuse)
+    monkeypatch.setattr(harness, "round_robin", refuse)
     cfg = CampaignConfig(
         scenario=desk_scenario(2, 4), n_drops=2, allocators_sumax=("greedy", "round_robin"), out_dir=str(tmp_path)
     )

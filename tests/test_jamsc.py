@@ -15,7 +15,6 @@ from scfdma_alloc.jamsc import (
     min_count_matrix,
     min_subchannels,
     solve_pattern_power,
-    sum_cost,
 )
 from scfdma_alloc.patterns import enumerate_patterns
 from scfdma_alloc.sumax import ModulationTable
@@ -204,23 +203,26 @@ def test_build_jamsc_masks_and_costs():
     ps = enumerate_patterns(4)
     counts = min_count_matrix((140e3, 140e3), table, frame)
     p_max = cfg.per_user("p_max_w")
-    assert inst.modulation.shape == inst.powers.shape == inst.costs.shape == (2, ps.n_patterns)
+    assert inst.modulation.shape == inst.power_w.shape == inst.weights.shape == (2, ps.n_patterns)
+    assert inst.modulation_names == table.names
     for k in range(2):
         for j, col in enumerate(ps.columns):
             m = _lowest_reachable(len(col), counts[k])
             assert inst.modulation[k, j] == m
             assert inst.allowed[k, j] == (m >= 0)
             if m < 0:
-                assert np.isnan(inst.costs[k, j])
-                assert np.isnan(inst.powers[k, j])
+                assert np.isnan(inst.weights[k, j])
+                assert np.isnan(inst.power_w[k, j])
+                assert np.isnan(inst.snr_eff[k, j])
                 continue
+            assert inst.snr_eff[k, j] == table.thresholds[m]
             p = solve_pattern_power(ch.gains[k, [n - 1 for n in col]], table.thresholds[m])
-            assert inst.powers[k, j] == pytest.approx(p, rel=1e-10)
-            assert inst.costs[k, j] == pytest.approx(cost(p_max[k], p), rel=1e-10)
+            assert inst.power_w[k, j] == pytest.approx(p, rel=1e-10)
+            assert inst.weights[k, j] == pytest.approx(cost(p_max[k], p), rel=1e-10)
             # every higher modulation the pattern also reaches costs at least as much
             for m_hi in range(m + 1, table.n_modulations):
                 p_hi = solve_pattern_power(ch.gains[k, [n - 1 for n in col]], table.thresholds[m_hi])
-                assert cost(p_max[k], p_hi) >= inst.costs[k, j]
+                assert cost(p_max[k], p_hi) >= inst.weights[k, j]
 
 
 def test_build_jamsc_strict_cap_blocks_over_budget():
@@ -230,15 +232,16 @@ def test_build_jamsc_strict_cap_blocks_over_budget():
     (plain,) = build_jamsc(ch, cfg, (140e3, 140e3), (table,), frame)
     (strict,) = build_jamsc(ch, cfg, (140e3, 140e3), (table,), frame, strict_cap=True)
     p_max = cfg.per_user("p_max_w")
-    over = (plain.powers > p_max[:, None]) & plain.allowed
+    over = (plain.power_w > p_max[:, None]) & plain.allowed
     assert over.any() and not over.all()
     assert not strict.allowed[over].any()
-    assert np.isnan(strict.costs[over]).all() and np.isnan(strict.powers[over]).all()
+    assert np.isnan(strict.weights[over]).all() and np.isnan(strict.power_w[over]).all()
+    assert np.isnan(strict.snr_eff[over]).all()
     assert (strict.modulation[over] == -1).all()
     kept = strict.allowed
     assert np.array_equal(kept, plain.allowed & ~over)
     assert np.array_equal(strict.modulation[kept], plain.modulation[kept])
-    assert np.array_equal(strict.costs[kept], plain.costs[kept])
+    assert np.array_equal(strict.weights[kept], plain.weights[kept])
     # masking the whole (user, pattern) is exact: higher modulations need more power
     for k, j in np.argwhere(over):
         col = plain.patterns.columns[j]
@@ -256,7 +259,7 @@ def test_build_jamsc_refuses_costs_that_overflow(p_max_w):
     with pytest.raises(ValueError, match="p_max_w up to .* W overflows the jamsc costs"):
         build_jamsc(ch, big, np.full(4, 140e3), (table,), frame)
     if p_max_w < 710.0:
-        assert np.isfinite(np.exp(p_max_w - np.nanmin(base.powers)))
+        assert np.isfinite(np.exp(p_max_w - np.nanmin(base.power_w)))
 
 
 @pytest.mark.parametrize("strict_cap", [False, True])
@@ -278,8 +281,8 @@ def test_one_build_of_several_tables_equals_one_build_per_table(strict_cap, n_us
         assert len(together) == len(tables)
         for table, got in zip(tables, together):
             (want,) = build_jamsc(ch, cfg, targets, (table,), frame, strict_cap=strict_cap)
-            assert got.table == table
-            for field in ("modulation", "powers", "costs", "allowed"):
+            assert got.modulation_names == table.names
+            for field in ("modulation", "power_w", "weights", "snr_eff", "allowed"):
                 assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), field
             assert got.infeasible_users == want.infeasible_users
         if n_users == 4:
@@ -300,18 +303,18 @@ def test_sum_cost_and_masked_choice_rejection():
     cfg, ch, table, frame = _small_setup(seed=3)
     (inst,) = build_jamsc(ch, cfg, (140e3, 140e3), (table,), frame)
     choices = [int(np.argmax(inst.allowed[k])) for k in range(2)]
-    total = sum_cost(inst, choices)
-    manual = sum(float(inst.costs[k, j]) for k, j in enumerate(choices))
+    total = inst.total(choices)
+    manual = sum(float(inst.weights[k, j]) for k, j in enumerate(choices))
     assert total == manual
     blocked = np.argwhere(~inst.allowed)
     assert len(blocked)
     for kb, jb in blocked:
         bad = list(choices)
         bad[kb] = int(jb)
-        with pytest.raises(ValueError):
-            sum_cost(inst, bad)
+        with pytest.raises(ValueError, match="is masked"):
+            inst.total(bad)
     with pytest.raises(ValueError):
-        sum_cost(inst, choices[:1])
+        inst.total(choices[:1])
 
 
 def test_vectorised_powers_match_scalar_solver():
@@ -325,4 +328,4 @@ def test_vectorised_powers_match_scalar_solver():
         col = ps.columns[j]
         m = inst.modulation[k, j]
         p = solve_pattern_power(ch.gains[k, [n - 1 for n in col]], table.thresholds[m])
-        assert inst.powers[k, j] == pytest.approx(p, rel=1e-10)
+        assert inst.power_w[k, j] == pytest.approx(p, rel=1e-10)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from scfdma_alloc.jamsc import JamscInstance, lowest_modulation
+from scfdma_alloc.jamsc import lowest_modulation
 from scfdma_alloc.patterns import (
     MAX_SUBCHANNELS,
     PatternBoundsError,
+    OptionTable,
     PatternSet,
     enumerate_patterns,
 )
@@ -135,8 +136,8 @@ def test_users_without_options():
     ps = enumerate_patterns(3)
     lowest = lowest_modulation(ps, np.array([[1, 1, 1], [4, 4, 4]]))
     blank = np.full(lowest.shape, np.nan)
-    inst = JamscInstance(
-        modulation=lowest, powers=blank, costs=blank, patterns=ps, table=ModulationTable(),
-        targets_bps=np.ones(2), p_max=np.ones(2),
+    inst = OptionTable(
+        patterns=ps, weights=blank, allowed=lowest >= 0, modulation=lowest,
+        modulation_names=ModulationTable().names, power_w=blank, snr_eff=blank,
     )
     assert inst.infeasible_users == (1,)

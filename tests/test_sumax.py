@@ -8,7 +8,6 @@ from scfdma_alloc.sumax import (
     build_sumax,
     pattern_effective_snr,
     select_modulation,
-    sum_utility,
     weighted_rate,
 )
 
@@ -83,22 +82,22 @@ def test_build_matches_naive_per_pattern_loop():
         for k in range(3):
             for j, col in enumerate(ps.columns):
                 if not col:
-                    assert inst.utilities[k, j] == 0.0
-                    assert np.isnan(inst.pattern_snr[k, j])
+                    assert inst.weights[k, j] == 0.0
+                    assert np.isnan(inst.snr_eff[k, j])
                     continue
                 eff = pattern_effective_snr(
                     ch.gains[k], col, p_max[k], p_peak[k], cfg.equalizer
                 )
                 expected = weights[k] * weighted_rate(len(col), eff)
-                assert inst.utilities[k, j] == pytest.approx(expected, rel=1e-10)
-                assert inst.pattern_snr[k, j] == pytest.approx(eff, rel=1e-10)
+                assert -inst.weights[k, j] == pytest.approx(expected, rel=1e-10)
+                assert inst.snr_eff[k, j] == pytest.approx(eff, rel=1e-10)
 
 
 def test_build_default_weights_are_ones():
     cfg = ScenarioConfig(n_users=2, n_subchannels=3)
     ch = generate_channel(cfg, 1)
     inst = build_sumax(ch, cfg)
-    assert inst.weights.tolist() == [1.0, 1.0]
+    assert np.array_equal(inst.weights, build_sumax(ch, cfg, weights=[1.0, 1.0]).weights)
 
 
 def test_utilities_grow_with_weight():
@@ -107,8 +106,8 @@ def test_utilities_grow_with_weight():
     lo = build_sumax(ch, cfg, weights=[1.0, 1.0])
     hi = build_sumax(ch, cfg, weights=[2.0, 1.0])
     nonempty = slice(1, None)
-    assert np.allclose(hi.utilities[0, nonempty], 2.0 * lo.utilities[0, nonempty])
-    assert np.array_equal(hi.utilities[1], lo.utilities[1])
+    assert np.allclose(hi.weights[0, nonempty], 2.0 * lo.weights[0, nonempty])
+    assert np.array_equal(hi.weights[1], lo.weights[1])
 
 
 def test_sum_utility_matches_manual_sum():
@@ -118,8 +117,10 @@ def test_sum_utility_matches_manual_sum():
     choice = (2, 0, 5)
     manual = 0.0
     for k, j in enumerate(choice):
-        manual = manual + float(inst.utilities[k, j])
-    assert sum_utility(inst, choice) == manual
+        manual = manual + float(inst.weights[k, j])
+    assert inst.total(choice) == manual
+    with pytest.raises(ValueError, match="one pattern index per user"):
+        inst.total(choice[:2])
 
 
 def test_sum_utility_ignores_feasibility():
@@ -128,9 +129,9 @@ def test_sum_utility_ignores_feasibility():
     inst = build_sumax(ch, cfg)
     # overlapping full patterns are still summable; feasibility is checked elsewhere
     full = inst.patterns.n_patterns - 1
-    val = sum_utility(inst, (full, full))
+    val = inst.total((full, full))
     assert val == pytest.approx(
-        float(inst.utilities[0, full] + inst.utilities[1, full]), rel=1e-12
+        float(inst.weights[0, full] + inst.weights[1, full]), rel=1e-12
     )
 
 
@@ -142,5 +143,40 @@ def test_custom_rate_function_is_used():
         return np.ones_like(np.asarray(snr_eff, dtype=float))
 
     inst = build_sumax(ch, cfg, rate_fn=flat_rate)
-    nonempty = inst.utilities[:, 1:]
+    nonempty = -inst.weights[:, 1:]
     assert np.allclose(nonempty, 1.0)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"equalizer": "zf"}, {"p_max_w": (0.3, 1.0, 2.0, 0.6), "p_peak_w": (0.5, 0.1, 0.5, 0.25)}],
+    ids=["mmse", "zf", "per-user-powers"],
+)
+def test_table_modulation_power_and_snr_match_the_scalar_reference(overrides):
+    cfg = ScenarioConfig(n_users=4, n_subchannels=8, **overrides)
+    table = ModulationTable()
+    p_max, p_peak = cfg.per_user("p_max_w"), cfg.per_user("p_peak_w")
+    for seed in range(20):
+        ch = generate_channel(cfg, seed)
+        inst = build_sumax(ch, cfg, modulations=table)
+        assert inst.allowed.all() and inst.modulation_names == table.names
+        assert (inst.modulation[:, 0] == -1).all() and (inst.power_w[:, 0] == 0.0).all()
+        assert np.isnan(inst.snr_eff[:, 0]).all()
+        for k in range(cfg.n_users):
+            for j, col in enumerate(inst.patterns.columns[1:], start=1):
+                snr = float(inst.snr_eff[k, j])
+                m = select_modulation(snr, table)
+                assert inst.modulation[k, j] == (-1 if m is None else m)
+                assert inst.power_w[k, j] == min(float(p_peak[k]), float(p_max[k]) / len(col))
+                eff = pattern_effective_snr(ch.gains[k], col, p_max[k], p_peak[k], cfg.equalizer)
+                assert snr == pytest.approx(eff, rel=1e-10)
+
+
+def test_an_snr_exactly_on_a_threshold_activates_it():
+    cfg = ScenarioConfig(n_users=2, n_subchannels=3)
+    ch = generate_channel(cfg, 5)
+    snr = float(build_sumax(ch, cfg).snr_eff[1, 4])
+    on = ModulationTable(thresholds=(snr / 4, snr, 4 * snr))
+    above = ModulationTable(thresholds=(snr / 4, np.nextafter(snr, np.inf), 4 * snr))
+    assert build_sumax(ch, cfg, modulations=on).modulation[1, 4] == select_modulation(snr, on) == 1
+    assert build_sumax(ch, cfg, modulations=above).modulation[1, 4] == select_modulation(snr, above) == 0

@@ -15,8 +15,8 @@ Each layer is timed by wrapping the module attribute the drop path looks up,
 as perfbench's trace does: channel (``generate_channel``), model
 (``build_sumax`` and ``build_jamsc``), to_assignment, solve (including its
 repair), oracle (``brute_force``), repair (``dual.repair_selection``),
-greedy and round robin (``round_robin``'s block partition only, as in
-perfbench).
+greedy (``greedy``) and round robin (``round_robin``, its whole
+allocation, as in perfbench).
 Prints, for ``run_drop`` and each layer, both sides' ms per drop and the
 change/base ratio of their totals, and for ``run_drop`` the drops on which
 the change was faster.
@@ -41,7 +41,8 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SEED_STRIDE = 1_000_000  # perfbench's numbering: --seed n draws seeds n * SEED_STRIDE + i
 SIDES = ("base", "change")
-# layer -> (module of the package, attribute the drop path looks up)
+# layer -> (module of the package, attribute the drop path looks up); each
+# allocator's attribute returns its whole Allocation
 LAYERS = {
     "channel": (("harness", "generate_channel"),),
     "model": (("harness", "build_sumax"), ("harness", "build_jamsc")),
