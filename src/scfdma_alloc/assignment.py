@@ -113,8 +113,7 @@ class OptionLayout:
     @cached_property
     def ends(self) -> np.ndarray:
         """Each option's last sub-channel, 0 for the empty pattern."""
-        first = self.patterns.matrix.argmax(axis=0)[self.pattern_of]
-        return read_only(first + self.sizes)
+        return read_only(self.patterns.starts[self.pattern_of] + self.sizes)
 
     @cached_property
     def option_at(self) -> np.ndarray:

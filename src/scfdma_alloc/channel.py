@@ -40,7 +40,10 @@ class ScenarioConfig:
     2 GHz with a 30 m base station and 1.5 m terminals; they are plain
     configuration values and can be overridden freely.  Powers are in watts:
     ``p_max_w`` is each user's total budget, ``p_peak_w`` the per-sub-channel
-    cap.  Either may be a scalar or a per-user sequence.
+    cap.  Either may be a scalar or a per-user sequence.  Raises ValueError,
+    naming the field, for a NaN or infinite number (``p_peak_w`` may be
+    infinite: no cap) and for a non-positive frequency, height, bandwidth or
+    power.
     """
 
     n_users: int = 4
@@ -60,6 +63,17 @@ class ScenarioConfig:
     rayleigh_fading: bool = True
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, (str, bool)):
+                continue
+            arr = np.asarray(value, dtype=float)
+            # an infinite per-sub-channel peak is no cap: p_max_w still bounds the power
+            if np.isnan(arr).any() or (np.isinf(arr).any() and f.name != "p_peak_w"):
+                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+        for name in ("subchannel_bandwidth_hz", "carrier_freq_mhz", "bs_height_m", "ue_height_m"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
         if self.n_users < 1:
             raise ValueError("n_users must be >= 1")
         if not 1 <= self.n_subchannels <= MAX_SUBCHANNELS:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -66,8 +67,8 @@ class CampaignConfig:
                 raise ValueError(f"a {prob} campaign needs at least one allocator")
         if self.oracle_ceiling < 1:
             raise ValueError(f"oracle_ceiling must be >= 1, got {self.oracle_ceiling}")
-        if self.target_rate_bps <= 0:
-            raise ValueError(f"target_rate_bps must be positive, got {self.target_rate_bps}")
+        if not 0 < self.target_rate_bps < math.inf:
+            raise ValueError(f"target_rate_bps must be positive and finite, got {self.target_rate_bps}")
         if self.fixed_modulation not in self.modulations.names:
             raise ValueError(
                 f"fixed_modulation {self.fixed_modulation!r} is not one of {self.modulations.names}"
@@ -76,6 +77,8 @@ class CampaignConfig:
             raise ValueError(
                 f"weights has {len(self.weights)} entries for {self.scenario.n_users} users"
             )
+        if self.weights is not None and not np.isfinite(self.weights).all():
+            raise ValueError(f"weights must be finite, got {self.weights}")
 
     def allocators_for(self, problem: str) -> tuple[str, ...]:
         return self.allocators_sumax if problem == "sumax" else self.allocators_jamsc
@@ -145,13 +148,13 @@ def _user_rows(table: OptionTable, a: AssignmentInstance, alloc: Allocation) -> 
     rows = []
     for k, o in enumerate(alloc.option_index):
         j = a.layout.pattern_of[o]
-        col = table.patterns.columns[j]
+        size = int(table.patterns.sizes[j])
         m = table.modulation[k, j]
         rows.append(
             {
                 "user": k,
-                "start": col[0] if col else 0,
-                "length": len(col),
+                "start": int(table.patterns.starts[j]) + 1 if size else 0,
+                "length": size,
                 "modulation": table.modulation_names[m] if m >= 0 else "",
                 "power_w": float(table.power_w[k, j]),
                 "snr_eff": float(table.snr_eff[k, j]),

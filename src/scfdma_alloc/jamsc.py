@@ -43,34 +43,32 @@ class FrameConfig:
     symbols_per_subchannel: int = 12
 
     def __post_init__(self) -> None:
-        if self.tti_s <= 0:
-            raise ValueError("tti_s must be positive")
-        if self.symbols_per_subchannel < 1:
-            raise ValueError("symbols_per_subchannel must be >= 1")
+        if not 0 < self.tti_s < math.inf:
+            raise ValueError(f"tti_s must be positive and finite, got {self.tti_s}")
+        if not 1 <= self.symbols_per_subchannel < math.inf:
+            raise ValueError(f"symbols_per_subchannel must be finite and >= 1, got {self.symbols_per_subchannel}")
+
+
+def _min_counts(rates: np.ndarray, bits: np.ndarray, frame: FrameConfig) -> np.ndarray:
+    """ceil(rate * tti / (bits_per_symbol * symbols_per_subchannel)), at least 1, broadcast."""
+    if not (np.isfinite(rates) & (rates > 0)).all():
+        raise ValueError(f"target_rate_bps must be positive and finite, got {np.ravel(rates).tolist()}")
+    if (bits <= 0).any():
+        raise ValueError("bits_per_symbol must be positive")
+    bits_needed = rates * frame.tti_s
+    bits_per_pattern_unit = bits * frame.symbols_per_subchannel
+    return np.maximum(1, np.ceil(bits_needed / bits_per_pattern_unit - _CEIL_GUARD)).astype(np.int64)
 
 
 def min_subchannels(target_rate_bps: float, bits_per_symbol: int, frame: FrameConfig) -> int:
-    """Fewest sub-channels that carry ``target_rate_bps`` in one TTI.
-
-    ceil(rate * tti / (bits_per_symbol * symbols_per_subchannel)), at least 1.
-    """
-    if target_rate_bps <= 0:
-        raise ValueError("target_rate_bps must be positive")
-    if bits_per_symbol <= 0:
-        raise ValueError("bits_per_symbol must be positive")
-    bits_needed = target_rate_bps * frame.tti_s
-    bits_per_pattern_unit = bits_per_symbol * frame.symbols_per_subchannel
-    return max(1, math.ceil(bits_needed / bits_per_pattern_unit - _CEIL_GUARD))
+    """Fewest sub-channels that carry ``target_rate_bps`` in one TTI, one entry of ``min_count_matrix``."""
+    return int(_min_counts(np.asarray(target_rate_bps, dtype=float), np.asarray(bits_per_symbol), frame))
 
 
-def min_count_matrix(
-    targets_bps: Sequence[float], table: ModulationTable, frame: FrameConfig
-) -> np.ndarray:
+def min_count_matrix(targets_bps: Sequence[float], table: ModulationTable, frame: FrameConfig) -> np.ndarray:
     """(K, M) matrix of minimum sub-channel counts for each user and modulation."""
-    return np.array(
-        [[min_subchannels(r, b, frame) for b in table.bits_per_symbol] for r in targets_bps],
-        dtype=np.int64,
-    )
+    rates = np.asarray(targets_bps, dtype=float)[:, None]
+    return _min_counts(rates, np.asarray(table.bits_per_symbol), frame)
 
 
 def lowest_modulation(patterns: PatternSet, min_counts: np.ndarray) -> np.ndarray:
@@ -208,8 +206,7 @@ def build_jamsc(
         # row t holds option t's block of gains, zero-padded to the longest block
         lanes = np.arange(int(sizes.max()))
         inside = lanes < sizes[:, None]
-        first = patterns.matrix.argmax(axis=0)[j_all]
-        sub = np.where(inside, first[:, None] + lanes, 0)
+        sub = np.where(inside, patterns.starts[j_all, None] + lanes, 0)
         padded = np.where(inside, g[k_all[:, None], sub], 0.0)
         thr = np.concatenate([
             np.asarray(table.thresholds, dtype=float)[modulation[k_idx, j_idx]]
@@ -245,7 +242,6 @@ def build_jamsc(
                 modulation_names=table.names,
                 power_w=powers,
                 snr_eff=np.where(allowed, np.asarray(table.thresholds)[modulation], np.nan),
-                seed=gains.seed,
             )
         )
     return tuple(built)

@@ -30,13 +30,16 @@ class PatternBoundsError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class PatternSet:
-    """Ordered catalogue of contiguous patterns on ``n_subchannels`` channels.
+    """Catalogue of contiguous patterns on ``n_subchannels`` channels.
 
-    Column 0 is the empty pattern.  The remaining columns are sorted by
-    (length, start), both ascending.  Sub-channel indices are 1-based.
-    Instances are immutable and the derived arrays read-only, since every
-    caller shares them.  A set hashes and compares by identity, as
-    ``enumerate_patterns`` keeps one catalogue per sub-channel count.
+    Column 0 is the empty pattern and every other column one block of
+    sub-channels, listed by its 1-based indices.  The catalogue is the one
+    owner of block geometry: ``starts``, ``sizes`` and ``matrix`` give each
+    column's first sub-channel, length and incidence, and no reader relies
+    on the order of the columns.  Instances are immutable and the derived
+    arrays read-only, since every caller shares them.  A set hashes and
+    compares by identity, as ``enumerate_patterns`` keeps one catalogue per
+    sub-channel count.
     """
 
     n_subchannels: int
@@ -47,17 +50,19 @@ class PatternSet:
         return len(self.columns)
 
     @cached_property
+    def starts(self) -> np.ndarray:
+        """Each block's 0-based first sub-channel, 0 for the empty pattern."""
+        return read_only(np.array([c[0] - 1 if c else 0 for c in self.columns], dtype=np.int64))
+
+    @cached_property
     def sizes(self) -> np.ndarray:
         return read_only(np.array([len(c) for c in self.columns], dtype=np.int64))
 
     @cached_property
     def matrix(self) -> np.ndarray:
         """0/1 incidence matrix, shape (n_subchannels, n_patterns)."""
-        mat = np.zeros((self.n_subchannels, self.n_patterns), dtype=np.int8)
-        for j, col in enumerate(self.columns):
-            for n in col:
-                mat[n - 1, j] = 1
-        return read_only(mat)
+        lanes = np.arange(self.n_subchannels)[:, None]
+        return read_only(((self.starts <= lanes) & (lanes < self.starts + self.sizes)).astype(np.int8))
 
 
 def enumerate_patterns(n_subchannels: int) -> PatternSet:
@@ -78,6 +83,7 @@ def enumerate_patterns(n_subchannels: int) -> PatternSet:
 
 @cache
 def _catalogue(n_subchannels: int) -> PatternSet:
+    # by (length, start): the options' order, and so every tie-break, follows it
     cols: list[tuple[int, ...]] = [()]
     for length in range(1, n_subchannels + 1):
         for start in range(1, n_subchannels - length + 2):
@@ -89,7 +95,7 @@ def _catalogue(n_subchannels: int) -> PatternSet:
 class OptionTable:
     """One drop's (user, pattern) options, as both models build them.
 
-    Every array has shape (K, J), column j scoring ``patterns.columns[j]``.
+    Every array has shape (K, J), column j scoring pattern j of ``patterns``.
     ``weights`` is what the assignment minimises (-utility for sumax, cost
     for jamsc), NaN where ``allowed`` is False.  ``modulation`` indexes
     ``modulation_names``, -1 for none; ``power_w`` is the per-sub-channel
@@ -103,7 +109,6 @@ class OptionTable:
     modulation_names: tuple[str, ...]
     power_w: np.ndarray
     snr_eff: np.ndarray
-    seed: int | None = None
 
     @property
     def n_users(self) -> int:

@@ -35,10 +35,10 @@ class ModulationTable:
             raise ValueError("names, bits_per_symbol and thresholds must have equal length")
         if len(self.names) == 0:
             raise ValueError("modulation table cannot be empty")
-        if any(b <= 0 for b in self.bits_per_symbol):
-            raise ValueError("bits_per_symbol must be positive")
-        if any(t <= 0 for t in self.thresholds):
-            raise ValueError("thresholds must be positive")
+        if not all(0 < b < np.inf for b in self.bits_per_symbol):
+            raise ValueError(f"bits_per_symbol must be positive and finite, got {self.bits_per_symbol}")
+        if not all(0 < t < np.inf for t in self.thresholds):
+            raise ValueError(f"thresholds must be positive and finite, got {self.thresholds}")
         if any(b2 <= b1 for b1, b2 in zip(self.bits_per_symbol, self.bits_per_symbol[1:])):
             raise ValueError("bits_per_symbol must be strictly increasing")
         if any(t2 <= t1 for t1, t2 in zip(self.thresholds, self.thresholds[1:])):
@@ -97,7 +97,7 @@ def pattern_effective_snr(
 
 
 def weighted_rate(n_subchannels: int, snr_eff: np.ndarray) -> np.ndarray:
-    """Default utility shape: pattern size times spectral efficiency."""
+    """Default utility shape: pattern size times spectral efficiency, elementwise."""
     return n_subchannels * np.log2(1.0 + snr_eff)
 
 
@@ -106,18 +106,21 @@ def build_sumax(
     config: ScenarioConfig,
     weights: Sequence[float] | None = None,
     patterns: PatternSet | None = None,
-    rate_fn: Callable[[int, np.ndarray], np.ndarray] = weighted_rate,
+    rate_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] = weighted_rate,
     modulations: ModulationTable = ModulationTable(),
 ) -> OptionTable:
     """Score every (user, pattern) pair on one channel realisation.
 
-    ``rate_fn(size, snr_eff)`` is the pluggable utility shape; the per-user
+    ``rate_fn(sizes, snr_eff)`` is the pluggable utility shape, called once
+    per build: ``sizes`` is the (J-1,) int array of the non-empty patterns'
+    sizes, broadcast against their (K, J-1) effective SNRs.  The per-user
     weight multiplies it, and the table's weights are the utilities negated.
     Utilities are non-negative for non-decreasing rate_fn with
     rate_fn(size, 0) = 0.  Every option is allowed, at power
     min(p_peak, p_max / size) and the highest of ``modulations`` whose
     threshold its effective SNR meets (``select_modulation``).  The empty
-    pattern has utility 0, power 0, NaN SNR and no modulation.
+    pattern has utility 0, power 0, NaN SNR and no modulation.  Raises
+    ValueError for weights that are not one finite number per user.
     """
     g = gains.gains
     k_users, n_sub = g.shape
@@ -128,34 +131,28 @@ def build_sumax(
     w = np.ones(k_users) if weights is None else np.asarray(weights, dtype=float)
     if w.shape != (k_users,):
         raise ValueError(f"weights must have shape ({k_users},)")
+    if not np.isfinite(w).all():
+        raise ValueError(f"weights must be finite, got {w.tolist()}")
     p_max = config.per_user("p_max_w")
     p_peak = config.per_user("p_peak_w")
 
+    # per-length powers (K, N) and SNR transforms (K, N, N), the last axis the
+    # sub-channel; a block's mean transform is one window of the cumulative sum
+    power = np.minimum(p_peak[:, None], p_max[:, None] / np.arange(1, n_sub + 1))
+    snr = power[:, :, None] * g[:, None, :]
+    t = snr / (1.0 + snr) if config.equalizer == "mmse" else 1.0 / snr
+    csum = np.concatenate([np.zeros((k_users, n_sub, 1)), np.cumsum(t, axis=2)], axis=2)
+    sizes, starts = patterns.sizes[1:], patterns.starts[1:]
+    mean = (csum[:, sizes - 1, starts + sizes] - csum[:, sizes - 1, starts]) / sizes
+    gamma = mean / (1.0 - mean) if config.equalizer == "mmse" else 1.0 / mean
+
     shape = (k_users, patterns.n_patterns)
     utilities = np.zeros(shape)
+    utilities[:, 1:] = w[:, None] * rate_fn(sizes, gamma)
     power_w = np.zeros(shape)
-    power_w[:, 1:] = np.minimum(p_peak[:, None], p_max[:, None] / patterns.sizes[1:])
+    power_w[:, 1:] = power[:, sizes - 1]
     snr_eff = np.full(shape, np.nan)
-
-    # Columns for a given length are consecutive, so score one length at a time
-    # with windowed means over the per-sub-channel SNR transform.
-    col = 1
-    for length in range(1, n_sub + 1):
-        snr = power_w[:, col, None] * g
-        if config.equalizer == "mmse":
-            t = snr / (1.0 + snr)
-        else:
-            t = 1.0 / snr
-        csum = np.concatenate([np.zeros((k_users, 1)), np.cumsum(t, axis=1)], axis=1)
-        mean = (csum[:, length:] - csum[:, :-length]) / length
-        if config.equalizer == "mmse":
-            gamma = mean / (1.0 - mean)
-        else:
-            gamma = 1.0 / mean
-        n_starts = n_sub - length + 1
-        snr_eff[:, col : col + n_starts] = gamma
-        utilities[:, col : col + n_starts] = w[:, None] * rate_fn(length, gamma)
-        col += n_starts
+    snr_eff[:, 1:] = gamma
     # the count of thresholds at or below the SNR, less one, as select_modulation
     modulation = np.searchsorted(modulations.thresholds, snr_eff, "right") - 1
     modulation[:, 0] = -1  # the empty pattern's NaN SNR sorts past every threshold
@@ -167,5 +164,4 @@ def build_sumax(
         modulation_names=modulations.names,
         power_w=power_w,
         snr_eff=snr_eff,
-        seed=gains.seed,
     )

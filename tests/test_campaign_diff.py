@@ -124,3 +124,35 @@ def test_user_csv_diff_lists_moved_blocks_apart_from_last_bit_powers(capsys):
         "  column outer_iterations: 1 cells, largest relative change 0.075",
         "  jamsc 9 dual_am objective: -7.2 -> -7.1",
     ]
+
+
+def test_campaigns_cover_the_default_scenario_and_zf_without_fading_with_per_user_budgets(tmp_path):
+    import scfdma_alloc
+
+    configs = campaign_diff.campaign_configs(scfdma_alloc, tmp_path)
+    assert list(configs) == ["mmse-fading", "zf-flat-per-user"]
+    h = scfdma_alloc.harness
+    for name, cfg in configs.items():
+        assert (cfg.problem, cfg.base_seed, cfg.out_dir) == ("both", 42, str(tmp_path / name))
+        assert (cfg.allocators_sumax, cfg.allocators_jamsc) == (h.SUMAX_ALLOCATORS, h.JAMSC_ALLOCATORS)
+    paper, zf = configs["mmse-fading"], configs["zf-flat-per-user"]
+    assert paper.n_drops == 200 and paper.scenario == scfdma_alloc.ScenarioConfig()
+    assert zf.n_drops == 100 and (zf.scenario.equalizer, zf.scenario.rayleigh_fading) == ("zf", False)
+    assert zf.scenario.per_user("p_max_w").tolist() == [0.3, 1.0, 2.0, 0.6]
+    assert zf.scenario == scfdma_alloc.ScenarioConfig(
+        equalizer="zf", rayleigh_fading=False, p_max_w=(0.3, 1.0, 2.0, 0.6)
+    )
+
+
+def test_print_campaign_lists_identical_csvs_then_the_changed_ones_and_the_tallies(capsys):
+    base = {"jamsc_drops.csv": OLD, "jamsc_users.csv": USERS_OLD}
+    change = {"jamsc_drops.csv": OLD, "jamsc_users.csv": USERS_NEW}
+    campaign_diff.print_campaign("zf-flat-per-user", base, change)
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("zf-flat-per-user (100 drops, scenario overrides {'equalizer': 'zf'")
+    assert lines[1:4] == [
+        "byte-identical (1 of 2): jamsc_drops.csv",
+        "jamsc_users.csv: 1 allocations (start/length/modulation) changed",
+        "  jamsc 10 dual_am user 0: 1/3/QPSK -> 2/3/QPSK",
+    ]
+    assert "  jamsc dual_am: 52 -> 52" in lines and "  sumax dual certified 1 -> 1" in lines

@@ -42,6 +42,43 @@ def test_scenario_validation(kwargs):
         ScenarioConfig(**base)
 
 
+NUMERIC_FIELDS = (
+    "n_users", "n_subchannels", "subchannel_bandwidth_hz", "cell_radius_m", "min_distance_m",
+    "carrier_freq_mhz", "bs_height_m", "ue_height_m", "metro_correction_db", "shadowing_std_db",
+    "noise_psd_dbm_hz", "p_max_w", "p_peak_w",
+)
+
+
+@pytest.mark.parametrize("name", NUMERIC_FIELDS)
+def test_scenario_refuses_nan_naming_the_field(name):
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
+        ScenarioConfig(**{name: math.nan})
+    if name in ("p_max_w", "p_peak_w"):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
+            ScenarioConfig(n_users=2, **{name: (1.0, math.nan)})
+
+
+@pytest.mark.parametrize("name", [n for n in NUMERIC_FIELDS if n != "p_peak_w"])
+def test_scenario_refuses_infinite_numbers_naming_the_field(name):
+    for value in (math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"^{name} must be a finite number"):
+            ScenarioConfig(**{name: value})
+
+
+def test_an_infinite_peak_is_no_per_subchannel_cap():
+    cfg = ScenarioConfig(n_users=2, p_peak_w=(math.inf, 0.5))
+    assert cfg.per_user("p_peak_w").tolist() == [math.inf, 0.5]
+    with pytest.raises(ValueError, match="p_peak_w must be positive"):
+        ScenarioConfig(p_peak_w=-math.inf)
+
+
+@pytest.mark.parametrize("name", ["subchannel_bandwidth_hz", "carrier_freq_mhz", "bs_height_m", "ue_height_m"])
+def test_scenario_refuses_a_non_positive_frequency_height_or_bandwidth(name):
+    for value in (0.0, -5.0):
+        with pytest.raises(ValueError, match=f"^{name} must be positive"):
+            ScenarioConfig(**{name: value})
+
+
 def test_per_user_broadcast_and_sequence():
     cfg = ScenarioConfig(n_users=3, p_max_w=2.0, p_peak_w=(0.5, 0.6, 0.7))
     assert cfg.per_user("p_max_w").tolist() == [2.0, 2.0, 2.0]

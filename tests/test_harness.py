@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -278,6 +279,12 @@ def test_non_positive_target_rate_rejected():
             CampaignConfig(problem="jamsc", target_rate_bps=rate)
 
 
+def test_non_finite_target_rate_rejected():
+    for rate in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="target_rate_bps must be positive and finite"):
+            CampaignConfig(problem="jamsc", target_rate_bps=rate)
+
+
 def test_oracle_ceiling_below_one_rejected():
     for ceiling in (0, -1):
         with pytest.raises(ValueError, match="oracle_ceiling"):
@@ -294,6 +301,12 @@ def test_weights_length_must_match_users():
     with pytest.raises(ValueError, match="weights"):
         CampaignConfig(scenario=desk_scenario(3, 6), weights=(1.0, 2.0))
     assert CampaignConfig(scenario=desk_scenario(2, 4), weights=(1.0, 2.0)).weights == (1.0, 2.0)
+
+
+def test_non_finite_weights_rejected():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            CampaignConfig(weights=(bad, 1.0, 1.0, 1.0))
 
 
 def test_campaign_config_validation():

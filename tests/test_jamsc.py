@@ -48,6 +48,45 @@ def test_min_count_matrix_shape_and_values():
         min_subchannels(70e3, 4, frame),
         min_subchannels(70e3, 6, frame),
     ]
+    # entry by entry over five modulations: rates whose bits per TTI are exact
+    # multiples of a modulation's bits per sub-channel land on a ceiling
+    # boundary, and their neighbours one ulp off
+    bits = (1, 2, 3, 4, 6)
+    wide = ModulationTable(
+        names=("BPSK", "QPSK", "8PSK", "16QAM", "64QAM"), bits_per_symbol=bits,
+        thresholds=(1.0, 4.0, 8.0, 16.0, 64.0),
+    )
+    unit = frame.symbols_per_subchannel / frame.tti_s
+    on_boundary = {(c, b): c * b * unit for b in bits for c in (1, 2, 5, 7)}
+    near = [np.nextafter(r, d) for r in on_boundary.values() for d in (0.0, np.inf)]
+    rates = [*on_boundary.values(), *near, *np.random.default_rng(3).uniform(1.0, 2e6, 200), 1.0, 140e3]
+    counts = min_count_matrix(rates, wide, frame)
+    assert counts.shape == (len(rates), 5) and counts.dtype == np.int64
+    for k, rate in enumerate(rates):
+        assert counts[k].tolist() == [min_subchannels(rate, b, frame) for b in bits]
+    for (c, b), rate in on_boundary.items():
+        assert min_subchannels(rate, b, frame) == c  # not rounded up past the boundary
+
+
+@pytest.mark.parametrize("rate", [0.0, -140e3, math.nan, math.inf, -math.inf])
+def test_rates_that_are_not_positive_and_finite_are_refused(rate):
+    frame = FrameConfig()
+    with pytest.raises(ValueError, match="target_rate_bps must be positive and finite"):
+        min_subchannels(rate, 4, frame)
+    with pytest.raises(ValueError, match="target_rate_bps must be positive and finite"):
+        min_count_matrix((140e3, rate), ModulationTable(), frame)
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [({"tti_s": math.nan}, "tti_s"), ({"tti_s": math.inf}, "tti_s"), ({"tti_s": 0.0}, "tti_s"),
+     ({"symbols_per_subchannel": math.nan}, "symbols_per_subchannel"),
+     ({"symbols_per_subchannel": math.inf}, "symbols_per_subchannel"),
+     ({"symbols_per_subchannel": 0}, "symbols_per_subchannel")],
+)
+def test_frame_refuses_non_finite_and_non_positive_fields(kwargs, field):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        FrameConfig(**kwargs)
 
 
 def test_power_solver_equal_gain_closed_form():

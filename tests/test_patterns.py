@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from scfdma_alloc.jamsc import lowest_modulation
+from scfdma_alloc.assignment import to_assignment
+from scfdma_alloc.baselines import brute_force
+from scfdma_alloc.channel import ScenarioConfig, generate_channel
+from scfdma_alloc.jamsc import build_jamsc, lowest_modulation
 from scfdma_alloc.patterns import (
     MAX_SUBCHANNELS,
     PatternBoundsError,
@@ -9,7 +12,7 @@ from scfdma_alloc.patterns import (
     PatternSet,
     enumerate_patterns,
 )
-from scfdma_alloc.sumax import ModulationTable
+from scfdma_alloc.sumax import ModulationTable, build_sumax
 
 
 def count_contiguous_blocks(n: int) -> int:
@@ -63,17 +66,48 @@ def test_n4_columns_as_sets():
 
 
 def test_matrix_matches_columns():
-    ps = enumerate_patterns(5)
-    assert ps.matrix.shape == (5, ps.n_patterns)
-    for j, col in enumerate(ps.columns):
-        ones = {int(n) for n in np.nonzero(ps.matrix[:, j])[0] + 1}
-        assert ones == set(col)
-    assert ps.matrix[:, 0].sum() == 0
+    for n in range(1, MAX_SUBCHANNELS + 1):
+        ps = enumerate_patterns(n)
+        assert ps.matrix.shape == (n, ps.n_patterns) and ps.matrix.dtype == np.int8
+        for j, col in enumerate(ps.columns):
+            ones = {int(i) for i in np.nonzero(ps.matrix[:, j])[0] + 1}
+            assert ones == set(col)
+        assert ps.matrix[:, 0].sum() == 0
+        # the geometry every reader takes from the catalogue
+        assert ps.starts.tolist() == [col[0] - 1 if col else 0 for col in ps.columns]
+        assert ps.sizes.tolist() == [len(col) for col in ps.columns]
+
+
+def _permuted(n: int, seed: int) -> tuple[PatternSet, np.ndarray]:
+    """The catalogue's columns with the non-empty ones shuffled, and each new column's old index."""
+    cols = enumerate_patterns(n).columns
+    order = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(len(cols) - 1)])
+    return PatternSet(n_subchannels=n, columns=tuple(cols[j] for j in order)), order
+
+
+@pytest.mark.parametrize(
+    "overrides", [{}, {"equalizer": "zf", "rayleigh_fading": False, "p_max_w": (0.3, 1.0, 2.0, 0.6)}],
+    ids=["mmse", "zf-flat-per-user"],
+)
+def test_models_score_a_permuted_catalogue_column_for_column(overrides):
+    cfg = ScenarioConfig(**overrides)
+    modulations = ModulationTable()
+    for seed in range(6):
+        permuted, order = _permuted(cfg.n_subchannels, seed)
+        ch = generate_channel(cfg, seed)
+        tables = (modulations, modulations.restricted("16QAM"))
+        jamsc = [build_jamsc(ch, cfg, np.full(4, 140e3), tables, patterns=p) for p in (None, permuted)]
+        for plain, shuffled in [(build_sumax(ch, cfg), build_sumax(ch, cfg, patterns=permuted)), *zip(*jamsc)]:
+            assert shuffled.patterns is permuted
+            for name in ("weights", "allowed", "modulation", "power_w", "snr_eff"):
+                assert getattr(shuffled, name).tobytes() == getattr(plain, name)[:, order].tobytes(), name
+            (_, want), (_, got) = brute_force(to_assignment(plain)), brute_force(to_assignment(shuffled))
+            assert got == want
 
 
 def test_shared_catalogue_arrays_are_read_only():
     ps = enumerate_patterns(3)
-    for array in (ps.matrix, ps.sizes):
+    for array in (ps.matrix, ps.sizes, ps.starts):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
     assert enumerate_patterns(3).matrix[:, 0].sum() == 0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,14 @@ def test_modulation_table_rejects_non_increasing_thresholds():
         ModulationTable(thresholds=(4.0, 4.0, 64.0))
     with pytest.raises(ValueError):
         ModulationTable(thresholds=(16.0, 4.0, 64.0))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -4.0])
+def test_modulation_table_refuses_non_finite_and_non_positive_entries(bad):
+    with pytest.raises(ValueError, match="^thresholds must be positive and finite"):
+        ModulationTable(thresholds=(bad, 16.0, 64.0))
+    with pytest.raises(ValueError, match="^bits_per_symbol must be positive and finite"):
+        ModulationTable(bits_per_symbol=(bad, 4, 6))
 
 
 def test_modulation_table_restricted():
@@ -145,6 +155,28 @@ def test_custom_rate_function_is_used():
     inst = build_sumax(ch, cfg, rate_fn=flat_rate)
     nonempty = -inst.weights[:, 1:]
     assert np.allclose(nonempty, 1.0)
+
+    calls = []
+
+    def sized_rate(sizes, snr_eff):
+        calls.append((sizes, snr_eff.shape))
+        return np.sqrt(sizes) * snr_eff
+
+    inst = build_sumax(ch, cfg, weights=[2.0, 0.5], rate_fn=sized_rate)
+    (sizes, shape), = calls  # one call per build, on every non-empty pattern at once
+    assert sizes.dtype == np.int64 and sizes.tolist() == inst.patterns.sizes[1:].tolist()
+    assert shape == (2, inst.patterns.n_patterns - 1)
+    for k, w in enumerate((2.0, 0.5)):
+        for j in range(1, inst.patterns.n_patterns):
+            assert -inst.weights[k, j] == w * (np.sqrt(inst.patterns.sizes[j]) * inst.snr_eff[k, j])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_weights_are_refused(bad):
+    cfg = ScenarioConfig(n_users=2, n_subchannels=3)
+    ch = generate_channel(cfg, 4)
+    with pytest.raises(ValueError, match="weights must be finite"):
+        build_sumax(ch, cfg, weights=[1.0, bad])
 
 
 @pytest.mark.parametrize(

@@ -1,13 +1,17 @@
-"""Diff the outputs of two commits: the seed-42 campaign CSVs and the certification sweep.
+"""Diff the outputs of two commits: two fixed campaigns' CSVs and the certification sweep.
 
     python3 tools/campaign_diff.py --base <rev> --change HEAD
 
 Exports each commit with ``git archive`` (``tools/bench_pairs.py``'s
 ``export``) and imports each one's package under its own name into this one
-process (``tools/drop_ab.py``'s ``load_package``).  Each side runs the
-200-drop ``both`` campaign from base seed 42 with all four allocators of
-each problem, writing its CSVs, and ``harness.certification_sweep()`` with
-its defaults (the acceptance sweep, 540 runs).  Prints the CSVs that are
+process (``tools/drop_ab.py``'s ``load_package``).  Each side runs the two
+``CAMPAIGNS``, each a ``both`` campaign from base seed 42 with all four
+allocators of each problem, and writes their CSVs: ``mmse-fading``, 200
+drops of the default scenario, and ``zf-flat-per-user``, 100 drops with the
+zero-forcing equaliser, no fading and per-user budgets ``p_max_w``
+(0.3, 1.0, 2.0, 0.6).
+Each side also runs ``harness.certification_sweep()`` with its defaults (the
+acceptance sweep, 540 runs).  Per campaign it prints the CSVs that are
 byte-identical and, for each changed CSV, every changed column's count of
 changed cells and largest relative change (``power_w: 44 cells, largest
 relative change 1.2e-16``).  A drop CSV also lists every changed row as
@@ -16,8 +20,8 @@ whose allocation (start, length, modulation) changed, apart from its
 ``power_w`` and ``snr_eff`` columns, so a last-bit move of a power reads as
 one line and a moved block cannot hide among them.  Then come each
 allocator's rounds (``outer_iterations`` summed over its drops) and its
-drops per outcome (``jamsc dual_am certified 131 -> 148``), each side's
-certified sweep runs and every changed sweep row.
+drops per outcome (``jamsc dual_am certified 131 -> 148``).  Last come each
+side's certified sweep runs and every changed sweep row.
 """
 
 from __future__ import annotations
@@ -32,7 +36,12 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 SIDES = ("base", "change")
-DROPS, BASE_SEED = 200, 42
+BASE_SEED = 42
+# campaign name -> (drops, ScenarioConfig overrides)
+CAMPAIGNS = {
+    "mmse-fading": (200, {}),
+    "zf-flat-per-user": (100, {"equalizer": "zf", "rayleigh_fading": False, "p_max_w": (0.3, 1.0, 2.0, 0.6)}),
+}
 DROP_KEY = ("problem", "drop", "allocator")
 USER_KEY = ("problem", "drop", "allocator", "user")
 ALLOCATION = ("start", "length", "modulation")
@@ -177,16 +186,40 @@ def print_tallies(base_csvs: dict[str, str], change_csvs: dict[str, str]) -> Non
                 print(f"  {' '.join(key)}{sep}{old.get(key, 0)} -> {new.get(key, 0)}")
 
 
-def run_side(pkg, out_dir: Path) -> tuple[dict[str, str], list[dict]]:
-    """The side's campaign CSVs by file name, and its sweep rows."""
+def campaign_configs(pkg, out_dir: Path) -> dict:
+    """The side's ``CampaignConfig`` per campaign of ``CAMPAIGNS``, each writing to out_dir/<name>."""
     h = pkg.harness
-    cfg = h.CampaignConfig(
-        problem="both", n_drops=DROPS, base_seed=BASE_SEED, out_dir=str(out_dir),
-        allocators_sumax=h.SUMAX_ALLOCATORS, allocators_jamsc=h.JAMSC_ALLOCATORS,
-    )
-    h.run_campaign(cfg)
-    csvs = {p.name: p.read_text() for p in sorted(out_dir.glob("*.csv"))}
-    return csvs, h.certification_sweep()["rows"]
+    return {
+        name: h.CampaignConfig(
+            scenario=pkg.channel.ScenarioConfig(**overrides), problem="both", n_drops=drops,
+            base_seed=BASE_SEED, out_dir=str(out_dir / name),
+            allocators_sumax=h.SUMAX_ALLOCATORS, allocators_jamsc=h.JAMSC_ALLOCATORS,
+        )
+        for name, (drops, overrides) in CAMPAIGNS.items()
+    }
+
+
+def run_side(pkg, out_dir: Path) -> tuple[dict[str, dict[str, str]], list[dict]]:
+    """The side's CSVs by campaign and file name, and its sweep rows."""
+    csvs = {}
+    for name, cfg in campaign_configs(pkg, out_dir).items():
+        pkg.harness.run_campaign(cfg)
+        csvs[name] = {p.name: p.read_text() for p in sorted(Path(cfg.out_dir).glob("*.csv"))}
+    return csvs, pkg.harness.certification_sweep()["rows"]
+
+
+def print_campaign(name: str, base_csvs: dict[str, str], change_csvs: dict[str, str]) -> None:
+    """Print one campaign: its byte-identical CSVs, each changed CSV's diff, then the tallies."""
+    drops, overrides = CAMPAIGNS[name]
+    print(f"{name} ({drops} drops, scenario overrides {overrides or 'none'}):")
+    names = sorted(base_csvs.keys() | change_csvs.keys())
+    same = [n for n in names if base_csvs.get(n) == change_csvs.get(n)]
+    print(f"byte-identical ({len(same)} of {len(names)}): {', '.join(same) or 'none'}")
+    for csv_name in names:
+        old, new = base_csvs.get(csv_name, ""), change_csvs.get(csv_name, "")
+        if old != new:
+            print_csv_diff(csv_name, old, new)
+    print_tallies(base_csvs, change_csvs)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -210,16 +243,9 @@ def main(argv: list[str] | None = None) -> int:
     (base_csvs, base_sweep), (change_csvs, change_sweep) = results["base"], results["change"]
 
     print(f"base {commits['base'][:12]}, change {commits['change'][:12]}: "
-          f"{DROPS}-drop both campaign from seed {BASE_SEED}, all allocators; acceptance sweep")
-    names = sorted(base_csvs.keys() | change_csvs.keys())
-    same = [n for n in names if base_csvs.get(n) == change_csvs.get(n)]
-    print(f"byte-identical ({len(same)} of {len(names)}): {', '.join(same) or 'none'}")
-    for name in names:
-        old, new = base_csvs.get(name, ""), change_csvs.get(name, "")
-        if old != new:
-            print_csv_diff(name, old, new)
-
-    print_tallies(base_csvs, change_csvs)
+          f"{len(CAMPAIGNS)} both-problem campaigns from seed {BASE_SEED}, all allocators; acceptance sweep")
+    for name in CAMPAIGNS:
+        print_campaign(name, base_csvs.get(name, {}), change_csvs.get(name, {}))
 
     certified = {side: sum(r["outcome"] == "certified" for r in results[side][1]) for side in SIDES}
     diffs = diff_sweep(base_sweep, change_sweep)
