@@ -116,6 +116,22 @@ class OptionLayout:
         return read_only(self.patterns.starts[self.pattern_of] + self.sizes)
 
     @cached_property
+    def ending(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+        """For each sub-channel n = 0..N, the (option, agent, size) of every option ending at n.
+
+        Options are listed in option order, and n = 0 lists the empty options.
+        """
+        ending: list[list[tuple[int, int, int]]] = [[] for _ in range(self.n_resources + 1)]
+        for o, (e, k, size) in enumerate(zip(self.ends.tolist(), self.agent_of.tolist(), self.sizes.tolist())):
+            ending[e].append((o, k, size))
+        return tuple(map(tuple, ending))
+
+    @cached_property
+    def empty_options(self) -> tuple[int, ...]:
+        """Each agent's empty option, or -1 where the agent has none."""
+        return tuple(self.option_at[:, 0, 0].tolist())
+
+    @cached_property
     def option_at(self) -> np.ndarray:
         """(n_agents, N + 1, N + 1): agent k's option covering exactly n+1..m, or -1.
 

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-import itertools
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from .assignment import Allocation, AssignmentInstance
+from .patterns import read_only
 
 
 class OracleCeilingError(RuntimeError):
@@ -30,6 +31,12 @@ def cover_sweep(a: AssignmentInstance, node_ceiling: int = NODE_CEILING) -> np.n
     infinite exactly when no exact cover exists.  Raises OracleCeilingError,
     before any work, when the sweep's 2^(K-1) * n_options relaxations exceed
     ``node_ceiling``.
+
+    Sub-channel n takes one step per block of agents (``_sweep_blocks``):
+    each agent k's block n'+1..n relaxes every state after every cover of
+    1..n' at once, and one gather of "T without k" (an inf cell where T
+    lacks k) folds the block into ``f[n]`` by a min over agents.  Each step
+    holds at most max(SWEEP_BUDGET, N * 2^K) elements besides the table.
     """
     n_agents, n_res = a.n_agents, a.n_resources
     n_states = 1 << n_agents
@@ -39,19 +46,46 @@ def cover_sweep(a: AssignmentInstance, node_ceiling: int = NODE_CEILING) -> np.n
             f"subset program needs {relaxations} relaxations, over the node ceiling ({node_ceiling})"
         )
     cost = a.cover_costs
-    f = np.full((n_res + 1, n_states), math.inf)
+    # column n_states stays inf: the cell a state without agent k reads
+    f = np.full((n_res + 1, n_states + 1), math.inf)
     f[0, 0] = 0.0
     for k in range(n_agents):
         # the states with highest agent k extend those below it: agent-order sums
         f[0, 1 << k : 2 << k] = f[0, : 1 << k] + cost[k, 0, 0]
+    blocks = _sweep_blocks(n_agents, n_res)
     for n in range(1, n_res + 1):
-        for k in range(n_agents):
+        row = f[n, :n_states]
+        for lo, hi, index in blocks:
             # agent k's block n'+1..n after a cover of 1..n', for every n' and state
-            lightest = (cost[k, :n, n, None] + f[:n]).min(axis=0)
-            # the states holding k, against the same states without k
-            into = f[n].reshape(-1, 2, 1 << k)[:, 1]
-            np.minimum(into, lightest.reshape(-1, 2, 1 << k)[:, 0], out=into)
-    return f
+            lightest = (cost[lo:hi, :n, n, None] + f[:n]).min(axis=1)
+            np.minimum(row, lightest.take(index).min(axis=0), out=row)
+    return f[:, :n_states]
+
+
+# Elements a step of ``cover_sweep`` may hold: its agents' (agents, n, 2^K)
+# relaxations, one agent's at least.
+SWEEP_BUDGET = 1 << 16
+
+
+@lru_cache(maxsize=4)
+def _sweep_blocks(n_agents: int, n_res: int) -> tuple[tuple[int, int, np.ndarray], ...]:
+    """``cover_sweep``'s agent blocks [lo, hi) and each one's gather index.
+
+    Entry [k - lo, T] of a block's index is the flat cell of state T without
+    agent k in its (hi - lo, 2^K + 1) relaxations, or of the inf column
+    where T lacks k.
+    """
+    n_states = 1 << n_agents
+    per_block = max(1, SWEEP_BUDGET // (n_res * n_states))
+    states = np.arange(n_states)
+    bits = 1 << np.arange(n_agents)[:, None]
+    without = np.where(states & bits, states ^ bits, n_states)
+    blocks = []
+    for lo in range(0, n_agents, per_block):
+        hi = min(lo + per_block, n_agents)
+        index = without[lo:hi] + (n_states + 1) * np.arange(hi - lo)[:, None]
+        blocks.append((lo, hi, read_only(index)))
+    return tuple(blocks)
 
 
 def brute_force(a: AssignmentInstance, node_ceiling: int = NODE_CEILING) -> tuple[Allocation, float]:
@@ -92,16 +126,7 @@ def brute_force(a: AssignmentInstance, node_ceiling: int = NODE_CEILING) -> tupl
     n_agents, n_res = a.n_agents, a.n_resources
     n_states = 1 << n_agents
     weights = a.weights.tolist()
-    size_of = a.sizes.tolist()
-    agent_of = a.agent_of.tolist()
-    # ending[n]: the options ending at sub-channel n, in option order
-    ending: list[list[int]] = [[] for _ in range(n_res + 1)]
-    for o, e in enumerate(a.layout.ends.tolist()):
-        ending[e].append(o)
-    empties: list[list[int]] = [[] for _ in range(n_agents)]
-    for o in ending[0]:
-        empties[agent_of[o]].append(o)
-
+    ending, empty_options = a.layout.ending, a.layout.empty_options
     total = f.item(n_res, n_states - 1)
     if total == math.inf:
         raise InfeasibleAllocationError("no exact-cover assignment exists for this instance")
@@ -129,31 +154,34 @@ def brute_force(a: AssignmentInstance, node_ceiling: int = NODE_CEILING) -> tupl
     def visit(state: int, n: int) -> None:
         nonlocal best
         if n == 0:
+            # f[0, state] passed the pruning, so it is finite: every member has an empty option
             members = [k for k in range(n_agents) if state >> k & 1]
-            for combo in itertools.product(*(empties[k] for k in members)):
-                count_visit()
-                prefix = 0.0
-                for o in combo:
-                    prefix += weights[o]
-                if least_total(prefix) <= threshold:
-                    for k, o in zip(members, combo):
-                        chosen[k] = o
-                    option_index = tuple(chosen)
-                    key = (a.value(Allocation(option_index)), option_index)
-                    if best is None or key < best:
-                        best = key
+            empties = [empty_options[k] for k in members]
+            count_visit()
+            prefix = 0.0
+            for o in empties:
+                prefix += weights[o]
+            if least_total(prefix) <= threshold:
+                for k, o in zip(members, empties):
+                    chosen[k] = o
+                option_index = tuple(chosen)
+                value = 0.0  # ``a.value``: the weights summed in agent order
+                for o in option_index:
+                    value += weights[o]
+                key = (value, option_index)
+                if best is None or key < best:
+                    best = key
             return
-        for o in ending[n]:
-            k = agent_of[o]
+        for o, k, size in ending[n]:
             if not state >> k & 1:
                 continue
             rest = state ^ (1 << k)
-            if least_total(f.item(n - size_of[o], rest) + weights[o]) > threshold:
+            if least_total(f.item(n - size, rest) + weights[o]) > threshold:
                 continue
             count_visit()
             chosen[k] = o
             suffix.append(weights[o])
-            visit(rest, n - size_of[o])
+            visit(rest, n - size)
             suffix.pop()
 
     visit(n_states - 1, n_res)

@@ -255,16 +255,6 @@ def emit_cdf(values: Sequence[float]) -> list[tuple[float, float]]:
     return [(v, (i + 1) / n) for i, v in enumerate(vals)]
 
 
-def _fmt(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    return str(v)
-
-
 _DROP_COLUMNS = (
     "problem", "drop", "seed", "allocator", "objective", "feasible", "error",
     "outcome", "termination", "outer_iterations",
@@ -281,7 +271,7 @@ def _drop_csv_rows(results: Sequence[DropResult]) -> list[Sequence]:
     for res in results:
         for name, rec in res.records.items():
             rows.append((
-                res.problem, res.drop_index, res.seed, name, rec.objective, rec.feasible,
+                res.problem, res.drop_index, res.seed, name, rec.objective, "true" if rec.feasible else "false",
                 rec.error, rec.outcome, rec.termination, rec.outer_iterations,
             ))
     return rows
@@ -400,10 +390,11 @@ def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
 
 
 def _write_csv(path: str, rows: Sequence[Sequence]) -> None:
-    """One line per row of ``_fmt``-formatted cells; only a cell holding a
-    comma, a quote or a line break is quoted."""
+    """One line per row, cells as ``csv.writer`` writes them: a float by its
+    ``repr``, None as an empty cell, and only a cell holding a comma, a quote
+    or a line break quoted.  Rows hold Python str, int, float and None only."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerows([_fmt(v) for v in row] for row in rows)
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """Joint adaptive-modulation / sum-cost minimisation model (jamsc).
 
 Each (user, pattern) option carries the lowest modulation whose minimum
-sub-channel count the pattern reaches.  Its transmit power is set so the
-pattern's effective MMSE SNR exactly meets that modulation's activation
-threshold, and its cost is -exp(p_max - p): cheapest when the power headroom
-is largest.  The lowest modulation is exact for the joint problem: on a fixed
-pattern the solved power rises with the threshold, so the cost never falls as
-the modulation order rises.  Options whose pattern is too short to carry the
+sub-channel count the pattern reaches.  Its transmit power p is set so the
+pattern's effective SNR, over the per-sub-channel SNRs p * g_n / size, exactly
+meets that modulation's activation threshold thr under the scenario's
+equaliser: the root of sum_n p*g_n / (size + p*g_n) = size * thr / (1 + thr)
+for MMSE (a Newton solve), and p = thr * sum_n 1/g_n for ZF, whose effective
+SNR is the harmonic mean.  Its cost is -exp(p_max - p): cheapest when the
+power headroom is largest.  The lowest modulation is exact for the joint
+problem: on a fixed pattern the solved power rises with the threshold, so
+the cost never falls as the modulation order rises.  Options whose pattern is too short to carry the
 user's target rate under any modulation are masked out entirely.
 """
 
@@ -175,12 +178,13 @@ def build_jamsc(
 
     An option's weight is its cost and its SNR the threshold of its
     modulation; a masked option has modulation -1 and NaN weight, power
-    and SNR.  The options of every table go through one batched power
-    solve; its rows are independent, so each table holds the bits a build
-    on its table alone gives.  With ``strict_cap`` options whose solved
-    power exceeds the user's budget are masked out; every higher modulation
-    on that pattern needs still more power, so masking the whole
-    (user, pattern) is exact.  By default they stay allowed and simply
+    and SNR.  The options of every table get their powers from one batched
+    call, the Newton solve for MMSE or the closed form for ZF (see the
+    module docstring); its rows are independent, so each table holds the
+    bits a build on its table alone gives.  With ``strict_cap`` options
+    whose solved power exceeds the user's budget are masked out; every
+    higher modulation on that pattern needs still more power, so masking
+    the whole (user, pattern) is exact.  By default they stay allowed and simply
     price in as very costly.  Users left with no option at all are listed
     in the table's ``infeasible_users`` rather than raising here.  A ``p_max_w`` so large that the costs, or their per-user
     maxima summed, overflow float64 raises ValueError.
@@ -203,16 +207,20 @@ def build_jamsc(
     solved = np.empty(0)
     if len(k_all):
         sizes = patterns.sizes[j_all]
-        # row t holds option t's block of gains, zero-padded to the longest block
+        # row t, lane i: option t's i-th sub-channel where ``inside``, else padding
         lanes = np.arange(int(sizes.max()))
         inside = lanes < sizes[:, None]
         sub = np.where(inside, patterns.starts[j_all, None] + lanes, 0)
-        padded = np.where(inside, g[k_all[:, None], sub], 0.0)
+        block_gains = g[k_all[:, None], sub]
         thr = np.concatenate([
             np.asarray(table.thresholds, dtype=float)[modulation[k_idx, j_idx]]
             for table, modulation, (k_idx, j_idx) in zip(tables, modulations, options)
         ])
-        solved = _solve_powers_vec(padded, sizes, thr)
+        if config.equalizer == "zf":
+            # the harmonic mean of the SNRs p * g / size is p / sum(1 / g)
+            solved = thr * np.where(inside, 1.0 / block_gains, 0.0).sum(axis=1)
+        else:
+            solved = _solve_powers_vec(np.where(inside, block_gains, 0.0), sizes, thr)
 
     built = []
     per_table = np.split(solved, np.cumsum([len(k_idx) for k_idx, _ in options])[:-1])

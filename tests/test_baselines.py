@@ -1,20 +1,26 @@
 import itertools
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from scfdma_alloc import baselines
 from scfdma_alloc.assignment import AssignmentInstance, OptionLayout, to_assignment
 from scfdma_alloc.baselines import (
+    SWEEP_BUDGET,
     InfeasibleAllocationError,
     OracleCeilingError,
     brute_force,
+    cover_sweep,
     greedy,
     round_robin,
 )
-from scfdma_alloc.channel import generate_channel
+from scfdma_alloc.channel import ScenarioConfig, generate_channel
 from scfdma_alloc.harness import desk_scenario, sumax_assignment_for_seed
+from scfdma_alloc.jamsc import FrameConfig, build_jamsc
 from scfdma_alloc.patterns import enumerate_patterns
-from scfdma_alloc.sumax import build_sumax
+from scfdma_alloc.sumax import ModulationTable, build_sumax
 
 
 def product_minimum(a: AssignmentInstance) -> tuple[tuple[int, ...], float]:
@@ -41,6 +47,73 @@ def test_brute_force_matches_product_enumeration(n_users, n_sub, seed):
     expect_path, expect_value = product_minimum(a)
     assert value == expect_value
     assert tuple(alloc.option_index) == expect_path
+
+
+def per_agent_sweep(a: AssignmentInstance) -> np.ndarray:
+    """``cover_sweep``'s table by one relaxation step per (sub-channel, agent)."""
+    n_agents, n_res = a.n_agents, a.n_resources
+    cost = a.cover_costs
+    f = np.full((n_res + 1, 1 << n_agents), math.inf)
+    f[0, 0] = 0.0
+    for k in range(n_agents):
+        f[0, 1 << k : 2 << k] = f[0, : 1 << k] + cost[k, 0, 0]
+    for n in range(1, n_res + 1):
+        for k in range(n_agents):
+            lightest = (cost[k, :n, n, None] + f[:n]).min(axis=0)
+            into = f[n].reshape(-1, 2, 1 << k)[:, 1]
+            np.minimum(into, lightest.reshape(-1, 2, 1 << k)[:, 0], out=into)
+    return f
+
+
+def _jamsc_forms(n_users: int, n_sub: int, seed: int) -> list[AssignmentInstance]:
+    """The joint and the fixed-modulation jamsc instances: no empty options, masked blocks."""
+    sc = ScenarioConfig(n_users=n_users, n_subchannels=n_sub)
+    tables = (ModulationTable(), ModulationTable().restricted("16QAM"))
+    built = build_jamsc(generate_channel(sc, seed), sc, np.full(n_users, 140e3), tables, FrameConfig())
+    return [to_assignment(t) for t in built]
+
+
+@pytest.mark.parametrize(
+    "forms",
+    [
+        pytest.param(lambda: [sumax_assignment_for_seed(4, 8, s) for s in (1, 2, 3)], id="sumax-4x8"),
+        pytest.param(lambda: _jamsc_forms(4, 8, 5) + _jamsc_forms(4, 8, 6), id="jamsc-4x8"),
+        pytest.param(lambda: [sumax_assignment_for_seed(1, 5, 7)], id="one-agent"),
+        pytest.param(lambda: [sumax_assignment_for_seed(6, 4, 8), _masked(2, [[0, 1, 0, 1]] * 3)], id="K>N"),
+        pytest.param(lambda: [sumax_assignment_for_seed(12, 24, 9)], id="12x24-blocks"),
+    ],
+)
+def test_cover_sweep_matches_the_per_agent_sweep(forms):
+    for a in forms():
+        expect = per_agent_sweep(a)
+        got = cover_sweep(a)
+        assert np.array_equal(got, expect)
+        assert got.shape == expect.shape
+        assert (np.isinf(got) == np.isinf(expect)).all()
+    # (12, 24) takes one agent per step, paper scale all agents in one
+    assert len(baselines._sweep_blocks(12, 24)) == 12
+    assert len(baselines._sweep_blocks(4, 8)) == 1
+
+
+@pytest.mark.parametrize("n_users,n_sub", [(12, 24), (16, 32)])
+def test_cover_sweep_peaks_at_the_table_one_step_and_the_index(n_users, n_sub):
+    a = sumax_assignment_for_seed(n_users, n_sub, 0)
+    a.cover_costs  # the instance's, built before the sweep
+    n_states = 1 << n_users
+    baselines._sweep_blocks.cache_clear()  # the index counts too
+    tracemalloc.start()
+    try:
+        f = cover_sweep(a, node_ceiling=10**10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f[-1, -1] < math.inf
+    lo, hi, _ = baselines._sweep_blocks(n_users, n_sub)[0]
+    table = (n_sub + 1) * (n_states + 1)
+    step = max(SWEEP_BUDGET, n_sub * (n_states + 1))  # one agent's relaxations at least
+    folds = 2 * (hi - lo) * (n_states + 1)  # a block's relaxed states and their gather
+    index = n_users * n_states
+    assert peak <= 8 * (table + step + folds + index) + 64 * 1024
 
 
 def test_brute_force_tie_breaks_lexicographically():

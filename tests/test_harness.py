@@ -218,6 +218,63 @@ def test_drop_csv_error_cell_holds_the_exception_text(tmp_path, monkeypatch):
     assert lines[1].startswith("sumax,0,1,greedy,") and '"' not in lines[1]
 
 
+def test_csv_cells_are_written_as_built_and_read_back_bit_for_bit(tmp_path, monkeypatch):
+    message = 'user 1, sub-channels 1..2 "busy"'
+    real_round_robin, calls = harness.round_robin, []
+
+    def refuse_second(a):
+        calls.append(a)
+        if len(calls) == 2:
+            raise InfeasibleAllocationError(message)
+        return real_round_robin(a)
+
+    monkeypatch.setattr(harness, "round_robin", refuse_second)
+    cfg = CampaignConfig(
+        problem="both", n_drops=3, base_seed=31, out_dir=str(tmp_path),
+        allocators_sumax=harness.SUMAX_ALLOCATORS, allocators_jamsc=harness.JAMSC_ALLOCATORS,
+    )
+    out = run_campaign(cfg)
+    complexity = complexity_table(k_values=(2,), n_values=(4,), seeds=(11,))
+    write_complexity_csv(str(tmp_path / "complexity.csv"), complexity)
+
+    def read(name):
+        with open(tmp_path / name, encoding="utf-8", newline="") as fh:
+            return list(csv.DictReader(fh))
+
+    def same(cell, value):
+        """The cell reads back as ``value``: an int exactly, a float bit for bit, None as empty."""
+        if value is None:
+            return cell == ""
+        if isinstance(value, int):
+            return cell == str(value)
+        return np.float64(cell).tobytes() == np.float64(value).tobytes()
+
+    for path in sorted(tmp_path.glob("*.csv")):
+        text = path.read_text()
+        for token in ("np.", "True", "False", "None"):
+            assert token not in text, (path.name, token)
+    errors = []
+    for prob in ("sumax", "jamsc"):
+        results = [r for r in out.results if r.problem == prob]
+        records = [rec for r in results for rec in r.records.values()]
+        rows = read(f"{prob}_drops.csv")
+        assert len(rows) == len(records)
+        for row, rec in zip(rows, records):
+            assert row["allocator"] == rec.name
+            assert row["feasible"] == ("true" if rec.feasible else "false")
+            assert same(row["objective"], rec.objective)
+            errors.append(row["error"])
+        users = [u for r in results for u in r.user_rows]
+        rows = read(f"{prob}_users.csv")
+        assert len(rows) == len(users) > 0
+        for row, user in zip(rows, users):
+            assert same(row["power_w"], user["power_w"]) and same(row["snr_eff"], user["snr_eff"])
+    assert errors.count(message) == 1 and errors.count("") == len(errors) - 1
+    for row, want in zip(read("complexity.csv"), complexity, strict=True):
+        for col, value in want.items():
+            assert same(row[col], value), col
+
+
 def test_certification_sweep_tiny():
     out = certification_sweep(combos=((2, 4),), per_combo=5, base_seed=2024)
     assert out["n_runs"] == 5

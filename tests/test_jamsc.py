@@ -1,10 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from scfdma_alloc import jamsc
-from scfdma_alloc.channel import ScenarioConfig, effective_snr_mmse, generate_channel
+from scfdma_alloc.channel import ScenarioConfig, effective_snr_mmse, effective_snr_zf, generate_channel
 from scfdma_alloc.jamsc import (
     FrameConfig,
     PowerSolveError,
@@ -368,3 +369,38 @@ def test_vectorised_powers_match_scalar_solver():
         m = inst.modulation[k, j]
         p = solve_pattern_power(ch.gains[k, [n - 1 for n in col]], table.thresholds[m])
         assert inst.power_w[k, j] == pytest.approx(p, rel=1e-10)
+
+
+@pytest.mark.parametrize("fading", [True, False])
+def test_power_targets_follow_the_equaliser(fading, monkeypatch):
+    zf = ScenarioConfig(equalizer="zf", rayleigh_fading=fading, p_max_w=(0.3, 1.0, 2.0, 0.6))
+    mmse = replace(zf, equalizer="mmse")
+    gains = generate_channel(zf, 12).gains
+    tables = (ModulationTable(), ModulationTable().restricted("16QAM"))
+    newton, solves = jamsc._solve_powers_vec, []
+
+    def spy(padded, sizes, thresholds):
+        solves.append((padded, newton(padded, sizes, thresholds)))
+        return solves[-1][1]
+
+    monkeypatch.setattr(jamsc, "_solve_powers_vec", spy)
+    built = {sc.equalizer: build_jamsc(generate_channel(sc, 12), sc, np.full(4, 140e3), tables) for sc in (zf, mmse)}
+    # ZF needs no Newton solve; MMSE solves every option of both tables in one call
+    ((padded, newton_powers),) = solves
+    rows = iter(zip(padded, newton_powers))
+    for zf_table, mmse_table, table in zip(built["zf"], built["mmse"], tables):
+        assert np.array_equal(zf_table.allowed, mmse_table.allowed)
+        for k, j in np.argwhere(zf_table.allowed):
+            block = gains[k, [n - 1 for n in zf_table.patterns.columns[j]]]
+            thr = table.thresholds[zf_table.modulation[k, j]]
+            # ZF: the harmonic mean of the per-sub-channel SNRs p * g / size meets the threshold
+            p = zf_table.power_w[k, j]
+            assert effective_snr_zf(p * block / block.size) == pytest.approx(thr, rel=1e-12)
+            assert zf_table.weights[k, j] == pytest.approx(cost(zf.per_user("p_max_w")[k], p), rel=1e-14)
+            # MMSE keeps the Newton solve's bits, on the block's gains padded with zeros
+            row, newton_power = next(rows)
+            assert np.array_equal(row, np.pad(block, (0, len(row) - block.size)))
+            assert mmse_table.power_w[k, j].tobytes() == newton_power.tobytes()
+            if not fading:  # equal gains: both targets are size * thr / g
+                assert p == pytest.approx(mmse_table.power_w[k, j], rel=1e-12)
+    assert next(rows, None) is None
