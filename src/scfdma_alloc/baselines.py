@@ -57,8 +57,8 @@ def cover_sweep(a: AssignmentInstance, node_ceiling: int = NODE_CEILING) -> np.n
         row = f[n, :n_states]
         for lo, hi, index in blocks:
             # agent k's block n'+1..n after a cover of 1..n', for every n' and state
-            lightest = (cost[lo:hi, :n, n, None] + f[:n]).min(axis=1)
-            np.minimum(row, lightest.take(index).min(axis=0), out=row)
+            lightest = np.minimum.reduce(cost[lo:hi, :n, n, None] + f[:n], axis=1)
+            np.minimum(row, np.minimum.reduce(lightest.take(index)), out=row)
     return f[:, :n_states]
 
 
