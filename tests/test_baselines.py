@@ -85,11 +85,7 @@ def _jamsc_forms(n_users: int, n_sub: int, seed: int) -> list[AssignmentInstance
 )
 def test_cover_sweep_matches_the_per_agent_sweep(forms):
     for a in forms():
-        expect = per_agent_sweep(a)
-        got = cover_sweep(a)
-        assert np.array_equal(got, expect)
-        assert got.shape == expect.shape
-        assert (np.isinf(got) == np.isinf(expect)).all()
+        assert np.array_equal(cover_sweep(a), per_agent_sweep(a))  # inf cells included
     # (12, 24) takes one agent per step, paper scale all agents in one
     assert len(baselines._sweep_blocks(12, 24)) == 12
     assert len(baselines._sweep_blocks(4, 8)) == 1
