@@ -126,6 +126,9 @@ def _cmd_certify(args) -> int:
     if sweep["mean_ratio"] is not None:
         print(f"mean value ratio vs oracle: {sweep['mean_ratio']:.6f}")
         print(f"min value ratio vs oracle: {sweep['min_ratio']:.6f}")
+    if sweep["uncertified_gap_max"] is not None:
+        print(f"uncertified runs' proven gap: median {sweep['uncertified_gap_median']:.3%}, "
+              f"max {sweep['uncertified_gap_max']:.3%}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "certify.json"), "w", encoding="utf-8") as fh:

@@ -5,40 +5,39 @@ constraint (``cover_dual``), one per agent's single-choice constraint
 (``choice_dual``) and one per option enforcing binarity (``binary_dual``).
 The choice and cover constraints are equalities, so their duals are free in
 sign; wherever every binarity dual is positive the dual function is concave
-and bounds the value of every exact cover from below (on a binary exact
-cover the Lagrangian is its value).  Each choice and cover constraint is one
-column of a stacked (option x constraint) matrix,
-``AssignmentInstance.constraint_matrix``, so the choice and cover duals form
-one vector.  The solver is a block-coordinate ascent that keeps the binarity
-duals positive: each round takes one closed-form step of those separable
-duals, rho = max(|slack|, offset), then lands (choice, cover) on the
-stationary point of the quadratic left with the binarity duals held fixed,
-which is one Gram system of that matrix and one linear solve.  Since every
-round takes that step, rho is a function of the previous (choice, cover)
-duals, and the dual at that rho is the Lagrangian dual of the assignment's
-LP relaxation (0 <= x <= 1); a solve can therefore certify only where that
-LP has an integral optimum.  A round is a minorize-maximize step on that
-rho-eliminated dual phi, so it converges only linearly; the rounds are
-therefore grouped into SQUAREM cycles (Varadhan and Roland, 2008): two
-rounds, a squared extrapolation from them that is kept only where phi does
-not fall, and one stabilising round from the extrapolated point.  That
-leaves the round map, hence its fixed points, the convergence test and the
-certificate, as they were, and cuts the rounds to about a third at the
-paper's scale.  The binarity floor is a fixed fraction of the utilities'
-mean magnitude, and a cold start takes its first binarity step at a uniform
-rho of that magnitude, so the ascent runs in the utilities' own units:
-scaling every weight by a power of two scales every dual by the same power
-and leaves every round, exit and allocation as it was.  A converged run
-whose recovered indicator rounds to an exact cover is certified: the bound
-is then attained, so that cover is the exact optimum.  A run whose rounding is not an exact cover is repaired by a
-polynomial chain program over the agents, ordered by the recovered
-indicator; when the repair finds no cover, the exact oracle's forward sweep
-decides whether any exists.
+and bounds the value of every exact cover from below.  Each choice and cover
+constraint is one column of a stacked (option x constraint) matrix A,
+``AssignmentInstance.constraint_matrix``, so their duals form one vector y.
+The solver is a block-coordinate ascent that keeps the binarity duals
+positive: each round takes one closed-form step of those separable duals,
+rho = max(|slack|, offset), then lands y on the stationary point of the
+quadratic left with rho held fixed, one Gram system of A and one linear
+solve.  So rho is a function of the previous y, and the dual at that rho is
+the Lagrangian dual of the LP relaxation (0 <= x <= 1): a solve can certify
+only where that LP has an integral optimum.  A round is a minorize-maximize
+step on that rho-eliminated dual phi, so the rounds are grouped into SQUAREM
+cycles (Varadhan and Roland, 2008), which cut them to about a third at the
+paper's scale.  The binarity floor and the cold start are in the utilities'
+units, so scaling every weight by a power of two scales every dual by the
+same power and leaves every round, exit and allocation as it was.
+
+The ascent stops, certified, at the first landing whose indicator rounds to
+an exact cover, and no tolerance enters that proof.  With s = u - A y the
+slack, an option's reduced cost is w + A y = -s, so every exact cover x'
+has w.x' = -s.x' - sum(y) >= L(y) = sum(min(-s, 0)) - sum(y).  The rounded
+options are those with s > 0; when they are an exact cover x, w.x = L(y),
+so x is the exact optimum.  Every solve reports L(y), at least the
+canonical dual at any rho > 0, so primal - L(y) is a proven gap whatever
+the outcome.  A run that stops otherwise is repaired by a polynomial chain
+program over the agents, ordered by the recovered indicator; when the
+repair finds no cover, the exact oracle's forward sweep decides whether any
+exists.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,7 +47,7 @@ from .baselines import OracleCeilingError, cover_sweep
 
 # How an ascent can stop, and where its answer came from; see ``solve``.
 TERMINATIONS = ("converged", "stagnation", "budget", "diverged")
-OUTCOMES = ("certified", "rounded", "repaired", "unallocated")
+OUTCOMES = ("certified", "repaired", "unallocated")
 NO_COVER = "no exact-cover assignment exists for this instance"
 # The binarity duals' floor (see ``project_rho``) is FLOOR_SCALE times the
 # utilities' mean magnitude, or PROJECTION_OFFSET where that is 0; and how
@@ -80,23 +79,18 @@ class DualPoint:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Accuracy and budget of the dual ascent.
+    """Budget of the dual ascent; its exit test has no tolerance (see ``solve``).
 
-    ``tol`` bounds the sup-norm of each gradient at convergence;
-    ``max_outer`` caps the rounds, each of which is one binarity step, one
-    joint (choice, cover) landing and one evaluation, so it bounds the whole
-    solve's work (an extrapolation between rounds costs a few products with
-    the constraint matrix, and is not a round).
+    ``max_outer``, an integer of at least 1, caps the rounds, each of which
+    is one binarity step, one joint (choice, cover) landing and one
+    evaluation (an extrapolation between rounds is not a round).
     """
 
-    tol: float = 1e-6
     max_outer: int = 1_000
 
     def __post_init__(self) -> None:
-        if not (self.tol > 0 and math.isfinite(self.tol)):
-            raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if self.max_outer < 1:
-            raise ValueError(f"max_outer must be >= 1, got {self.max_outer}")
+        if not isinstance(self.max_outer, numbers.Integral) or self.max_outer < 1:
+            raise ValueError(f"max_outer must be an integer >= 1, got {self.max_outer!r}")
 
 
 def _check_binary_dual(binary_dual: np.ndarray) -> None:
@@ -118,31 +112,20 @@ def _evaluate(
     a: AssignmentInstance, stacked: np.ndarray, binary: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
     """At stacked (choice, cover) duals y and binarity duals rho: the slack
-    u - A y, slack + rho, the dual value -1/4 * sum((slack + rho)^2 / rho)
-    - sum(y), and its gradient ((slack / rho)^2 - 1) / 4 in rho, zero where
-    |slack| = rho, which is where the binarity step lands.  The indicator
-    and the gradient in y follow from slack + rho (``_indicator``,
-    ``_joint_gradient``)."""
+    s = u - A y, s + rho, the dual value -1/4 * sum((s + rho)^2 / rho)
+    - sum(y), and the ratio s / rho."""
     slack = _slack(a, stacked)
     shifted = slack + binary
-    ratio = slack / binary
-    # a slack far beyond its rho squares past float64: the binarity gradient
-    # then reads inf, which fails the convergence test, and the value -inf,
-    # which raises no best value
+    # a slack far beyond its rho squares past float64: the value then reads
+    # -inf, which raises no best value
     with np.errstate(over="ignore"):
-        g_binary = 0.25 * (ratio * ratio - 1.0)
         value = _value(stacked, shifted, binary)
-    return slack, shifted, value, g_binary
+    return slack, shifted, value, slack / binary
 
 
 def _indicator(shifted: np.ndarray, binary: np.ndarray) -> np.ndarray:
     """The recovered indicator (slack + rho) / (2 rho) from slack + rho and rho."""
     return shifted / (2.0 * binary)
-
-
-def _joint_gradient(a: AssignmentInstance, frac: np.ndarray) -> np.ndarray:
-    """The dual's gradient A^T x - 1 in the stacked duals y, at indicator x."""
-    return a.layout.constraint_matrix.T @ frac - 1.0
 
 
 def _value(stacked: np.ndarray, shifted: np.ndarray, binary: np.ndarray) -> float:
@@ -159,13 +142,14 @@ def dual_value(a: AssignmentInstance, d: DualPoint) -> float:
 def dual_gradient(a: AssignmentInstance, d: DualPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact partial derivatives of ``dual_value`` w.r.t. (cover, choice, binary).
 
-    The cover and choice components equal the half-residual sums of the
-    recovered fractional indicator; the binary component is
-    ((slack/rho)^2 - 1) / 4.
+    The (choice, cover) components are A^T x - 1 at the recovered
+    indicator x; the binary component is ((slack/rho)^2 - 1) / 4.
     """
     _check_binary_dual(d.binary_dual)
-    _, shifted, _, g_binary = _evaluate(a, _stacked(d), d.binary_dual)
-    g_joint = _joint_gradient(a, _indicator(shifted, d.binary_dual))
+    _, shifted, _, ratio = _evaluate(a, _stacked(d), d.binary_dual)
+    g_joint = a.layout.constraint_matrix.T @ _indicator(shifted, d.binary_dual) - 1.0
+    with np.errstate(over="ignore"):
+        g_binary = 0.25 * (ratio * ratio - 1.0)
     return g_joint[a.n_agents :], g_joint[: a.n_agents], g_binary
 
 
@@ -178,7 +162,8 @@ def recover_indicator(a: AssignmentInstance, d: DualPoint) -> np.ndarray:
 def xi_value(a: AssignmentInstance, selection: np.ndarray, d: DualPoint) -> float:
     """Total complementarity function at an indicator vector and a dual point.
 
-    Equals both the primal value and the dual value at a certified pair.
+    At any dual point it equals the primal value ``a.value`` of an exact
+    cover, and ``dual_value`` at the recovered indicator.
     """
     x = np.asarray(selection, dtype=float)
     lin = a.constraint_matrix @ _stacked(d) - d.binary_dual + a.weights
@@ -269,12 +254,13 @@ class SolveReport:
     """Full outcome of one dual solve.
 
     ``outcome`` is one of ``OUTCOMES``: ``certified`` when the ascent
-    converged and its rounding is an exact cover (the exact optimum),
-    ``rounded`` for an exact-cover rounding of an ascent that did not
-    converge, ``repaired`` when ``repair_selection`` supplied the cover, and
-    ``unallocated`` when there is no allocation.  ``fractional`` and
-    ``dual_value`` are the evaluation at the ascent's last landing,
-    ``dual_point``.
+    stopped at an exact-cover rounding (the exact optimum), ``repaired``
+    when ``repair_selection`` supplied the cover, and ``unallocated`` when
+    there is no allocation.  ``fractional`` is the recovered indicator at
+    ``dual_point``, the last landing.  ``dual_value`` is the Lagrangian
+    bound L(y) at its choice and cover duals (NaN after a divergence), so
+    ``duality_gap`` is a proven optimality gap, 0 up to rounding when
+    certified.
     """
 
     dual_point: DualPoint
@@ -299,12 +285,12 @@ class SolveReport:
 
     @property
     def truncated(self) -> bool:
-        """The ascent stopped before every gradient was within tolerance."""
+        """The ascent stopped before a landing's rounding was an exact cover."""
         return self.termination != "converged"
 
     @property
     def certified(self) -> bool:
-        """Exact-optimality guarantee: converged, and the rounding is an exact cover."""
+        """Exact-optimality guarantee: the ascent stopped at an exact-cover rounding."""
         return self.outcome == "certified"
 
 
@@ -321,11 +307,19 @@ def sizes_admit_cover(a: AssignmentInstance) -> bool:
     return smallest <= a.n_resources <= largest
 
 
-def _binarize(frac: np.ndarray) -> tuple[np.ndarray, bool]:
-    near_one = np.abs(frac - 1.0) <= ROUND_TOL
-    near_zero = np.abs(frac) <= ROUND_TOL
-    ok = bool(np.all(near_zero | near_one))
-    return near_one.astype(np.int8), ok
+def _exact_cover(a: AssignmentInstance, slack: np.ndarray, ratio: np.ndarray) -> np.ndarray | None:
+    """The rounding of a landing's indicator when it is an exact cover, else None.
+
+    The indicator (1 + slack/rho) / 2 lies within ``ROUND_TOL`` of 0 or 1
+    where |slack/rho| lies within 2 * ``ROUND_TOL`` of 1; that band is
+    tested first (a NaN fails it), and only then is the cover of its ones,
+    the options of positive slack, checked.
+    """
+    magnitude = np.abs(ratio)
+    if not (1.0 - 2.0 * ROUND_TOL <= magnitude.min() and magnitude.max() <= 1.0 + 2.0 * ROUND_TOL):
+        return None
+    sel = (slack > 0.0).astype(np.int8)
+    return None if a.selection_violations(sel) else sel
 
 
 def repair_selection(a: AssignmentInstance, frac: np.ndarray) -> np.ndarray | None:
@@ -455,57 +449,41 @@ def solve(
     """Run the block-coordinate dual ascent on one assignment instance.
 
     One round T (1) sets the binarity duals to ``project_rho`` of the slack
-    at y, the closed-form maximiser of their separable sub-problems, which
-    keeps them positive (the floor is delta = ``FLOOR_SCALE`` * mean |u|,
-    computed once per solve and used by every binarity step, the
-    extrapolation's included, or ``PROJECTION_OFFSET`` when every utility
-    is 0), (2) lands y on the stationary point of the dual with the
-    binarity duals held fixed, a concave quadratic whose Hessian is
-    the Gram matrix of the stacked constraint matrix (``joint_system``,
-    solved once; least squares when it is singular), and (3) evaluates the
-    dual's value and binarity gradient once at that landing; the indicator
-    and the (choice, cover) gradient are formed only when the binarity
-    gradient passes the convergence test, and once at the exit.  The value
-    at a landing is a lower bound of phi there, where phi(y) is the dual at
-    rho = ``project_rho`` of y's slack, and the next round's value is at
-    least phi, so landing values never fall: T is a monotone
-    minorize-maximize map of phi.
-
-    A warm ``start`` supplies the first y.  A cold start has no y before its
-    first landing: its first round takes rho = mean |u| on every option (the
-    floor when every utility is 0), the uniform binarity dual whose landing
-    is the least-squares fit of the utilities by the constraint columns, and
-    lands y from there.  Since delta and the cold start are both in the
-    utilities' units, scaling the weights by a power of two scales every
-    dual by the same power and leaves every round, exit and allocation
-    unchanged.  The value of that landing is at most phi of it, so
-    landing values never fall from the first one on.
+    at y, the closed-form maximiser of their separable sub-problems, floored
+    at delta = ``FLOOR_SCALE`` * mean |u| (``PROJECTION_OFFSET`` when every
+    utility is 0), (2) lands y on the stationary point of the dual with rho
+    held fixed (``joint_system``, solved once; least squares when it is
+    singular), and (3) evaluates the dual's value and slack / rho once at
+    that landing.  The value at a landing is a lower bound of phi there,
+    where phi(y) is the dual at rho = ``project_rho`` of y's slack, and the
+    next round's value is at least phi, so landing values never fall: T is a
+    monotone minorize-maximize map of phi.  A warm ``start`` supplies the
+    first y; a cold start's first round takes rho = mean |u| on every option
+    (the floor when every utility is 0), whose landing is the least-squares
+    fit of the utilities by the constraint columns.
 
     The rounds run in SQUAREM cycles.  From y0 a cycle lands y1 = T(y0) and
     y2 = T(y1), extrapolates them to y' (``_extrapolate``), keeping y' only
     where phi(y') is at least the y2 landing's value, and lands the
     stabilising round y3 = T(y'), which starts the next cycle; when no y' is
     kept the next cycle starts from y2.  So landing values still never fall,
-    and the cycles add no fixed point: at a fixed point of T, r = v = 0 and
-    the cycle carries on from it.  A cold start's first cycle starts from its
-    first landing.  ``max_outer`` counts landings, and every
-    landing, whichever step of a cycle it is, is tested as follows.
-    ``termination`` records the exit: ``converged`` when all three gradients
-    pass, ``stagnation`` after two consecutive landings that do not raise
-    the dual value above its best (one may tie within an ulp just before
-    convergence), ``budget`` after ``max_outer`` landings, and ``diverged``
-    when an iterate is not finite.  None of them raises.  The last landing's
-    indicator is then rounded, and ``outcome`` records where the allocation
-    came from: an exact-cover rounding is ``certified`` when the ascent
-    converged and ``rounded`` otherwise; any other rounding is replaced by
-    ``repair_selection``'s cover (``repaired``) or by none
-    (``unallocated``).  A warm ``start`` whose choice, cover or binarity
-    duals do not number the instance's agents, sub-channels and options
-    raises ValueError, and one whose binarity duals are not all positive
-    raises DualDomainError, both before any work; otherwise the first round
-    replaces its binarity duals, so only its choice and cover duals, which
-    may take either sign, shape the ascent.  They may come from another
-    instance on the same agents and sub-channels.
+    and the cycles add no fixed point.  ``max_outer`` counts landings, and
+    every landing is tested for the exits, recorded as ``termination``:
+    ``converged`` at the first landing whose indicator rounds, within
+    ``ROUND_TOL``, to an exact cover (``_exact_cover``), which is then the
+    exact optimum (see the module docstring); ``stagnation`` after two
+    consecutive landings that do not raise the dual value above its best;
+    ``budget`` after ``max_outer`` landings; and ``diverged`` when an
+    iterate is not finite.  None of them raises.  The converged rounding is
+    ``certified``; otherwise ``repair_selection`` on the last indicator
+    supplies the cover (``repaired``) or none (``unallocated``).  Every
+    outcome reports the Lagrangian bound at the last landing, one sum over
+    its slack.  A warm ``start`` whose choice, cover or binarity duals do not
+    number the instance's agents, sub-channels and options raises
+    ValueError, and one whose binarity duals are not all positive raises
+    DualDomainError, both before any work; otherwise only its choice and
+    cover duals, which may take either sign and may come from another
+    instance on the same agents and sub-channels, shape the ascent.
 
     Nothing is searched before the ascent.  An instance whose footprint
     sizes cannot sum to the band (``sizes_admit_cover``) raises
@@ -567,14 +545,11 @@ def solve(
             if not np.isfinite(stacked).all():
                 termination = "diverged"
                 break
-        slack, shifted, dval, g_binary = _evaluate(a, stacked, binary)
-        # the landing zeroes the (choice, cover) gradient up to rounding, so
-        # the binarity gradient decides, and only once it passes are the
-        # indicator and the (choice, cover) gradient formed
-        if np.abs(g_binary).max() <= cfg.tol:
-            if np.abs(_joint_gradient(a, _indicator(shifted, binary))).max() <= cfg.tol:
-                termination = "converged"
-                break
+        slack, shifted, dval, ratio = _evaluate(a, stacked, binary)
+        sel = _exact_cover(a, slack, ratio)
+        if sel is not None:
+            termination = "converged"
+            break
         # no landing lowers the dual (see the docstring), so two in a row
         # that do not raise it can make no further progress
         if dval > best_value:
@@ -600,20 +575,14 @@ def solve(
     if termination == "diverged":
         violations.append("dual iterates diverged to non-finite values")
         frac = np.zeros(a.n_options)
-        dval = float("nan")
-        exact_cover = False
+        bound = math.nan
     else:
         frac = _indicator(shifted, binary)
-        sel, exact_cover = _binarize(frac)
-        if not exact_cover:
-            violations.append("recovery is not within rounding tolerance of 0/1")
-        else:
-            sel_violations = a.selection_violations(sel)
-            violations.extend(sel_violations)
-            exact_cover = not sel_violations
+        # L(y) = sum(min(w + A y, 0)) - sum(y), where w + A y = -slack
+        bound = -float(np.maximum(slack, 0.0).sum()) - float(stacked.sum())
 
-    if exact_cover:
-        outcome = "certified" if termination == "converged" else "rounded"
+    if termination == "converged":
+        outcome = "certified"
     else:
         sel = repair_selection(a, frac)
         outcome = "unallocated" if sel is None else "repaired"
@@ -629,15 +598,15 @@ def solve(
     if sel is not None:
         allocation = a.allocation_from_selection(sel)
         primal = a.value(allocation)
-        if math.isfinite(dval):
-            gap = primal - dval
+        if math.isfinite(bound):
+            gap = primal - bound
 
     return SolveReport(
         dual_point=d,
         fractional=frac,
         allocation=allocation,
         primal_value=primal,
-        dual_value=dval,
+        dual_value=bound,
         duality_gap=gap,
         outcome=outcome,
         termination=termination,

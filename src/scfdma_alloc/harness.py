@@ -116,8 +116,8 @@ class DropResult:
 
 def _record_from_report(name: str, rep: SolveReport, sign: float, runtime_s: float) -> AllocatorRecord:
     objective = None if rep.primal_value is None else sign * rep.primal_value
-    # rep.violations explains why certification failed; the record keeps only
-    # feasibility findings about the allocation actually recorded.
+    # rep.violations names a divergence; the record keeps only feasibility
+    # findings about the allocation actually recorded.
     return AllocatorRecord(
         name=name,
         objective=objective,
@@ -431,9 +431,11 @@ def certification_sweep(
 
     Each run uses the default ``SolverConfig``.  Certified runs must match
     the oracle optimum exactly and close the duality gap within
-    ``CERTIFIED_GAP_TOL``; the value ratio (after repair) and the solve's
-    outcome are recorded, and the summary's ``outcome_shares`` gives each
-    of ``OUTCOMES``' share of the runs.
+    ``CERTIFIED_GAP_TOL``.  Each row records the value ratio (after
+    repair), the outcome, the Lagrangian ``bound`` and the proven ``gap``
+    (primal - bound) / (1 + |bound|), which needs no oracle.  The summary
+    gives each outcome's share and the uncertified runs' median and largest
+    gap (None when every run certified).
     """
     if per_combo < 1:
         raise ValueError(f"per_combo must be >= 1, got {per_combo}")
@@ -449,6 +451,7 @@ def certification_sweep(
             if achieved is not None and opt_value != 0:
                 ratio = achieved / opt_value  # minimisation: both negative, ratio of utilities
             exact = (achieved == opt_value) if rep.certified else None
+            gap = None if rep.duality_gap is None else rep.duality_gap / (1.0 + abs(rep.dual_value))
             gap_ok = None
             if rep.certified:
                 gap_ok = abs(rep.duality_gap) <= CERTIFIED_GAP_TOL * (1.0 + abs(rep.dual_value))
@@ -462,6 +465,8 @@ def certification_sweep(
                     "exact": exact,
                     "ratio": ratio,
                     "gap_ok": gap_ok,
+                    "bound": rep.dual_value,
+                    "gap": gap,
                     "oracle_value": opt_value,
                     "achieved_value": achieved,
                 }
@@ -469,6 +474,7 @@ def certification_sweep(
     n = len(rows)
     certified = [r for r in rows if r["outcome"] == "certified"]
     ratios = [r["ratio"] for r in rows if r["ratio"] is not None]
+    gaps = [r["gap"] for r in rows if r["outcome"] != "certified" and r["gap"] is not None]
     return {
         "n_runs": n,
         "outcome_shares": {o: sum(r["outcome"] == o for r in rows) / max(n, 1) for o in OUTCOMES},
@@ -477,6 +483,8 @@ def certification_sweep(
         "n_feasible": len(ratios),
         "mean_ratio": float(np.mean(ratios)) if ratios else None,
         "min_ratio": float(np.min(ratios)) if ratios else None,
+        "uncertified_gap_median": float(np.median(gaps)) if gaps else None,
+        "uncertified_gap_max": max(gaps) if gaps else None,
         "rows": rows,
     }
 

@@ -119,8 +119,8 @@ def _solve_powers_vec(gains_padded: np.ndarray, sizes: np.ndarray, thresholds: n
     Jensen lower bound ``_jensen_start`` rise monotonically to the root with
     no bracket.  A row steps only while the step raises p, and the loop ends
     when no row moves; rows are independent, so a batch returns the bits of
-    one-row calls.  Raises PowerSolveError on a non-finite power or after
-    MAX_NEWTON_STEPS steps.
+    one-row calls on the same padded rows.  Raises PowerSolveError on a
+    non-finite power or after MAX_NEWTON_STEPS steps.
     """
     sizes = np.asarray(sizes, dtype=float)[:, None]
     target = sizes[:, 0] * thresholds / (1.0 + thresholds)
@@ -147,8 +147,10 @@ def solve_pattern_power(pattern_gains: Sequence[float], threshold: float) -> flo
     """Power that makes the pattern's effective MMSE SNR equal the threshold.
 
     ``pattern_gains`` holds the normalised gains of the pattern's sub-channels.
-    One row of the monotone Newton solve in ``_solve_powers_vec``; the
-    residual of the defining equation ends below 1e-10 in relative terms.
+    One unpadded row of the Newton solve in ``_solve_powers_vec``; the
+    residual ends below 1e-10 in relative terms.  ``build_jamsc`` pads its
+    rows with zeros, whose sums round otherwise, so its powers are within
+    some tens of ulps of this one, not bit for bit.
     """
     g = np.asarray(pattern_gains, dtype=float)
     if g.size == 0:
@@ -161,7 +163,10 @@ def solve_pattern_power(pattern_gains: Sequence[float], threshold: float) -> flo
 
 
 def cost(p_max: float, power: float) -> float:
-    """Option cost -exp(p_max - power); more headroom means lower cost."""
+    """Option cost -exp(p_max - power); more headroom means lower cost.
+
+    Within one ulp of ``build_jamsc``'s cost at the same power (``np.exp``).
+    """
     return -math.exp(p_max - power)
 
 

@@ -76,6 +76,19 @@ def test_diff_sweep_keys_rows_by_instance():
     assert campaign_diff.diff_sweep(old, old) == []
 
 
+def test_diff_sweep_leaves_a_field_of_one_side_to_sweep_fields():
+    old = [{"n_users": 2, "n_subchannels": 4, "seed": 7, "outcome": "repaired", "gap_ok": None}]
+    new = [dict(old[0], bound=-3.5)]
+    del new[0]["gap_ok"]
+    assert campaign_diff.diff_sweep(old, new) == []
+    assert campaign_diff.sweep_fields(old, new) == (["bound"], ["gap_ok"])
+    # a row on one side only still differs in every shared field
+    extra = dict(new[0], seed=8)
+    assert campaign_diff.diff_sweep(old, new + [extra]) == [
+        ((2, 4, 8), field, None, extra[field]) for field in ("n_subchannels", "n_users", "outcome", "seed")
+    ]
+
+
 USERS = "problem,drop,seed,allocator,user,start,length,modulation,power_w,snr_eff\n"
 USERS_OLD = USERS + (
     "jamsc,9,51,dual_am,0,1,2,QPSK,0.5,4.0\n"

@@ -190,6 +190,15 @@ def test_certify_small(tmp_path, capsys):
     assert payload["n_runs"] == 12
 
 
+def test_certify_prints_the_uncertified_runs_gap(capsys):
+    # (2, 6) seed 2026 and (2, 5) seed 2027 are left uncertified
+    main(["certify", "--instances", "4", "--seed", "2024"])
+    out = capsys.readouterr().out
+    assert "uncertified runs' proven gap: median " in out
+    main(["certify", "--instances", "1", "--seed", "2024"])
+    assert "proven gap" not in capsys.readouterr().out
+
+
 def test_gradcheck_small(capsys):
     rc = main(["gradcheck", "--points", "2", "--instances", "2"])
     out = capsys.readouterr().out

@@ -315,7 +315,8 @@ def test_joint_system_is_gram_of_constraint_matrix():
 
 def test_report_holds_the_indicator_and_value_of_its_dual_point(monkeypatch):
     # a solve forms the indicator only at its exit; it must be the evaluation
-    # at the reported dual point, bit for bit, whichever exit was taken
+    # at the reported dual point, bit for bit, whichever exit was taken, and
+    # the reported value is the Lagrangian bound at its choice and cover duals
     solves = []
 
     def recording(a, cfg=SolverConfig(), start=None):
@@ -339,7 +340,11 @@ def test_report_holds_the_indicator_and_value_of_its_dual_point(monkeypatch):
     assert {rep.termination for _, rep in solves} == {"converged", "stagnation", "budget"}
     for a, rep in solves:
         assert np.array_equal(rep.fractional, recover_indicator(a, rep.dual_point))
-        assert rep.dual_value == dual_value(a, rep.dual_point)
+        d = rep.dual_point
+        reduced = a.weights + d.choice_dual[a.agent_of] + d.cover_dual @ a.footprint_matrix
+        bound = float(np.minimum(reduced, 0.0).sum()) - float(d.choice_dual.sum()) - float(d.cover_dual.sum())
+        assert abs(rep.dual_value - bound) <= 1e-12 * (1.0 + abs(bound))
+        assert rep.dual_value >= dual_value(a, d)
 
 
 @pytest.mark.parametrize("problem, seed", [("sumax", 208), ("jamsc", 239)])
@@ -741,10 +746,10 @@ def test_solve_is_deterministic():
 @pytest.mark.parametrize(
     "setting",
     [
-        {"tol": math.nan},
-        {"tol": math.inf},
-        {"tol": 0.0},
-        {"tol": -1.0},
+        {"max_outer": math.nan},
+        {"max_outer": math.inf},
+        {"max_outer": 2.5},
+        {"max_outer": "10"},
         {"max_outer": -1},
         {"max_outer": 0},
     ],
@@ -805,8 +810,9 @@ def test_free_sign_choice_duals_certify_the_optimum():
 
 def test_solver_config_validation():
     with pytest.raises(ValueError):
-        SolverConfig(tol=0.0)
-    # the floor, the cold start and the rounding tolerance are module constants
-    for removed in ("projection_offset", "init_value", "round_tol"):
+        SolverConfig(max_outer=0)
+    # the floor, the cold start and the rounding tolerance are module
+    # constants, and the exit test has no tolerance
+    for removed in ("tol", "projection_offset", "init_value", "round_tol"):
         with pytest.raises(TypeError, match=removed):
             SolverConfig(**{removed: 0.1})

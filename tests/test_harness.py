@@ -164,8 +164,9 @@ def test_run_campaign_writes_reproducible_files(tmp_path):
 
 
 def test_both_campaign_reports_one_outcome_per_dual_solve(tmp_path):
-    # paper scale, seeds 74-77, ten rounds: the sumax solves are repaired and
-    # rounded, and the warm-started jamsc dual_fixed solves certify
+    # paper scale, seeds 74-77, ten rounds: the sumax solves are repaired,
+    # but for drop 1, whose tenth landing rounds to an exact cover and
+    # certifies, and the warm-started jamsc dual_fixed solves certify
     cfg = CampaignConfig(
         problem="both", n_drops=4, base_seed=74, solver=SolverConfig(max_outer=10), out_dir=str(tmp_path)
     )
@@ -196,7 +197,7 @@ def test_both_campaign_reports_one_outcome_per_dual_solve(tmp_path):
             assert sum(shares.values()) == pytest.approx(1.0)
             recs = [r.records[name] for r in out.results if r.problem == prob]
             assert shares["certified"] == sum(bool(r.certified) for r in recs) / len(recs)
-    assert {"certified", "rounded", "repaired"} <= seen
+    assert {"certified", "repaired"} <= seen
 
 
 def test_drop_csv_error_cell_holds_the_exception_text(tmp_path, monkeypatch):
@@ -287,6 +288,24 @@ def test_certification_sweep_tiny():
     assert "certified" not in row
     assert tuple(out["outcome_shares"]) == OUTCOMES
     assert out["outcome_shares"]["certified"] == sum(r["outcome"] == "certified" for r in out["rows"]) / 5
+
+
+def test_certification_sweep_reports_each_bound_and_the_uncertified_gaps():
+    # seed 2042 stops by stagnation and is repaired to the optimum, 0.6% above its bound
+    out = certification_sweep(combos=((2, 4),), per_combo=20, base_seed=2024)
+    rows = out["rows"]
+    for r in rows:
+        assert r["bound"] <= r["oracle_value"] + 1e-12 * (1.0 + abs(r["oracle_value"]))
+        assert r["gap"] == (r["achieved_value"] - r["bound"]) / (1.0 + abs(r["bound"]))
+        if r["outcome"] == "certified":
+            assert abs(r["gap"]) <= harness.CERTIFIED_GAP_TOL
+    gaps = sorted(r["gap"] for r in rows if r["outcome"] != "certified")
+    assert len(gaps) == 1 and gaps[0] > 1e-3
+    assert out["uncertified_gap_median"] == out["uncertified_gap_max"] == gaps[0]
+    everything_certified = certification_sweep(combos=((2, 4),), per_combo=3, base_seed=2024)
+    assert everything_certified["outcome_shares"]["certified"] == 1.0
+    assert everything_certified["uncertified_gap_median"] is None
+    assert everything_certified["uncertified_gap_max"] is None
 
 
 def test_gradient_check_small():

@@ -24,7 +24,7 @@ from scfdma_alloc.dual import (
     OUTCOMES,
     ROUND_TOL,
     SolverConfig,
-    dual_gradient,
+    dual_value,
     repair_selection,
     sizes_admit_cover,
     solve,
@@ -45,23 +45,54 @@ def sumax_instance(k, n, seed, ties, zf, p_max):
     return to_assignment(build_sumax(generate_channel(sc, seed), sc, weights=weights))
 
 
+def rounds_to_exact_cover(a, frac):
+    """Whether every entry of ``frac`` lies within ROUND_TOL of 0 or 1 and the ones are an exact cover."""
+    near_one = np.abs(frac - 1.0) <= ROUND_TOL
+    binary = bool(np.all(near_one | (np.abs(frac) <= ROUND_TOL)))
+    return binary and not a.selection_violations(near_one.astype(np.int8))
+
+
 def assert_outcome_partition(a, rep):
     """``rep.outcome`` names the one source of its allocation.
 
-    Certified: converged, and the rounding of the recovered indicator is an
-    exact cover.  Rounded: that rounding without convergence.  Repaired: the
-    rounding is no exact cover but an allocation exists.  Unallocated: none.
+    Certified: the ascent converged, which it does exactly when the reported
+    indicator rounds to an exact cover.  Repaired: it does not, but an
+    allocation exists.  Unallocated: none.
     """
-    frac = rep.fractional
-    near_one = np.abs(frac - 1.0) <= ROUND_TOL
-    binary = bool(np.all(near_one | (np.abs(frac) <= ROUND_TOL)))
-    exact_rounding = binary and not a.selection_violations(near_one.astype(np.int8))
+    exact_rounding = rounds_to_exact_cover(a, rep.fractional)
     assert rep.outcome in OUTCOMES
-    assert (rep.outcome == "certified") == (rep.termination == "converged" and exact_rounding)
-    assert (rep.outcome == "rounded") == (rep.termination != "converged" and exact_rounding)
+    assert (rep.termination == "converged") == exact_rounding
+    assert (rep.outcome == "certified") == exact_rounding
     assert (rep.outcome == "repaired") == (not exact_rounding and rep.allocation is not None)
     assert (rep.outcome == "unallocated") == (rep.allocation is None)
     assert rep.certified == (rep.outcome == "certified")
+
+
+def lagrangian_bound(a, d):
+    """L(y) = sum over options of min(w + price, 0) - sum(y), at the choice and
+    cover duals y of ``d``; an option's price is its agent's choice dual plus
+    the cover duals of its sub-channels, read from the footprints."""
+    reduced = a.weights + d.choice_dual[a.agent_of] + d.cover_dual @ a.footprint_matrix
+    return float(np.minimum(reduced, 0.0).sum()) - float(d.choice_dual.sum()) - float(d.cover_dual.sum())
+
+
+def assert_bound_brackets_the_optimum(a, rep, optimum):
+    """The reported bound is L(y), at least the canonical dual there, and at most
+    the optimum, which is at most the primal; a certified answer is the optimum
+    bit for bit and meets its bound.  The slack is 1e-12 relative."""
+    if rep.termination == "diverged":
+        return
+    bound = rep.dual_value
+    slack = 1e-12 * (1.0 + abs(bound))
+    assert abs(bound - lagrangian_bound(a, rep.dual_point)) <= slack
+    assert bound >= dual_value(a, rep.dual_point) - slack
+    assert bound <= optimum + slack
+    if rep.primal_value is not None:
+        assert optimum <= rep.primal_value + slack
+        assert rep.duality_gap == rep.primal_value - bound
+    if rep.certified:
+        assert rep.primal_value == optimum
+        assert abs(rep.primal_value - bound) <= slack
 
 
 solver_properties = settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -106,12 +137,23 @@ def test_solve_twice_is_identical(k, n, seed, ties, zf, p_max):
 @solver_properties
 @given(**instance_args)
 @example(k=4, n=3, seed=5, ties=True, zf=True, p_max=[0.1, 1.5, 0.3, 2.0])
-def test_converged_iff_gradient_within_tolerance(k, n, seed, ties, zf, p_max):
+def test_converged_iff_rounding_is_an_exact_cover(k, n, seed, ties, zf, p_max):
     a = sumax_instance(k, n, seed, ties, zf, p_max)
-    cfg = SolverConfig()
-    rep = solve(a, cfg)
-    norms = [np.abs(g).max() for g in dual_gradient(a, rep.dual_point)]
-    assert (rep.termination == "converged") == all(x <= cfg.tol for x in norms)
+    for cfg in (SolverConfig(), SolverConfig(max_outer=5)):
+        rep = solve(a, cfg)
+        assert (rep.termination == "converged") == rounds_to_exact_cover(a, rep.fractional)
+        assert rep.certified == (rep.termination == "converged")
+
+
+@solver_properties
+@given(**instance_args)
+@example(k=4, n=3, seed=5, ties=True, zf=True, p_max=[0.1, 1.5, 0.3, 2.0])
+@example(k=2, n=4, seed=5001, ties=False, zf=False, p_max=None)
+def test_bound_brackets_the_optimum_sumax(k, n, seed, ties, zf, p_max):
+    a = sumax_instance(k, n, seed, ties, zf, p_max)
+    _, optimum = brute_force(a)
+    for cfg in (SolverConfig(), SolverConfig(max_outer=5)):
+        assert_bound_brackets_the_optimum(a, solve(a, cfg), optimum)
 
 
 @solver_properties
@@ -273,7 +315,7 @@ def test_repair_is_a_cover_bounded_by_the_oracle_jamsc(k, n, seed, ties, p_max, 
 def test_certified_solve_equals_brute_force_jamsc(k, n, seed, ties, p_max, strict_cap, radius, rate):
     # every converged solve whose rounding is an exact cover is certified,
     # whatever the signs of its choice and cover duals, and is the optimum;
-    # every other answer is rounded, repaired or missing
+    # every other answer is repaired or missing
     a = jamsc_instance(k, n, seed, ties, p_max, strict_cap, radius, rate)
     best = None if a is None else oracle_optimum(a)
     if best is None:
@@ -285,6 +327,20 @@ def test_certified_solve_equals_brute_force_jamsc(k, n, seed, ties, p_max, stric
     if rep.allocation is not None:
         assert not a.allocation_violations(rep.allocation)
         assert rep.primal_value >= best[0]
+
+
+@jamsc_properties
+@given(**jamsc_args)
+@example(k=3, n=5, seed=17, ties=True, p_max=[0.05, 1.0, 2.0, 0.5], strict_cap=True, radius=2000.0, rate=140e3)
+def test_bound_brackets_the_optimum_jamsc(k, n, seed, ties, p_max, strict_cap, radius, rate):
+    a = jamsc_instance(k, n, seed, ties, p_max, strict_cap, radius, rate)
+    best = None if a is None else oracle_optimum(a)
+    if best is None:
+        return
+    for cfg in (SolverConfig(), SolverConfig(max_outer=5)):
+        rep = solve(a, cfg)
+        assert_outcome_partition(a, rep)
+        assert_bound_brackets_the_optimum(a, rep, best[0])
 
 
 def solve_with_landing_values(a):

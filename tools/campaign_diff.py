@@ -21,7 +21,8 @@ whose allocation (start, length, modulation) changed, apart from its
 one line and a moved block cannot hide among them.  Then come each
 allocator's rounds (``outer_iterations`` summed over its drops) and its
 drops per outcome (``jamsc dual_am certified 131 -> 148``).  Last come each
-side's certified sweep runs and every changed sweep row.
+side's certified sweep runs, every changed sweep row and the sweep-row
+fields that one side adds or drops.
 """
 
 from __future__ import annotations
@@ -159,14 +160,25 @@ def outcome_counts(text: str) -> dict[tuple[str, str, str], int]:
     return out
 
 
+def sweep_fields(old: list[dict], new: list[dict]) -> tuple[list[str], list[str]]:
+    """The sweep-row fields that only the new side has, and those only the old side has."""
+    a, b = {f for r in old for f in r}, {f for r in new for f in r}
+    return sorted(b - a), sorted(a - b)
+
+
 def diff_sweep(old: list[dict], new: list[dict]) -> list[tuple]:
-    """((n_users, n_subchannels, seed), field, old, new) for every field that differs."""
+    """((n_users, n_subchannels, seed), field, old, new) for every field that
+    both sides' rows have and that differs; a row on one side only differs
+    in every such field, and a field on one side only is left to
+    ``sweep_fields``."""
     a = {tuple(r[c] for c in SWEEP_KEY): r for r in old}
     b = {tuple(r[c] for c in SWEEP_KEY): r for r in new}
+    added, removed = sweep_fields(old, new)
+    shared = {f for r in old for f in r} - set(removed)
     out = []
     for key in sorted(a.keys() | b.keys()):
         ra, rb = a.get(key, {}), b.get(key, {})
-        for field in sorted(ra.keys() | rb.keys()):
+        for field in sorted(shared):
             if ra.get(field) != rb.get(field):
                 out.append((key, field, ra.get(field), rb.get(field)))
     return out
@@ -253,6 +265,9 @@ def main(argv: list[str] | None = None) -> int:
           f"{certified['change']} of {len(change_sweep)}; {len({d[0] for d in diffs})} rows changed")
     for key, field, was, now in diffs:
         print(f"  {key} {field}: {was} -> {now}")
+    for title, names in zip(("added", "removed"), sweep_fields(base_sweep, change_sweep)):
+        if names:
+            print(f"sweep fields {title}: {', '.join(names)}")
     return 0
 
 

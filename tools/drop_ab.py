@@ -2,14 +2,19 @@
 
     python3 tools/drop_ab.py --base <rev> --change HEAD --workload jamsc-paper --drops 300
 
-Exports each commit with ``git archive`` (``tools/bench_pairs.py``'s
-``export``) and imports each one's package under its own name into this one
-process.  Drop i, seed ``seed * 10**6 + i`` as perfbench numbers them, runs
-on both sides, and the side that runs first alternates from drop to drop, so
-the host's speed drift falls on both sides alike.  Back-to-back processes of
+Exports the base commit twice, as the sides ``base`` and ``control``, and
+the change commit once, with ``git archive`` (``tools/bench_pairs.py``'s
+``export``), and imports each side's package under its own name into this
+one process.  Drop i, seed ``seed * 10**6 + i`` as perfbench numbers them,
+runs on all three sides, and their order rotates from drop to drop, so the
+host's speed drift falls on every side alike.  Back-to-back processes of
 the same code can differ by tens of percent on a small shared host, which
 hides a layer's change of a few percent; paired drops in one process do not.
-One untimed drop per side fills the caches first.
+The control runs the base's code as a side of its own, so its ratio to the
+base measures what being another side costs, apart from any change: a
+change/base ratio means something only where it stands clear of the
+control/base ratio beside it.  One untimed drop per side fills the caches
+first.
 
 Each layer is timed by wrapping the module attribute the drop path looks up,
 as perfbench's trace does: channel (``generate_channel``), model
@@ -17,9 +22,9 @@ as perfbench's trace does: channel (``generate_channel``), model
 repair), oracle (``brute_force``), repair (``dual.repair_selection``),
 greedy (``greedy``) and round robin (``round_robin``, its whole
 allocation, as in perfbench).
-Prints, for ``run_drop`` and each layer, both sides' ms per drop and the
-change/base ratio of their totals, and for ``run_drop`` the drops on which
-the change was faster.
+Prints, for ``run_drop`` and each layer, each side's ms per drop and the
+change/base and control/base ratios of their totals, and for ``run_drop``
+the drops on which the change, and the control, were faster than the base.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from pathlib import Path  # noqa: E402
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SEED_STRIDE = 1_000_000  # perfbench's numbering: --seed n draws seeds n * SEED_STRIDE + i
-SIDES = ("base", "change")
+SIDES = ("base", "control", "change")
 # layer -> (module of the package, attribute the drop path looks up); each
 # allocator's attribute returns its whole Allocation
 LAYERS = {
@@ -97,24 +102,31 @@ def campaign(pkg, workload):
     )
 
 
+def running_order(i: int) -> tuple[str, ...]:
+    """The order in which drop ``i`` runs the sides: ``SIDES`` rotated by i places,
+    so every three drops put each side once in each place."""
+    k = i % len(SIDES)
+    return SIDES[k:] + SIDES[:k]
+
+
 def summarise(times: dict[str, dict[str, list[float]]]) -> dict[str, dict]:
-    """Per layer: each side's ms per drop and the change/base ratio of the totals.
+    """Per layer: each side's ms per drop, and the change/base and control/base
+    ratios of the totals.
 
     ``times[side][layer]`` holds one entry of seconds per drop, the drops in
-    the same order on both sides; ``run_drop`` also counts the drops on which
-    the change was strictly faster.  A layer that neither side entered has
-    ratio None.
+    the same order on every side; ``run_drop`` also counts the drops on
+    which the change, and the control, were strictly faster than the base.
+    A layer that the base never entered has ratios None.
     """
     out = {}
     for layer in times["base"]:
-        base, change = times["base"][layer], times["change"][layer]
-        entry = {
-            "base_ms": 1e3 * sum(base) / len(base),
-            "change_ms": 1e3 * sum(change) / len(change),
-            "ratio": sum(change) / sum(base) if sum(base) > 0 else None,
-        }
+        base = sum(times["base"][layer])
+        entry = {f"{side}_ms": 1e3 * sum(times[side][layer]) / len(times[side][layer]) for side in SIDES}
+        for side, key in (("change", "ratio"), ("control", "control_ratio")):
+            entry[key] = sum(times[side][layer]) / base if base > 0 else None
         if layer == "run_drop":
-            entry["change_faster"] = sum(c < b for b, c in zip(base, change))
+            for side in ("change", "control"):
+                entry[f"{side}_faster"] = sum(s < b for b, s in zip(times["base"][layer], times[side][layer]))
         out[layer] = entry
     return out
 
@@ -139,7 +151,8 @@ def main(argv: list[str] | None = None) -> int:
     workload = WORKLOADS[args.workload]
     times = {side: {layer: [] for layer in ("run_drop", *LAYERS)} for side in SIDES}
     with tempfile.TemporaryDirectory() as tmp:
-        commits = {side: export(getattr(args, side), Path(tmp) / side) for side in SIDES}
+        revs = {"base": args.base, "control": args.base, "change": args.change}
+        commits = {side: export(revs[side], Path(tmp) / side) for side in SIDES}
         sides = {}
         for side in SIDES:
             pkg = load_package(Path(tmp) / side / "src", f"drop_ab_{side}")
@@ -150,7 +163,7 @@ def main(argv: list[str] | None = None) -> int:
             sides[side] = pkg.harness.run_drop, cfg
         for i in range(args.drops):
             seed = args.seed * SEED_STRIDE + i
-            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+            for side in running_order(i):
                 run_drop, cfg = sides[side]
                 for entries in times[side].values():
                     entries.append(0.0)
@@ -161,11 +174,12 @@ def main(argv: list[str] | None = None) -> int:
     print(f"{args.workload}: {args.drops} drops from seed {args.seed * SEED_STRIDE}, "
           f"base {commits['base'][:12]}, change {commits['change'][:12]}")
     for layer, m in summarise(times).items():
-        ratio = "n/a" if m["ratio"] is None else f"{m['ratio']:.3f}"
-        line = (f"{layer:>14}: base {m['base_ms']:8.3f} ms/drop, "
-                f"change {m['change_ms']:8.3f} ms/drop, ratio {ratio}")
+        ratio, control = ("n/a" if r is None else f"{r:.3f}" for r in (m["ratio"], m["control_ratio"]))
+        line = (f"{layer:>14}: base {m['base_ms']:8.3f}, control {m['control_ms']:8.3f}, "
+                f"change {m['change_ms']:8.3f} ms/drop; change/base {ratio}, control/base {control}")
         if "change_faster" in m:
-            line += f", change faster on {m['change_faster']}/{args.drops} drops"
+            line += (f"; faster than base on {m['change_faster']}/{args.drops} drops (change), "
+                     f"{m['control_faster']}/{args.drops} (control)")
         print(line)
     return 0
 
