@@ -173,8 +173,7 @@ def diff_sweep(old: list[dict], new: list[dict]) -> list[tuple]:
     ``sweep_fields``."""
     a = {tuple(r[c] for c in SWEEP_KEY): r for r in old}
     b = {tuple(r[c] for c in SWEEP_KEY): r for r in new}
-    added, removed = sweep_fields(old, new)
-    shared = {f for r in old for f in r} - set(removed)
+    shared = {f for r in old for f in r} & {f for r in new for f in r}
     out = []
     for key in sorted(a.keys() | b.keys()):
         ra, rb = a.get(key, {}), b.get(key, {})
