@@ -106,6 +106,15 @@ class OptionLayout:
         return read_only(con)
 
     @cached_property
+    def sizes_admit_cover(self) -> bool:
+        """Whether one option per agent can have footprint sizes summing to the band:
+        necessary for an exact cover, not sufficient."""
+        starts = [lo for lo, _ in self.agent_slices]
+        smallest = int(np.minimum.reduceat(self.sizes, starts).sum())
+        largest = int(np.maximum.reduceat(self.sizes, starts).sum())
+        return smallest <= self.n_resources <= largest
+
+    @cached_property
     def half_colsum_minus_one(self) -> np.ndarray:
         """1/2 * colsum(A) - 1, the weight-free part of the landing's right-hand side."""
         return read_only(0.5 * self.constraint_matrix.sum(axis=0) - 1.0)
@@ -229,21 +238,26 @@ class AssignmentInstance:
         return x
 
     def allocation_violations(self, allocation: Allocation) -> list[str]:
-        out: list[str] = []
-        if len(allocation.option_index) != self.n_agents:
-            return [f"allocation has {len(allocation.option_index)} choices for {self.n_agents} agents"]
-        for k, o in enumerate(allocation.option_index):
-            if not (self.agent_slices[k][0] <= o < self.agent_slices[k][1]):
-                out.append(f"agent {k} chose option {o} outside its range")
-        # in range, every agent has exactly one option, so only the cover can fail
-        return out or self.selection_violations(self.selection_vector(allocation))
+        chosen = allocation.option_index
+        if len(chosen) != self.n_agents:
+            return [f"allocation has {len(chosen)} choices for {self.n_agents} agents"]
+        out = [
+            f"agent {k} chose option {o} outside its range"
+            for k, o in enumerate(chosen)
+            if not (0 <= o < self.n_options and self.agent_of[o] == k)
+        ]
+        # every agent has exactly one option, so only the cover can fail
+        return out or self._count_violations(self.constraint_matrix[list(chosen)].sum(axis=0))
 
     def selection_violations(self, selection: np.ndarray) -> list[str]:
         """Violations of a 0/1 option vector: one per agent, exact cover."""
-        counts = self.constraint_matrix.T @ np.asarray(selection)
-        per_agent, cover = counts[: self.n_agents], counts[self.n_agents :]
-        out = [f"agent {k} selects {int(per_agent[k])} options" for k in np.nonzero(per_agent != 1)[0]]
-        out += [f"sub-channel {n + 1} covered {int(cover[n])} times" for n in np.nonzero(cover != 1)[0]]
+        return self._count_violations(self.constraint_matrix[np.flatnonzero(selection)].sum(axis=0))
+
+    def _count_violations(self, counts: np.ndarray) -> list[str]:
+        """The violations of a selection's stacked (choice, cover) counts."""
+        counts, k = counts.tolist(), self.n_agents
+        out = [f"agent {i} selects {int(c)} options" for i, c in enumerate(counts[:k]) if c != 1]
+        out += [f"sub-channel {n + 1} covered {int(c)} times" for n, c in enumerate(counts[k:]) if c != 1]
         return out
 
     def allocation_from_selection(self, selection: np.ndarray) -> Allocation:

@@ -21,14 +21,14 @@ paper's scale.  The binarity floor and the cold start are in the utilities'
 units, so scaling every weight by a power of two scales every dual by the
 same power and leaves every round, exit and allocation as it was.
 
-The ascent stops, certified, at the first landing whose indicator rounds to
-an exact cover, and no tolerance enters that proof.  With s = u - A y the
-slack, an option's reduced cost is w + A y = -s, so every exact cover x'
-has w.x' = -s.x' - sum(y) >= L(y) = sum(min(-s, 0)) - sum(y).  The rounded
-options are those with s > 0; when they are an exact cover x, w.x = L(y),
-so x is the exact optimum.  Every solve reports L(y), at least the
-canonical dual at any rho > 0, so primal - L(y) is a proven gap whatever
-the outcome.  A run that stops otherwise is repaired by a polynomial chain
+The ascent stops, certified, at the first landing whose options of positive
+slack form an exact cover.  With s = u - A y the slack, an option's reduced
+cost is w + A y = -s, so every exact cover x' has w.x' = -s.x' - sum(y) >=
+L(y) = sum(min(-s, 0)) - sum(y), and the cover x of the options with s > 0
+has w.x = L(y): it is the exact optimum.  Every computed s must clear its
+forward rounding error, so that the proof holds in floating point.  Every
+solve reports L(y), at least the canonical dual at any rho > 0, so
+primal - L(y) is a proven gap whatever the outcome.  A run that stops otherwise is repaired by a polynomial chain
 program over the agents, ordered by the recovered indicator; when the
 repair finds no cover, the exact oracle's forward sweep decides whether any
 exists.
@@ -50,11 +50,9 @@ TERMINATIONS = ("converged", "stagnation", "budget", "diverged")
 OUTCOMES = ("certified", "repaired", "unallocated")
 NO_COVER = "no exact-cover assignment exists for this instance"
 # The binarity duals' floor (see ``project_rho``) is FLOOR_SCALE times the
-# utilities' mean magnitude, or PROJECTION_OFFSET where that is 0; and how
-# close to 0/1 the recovered indicator must round.
+# utilities' mean magnitude, or PROJECTION_OFFSET where that is 0.
 FLOOR_SCALE = 1e-5
 PROJECTION_OFFSET = 1e-3
-ROUND_TOL = 0.1
 # How many times an extrapolation step is halved towards the plain round's
 # before the cycle falls back to that round (see ``solve``).
 EXTRAPOLATION_BACKTRACKS = 3
@@ -108,19 +106,13 @@ def _slack(a: AssignmentInstance, stacked: np.ndarray) -> np.ndarray:
     return a.utilities - a.layout.constraint_matrix @ stacked
 
 
-def _evaluate(
-    a: AssignmentInstance, stacked: np.ndarray, binary: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+def _evaluate(a: AssignmentInstance, stacked: np.ndarray, binary: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """At stacked (choice, cover) duals y and binarity duals rho: the slack
-    s = u - A y, s + rho, the dual value -1/4 * sum((s + rho)^2 / rho)
-    - sum(y), and the ratio s / rho."""
+    s = u - A y, s + rho and the dual value -1/4 * sum((s + rho)^2 / rho)
+    - sum(y), which callers evaluate with overflow ignored (see ``solve``)."""
     slack = _slack(a, stacked)
     shifted = slack + binary
-    # a slack far beyond its rho squares past float64: the value then reads
-    # -inf, which raises no best value
-    with np.errstate(over="ignore"):
-        value = _value(stacked, shifted, binary)
-    return slack, shifted, value, slack / binary
+    return slack, shifted, _value(stacked, shifted, binary)
 
 
 def _indicator(shifted: np.ndarray, binary: np.ndarray) -> np.ndarray:
@@ -136,7 +128,8 @@ def _value(stacked: np.ndarray, shifted: np.ndarray, binary: np.ndarray) -> floa
 def dual_value(a: AssignmentInstance, d: DualPoint) -> float:
     """Value of the canonical dual function at ``d`` (see ``_evaluate``)."""
     _check_binary_dual(d.binary_dual)
-    return _evaluate(a, _stacked(d), d.binary_dual)[2]
+    with np.errstate(over="ignore"):
+        return _evaluate(a, _stacked(d), d.binary_dual)[2]
 
 
 def dual_gradient(a: AssignmentInstance, d: DualPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -146,17 +139,18 @@ def dual_gradient(a: AssignmentInstance, d: DualPoint) -> tuple[np.ndarray, np.n
     indicator x; the binary component is ((slack/rho)^2 - 1) / 4.
     """
     _check_binary_dual(d.binary_dual)
-    _, shifted, _, ratio = _evaluate(a, _stacked(d), d.binary_dual)
-    g_joint = a.layout.constraint_matrix.T @ _indicator(shifted, d.binary_dual) - 1.0
     with np.errstate(over="ignore"):
-        g_binary = 0.25 * (ratio * ratio - 1.0)
+        slack, shifted, _ = _evaluate(a, _stacked(d), d.binary_dual)
+        g_joint = a.layout.constraint_matrix.T @ _indicator(shifted, d.binary_dual) - 1.0
+        g_binary = 0.25 * ((slack / d.binary_dual) ** 2 - 1.0)
     return g_joint[a.n_agents :], g_joint[: a.n_agents], g_binary
 
 
 def recover_indicator(a: AssignmentInstance, d: DualPoint) -> np.ndarray:
     """Fractional indicator (u + rho - choice - cover_terms) / (2 rho) per option."""
     _check_binary_dual(d.binary_dual)
-    return _indicator(_evaluate(a, _stacked(d), d.binary_dual)[1], d.binary_dual)
+    with np.errstate(over="ignore"):
+        return _indicator(_evaluate(a, _stacked(d), d.binary_dual)[1], d.binary_dual)
 
 
 def xi_value(a: AssignmentInstance, selection: np.ndarray, d: DualPoint) -> float:
@@ -254,7 +248,7 @@ class SolveReport:
     """Full outcome of one dual solve.
 
     ``outcome`` is one of ``OUTCOMES``: ``certified`` when the ascent
-    stopped at an exact-cover rounding (the exact optimum), ``repaired``
+    stopped at a proven exact cover (the exact optimum), ``repaired``
     when ``repair_selection`` supplied the cover, and ``unallocated`` when
     there is no allocation.  ``fractional`` is the recovered indicator at
     ``dual_point``, the last landing.  ``dual_value`` is the Lagrangian
@@ -285,41 +279,18 @@ class SolveReport:
 
     @property
     def truncated(self) -> bool:
-        """The ascent stopped before a landing's rounding was an exact cover."""
+        """The ascent stopped before a landing proved an exact cover."""
         return self.termination != "converged"
 
     @property
     def certified(self) -> bool:
-        """Exact-optimality guarantee: the ascent stopped at an exact-cover rounding."""
+        """Exact-optimality guarantee: the ascent stopped at a proven exact cover."""
         return self.outcome == "certified"
 
 
 def sizes_admit_cover(a: AssignmentInstance) -> bool:
-    """Whether one option per agent can have footprint sizes summing to the band.
-
-    The per-agent smallest sizes must sum to at most N and the largest to at
-    least N.  Necessary for an exact cover, not sufficient; it needs every
-    agent to have an option, as ``to_assignment`` guarantees.
-    """
-    starts = [lo for lo, _ in a.agent_slices]
-    smallest = int(np.minimum.reduceat(a.sizes, starts).sum())
-    largest = int(np.maximum.reduceat(a.sizes, starts).sum())
-    return smallest <= a.n_resources <= largest
-
-
-def _exact_cover(a: AssignmentInstance, slack: np.ndarray, ratio: np.ndarray) -> np.ndarray | None:
-    """The rounding of a landing's indicator when it is an exact cover, else None.
-
-    The indicator (1 + slack/rho) / 2 lies within ``ROUND_TOL`` of 0 or 1
-    where |slack/rho| lies within 2 * ``ROUND_TOL`` of 1; that band is
-    tested first (a NaN fails it), and only then is the cover of its ones,
-    the options of positive slack, checked.
-    """
-    magnitude = np.abs(ratio)
-    if not (1.0 - 2.0 * ROUND_TOL <= magnitude.min() and magnitude.max() <= 1.0 + 2.0 * ROUND_TOL):
-        return None
-    sel = (slack > 0.0).astype(np.int8)
-    return None if a.selection_violations(sel) else sel
+    """Whether the footprint sizes can sum to the band (``OptionLayout.sizes_admit_cover``)."""
+    return a.layout.sizes_admit_cover
 
 
 def repair_selection(a: AssignmentInstance, frac: np.ndarray) -> np.ndarray | None:
@@ -453,8 +424,8 @@ def solve(
     at delta = ``FLOOR_SCALE`` * mean |u| (``PROJECTION_OFFSET`` when every
     utility is 0), (2) lands y on the stationary point of the dual with rho
     held fixed (``joint_system``, solved once; least squares when it is
-    singular), and (3) evaluates the dual's value and slack / rho once at
-    that landing.  The value at a landing is a lower bound of phi there,
+    singular), and (3) evaluates the dual's value and slack once at that
+    landing.  The value at a landing is a lower bound of phi there,
     where phi(y) is the dual at rho = ``project_rho`` of y's slack, and the
     next round's value is at least phi, so landing values never fall: T is a
     monotone minorize-maximize map of phi.  A warm ``start`` supplies the
@@ -469,12 +440,13 @@ def solve(
     kept the next cycle starts from y2.  So landing values still never fall,
     and the cycles add no fixed point.  ``max_outer`` counts landings, and
     every landing is tested for the exits, recorded as ``termination``:
-    ``converged`` at the first landing whose indicator rounds, within
-    ``ROUND_TOL``, to an exact cover (``_exact_cover``), which is then the
-    exact optimum (see the module docstring); ``stagnation`` after two
+    ``converged`` at the first landing whose options of positive slack are
+    an exact cover and whose every slack clears its forward rounding error
+    (K + N + 1) eps (|u| + A |y|); that cover is the exact optimum (see the
+    module docstring); ``stagnation`` after two
     consecutive landings that do not raise the dual value above its best;
     ``budget`` after ``max_outer`` landings; and ``diverged`` when an
-    iterate is not finite.  None of them raises.  The converged rounding is
+    iterate is not finite.  None of them raises.  The converged cover is
     ``certified``; otherwise ``repair_selection`` on the last indicator
     supplies the cover (``repaired``) or none (``unallocated``).  Every
     outcome reports the Lagrangian bound at the last landing, one sum over
@@ -521,53 +493,66 @@ def solve(
     if not sizes_admit_cover(a):
         raise InfeasibleInstanceError(NO_COVER)
 
+    con = a.layout.constraint_matrix
+    # no option's slack u - A y sums more than K + N + 1 terms
+    rounding = (con.shape[1] + 1) * np.finfo(float).eps
     termination = "budget"
     best_value = -math.inf
     flat_rounds = 0
     outer = 0
 
-    while outer < cfg.max_outer:
-        outer += 1
-        # |slack| maximises each separable 1-D sub-problem on rho > 0, so
-        # one step lands every binarity dual
-        binary = project_rho(slack, offset)
-        if not np.isfinite(binary).all():
-            termination = "diverged"
-            break
-        h, rhs = joint_system(a, binary)
-        try:
-            stacked = np.linalg.solve(h, rhs)
-        except np.linalg.LinAlgError:
-            stacked = None
-        if stacked is None or not np.isfinite(stacked).all():
-            # a singular system (no exact cover) has no unique stationary point
-            stacked = np.linalg.lstsq(h, rhs)[0]
-            if not np.isfinite(stacked).all():
+    # a slack far beyond its rho squares past float64: the value then reads
+    # -inf, which raises no best value
+    with np.errstate(over="ignore"):
+        while outer < cfg.max_outer:
+            outer += 1
+            # |slack| maximises each separable 1-D sub-problem on rho > 0, so
+            # one step lands every binarity dual; rho >= offset > 0, so its
+            # max is finite only where every entry is (a NaN fails it too)
+            binary = project_rho(slack, offset)
+            if not binary.max() < math.inf:
                 termination = "diverged"
                 break
-        slack, shifted, dval, ratio = _evaluate(a, stacked, binary)
-        sel = _exact_cover(a, slack, ratio)
-        if sel is not None:
-            termination = "converged"
-            break
-        # no landing lowers the dual (see the docstring), so two in a row
-        # that do not raise it can make no further progress
-        if dval > best_value:
-            best_value, flat_rounds = dval, 0
-        else:
-            flat_rounds += 1
-            if flat_rounds == 2:
-                termination = "stagnation"
+            h, rhs = joint_system(a, binary)
+            try:
+                stacked = np.linalg.solve(h, rhs)
+            except np.linalg.LinAlgError:
+                stacked = None
+            if stacked is None or not np.isfinite(stacked).all():
+                # a singular system (no exact cover) has no unique stationary point
+                stacked = np.linalg.lstsq(h, rhs)[0]
+                if not np.isfinite(stacked).all():
+                    termination = "diverged"
+                    break
+            slack, shifted, dval = _evaluate(a, stacked, binary)
+            positive = slack > 0.0
+            # the options of positive slack are an exact cover, and every
+            # slack clears its forward rounding error, so its sign is exact
+            if (
+                np.count_nonzero(positive) == n_agents
+                and (con.T @ positive == 1.0).all()
+                and (np.abs(slack) > rounding * (np.abs(a.utilities) + con @ np.abs(stacked))).all()
+            ):
+                termination = "converged"
                 break
-        path.append(stacked)
-        if len(path) == 3 and outer < cfg.max_outer:
-            jump = _extrapolate(a, *path, dval, offset)
-            if jump is None:
-                path = [stacked]  # carry on from y2
+            # no landing lowers the dual (see the docstring), so two in a row
+            # that do not raise it can make no further progress
+            if dval > best_value:
+                best_value, flat_rounds = dval, 0
             else:
-                # the stabilising landing from y' starts the next cycle
-                stacked, slack = jump
-                path = []
+                flat_rounds += 1
+                if flat_rounds == 2:
+                    termination = "stagnation"
+                    break
+            path.append(stacked)
+            if len(path) == 3 and outer < cfg.max_outer:
+                jump = _extrapolate(a, *path, dval, offset)
+                if jump is None:
+                    path = [stacked]  # carry on from y2
+                else:
+                    # the stabilising landing from y' starts the next cycle
+                    stacked, slack = jump
+                    path = []
 
     choice, cover = stacked[:n_agents], stacked[n_agents:]
     d = DualPoint(cover_dual=cover, choice_dual=choice, binary_dual=binary)
@@ -582,6 +567,7 @@ def solve(
         bound = -float(np.maximum(slack, 0.0).sum()) - float(stacked.sum())
 
     if termination == "converged":
+        sel = positive.astype(np.int8)
         outcome = "certified"
     else:
         sel = repair_selection(a, frac)

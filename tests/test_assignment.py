@@ -109,6 +109,21 @@ def test_allocation_violations_reports_uncovered():
     assert v
 
 
+def test_allocation_violations_name_each_choice_outside_its_agents_range():
+    a = to_assignment(_sumax_instance(n_users=2, n_sub=3))
+    own = (a.agent_options(0)[1], a.agent_options(1)[0])
+    # -1 would index the last option, which is agent 1's
+    for bad in (-1, a.n_options, a.agent_options(0)[2]):
+        v = a.allocation_violations(Allocation(option_index=(own[0], bad)))
+        assert v == [f"agent 1 chose option {bad} outside its range"]
+    swapped = Allocation(option_index=own[::-1])
+    assert a.allocation_violations(swapped) == [
+        f"agent 0 chose option {own[1]} outside its range",
+        f"agent 1 chose option {own[0]} outside its range",
+    ]
+    assert a.allocation_violations(Allocation(option_index=own[:1])) == ["allocation has 1 choices for 2 agents"]
+
+
 def test_with_weights_replaces_only_weights():
     a = to_assignment(_sumax_instance())
     w = np.arange(a.n_options, dtype=float)

@@ -35,6 +35,40 @@ def test_summarise_gives_per_drop_times_and_ratios_of_totals():
     }
 
 
+def test_landing_costs_separate_landings_per_drop_from_their_cost():
+    times = {
+        "base": {"solve": [0.003, 0.005], "repair": [0.0, 0.002]},
+        "control": {"solve": [0.0, 0.0], "repair": [0.0, 0.0]},
+        "change": {"solve": [0.002, 0.002], "repair": [0.0, 0.0]},
+    }
+    landings = {"base": [20, 10], "control": [0, 0], "change": [10, 10]}
+    out = drop_ab.landing_costs(times, landings)
+    assert out["base"]["per_drop"] == pytest.approx(15.0)
+    assert out["base"]["us"] == pytest.approx(1e6 * 0.006 / 30)  # the repair's 2 ms left out
+    assert out["change"] == pytest.approx({"per_drop": 10.0, "us": 200.0})
+    assert out["control"] == {"per_drop": 0.0, "us": None}
+
+
+def test_count_landings_adds_each_reports_outer_iterations():
+    class Report:
+        outer_iterations = 7
+
+    class Harness:
+        @staticmethod
+        def solve(a, cfg, start=None):
+            return Report()
+
+    class Package:
+        harness = Harness
+
+    landings = [0]
+    drop_ab.count_landings(Package, landings)
+    rep = Package.harness.solve(None, None)
+    Package.harness.solve(None, None, start=None)
+    assert isinstance(rep, Report)
+    assert landings == [14]
+
+
 def test_three_drops_run_each_side_once_in_each_place():
     assert drop_ab.SIDES == ("base", "control", "change")
     for first in range(0, 9, 3):

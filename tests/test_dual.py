@@ -347,6 +347,65 @@ def test_report_holds_the_indicator_and_value_of_its_dual_point(monkeypatch):
         assert rep.dual_value >= dual_value(a, d)
 
 
+def rounding_error(a: AssignmentInstance, stacked: np.ndarray) -> np.ndarray:
+    """Each option's forward rounding-error bound (K + N + 1) eps (|u| + A |y|) on its slack u - A y."""
+    scale = np.abs(a.utilities) + a.constraint_matrix @ np.abs(stacked)
+    return (a.n_agents + a.n_resources + 1) * np.finfo(float).eps * scale
+
+
+@pytest.mark.parametrize("seed", [2024, 2029, 2030])
+def test_first_exact_cover_certifies_outside_the_rounding_band(monkeypatch, seed):
+    # the proof needs no band on |s / rho|: the first landing whose options of
+    # positive slack are an exact cover certifies there, some |s / rho| lying
+    # outside [0.8, 1.2] (above it for seed 2029)
+    a = sumax_assignment_for_seed(2, 4, seed)
+    landed = []
+    exact_evaluate = dual._evaluate
+
+    def recorded(inst, stacked, binary):
+        out = exact_evaluate(inst, stacked, binary)
+        landed.append((out[0].copy(), binary.copy()))
+        return out
+
+    monkeypatch.setattr(dual, "_evaluate", recorded)
+    rep = solve(a)
+    covers = [not a.selection_violations((slack > 0).astype(np.int8)) for slack, _ in landed]
+    assert covers.index(True) == len(landed) - 1 == rep.outer_iterations - 1
+    slack, binary = landed[-1]
+    ratio = np.abs(slack / binary)
+    assert ratio.min() < 0.8 or ratio.max() > 1.2
+    assert rep.certified
+    assert rep.primal_value == brute_force(a)[1]
+
+
+@pytest.mark.parametrize("margin, certifies_there", [(0.5, False), (2.0, True)])
+def test_a_slack_within_its_rounding_error_does_not_certify(monkeypatch, margin, certifies_there):
+    # at the first exact-cover landing, one option outside the cover gets the
+    # slack -margin times its rounding-error bound: the options of positive
+    # slack are still that cover, but inside the bound the sign is not proven
+    a = sumax_assignment_for_seed(2, 4, 2030)
+    exact_evaluate = dual._evaluate
+    landings = []
+
+    def nudged(inst, stacked, binary):
+        slack, shifted, value = exact_evaluate(inst, stacked, binary)
+        landings.append(len(landings) + 1)
+        positive = slack > 0
+        if len(landings) == 2:
+            assert not inst.selection_violations(positive.astype(np.int8))
+            o = int(np.flatnonzero(~positive)[0])
+            slack = slack.copy()
+            slack[o] = -margin * rounding_error(inst, stacked)[o]
+        return slack, shifted, value
+
+    monkeypatch.setattr(dual, "_evaluate", nudged)
+    rep = solve(a)
+    assert (rep.outer_iterations == 2) == certifies_there
+    assert rep.outer_iterations >= 2
+    if rep.certified:
+        assert rep.primal_value == brute_force(a)[1]
+
+
 @pytest.mark.parametrize("problem, seed", [("sumax", 208), ("jamsc", 239)])
 def test_one_ulp_tie_does_not_end_the_ascent(problem, seed):
     # drops 166 and 197 of the default campaigns of base seed 42: near

@@ -22,7 +22,6 @@ from scfdma_alloc.baselines import InfeasibleAllocationError, brute_force
 from scfdma_alloc.channel import generate_channel
 from scfdma_alloc.dual import (
     OUTCOMES,
-    ROUND_TOL,
     SolverConfig,
     dual_value,
     repair_selection,
@@ -45,21 +44,30 @@ def sumax_instance(k, n, seed, ties, zf, p_max):
     return to_assignment(build_sumax(generate_channel(sc, seed), sc, weights=weights))
 
 
-def rounds_to_exact_cover(a, frac):
-    """Whether every entry of ``frac`` lies within ROUND_TOL of 0 or 1 and the ones are an exact cover."""
-    near_one = np.abs(frac - 1.0) <= ROUND_TOL
-    binary = bool(np.all(near_one | (np.abs(frac) <= ROUND_TOL)))
-    return binary and not a.selection_violations(near_one.astype(np.int8))
+def rounds_to_exact_cover(a, rep):
+    """Whether the 1/2-rounding of ``rep.fractional``, its entries above 1/2, is
+    an exact cover that the slack s = u - A y at the reported duals y proves:
+    its ones are exactly the options with s > 0, and every |s| clears its
+    forward rounding-error bound (K + N + 1) eps (|u| + A |y|)."""
+    ones = rep.fractional > 0.5
+    if a.selection_violations(ones.astype(np.int8)):
+        return False
+    y = np.concatenate([rep.dual_point.choice_dual, rep.dual_point.cover_dual])
+    slack = a.utilities - a.constraint_matrix @ y
+    error = (a.n_agents + a.n_resources + 1) * np.finfo(float).eps * (
+        np.abs(a.utilities) + a.constraint_matrix @ np.abs(y)
+    )
+    return np.array_equal(ones, slack > 0) and bool(np.all(np.abs(slack) > error))
 
 
 def assert_outcome_partition(a, rep):
     """``rep.outcome`` names the one source of its allocation.
 
     Certified: the ascent converged, which it does exactly when the reported
-    indicator rounds to an exact cover.  Repaired: it does not, but an
+    indicator rounds to an exact cover that its slacks prove.  Repaired: it does not, but an
     allocation exists.  Unallocated: none.
     """
-    exact_rounding = rounds_to_exact_cover(a, rep.fractional)
+    exact_rounding = rounds_to_exact_cover(a, rep)
     assert rep.outcome in OUTCOMES
     assert (rep.termination == "converged") == exact_rounding
     assert (rep.outcome == "certified") == exact_rounding
@@ -141,7 +149,7 @@ def test_converged_iff_rounding_is_an_exact_cover(k, n, seed, ties, zf, p_max):
     a = sumax_instance(k, n, seed, ties, zf, p_max)
     for cfg in (SolverConfig(), SolverConfig(max_outer=5)):
         rep = solve(a, cfg)
-        assert (rep.termination == "converged") == rounds_to_exact_cover(a, rep.fractional)
+        assert (rep.termination == "converged") == rounds_to_exact_cover(a, rep)
         assert rep.certified == (rep.termination == "converged")
 
 

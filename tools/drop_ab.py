@@ -25,6 +25,9 @@ allocation, as in perfbench).
 Prints, for ``run_drop`` and each layer, each side's ms per drop and the
 change/base and control/base ratios of their totals, and for ``run_drop``
 the drops on which the change, and the control, were faster than the base.
+Last, for each side, the ascent's landings per drop (the sum of every
+solve report's ``outer_iterations``) and the microseconds per landing of
+solve less its repair, so that fewer landings and cheaper ones tell apart.
 """
 
 from __future__ import annotations
@@ -90,6 +93,30 @@ def time_layers(pkg, totals: dict[str, list[float]]) -> None:
             setattr(mod, attr, timed)
 
 
+def count_landings(pkg, landings: list[int]) -> None:
+    """Wrap ``pkg``'s solve so that every report adds its ``outer_iterations``
+    to the last entry of ``landings``."""
+    inner = pkg.harness.solve
+
+    def counted(*args, **kwargs):
+        rep = inner(*args, **kwargs)
+        landings[-1] += rep.outer_iterations
+        return rep
+
+    pkg.harness.solve = counted
+
+
+def landing_costs(times: dict[str, dict[str, list[float]]], landings: dict[str, list[int]]) -> dict[str, dict]:
+    """Per side: the landings per drop, and the microseconds per landing of the
+    solve layer less its repair (None for a side that landed nowhere)."""
+    out = {}
+    for side, counts in landings.items():
+        total = sum(counts)
+        busy = sum(times[side]["solve"]) - sum(times[side]["repair"])
+        out[side] = {"per_drop": total / len(counts), "us": 1e6 * busy / total if total else None}
+    return out
+
+
 def campaign(pkg, workload):
     """The workload's campaign configuration, built from ``pkg``'s own classes."""
     key = "allocators_sumax" if workload.problem == "sumax" else "allocators_jamsc"
@@ -150,6 +177,7 @@ def main(argv: list[str] | None = None) -> int:
         ap.error(f"unknown workload {args.workload!r}; one of {', '.join(WORKLOADS)}")
     workload = WORKLOADS[args.workload]
     times = {side: {layer: [] for layer in ("run_drop", *LAYERS)} for side in SIDES}
+    landings = {side: [] for side in SIDES}
     with tempfile.TemporaryDirectory() as tmp:
         revs = {"base": args.base, "control": args.base, "change": args.change}
         commits = {side: export(revs[side], Path(tmp) / side) for side in SIDES}
@@ -160,6 +188,7 @@ def main(argv: list[str] | None = None) -> int:
             # one untimed drop fills the caches
             pkg.harness.run_drop(cfg, args.seed * SEED_STRIDE - 1, -1, workload.problem)
             time_layers(pkg, times[side])
+            count_landings(pkg, landings[side])
             sides[side] = pkg.harness.run_drop, cfg
         for i in range(args.drops):
             seed = args.seed * SEED_STRIDE + i
@@ -167,6 +196,7 @@ def main(argv: list[str] | None = None) -> int:
                 run_drop, cfg = sides[side]
                 for entries in times[side].values():
                     entries.append(0.0)
+                landings[side].append(0)
                 t0 = time.perf_counter()
                 run_drop(cfg, seed, i, workload.problem)
                 times[side]["run_drop"][-1] = time.perf_counter() - t0
@@ -181,6 +211,10 @@ def main(argv: list[str] | None = None) -> int:
             line += (f"; faster than base on {m['change_faster']}/{args.drops} drops (change), "
                      f"{m['control_faster']}/{args.drops} (control)")
         print(line)
+    costs = landing_costs(times, landings)
+    per_drop = ", ".join(f"{side} {costs[side]['per_drop']:.3f}" for side in SIDES)
+    us = ", ".join(f"{side} {'n/a' if c['us'] is None else format(c['us'], '.1f')}" for side, c in costs.items())
+    print(f"solve landings per drop: {per_drop}; us per landing of solve less repair: {us}")
     return 0
 
 
