@@ -64,8 +64,8 @@ def assert_outcome_partition(a, rep):
     """``rep.outcome`` names the one source of its allocation.
 
     Certified: the ascent converged, which it does exactly when the reported
-    indicator rounds to an exact cover that its slacks prove.  Repaired: it does not, but an
-    allocation exists.  Unallocated: none.
+    indicator rounds to an exact cover that its slacks prove.  Repaired: it
+    does not, but an allocation exists.  Unallocated: none.
     """
     exact_rounding = rounds_to_exact_cover(a, rep)
     assert rep.outcome in OUTCOMES

@@ -27,7 +27,7 @@ change/base and control/base ratios of their totals, and for ``run_drop``
 the drops on which the change, and the control, were faster than the base.
 Last, for each side, the ascent's landings per drop (the sum of every
 solve report's ``outer_iterations``) and the microseconds per landing of
-solve less its repair, so that fewer landings and cheaper ones tell apart.
+solve less its repair, which tell fewer landings from cheaper ones.
 """
 
 from __future__ import annotations
