@@ -18,7 +18,7 @@ from .patterns import OptionTable, PatternSet, read_only
 
 
 class InfeasibleInstanceError(ValueError):
-    """The instance admits no feasible assignment (e.g. users without options)."""
+    """The instance admits no feasible assignment: users without options, or no exact cover."""
 
 
 @dataclass(frozen=True)
@@ -259,13 +259,6 @@ class AssignmentInstance:
         out = [f"agent {i} selects {int(c)} options" for i, c in enumerate(counts[:k]) if c != 1]
         out += [f"sub-channel {n + 1} covered {int(c)} times" for n, c in enumerate(counts[k:]) if c != 1]
         return out
-
-    def allocation_from_selection(self, selection: np.ndarray) -> Allocation:
-        chosen = np.nonzero(selection)[0]
-        if len(chosen) != self.n_agents:
-            raise ValueError("selection does not pick exactly one option per agent")
-        order = np.argsort(self.agent_of[chosen], kind="stable")
-        return Allocation(option_index=tuple(int(o) for o in chosen[order]))
 
     def with_weights(self, weights: np.ndarray) -> "AssignmentInstance":
         return replace(self, weights=np.asarray(weights, dtype=float))  # shares the layout

@@ -7,7 +7,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .assignment import Allocation, AssignmentInstance
+from .assignment import Allocation, AssignmentInstance, InfeasibleInstanceError
 from .patterns import read_only
 
 
@@ -16,11 +16,14 @@ class OracleCeilingError(RuntimeError):
 
 
 class InfeasibleAllocationError(ValueError):
-    """No feasible assignment exists for the given instance or geometry."""
+    """Greedy or round robin could not allocate; an exact cover may still exist."""
 
 
-# Default node ceiling of the subset program, which admits K=12, N=24.
+# The node ceiling of the subset program, for the oracle and the dual's
+# no-cover test alike; it admits K=12, N=24.
 NODE_CEILING = 10**8
+# The refusal of an instance that has no exact cover (InfeasibleInstanceError).
+NO_COVER = "no exact-cover assignment exists for this instance"
 
 
 def cover_sweep(a: AssignmentInstance, node_ceiling: int = NODE_CEILING) -> np.ndarray:
@@ -62,6 +65,18 @@ def cover_sweep(a: AssignmentInstance, node_ceiling: int = NODE_CEILING) -> np.n
     return f[:, :n_states]
 
 
+def require_cover(a: AssignmentInstance, node_ceiling: int = NODE_CEILING) -> np.ndarray:
+    """``cover_sweep``'s table, after refusing an instance with no exact cover.
+
+    Raises InfeasibleInstanceError (``NO_COVER``) where ``f[N, all]`` is
+    infinite, and OracleCeilingError as ``cover_sweep`` does.
+    """
+    f = cover_sweep(a, node_ceiling)
+    if f[-1, -1] == math.inf:
+        raise InfeasibleInstanceError(NO_COVER)
+    return f
+
+
 # Elements a step of ``cover_sweep`` may hold: its agents' (agents, n, 2^K)
 # relaxations, one agent's at least.
 SWEEP_BUDGET = 1 << 16
@@ -99,8 +114,8 @@ def brute_force(a: AssignmentInstance, node_ceiling: int = NODE_CEILING) -> tupl
     every option ending at n relaxes ``f[n, S] <- f[n - size, S ^ bit(k)] + w``
     for all S holding its agent k at once, so the sweep makes
     2^(K-1) * n_options relaxations instead of enumerating option tuples.
-    ``f[N, all]`` is infinite exactly when no exact cover exists
-    (InfeasibleAllocationError).
+    ``f[N, all]`` is infinite exactly when no exact cover exists, which
+    ``require_cover`` refuses with InfeasibleInstanceError.
 
     The answer keeps the exhaustive semantics: the least ``a.value`` (the
     weights summed in agent order), ties going to the smallest option tuple.
@@ -122,14 +137,12 @@ def brute_force(a: AssignmentInstance, node_ceiling: int = NODE_CEILING) -> tupl
     partial covers have been visited: an explicit refusal, never a wrong
     answer.
     """
-    f = cover_sweep(a, node_ceiling)
+    f = require_cover(a, node_ceiling)
     n_agents, n_res = a.n_agents, a.n_resources
     n_states = 1 << n_agents
     weights = a.weights.tolist()
     ending, empty_options = a.layout.ending, a.layout.empty_options
     total = f.item(n_res, n_states - 1)
-    if total == math.inf:
-        raise InfeasibleAllocationError("no exact-cover assignment exists for this instance")
     firsts = [lo for lo, _ in a.agent_slices]
     scale = float(np.maximum.reduceat(np.abs(a.weights), firsts).sum())
     threshold = total + 4 * n_agents * 2.0**-53 * scale

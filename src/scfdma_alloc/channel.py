@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .patterns import MAX_SUBCHANNELS
+from .patterns import MAX_SUBCHANNELS, require_integer
 
 
 def config_from_dict(cls, data: dict, section: str):
@@ -42,7 +42,8 @@ class ScenarioConfig:
     ``p_max_w`` is each user's total budget, ``p_peak_w`` the per-sub-channel
     cap.  Either may be a scalar or a per-user sequence.  Raises ValueError,
     naming the field, for a NaN or infinite number (``p_peak_w`` may be
-    infinite: no cap) and for a non-positive frequency, height, bandwidth or
+    infinite: no cap), for a non-integer or bool ``n_users`` or
+    ``n_subchannels`` and for a non-positive frequency, height, bandwidth or
     power.
     """
 
@@ -74,6 +75,8 @@ class ScenarioConfig:
         for name in ("subchannel_bandwidth_hz", "carrier_freq_mhz", "bs_height_m", "ue_height_m"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+        require_integer("n_users", self.n_users)
+        require_integer("n_subchannels", self.n_subchannels)
         if self.n_users < 1:
             raise ValueError("n_users must be >= 1")
         if not 1 <= self.n_subchannels <= MAX_SUBCHANNELS:

@@ -36,19 +36,19 @@ exists.
 
 from __future__ import annotations
 
+import contextlib
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .assignment import Allocation, AssignmentInstance, InfeasibleInstanceError
-from .baselines import OracleCeilingError, cover_sweep
+from .baselines import NO_COVER, OracleCeilingError, require_cover
+from .patterns import require_integer
 
 # How an ascent can stop, and where its answer came from; see ``solve``.
 TERMINATIONS = ("converged", "stagnation", "budget", "diverged")
 OUTCOMES = ("certified", "repaired", "unallocated")
-NO_COVER = "no exact-cover assignment exists for this instance"
 # The binarity duals' floor (see ``project_rho``) is FLOOR_SCALE times the
 # utilities' mean magnitude, or PROJECTION_OFFSET where that is 0.
 FLOOR_SCALE = 1e-5
@@ -59,11 +59,8 @@ EXTRAPOLATION_BACKTRACKS = 3
 
 
 class DualDomainError(ValueError):
-    """A binarity dual is zero, where dual quantities are undefined.
-
-    ``solve`` also raises it for a warm start whose binarity duals are not
-    all positive.
-    """
+    """A binarity dual is zero, where ``dual_value``, ``dual_gradient`` and
+    ``recover_indicator`` are undefined; ``solve`` never reads a start's."""
 
 
 @dataclass(frozen=True)
@@ -87,7 +84,8 @@ class SolverConfig:
     max_outer: int = 1_000
 
     def __post_init__(self) -> None:
-        if not isinstance(self.max_outer, numbers.Integral) or self.max_outer < 1:
+        require_integer("max_outer", self.max_outer)
+        if self.max_outer < 1:
             raise ValueError(f"max_outer must be an integer >= 1, got {self.max_outer!r}")
 
 
@@ -288,12 +286,7 @@ class SolveReport:
         return self.outcome == "certified"
 
 
-def sizes_admit_cover(a: AssignmentInstance) -> bool:
-    """Whether the footprint sizes can sum to the band (``OptionLayout.sizes_admit_cover``)."""
-    return a.layout.sizes_admit_cover
-
-
-def repair_selection(a: AssignmentInstance, frac: np.ndarray) -> np.ndarray | None:
+def repair_selection(a: AssignmentInstance, frac: np.ndarray) -> Allocation | None:
     """Polynomial feasibility repair: heuristic, carries no optimality guarantee.
 
     Orders the agents left to right by the centre of their blocks, weighted
@@ -309,8 +302,8 @@ def repair_selection(a: AssignmentInstance, frac: np.ndarray) -> np.ndarray | No
     position, which covers adjacent swaps): the prefix and suffix programs
     of the other agents price every position of each agent at once, and the
     lightest of all those moves is taken while its cover strictly lowers
-    ``a.value``.  Returns a 0/1 selection, or None when no order reached
-    that way admits an exact cover.
+    ``a.value``.  Returns that cover's allocation, or None when no order
+    reached that way admits an exact cover.
     """
     n_agents, n_res, sizes, ends = a.n_agents, a.n_resources, a.sizes, a.layout.ends
     option_at, cost = a.layout.option_at, a.cover_costs
@@ -331,8 +324,8 @@ def repair_selection(a: AssignmentInstance, frac: np.ndarray) -> np.ndarray | No
             h[t] = (cost[order[t]] + h[t + 1]).min(axis=1)
         return h
 
-    def cover(order: list[int]) -> tuple[float, list[int] | None]:
-        """``a.value`` and options of the order's lightest cover, or (inf, None)."""
+    def cover(order: list[int]) -> tuple[float, Allocation | None]:
+        """``a.value`` and allocation of the order's lightest cover, or (inf, None)."""
         h = suffix(order)
         if h[0, 0] == math.inf:
             return math.inf, None
@@ -342,7 +335,8 @@ def repair_selection(a: AssignmentInstance, frac: np.ndarray) -> np.ndarray | No
             m = int((cost[k, n] + h[t + 1]).argmin())
             chosen[k] = int(option_at[k, n, m])
             n = m
-        return a.value(Allocation(tuple(chosen))), chosen
+        allocation = Allocation(tuple(chosen))
+        return a.value(allocation), allocation
 
     mass = np.where(sizes > 0, np.maximum(frac, 0.0), 0.0)
     total = np.bincount(a.agent_of, weights=mass, minlength=n_agents)
@@ -350,7 +344,7 @@ def repair_selection(a: AssignmentInstance, frac: np.ndarray) -> np.ndarray | No
     centre = np.divide(moment, total, out=np.full(n_agents, (n_res + 1) / 2.0), where=total > 0)
     # on a grid far coarser than rounding noise, centres equal in exact arithmetic tie
     order = np.argsort(np.round(centre, 9), kind="stable").tolist()
-    best, chosen = cover(order)
+    best, allocation = cover(order)
     while True:
         moves = []
         for i, k in enumerate(order):
@@ -363,15 +357,11 @@ def repair_selection(a: AssignmentInstance, frac: np.ndarray) -> np.ndarray | No
         if not moves:
             break
         candidate = min(moves, key=lambda move: move[0])[1]
-        value, options = cover(candidate)
+        value, moved = cover(candidate)
         if not value < best:
             break
-        order, best, chosen = candidate, value, options
-    if chosen is None:
-        return None
-    sel = np.zeros(a.n_options, dtype=np.int8)
-    sel[chosen] = 1
-    return sel
+        order, best, allocation = candidate, value, moved
+    return allocation
 
 
 def _extrapolate(
@@ -450,21 +440,21 @@ def solve(
     ``certified``; otherwise ``repair_selection`` on the last indicator
     supplies the cover (``repaired``) or none (``unallocated``).  Every
     outcome reports the Lagrangian bound at the last landing, one sum over
-    its slack.  A warm ``start`` whose choice, cover or binarity duals do not
-    number the instance's agents, sub-channels and options raises
-    ValueError, and one whose binarity duals are not all positive raises
-    DualDomainError, both before any work; otherwise only its choice and
-    cover duals, which may take either sign and may come from another
-    instance on the same agents and sub-channels, shape the ascent.
+    its slack.  A warm ``start`` is read for its choice and cover duals
+    only, which may take either sign and may come from another instance on
+    the same agents and sub-channels; its binarity duals are never read, as
+    the first round sets them.  A start whose choice or cover duals do not
+    number the instance's agents and sub-channels raises ValueError before
+    any work.
 
     Nothing is searched before the ascent.  An instance whose footprint
-    sizes cannot sum to the band (``sizes_admit_cover``) raises
-    InfeasibleInstanceError before the first round.  When the repair finds
-    no cover, the oracle's forward sweep (``cover_sweep``) decides: an
-    instance with no exact cover at all, whose dual is unbounded, raises
-    InfeasibleInstanceError; one whose sweep would pass the oracle's default
-    node ceiling, or that has a cover the repair missed, is reported without
-    an allocation (``unallocated``).
+    sizes cannot sum to the band (``OptionLayout.sizes_admit_cover``)
+    raises InfeasibleInstanceError before the first round.  When the repair
+    finds no cover, the oracle's ``require_cover`` decides: an instance
+    with no exact cover at all, whose dual is unbounded, raises its
+    InfeasibleInstanceError; one whose sweep would pass the oracle's node
+    ceiling, or that has a cover the repair missed, is reported without an
+    allocation (``unallocated``).
     """
     n_agents = a.n_agents
     scale = float(np.abs(a.utilities).mean())
@@ -479,18 +469,15 @@ def solve(
         slack = np.full(a.n_options, scale)
         path = []
     else:
-        got = tuple(len(v) for v in (start.choice_dual, start.cover_dual, start.binary_dual))
-        if got != (n_agents, a.n_resources, a.n_options):
+        got = (len(start.choice_dual), len(start.cover_dual))
+        if got != (n_agents, a.n_resources):
             raise ValueError(
-                f"warm start has (choice, cover, binary) lengths {got}, "
-                f"the instance needs {(n_agents, a.n_resources, a.n_options)}"
+                f"warm start has (choice, cover) lengths {got}, the instance needs {(n_agents, a.n_resources)}"
             )
         stacked = _stacked(start).astype(float)
-        if not (start.binary_dual > 0).all():
-            raise DualDomainError("warm-start binary duals must all be positive")
         slack = _slack(a, stacked)
         path = [stacked]
-    if not sizes_admit_cover(a):
+    if not a.layout.sizes_admit_cover:
         raise InfeasibleInstanceError(NO_COVER)
 
     con = a.layout.constraint_matrix
@@ -567,22 +554,17 @@ def solve(
         bound = -float(np.maximum(slack, 0.0).sum()) - float(stacked.sum())
 
     if termination == "converged":
-        sel = positive.astype(np.int8)
+        # options are grouped by agent, so the cover lists them in agent order
+        allocation = Allocation(tuple(np.flatnonzero(positive).tolist()))
         outcome = "certified"
     else:
-        sel = repair_selection(a, frac)
-        outcome = "unallocated" if sel is None else "repaired"
-    if sel is None:
-        try:
-            no_cover = cover_sweep(a)[-1, -1] == math.inf
-        except OracleCeilingError:
-            no_cover = False
-        if no_cover:
-            raise InfeasibleInstanceError(NO_COVER)
-
-    allocation = primal = gap = None
-    if sel is not None:
-        allocation = a.allocation_from_selection(sel)
+        allocation = repair_selection(a, frac)
+        outcome = "unallocated" if allocation is None else "repaired"
+    primal = gap = None
+    if allocation is None:
+        with contextlib.suppress(OracleCeilingError):
+            require_cover(a)  # raises where no exact cover exists at all
+    else:
         primal = a.value(allocation)
         if math.isfinite(bound):
             gap = primal - bound

@@ -23,7 +23,7 @@ from .baselines import InfeasibleAllocationError, OracleCeilingError, brute_forc
 from .channel import ChannelGains, ScenarioConfig, generate_channel
 from .dual import OUTCOMES, TERMINATIONS, SolveReport, SolverConfig, dual_gradient, dual_value, DualPoint, solve
 from .jamsc import FrameConfig, build_jamsc
-from .patterns import OptionTable, PatternSet, enumerate_patterns
+from .patterns import OptionTable, PatternSet, enumerate_patterns, require_integer
 from .sumax import ModulationTable, build_sumax
 
 SUMAX_ALLOCATORS = ("dual", "oracle", "greedy", "round_robin")
@@ -46,12 +46,13 @@ class CampaignConfig:
     fixed_modulation: str = "16QAM"
     weights: tuple[float, ...] | None = None
     strict_cap: bool = False
-    oracle_ceiling: int = 10**8
     out_dir: str | None = None
 
     def __post_init__(self) -> None:
         if self.problem not in ("sumax", "jamsc", "both"):
             raise ValueError("problem must be 'sumax', 'jamsc' or 'both'")
+        require_integer("n_drops", self.n_drops)
+        require_integer("base_seed", self.base_seed)
         if self.n_drops < 1:
             raise ValueError(f"n_drops must be >= 1, got {self.n_drops}")
         if self.base_seed < 0:
@@ -65,8 +66,6 @@ class CampaignConfig:
                 raise ValueError(f"{prob} allocators repeat a name: {names}")
             if not names and self.problem in (prob, "both"):
                 raise ValueError(f"a {prob} campaign needs at least one allocator")
-        if self.oracle_ceiling < 1:
-            raise ValueError(f"oracle_ceiling must be >= 1, got {self.oracle_ceiling}")
         if not 0 < self.target_rate_bps < math.inf:
             raise ValueError(f"target_rate_bps must be positive and finite, got {self.target_rate_bps}")
         if self.fixed_modulation not in self.modulations.names:
@@ -182,10 +181,10 @@ def run_drop(cfg: CampaignConfig, seed: int, drop_index: int = 0, problem: str |
 
     Each option table is flattened to the assignment form once per drop;
     when that fails, every allocator that uses the table gets the error.
-    ``dual_fixed`` starts from ``dual_am``'s choice and cover duals when
-    ``dual_am`` ran earlier in the drop and did not diverge: both jamsc
-    instances constrain the same users and sub-channels, and the first round
-    replaces the binarity duals.  Otherwise it starts cold.
+    ``dual_fixed`` starts from ``dual_am``'s dual point when ``dual_am`` ran
+    earlier in the drop and did not diverge: both jamsc instances constrain
+    the same users and sub-channels, and ``solve`` reads only a start's
+    choice and cover duals.  Otherwise it starts cold.
     """
     prob = problem or cfg.problem
     if prob not in _PROBLEMS:
@@ -214,21 +213,14 @@ def run_drop(cfg: CampaignConfig, seed: int, drop_index: int = 0, problem: str |
         alloc: Allocation | None = None
         try:
             if name.startswith("dual"):
-                start = None
-                if name == "dual_fixed" and joint_point is not None:
-                    start = DualPoint(
-                        cover_dual=joint_point.cover_dual,
-                        choice_dual=joint_point.choice_dual,
-                        binary_dual=np.ones(a.n_options),
-                    )
-                rep = solve(a, cfg.solver, start=start)
+                rep = solve(a, cfg.solver, start=joint_point if name == "dual_fixed" else None)
                 if name == "dual_am" and rep.termination != "diverged":
                     joint_point = rep.dual_point
                 rec = _record_from_report(name, rep, spec.sign, time.perf_counter() - t0)
                 alloc = rep.allocation
             else:
                 if name.startswith("oracle"):
-                    alloc, value = brute_force(a, cfg.oracle_ceiling)
+                    alloc, value = brute_force(a)
                 else:
                     alloc = greedy(a) if name == "greedy" else round_robin(a)
                     value = a.value(alloc)

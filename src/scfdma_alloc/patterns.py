@@ -8,6 +8,7 @@ scores it as one ``OptionTable``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Sequence
@@ -22,6 +23,12 @@ def read_only(array) -> np.ndarray:
     view = np.asarray(array).view()
     view.flags.writeable = False
     return view
+
+
+def require_integer(name: str, value) -> None:
+    """Refuse, naming the field, a ``value`` that is a bool or not an integer."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class PatternBoundsError(ValueError):

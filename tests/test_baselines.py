@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from scfdma_alloc import baselines
-from scfdma_alloc.assignment import AssignmentInstance, OptionLayout, to_assignment
+from scfdma_alloc.assignment import AssignmentInstance, InfeasibleInstanceError, OptionLayout, to_assignment
 from scfdma_alloc.baselines import (
+    NO_COVER,
     SWEEP_BUDGET,
     InfeasibleAllocationError,
     OracleCeilingError,
@@ -17,6 +18,7 @@ from scfdma_alloc.baselines import (
     round_robin,
 )
 from scfdma_alloc.channel import ScenarioConfig, generate_channel
+from scfdma_alloc.dual import solve
 from scfdma_alloc.harness import desk_scenario, sumax_assignment_for_seed
 from scfdma_alloc.jamsc import FrameConfig, build_jamsc
 from scfdma_alloc.patterns import enumerate_patterns
@@ -122,9 +124,15 @@ def test_brute_force_tie_breaks_lexicographically():
 
 
 def test_brute_force_infeasible_cover_raises():
-    # one user whose only option is sub-channel 1 of two
-    with pytest.raises(InfeasibleAllocationError):
-        brute_force(_masked(2, [[0, 1, 0, 0]]))
+    # one user whose only option is sub-channel 1 of two, refused by the
+    # size bounds before the dual's first round; two such users, whose sizes
+    # do fill the band, refused by the sweep after the dual's repair
+    for a in (_masked(2, [[0, 1, 0, 0]]), _masked(2, [[0, 1, 0, 0]] * 2)):
+        with pytest.raises(InfeasibleInstanceError) as oracle:
+            brute_force(a)
+        with pytest.raises(InfeasibleInstanceError) as dual:
+            solve(a)
+        assert str(oracle.value) == str(dual.value) == NO_COVER
 
 
 def test_brute_force_node_ceiling_refuses():

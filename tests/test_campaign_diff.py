@@ -169,3 +169,16 @@ def test_print_campaign_lists_identical_csvs_then_the_changed_ones_and_the_talli
         "  jamsc 10 dual_am user 0: 1/3/QPSK -> 2/3/QPSK",
     ]
     assert "  jamsc dual_am: 52 -> 52" in lines and "  sumax dual certified 1 -> 1" in lines
+
+
+def test_source_lines_count_the_package_modules_like_wc(tmp_path):
+    package = tmp_path / "src" / "scfdma_alloc"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "b.py").write_text("z = 3")  # no final newline: wc -l counts 0
+    (package / "notes.md").write_text("one\ntwo\n")
+    (tmp_path / "src" / "other.py").write_text("w = 4\n")
+    assert campaign_diff.source_lines(tmp_path) == 2
+    repo = Path(__file__).resolve().parent.parent
+    lines = sum(len(p.read_text().splitlines()) for p in (repo / "src" / "scfdma_alloc").glob("*.py"))
+    assert campaign_diff.source_lines(repo) == lines

@@ -72,6 +72,16 @@ def test_an_infinite_peak_is_no_per_subchannel_cap():
         ScenarioConfig(p_peak_w=-math.inf)
 
 
+@pytest.mark.parametrize(
+    "name, value", [("n_users", 2.5), ("n_users", True), ("n_subchannels", 6.5), ("n_subchannels", False)]
+)
+def test_scenario_refuses_a_count_that_is_not_an_integer(name, value):
+    # these used to end at the first drop in a TypeError or a PatternBoundsError
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+        ScenarioConfig(**{name: value})
+    assert getattr(ScenarioConfig(**{name: np.int64(3)}), name) == 3
+
+
 @pytest.mark.parametrize("name", ["subchannel_bandwidth_hz", "carrier_freq_mhz", "bs_height_m", "ue_height_m"])
 def test_scenario_refuses_a_non_positive_frequency_height_or_bandwidth(name):
     for value in (0.0, -5.0):

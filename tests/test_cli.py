@@ -61,6 +61,14 @@ def test_config_rejects_unknown_keys(tmp_path):
         load_campaign_config(str(bad_scenario))
 
 
+def test_config_refuses_the_oracle_ceiling_key(tmp_path):
+    # the oracle and the dual share one node ceiling, which no campaign key sets
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"oracle_ceiling": 10**9}))
+    with pytest.raises(ValueError, match=r"^unknown campaign keys: \['oracle_ceiling'\]$"):
+        load_campaign_config(str(path))
+
+
 def test_bad_allocator_override_rejected():
     with pytest.raises(ValueError, match="unknown sumax allocator"):
         main(["sumax", "--drops", "1", "--allocators", "magic"])
@@ -138,6 +146,13 @@ def test_non_positive_drops_rejected(tmp_path):
         ({"solver": {"init_value": 0}}, "init_value"),
         ({"solver": {"max_outer": 0}}, "max_outer"),
         ({"scenario": {"n_subchannels": 40}}, "n_subchannels"),
+        # non-integer counts ended mid-campaign in a traceback, and true ran one drop
+        ({"n_drops": 2.5}, "n_drops must be an integer"),
+        ({"n_drops": True}, "n_drops must be an integer"),
+        ({"base_seed": 1.5}, "base_seed must be an integer"),
+        ({"scenario": {"n_users": 2.5}}, "n_users must be an integer"),
+        ({"scenario": {"n_subchannels": 6.5}}, "n_subchannels must be an integer"),
+        ({"solver": {"max_outer": True}}, "max_outer must be an integer"),
     ],
 )
 def test_unusable_config_rejected_before_first_drop(tmp_path, config, match):

@@ -58,6 +58,16 @@ def no_cover_instance() -> AssignmentInstance:
     return masked_instance(2, [[0, 1, 0, 0], [0, 1, 0, 0]], [-1.0, -1.0])
 
 
+def assert_same_report(rep: dual.SolveReport, ref: dual.SolveReport) -> None:
+    """Every field of two solve reports is equal, arrays bit for bit."""
+    scalars = ("allocation", "primal_value", "dual_value", "duality_gap", "outcome", "termination", "outer_iterations")
+    for name in scalars + ("violations",):
+        assert getattr(rep, name) == getattr(ref, name), name
+    for name in ("cover_dual", "choice_dual", "binary_dual"):
+        assert np.array_equal(getattr(rep.dual_point, name), getattr(ref.dual_point, name)), name
+    assert np.array_equal(rep.fractional, ref.fractional)
+
+
 def unit_start(a: AssignmentInstance) -> DualPoint:
     """A warm start with every dual at 1."""
     return DualPoint(
@@ -246,7 +256,7 @@ def test_unrepaired_solve_past_the_oracle_ceiling_has_no_allocation(monkeypatch)
     def refuse(a):
         raise OracleCeilingError("over the node ceiling")
 
-    monkeypatch.setattr(dual, "cover_sweep", refuse)
+    monkeypatch.setattr(dual, "require_cover", refuse)
     rep = solve(no_cover_instance(), SolverConfig(max_outer=5))
     assert rep.allocation is None
     assert rep.outcome == "unallocated"
@@ -263,7 +273,7 @@ def size_bound_instance(n_agents: int, n_resources: int) -> AssignmentInstance:
 def test_size_bounds_refuse_before_the_first_round(monkeypatch, n_agents, n_resources):
     # three one-sub-channel agents overfill two sub-channels; two leave one of three bare
     a = size_bound_instance(n_agents, n_resources)
-    assert not dual.sizes_admit_cover(a)
+    assert not a.layout.sizes_admit_cover
 
     def no_round(*args):
         raise AssertionError("the ascent ran a round")
@@ -274,8 +284,8 @@ def test_size_bounds_refuse_before_the_first_round(monkeypatch, n_agents, n_reso
 
 
 def test_size_bounds_admit_a_coverable_instance():
-    assert dual.sizes_admit_cover(size_bound_instance(2, 2))
-    assert dual.sizes_admit_cover(no_cover_instance())  # necessary, not sufficient
+    assert size_bound_instance(2, 2).layout.sizes_admit_cover
+    assert no_cover_instance().layout.sizes_admit_cover  # necessary, not sufficient
     assert solve(size_bound_instance(2, 2)).allocation is not None
 
 
@@ -454,11 +464,11 @@ def test_repair_order_ignores_rounding_noise_in_the_indicator():
     assert rep.allocation.option_index == (0, 30, 60, 90)
     assert rep.primal_value == -3.7789510477987847
     repaired = dual.repair_selection(a, rep.fractional)
-    assert np.flatnonzero(repaired).tolist() == [0, 30, 60, 90]
+    assert repaired.option_index == (0, 30, 60, 90)
     rng = np.random.default_rng(8)
     for _ in range(20):
         noise = rng.choice([-1e-13, 0.0, 1e-13], a.n_options)
-        assert np.array_equal(dual.repair_selection(a, rep.fractional + noise), repaired)
+        assert dual.repair_selection(a, rep.fractional + noise) == repaired
 
 
 def test_termination_names_each_exit(monkeypatch):
@@ -496,7 +506,8 @@ def test_termination_names_each_exit(monkeypatch):
 
 def test_warm_start_outside_cone_stops_within_budget(landings):
     # mixed-sign binarity duals and some negative choice duals: outside the
-    # cone the dual is not concave, so the start is refused before any round
+    # cone the dual is not concave, but the first round sets the binarity
+    # duals, so the start runs as its projection into the cone does
     a = sumax_assignment_for_seed(3, 5, 900)
     rng = np.random.default_rng(7)
     start = DualPoint(
@@ -505,10 +516,6 @@ def test_warm_start_outside_cone_stops_within_budget(landings):
         binary_dual=rng.choice([-1.0, 1.0], a.n_options) * rng.uniform(0.01, 3.0, a.n_options),
     )
     assert (start.binary_dual < 0).any()
-    with pytest.raises(DualDomainError, match="positive"):
-        solve(a, SolverConfig(), start=start)
-    assert not landings
-    # the same start projected into the cone runs and stops within budget
     cfg = SolverConfig()
     inside = DualPoint(
         cover_dual=start.cover_dual,
@@ -518,26 +525,27 @@ def test_warm_start_outside_cone_stops_within_budget(landings):
     rep = solve(a, cfg, start=inside)
     assert 0 < len(landings) == rep.outer_iterations <= cfg.max_outer
     assert (rep.dual_point.binary_dual > 0).all()
+    assert_same_report(solve(a, cfg, start=start), rep)
 
 
 def test_warm_start_binary_duals_are_replaced_by_the_first_step():
-    # every round opens with the binarity step, so a warm start's rho only
-    # has to be positive: rho = project_rho(slack) and rho = 1 run the same ascent
+    # every round opens with the binarity step, so a warm start's rho is
+    # never read: rho = project_rho(slack), rho = 1 and a rho that is zero,
+    # negative, NaN or of another length all run the same ascent
     a = sumax_assignment_for_seed(3, 5, 900)
     choice, cover = np.ones(a.n_agents), np.ones(a.n_resources)
     slack = -a.weights - a.constraint_matrix @ np.concatenate([choice, cover])
     assert (np.abs(slack) >= 1.0).all()
+    o = a.n_options
+    rhos = (project_rho(slack, dual.PROJECTION_OFFSET), np.ones(o), np.zeros(o), np.full(o, -1.0),
+            np.full(o, math.nan), np.ones(o + 1))
     reports = [
         solve(a, SolverConfig(), start=DualPoint(cover_dual=cover, choice_dual=choice, binary_dual=rho))
-        for rho in (project_rho(slack, dual.PROJECTION_OFFSET), np.ones(a.n_options))
+        for rho in rhos
     ]
     for rep in reports:
         assert rep.iterations == (rep.outer_iterations,) * 3
-    first, second = reports
-    for name in ("cover_dual", "choice_dual", "binary_dual"):
-        assert np.array_equal(getattr(first.dual_point, name), getattr(second.dual_point, name))
-    assert np.array_equal(first.fractional, second.fractional)
-    assert (first.outcome, first.outer_iterations) == (second.outcome, second.outer_iterations)
+        assert_same_report(rep, reports[0])
 
 
 def test_cold_start_lands_first_at_a_uniform_rho_sized_to_the_utilities(landings):
@@ -600,12 +608,6 @@ def paper_instances(seed: int) -> tuple[AssignmentInstance, AssignmentInstance, 
     return to_assignment(build_sumax(gains, sc)), joint, fixed
 
 
-def warm_start(rep: dual.SolveReport, a: AssignmentInstance) -> DualPoint:
-    """``rep``'s choice and cover duals as a start for ``a``, as ``run_drop`` passes them."""
-    point = rep.dual_point
-    return DualPoint(cover_dual=point.cover_dual, choice_dual=point.choice_dual, binary_dual=np.ones(a.n_options))
-
-
 def test_scaling_the_weights_by_a_power_of_four_scales_every_dual():
     # the floor and the cold start are in the utilities' units, and scaling
     # by a power of two is exact in float64, so every round is the same
@@ -613,7 +615,7 @@ def test_scaling_the_weights_by_a_power_of_four_scales_every_dual():
     def solves(instances, scale):
         sumax, joint, fixed = (a.with_weights(scale * a.weights) for a in instances)
         reps = [solve(sumax), solve(joint), solve(fixed)]
-        return reps + [solve(fixed, start=warm_start(reps[1], fixed))]
+        return reps + [solve(fixed, start=reps[1].dual_point)]
 
     for seed in range(42, 62):
         instances = paper_instances(seed)
@@ -693,8 +695,8 @@ def test_warm_start_of_another_shape_is_refused(landings):
     a = sumax_assignment_for_seed(3, 5, 900)
     k, n, o = a.n_agents, a.n_resources, a.n_options
     # the first keeps the stacked length K + N, so nothing else would catch it
-    for choice, cover, binary in ((k + 1, n - 1, o), (k, n, o + 1), (k - 1, n, o)):
-        start = DualPoint(cover_dual=np.ones(cover), choice_dual=np.ones(choice), binary_dual=np.ones(binary))
+    for choice, cover in ((k + 1, n - 1), (k - 1, n)):
+        start = DualPoint(cover_dual=np.ones(cover), choice_dual=np.ones(choice), binary_dual=np.ones(o))
         with pytest.raises(ValueError, match="lengths"):
             solve(a, SolverConfig(), start=start)
     assert not landings
@@ -811,6 +813,8 @@ def test_solve_is_deterministic():
         {"max_outer": "10"},
         {"max_outer": -1},
         {"max_outer": 0},
+        {"max_outer": True},
+        {"max_outer": False},
     ],
 )
 def test_solver_config_rejects_unusable_setting(setting):
@@ -818,20 +822,15 @@ def test_solver_config_rejects_unusable_setting(setting):
         SolverConfig(**setting)
 
 
-def test_warm_start_with_zero_binarity_dual_is_refused(monkeypatch):
-    # the ascent keeps every binarity dual positive, so a start that is not is refused
-    def no_round(*args):
-        raise AssertionError("the ascent ran a round")
-
-    monkeypatch.setattr(dual, "joint_system", no_round)
-    for rho in (0.0, -0.0, -1.0, math.nan):
-        start = DualPoint(
-            cover_dual=np.array([1.0]),
-            choice_dual=np.array([1.0]),
-            binary_dual=np.array([1.0, rho]),
-        )
-        with pytest.raises(DualDomainError, match="positive"):
-            solve(hand_instance(), SolverConfig(), start=start)
+def test_dual_fixed_starts_from_dual_ams_dual_point_as_it_is():
+    # the first round sets every binarity dual, so dual_fixed may start from
+    # dual_am's own dual point, whose binarity duals number other options
+    for seed in range(42, 52):
+        _, joint, fixed = paper_instances(seed)
+        point = solve(joint).dual_point
+        assert len(point.binary_dual) != fixed.n_options
+        ones = DualPoint(point.cover_dual, point.choice_dual, binary_dual=np.ones(fixed.n_options))
+        assert_same_report(solve(fixed, start=point), solve(fixed, start=ones))
 
 
 def test_warm_start_with_negative_choice_duals_is_accepted(landings):

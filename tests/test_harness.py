@@ -361,11 +361,14 @@ def test_non_finite_target_rate_rejected():
             CampaignConfig(problem="jamsc", target_rate_bps=rate)
 
 
-def test_oracle_ceiling_below_one_rejected():
-    for ceiling in (0, -1):
-        with pytest.raises(ValueError, match="oracle_ceiling"):
-            CampaignConfig(allocators_sumax=("oracle",), oracle_ceiling=ceiling)
-    assert CampaignConfig(oracle_ceiling=1).oracle_ceiling == 1
+@pytest.mark.parametrize(
+    "name, value", [("n_drops", 2.5), ("n_drops", True), ("base_seed", 1.5), ("base_seed", False), ("n_drops", "3")]
+)
+def test_campaign_refuses_a_count_that_is_not_an_integer(name, value):
+    # these used to end mid-campaign in a TypeError, or run True as one drop
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+        CampaignConfig(**{name: value})
+    assert getattr(CampaignConfig(**{name: np.int64(3)}), name) == 3
 
 
 def test_unknown_fixed_modulation_rejected():

@@ -18,14 +18,13 @@ from hypothesis import strategies as st
 
 from scfdma_alloc import dual
 from scfdma_alloc.assignment import Allocation, AssignmentInstance, InfeasibleInstanceError, to_assignment
-from scfdma_alloc.baselines import InfeasibleAllocationError, brute_force
+from scfdma_alloc.baselines import brute_force
 from scfdma_alloc.channel import generate_channel
 from scfdma_alloc.dual import (
     OUTCOMES,
     SolverConfig,
     dual_value,
     repair_selection,
-    sizes_admit_cover,
     solve,
 )
 from scfdma_alloc.harness import desk_scenario
@@ -205,7 +204,7 @@ def oracle_optimum(a):
     """brute_force as (value, option tuple), or None when it finds no cover."""
     try:
         alloc, value = brute_force(a)
-    except InfeasibleAllocationError:
+    except InfeasibleInstanceError:
         return None
     return value, alloc.option_index
 
@@ -262,7 +261,7 @@ def test_brute_force_equals_enumeration_jamsc(k, n, seed, ties, p_max, strict_ca
 @example(k=3, n=6, seed=1, ties=False, p_max=None, strict_cap=False, radius=500.0, rate=300e3)
 def test_size_bounds_never_refuse_a_coverable_instance(k, n, seed, ties, p_max, strict_cap, radius, rate):
     a = jamsc_instance(k, n, seed, ties, p_max, strict_cap, radius, rate)
-    if a is not None and not sizes_admit_cover(a):
+    if a is not None and not a.layout.sizes_admit_cover:
         assert oracle_optimum(a) is None
 
 
@@ -283,13 +282,13 @@ def assert_repair_bounded_by_oracle(a, seed):
     if best is not None:
         seeds["optimum"] = a.selection_vector(Allocation(best[1])).astype(float)
     for name, frac in seeds.items():
-        sel = repair_selection(a, frac)
-        if sel is None:
+        alloc = repair_selection(a, frac)
+        if alloc is None:
             assert name != "optimum"
             assert any((a.sizes[lo:hi] > 0).all() for lo, hi in a.agent_slices)
             continue
-        assert not a.selection_violations(sel)
-        value = a.value(a.allocation_from_selection(sel))
+        assert not a.allocation_violations(alloc)
+        value = a.value(alloc)
         assert value >= best[0]
         if name == "optimum":
             assert value == best[0]
@@ -472,7 +471,7 @@ def test_lowest_modulation_table_keeps_the_joint_optimum(
         _, got = brute_force(
             to_assignment(build_jamsc(gains, sc, targets, (table,), frame, strict_cap=strict_cap)[0])
         )
-    except (InfeasibleInstanceError, InfeasibleAllocationError):
+    except InfeasibleInstanceError:
         got = None
     assert got == want
 

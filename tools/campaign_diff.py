@@ -22,7 +22,9 @@ one line and a moved block cannot hide among them.  Then come each
 allocator's rounds (``outer_iterations`` summed over its drops) and its
 drops per outcome (``jamsc dual_am certified 131 -> 148``).  Last come each
 side's certified sweep runs, every changed sweep row and the sweep-row
-fields that one side adds or drops.
+fields that one side adds or drops.  The header gives each side's line
+count of the package's modules (``src/scfdma_alloc/*.py``, as ``wc -l``
+counts them).
 """
 
 from __future__ import annotations
@@ -47,6 +49,12 @@ DROP_KEY = ("problem", "drop", "allocator")
 USER_KEY = ("problem", "drop", "allocator", "user")
 ALLOCATION = ("start", "length", "modulation")
 SWEEP_KEY = ("n_users", "n_subchannels", "seed")
+PACKAGE = Path("src") / "scfdma_alloc"
+
+
+def source_lines(root: Path) -> int:
+    """Lines (newlines, as ``wc -l`` counts them) of the ``PACKAGE`` modules under a checkout's ``root``."""
+    return sum(p.read_bytes().count(b"\n") for p in (root / PACKAGE).glob("*.py"))
 
 
 def _rows(text: str, key: tuple[str, ...] = DROP_KEY) -> dict[tuple, dict[str, str]]:
@@ -243,11 +251,12 @@ def main(argv: list[str] | None = None) -> int:
     from bench_pairs import export
     from drop_ab import load_package  # also pins BLAS to one thread
 
-    results = {}
+    results, lines = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         commits = {}
         for side in SIDES:
             commits[side] = export(getattr(args, side), Path(tmp) / side)
+            lines[side] = source_lines(Path(tmp) / side)
             pkg = load_package(Path(tmp) / side / "src", f"campaign_diff_{side}")
             out_dir = Path(tmp) / f"{side}_out"
             results[side] = run_side(pkg, out_dir)
@@ -255,6 +264,7 @@ def main(argv: list[str] | None = None) -> int:
 
     print(f"base {commits['base'][:12]}, change {commits['change'][:12]}: "
           f"{len(CAMPAIGNS)} both-problem campaigns from seed {BASE_SEED}, all allocators; acceptance sweep")
+    print(f"{PACKAGE}/*.py: {lines['base']} -> {lines['change']} lines")
     for name in CAMPAIGNS:
         print_campaign(name, base_csvs.get(name, {}), change_csvs.get(name, {}))
 
