@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -123,6 +124,11 @@ class OptionLayout:
     def ends(self) -> np.ndarray:
         """Each option's last sub-channel, 0 for the empty pattern."""
         return read_only(self.patterns.starts[self.pattern_of] + self.sizes)
+
+    @cached_property
+    def spans(self) -> tuple[tuple[int, int, int], ...]:
+        """Each option's (agent, first sub-channel, end), 0-based with the end excluded, as Python ints."""
+        return tuple(zip(self.agent_of.tolist(), (self.ends - self.sizes).tolist(), self.ends.tolist()))
 
     @cached_property
     def ending(self) -> tuple[tuple[tuple[int, int, int], ...], ...]:
@@ -241,23 +247,30 @@ class AssignmentInstance:
         chosen = allocation.option_index
         if len(chosen) != self.n_agents:
             return [f"allocation has {len(chosen)} choices for {self.n_agents} agents"]
+        spans = self.layout.spans
         out = [
             f"agent {k} chose option {o} outside its range"
             for k, o in enumerate(chosen)
-            if not (0 <= o < self.n_options and self.agent_of[o] == k)
+            if not (0 <= o < self.n_options and spans[o][0] == k)
         ]
         # every agent has exactly one option, so only the cover can fail
-        return out or self._count_violations(self.constraint_matrix[list(chosen)].sum(axis=0))
+        return out or self._violations(chosen)
 
     def selection_violations(self, selection: np.ndarray) -> list[str]:
         """Violations of a 0/1 option vector: one per agent, exact cover."""
-        return self._count_violations(self.constraint_matrix[np.flatnonzero(selection)].sum(axis=0))
+        return self._violations(np.flatnonzero(selection).tolist())
 
-    def _count_violations(self, counts: np.ndarray) -> list[str]:
-        """The violations of a selection's stacked (choice, cover) counts."""
-        counts, k = counts.tolist(), self.n_agents
-        out = [f"agent {i} selects {int(c)} options" for i, c in enumerate(counts[:k]) if c != 1]
-        out += [f"sub-channel {n + 1} covered {int(c)} times" for n, c in enumerate(counts[k:]) if c != 1]
+    def _violations(self, options: Sequence[int]) -> list[str]:
+        """The agents that do not hold exactly one of ``options``, then the
+        sub-channels that they do not cover exactly once."""
+        agents, cover, spans = [0] * self.n_agents, [0] * self.n_resources, self.layout.spans
+        for o in options:
+            k, first, end = spans[o]
+            agents[k] += 1
+            for n in range(first, end):
+                cover[n] += 1
+        out = [f"agent {k} selects {c} options" for k, c in enumerate(agents) if c != 1]
+        out += [f"sub-channel {n + 1} covered {c} times" for n, c in enumerate(cover) if c != 1]
         return out
 
     def with_weights(self, weights: np.ndarray) -> "AssignmentInstance":

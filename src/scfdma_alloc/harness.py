@@ -22,7 +22,7 @@ from .assignment import Allocation, AssignmentInstance, InfeasibleInstanceError,
 from .baselines import InfeasibleAllocationError, OracleCeilingError, brute_force, greedy, round_robin
 from .channel import ChannelGains, ScenarioConfig, generate_channel
 from .dual import OUTCOMES, TERMINATIONS, SolveReport, SolverConfig, dual_gradient, dual_value, DualPoint, solve
-from .jamsc import FrameConfig, build_jamsc
+from .jamsc import FrameConfig, PowerSolveError, build_jamsc
 from .patterns import OptionTable, PatternSet, enumerate_patterns, require_integer
 from .sumax import ModulationTable, build_sumax
 
@@ -179,6 +179,8 @@ _PROBLEMS = {
 def run_drop(cfg: CampaignConfig, seed: int, drop_index: int = 0, problem: str | None = None) -> DropResult:
     """Run every configured allocator on one independent channel drop.
 
+    A power solve that fails while the option tables are built fails the
+    drop: its ``error`` holds the ``PowerSolveError`` and it has no records.
     Each option table is flattened to the assignment form once per drop;
     when that fails, every allocator that uses the table gets the error.
     ``dual_fixed`` starts from ``dual_am``'s dual point when ``dual_am`` ran
@@ -192,7 +194,10 @@ def run_drop(cfg: CampaignConfig, seed: int, drop_index: int = 0, problem: str |
     spec = _PROBLEMS[prob]
     patterns = enumerate_patterns(cfg.scenario.n_subchannels)
     gains = generate_channel(cfg.scenario, seed)
-    tables = spec.tables(cfg, gains, patterns)
+    try:
+        tables = spec.tables(cfg, gains, patterns)
+    except PowerSolveError as exc:
+        return DropResult(prob, drop_index, seed, {}, [], error=str(exc))
     forms: dict[int, AssignmentInstance | InfeasibleInstanceError] = {}
     records: dict[str, AllocatorRecord] = {}
     user_rows: list[dict] = []
@@ -335,12 +340,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
     failures: list[str] = []
     for prob in problems:
         for i in range(cfg.n_drops):
-            seed = cfg.base_seed + i
-            try:
-                res = run_drop(cfg, seed, drop_index=i, problem=prob)
-            except (InfeasibleInstanceError, InfeasibleAllocationError) as exc:
-                res = DropResult(prob, i, seed, {}, [], error=str(exc))
-            all_results.append(res)
+            all_results.append(run_drop(cfg, cfg.base_seed + i, drop_index=i, problem=prob))
 
     summary: dict = {
         "problems": list(problems),

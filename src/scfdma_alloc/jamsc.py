@@ -10,19 +10,23 @@ SNR is the harmonic mean.  Its cost is -exp(p_max - p): cheapest when the
 power headroom is largest.  The lowest modulation is exact for the joint
 problem: on a fixed pattern the solved power rises with the threshold, so
 the cost never falls as the modulation order rises.  Options whose pattern is too short to carry the
-user's target rate under any modulation are masked out entirely.
+user's target rate under any modulation are masked out entirely.  What does
+not depend on the gains (the modulations, masks, SNRs, options and the power
+solve's padded gain index) is a ``JamscPlan``, built once per configuration
+and shared read-only by its drops; a strict-cap drop masks copies of it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .channel import ChannelGains, EmptyPatternError, ScenarioConfig
-from .patterns import OptionTable, PatternSet, enumerate_patterns
+from .patterns import OptionTable, PatternSet, enumerate_patterns, read_only
 from .sumax import ModulationTable
 
 # Ceiling guard: keeps exact rate/capacity matches from rounding up on fp dust.
@@ -118,21 +122,25 @@ def _solve_powers_vec(gains_padded: np.ndarray, sizes: np.ndarray, thresholds: n
     from below the root lands at or below it, and the iterates from the
     Jensen lower bound ``_jensen_start`` rise monotonically to the root with
     no bracket.  A row steps only while the step raises p, and the loop ends
-    when no row moves; rows are independent, so a batch returns the bits of
-    one-row calls on the same padded rows.  Raises PowerSolveError on a
-    non-finite power or after MAX_NEWTON_STEPS steps.
+    when no row moves.  Rows are independent and each row's sums run over its
+    own padded lanes alone, so a batch returns the bits of one-row calls on
+    the same padded rows, however the steps reuse their buffers.  Raises
+    PowerSolveError on a non-finite power or after MAX_NEWTON_STEPS steps.
     """
     sizes = np.asarray(sizes, dtype=float)[:, None]
     target = sizes[:, 0] * thresholds / (1.0 + thresholds)
     weighted_gains = gains_padded * sizes
+    pg, den = np.empty(gains_padded.shape), np.empty(gains_padded.shape)
+    terms = np.empty((2, *gains_padded.shape))  # the terms of f(p) and of f'(p)
     # a non-finite step raises below, so numpy's own warnings would only repeat it
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         p = _jensen_start(gains_padded, sizes[:, 0], thresholds)
         for _ in range(MAX_NEWTON_STEPS):
-            pg = p[:, None] * gains_padded
-            den = sizes + pg
-            lhs = np.sum(pg / den, axis=1)
-            slope = np.sum(weighted_gains / (den * den), axis=1)
+            np.multiply(p[:, None], gains_padded, out=pg)
+            np.add(sizes, pg, out=den)
+            np.divide(pg, den, out=terms[0])
+            np.divide(weighted_gains, np.multiply(den, den, out=den), out=terms[1])
+            lhs, slope = terms.sum(axis=2)
             p_next = p + (target - lhs) / slope
             if not np.isfinite(p_next).all():
                 raise PowerSolveError("target-SNR power is not finite")
@@ -170,6 +178,57 @@ def cost(p_max: float, power: float) -> float:
     return -math.exp(p_max - power)
 
 
+@dataclass(frozen=True, eq=False)
+class JamscPlan:
+    """What a jamsc build takes from its configuration alone, read-only as every drop shares it.
+
+    Per modulation table: each (user, pattern)'s lowest modulation (-1 where
+    none), its mask, SNR and option (users, patterns) in row-major order.
+    Per option of every table in turn: ``lanes``, the flat index of its
+    gains in the (K, N + 1) gains padded with a zero column, its size and
+    threshold; ``splits`` parts the tables' options.
+    """
+
+    modulation: tuple[np.ndarray, ...]
+    allowed: tuple[np.ndarray, ...]
+    snr_eff: tuple[np.ndarray, ...]
+    options: tuple[tuple[np.ndarray, np.ndarray], ...]
+    lanes: np.ndarray
+    sizes: np.ndarray
+    thresholds: np.ndarray
+    splits: np.ndarray
+
+
+# Plans ``build_jamsc`` keeps, one per configuration: a campaign uses one.
+@lru_cache(maxsize=4)
+def _plan(
+    patterns: PatternSet, targets: tuple[float, ...], tables: tuple[ModulationTable, ...], frame: FrameConfig
+) -> JamscPlan:
+    """The plan of ``build_jamsc`` for one configuration."""
+    modulation = [
+        read_only(lowest_modulation(patterns, min_count_matrix(targets, table, frame))) for table in tables
+    ]
+    options = [tuple(map(read_only, np.nonzero(m >= 0))) for m in modulation]
+    k_all = np.concatenate([k for k, _ in options])
+    j_all = np.concatenate([j for _, j in options])
+    sizes = patterns.sizes[j_all]
+    lanes = np.arange(int(sizes.max(initial=0)))
+    n_pad = patterns.n_subchannels + 1
+    # row t, lane i: option t's i-th sub-channel, or its user's zero column
+    sub = np.where(lanes < sizes[:, None], patterns.starts[j_all, None] + lanes, n_pad - 1)
+    thresholds = [np.asarray(table.thresholds, dtype=float) for table in tables]
+    return JamscPlan(
+        modulation=tuple(modulation),
+        allowed=tuple(read_only(m >= 0) for m in modulation),
+        snr_eff=tuple(read_only(np.where(m >= 0, thr[m], np.nan)) for m, thr in zip(modulation, thresholds)),
+        options=tuple(options),
+        lanes=read_only(k_all[:, None] * n_pad + sub),
+        sizes=read_only(sizes.astype(float)),
+        thresholds=read_only(np.concatenate([thr[m[k, j]] for thr, m, (k, j) in zip(thresholds, modulation, options)])),
+        splits=read_only(np.cumsum([len(k) for k, _ in options])[:-1]),
+    )
+
+
 def build_jamsc(
     gains: ChannelGains,
     config: ScenarioConfig,
@@ -183,15 +242,20 @@ def build_jamsc(
 
     An option's weight is its cost and its SNR the threshold of its
     modulation; a masked option has modulation -1 and NaN weight, power
-    and SNR.  The options of every table get their powers from one batched
-    call, the Newton solve for MMSE or the closed form for ZF (see the
-    module docstring); its rows are independent, so each table holds the
-    bits a build on its table alone gives.  With ``strict_cap`` options
-    whose solved power exceeds the user's budget are masked out; every
-    higher modulation on that pattern needs still more power, so masking
-    the whole (user, pattern) is exact.  By default they stay allowed and simply
-    price in as very costly.  Users left with no option at all are listed
-    in the table's ``infeasible_users`` rather than raising here.  A ``p_max_w`` so large that the costs, or their per-user
+    and SNR.  The modulations, masks, SNRs and options come from a
+    ``JamscPlan``, built on first use and kept per (pattern set, targets,
+    modulation tables, frame); a build gathers the gains, solves the powers
+    and prices the costs.  The options of every table get their powers from
+    one batched call, the Newton solve for MMSE or the closed form for ZF
+    (see the module docstring); its rows are independent, so each table
+    holds the bits a build on its table alone gives.  With ``strict_cap``
+    options whose solved power exceeds the user's budget are masked out, in
+    copies of the plan's arrays; every higher modulation on that pattern
+    needs still more power, so masking the whole (user, pattern) is exact.
+    By default they stay allowed and simply price in as very costly, and
+    the table holds the plan's read-only arrays.  Users left with no option
+    at all are listed in the table's ``infeasible_users`` rather than
+    raising here.  A ``p_max_w`` so large that the costs, or their per-user
     maxima summed, overflow float64 raises ValueError.
     """
     g = gains.gains
@@ -204,48 +268,36 @@ def build_jamsc(
     if targets.shape != (k_users,):
         raise ValueError(f"targets_bps must have shape ({k_users},)")
     p_max = config.per_user("p_max_w")
+    plan = _plan(patterns, tuple(targets.tolist()), tuple(tables), frame)
 
-    modulations = [lowest_modulation(patterns, min_count_matrix(targets, table, frame)) for table in tables]
-    options = [np.nonzero(modulation >= 0) for modulation in modulations]
-    k_all = np.concatenate([k for k, _ in options])
-    j_all = np.concatenate([j for _, j in options])
-    solved = np.empty(0)
-    if len(k_all):
-        sizes = patterns.sizes[j_all]
-        # row t, lane i: option t's i-th sub-channel where ``inside``, else padding
-        lanes = np.arange(int(sizes.max()))
-        inside = lanes < sizes[:, None]
-        sub = np.where(inside, patterns.starts[j_all, None] + lanes, 0)
-        block_gains = g[k_all[:, None], sub]
-        thr = np.concatenate([
-            np.asarray(table.thresholds, dtype=float)[modulation[k_idx, j_idx]]
-            for table, modulation, (k_idx, j_idx) in zip(tables, modulations, options)
-        ])
-        if config.equalizer == "zf":
-            # the harmonic mean of the SNRs p * g / size is p / sum(1 / g)
-            solved = thr * np.where(inside, 1.0 / block_gains, 0.0).sum(axis=1)
-        else:
-            solved = _solve_powers_vec(np.where(inside, block_gains, 0.0), sizes, thr)
+    padded = np.zeros((k_users, n_sub + 1))
+    if config.equalizer == "zf":
+        # the harmonic mean of the SNRs p * g / size is p / sum(1 / g)
+        padded[:, :n_sub] = 1.0 / g
+        solved = plan.thresholds * padded.take(plan.lanes).sum(axis=1)
+    else:
+        padded[:, :n_sub] = g
+        solved = _solve_powers_vec(padded.take(plan.lanes), plan.sizes, plan.thresholds)
 
     built = []
-    per_table = np.split(solved, np.cumsum([len(k_idx) for k_idx, _ in options])[:-1])
-    for table, modulation, (k_idx, j_idx), p in zip(tables, modulations, options, per_table):
+    per_table = zip(tables, plan.modulation, plan.allowed, plan.snr_eff, plan.options, np.split(solved, plan.splits))
+    for table, modulation, allowed, snr_eff, (k_idx, j_idx), p in per_table:
         powers = np.full(modulation.shape, np.nan)
         costs = np.full(modulation.shape, np.nan)
-        if len(k_idx):
-            powers[k_idx, j_idx] = p
-            with np.errstate(over="ignore"):  # an overflow is refused below
-                costs[k_idx, j_idx] = -np.exp(p_max[k_idx] - p)
-                # the oracle and the assignment value add up one cost per user
-                scale = np.abs(np.where(modulation >= 0, costs, 0.0)).max(axis=1).sum()
-            if not np.isfinite(scale):
-                raise ValueError(f"p_max_w up to {p_max.max():g} W overflows the jamsc costs -exp(p_max_w - power)")
-            if strict_cap:
-                over = p > p_max[k_idx]
-                modulation[k_idx[over], j_idx[over]] = -1
-                powers[k_idx[over], j_idx[over]] = np.nan
-                costs[k_idx[over], j_idx[over]] = np.nan
-        allowed = modulation >= 0
+        powers[k_idx, j_idx] = p
+        with np.errstate(over="ignore"):  # an overflow is refused below
+            costs[k_idx, j_idx] = -np.exp(p_max[k_idx] - p)
+            # the oracle and the assignment value add up one cost per user
+            scale = np.abs(np.where(allowed, costs, 0.0)).max(axis=1).sum()
+        if not np.isfinite(scale):
+            raise ValueError(f"p_max_w up to {p_max.max():g} W overflows the jamsc costs -exp(p_max_w - power)")
+        if strict_cap:
+            over = p > p_max[k_idx]
+            modulation, allowed, snr_eff = modulation.copy(), allowed.copy(), snr_eff.copy()
+            cells = k_idx[over], j_idx[over]
+            modulation[cells] = -1
+            allowed[cells] = False
+            powers[cells] = costs[cells] = snr_eff[cells] = np.nan
         built.append(
             OptionTable(
                 patterns=patterns,
@@ -254,8 +306,7 @@ def build_jamsc(
                 modulation=modulation,
                 modulation_names=table.names,
                 power_w=powers,
-                snr_eff=np.where(allowed, np.asarray(table.thresholds)[modulation], np.nan),
+                snr_eff=snr_eff,
             )
         )
     return tuple(built)
-

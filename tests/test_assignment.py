@@ -261,3 +261,31 @@ def test_option_at_matches_a_scan_of_sizes_and_ends_on_strict_cap_masks():
         below = np.tril(np.ones((n_res + 1, n_res + 1), dtype=bool), -1)
         assert (a.layout.option_at[:, below] == -1).all()
     assert len(masks) > 5
+
+
+def dense_violations(a, options):
+    """The violations of a selection read off the dense (choice, cover) matrix: the checkers' reference."""
+    counts, k = a.constraint_matrix[list(options)].sum(axis=0).tolist(), a.n_agents
+    out = [f"agent {i} selects {int(c)} options" for i, c in enumerate(counts[:k]) if c != 1]
+    out += [f"sub-channel {n + 1} covered {int(c)} times" for n, c in enumerate(counts[k:]) if c != 1]
+    return out
+
+
+def test_both_checkers_read_the_spans_as_the_dense_matrix_counts():
+    scen = ScenarioConfig(n_users=4, n_subchannels=8, cell_radius_m=500.0)
+    instances = [to_assignment(_sumax_instance(seed, 3, 5)) for seed in range(3)]
+    for seed in (400, 401):  # strict-cap masks leave agents different option counts
+        (inst,) = build_jamsc(
+            generate_channel(scen, seed), scen, np.full(4, 140e3), (ModulationTable(),), FrameConfig(), strict_cap=True
+        )
+        instances.append(to_assignment(inst))
+    rng = np.random.default_rng(7)
+    for a in instances:
+        starts = (a.layout.ends - a.sizes).tolist()
+        assert a.layout.spans == tuple(zip(a.agent_of.tolist(), starts, a.layout.ends.tolist()))
+        for _ in range(200):
+            selection = (rng.random(a.n_options) < rng.choice([0.02, 0.1, 0.3])).astype(np.int8)
+            assert a.selection_violations(selection) == dense_violations(a, np.flatnonzero(selection))
+            # one option per agent: only the cover can fail
+            chosen = tuple(int(rng.integers(lo, hi)) for lo, hi in a.agent_slices)
+            assert a.allocation_violations(Allocation(chosen)) == dense_violations(a, chosen)

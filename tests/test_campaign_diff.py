@@ -1,6 +1,8 @@
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 SPEC = importlib.util.spec_from_file_location(
     "campaign_diff", Path(__file__).resolve().parent.parent / "tools" / "campaign_diff.py"
 )
@@ -143,7 +145,7 @@ def test_campaigns_cover_the_default_scenario_and_zf_without_fading_with_per_use
     import scfdma_alloc
 
     configs = campaign_diff.campaign_configs(scfdma_alloc, tmp_path)
-    assert list(configs) == ["mmse-fading", "zf-flat-per-user"]
+    assert list(configs) == ["mmse-fading", "zf-flat-per-user", "strict-cap-low-budget"]
     h = scfdma_alloc.harness
     for name, cfg in configs.items():
         assert (cfg.problem, cfg.base_seed, cfg.out_dir) == ("both", 42, str(tmp_path / name))
@@ -155,6 +157,17 @@ def test_campaigns_cover_the_default_scenario_and_zf_without_fading_with_per_use
     assert zf.scenario == scfdma_alloc.ScenarioConfig(
         equalizer="zf", rayleigh_fading=False, p_max_w=(0.3, 1.0, 2.0, 0.6)
     )
+    assert not paper.strict_cap and not zf.strict_cap
+    capped = configs["strict-cap-low-budget"]
+    assert capped.n_drops == 100 and capped.strict_cap
+    assert capped.scenario == scfdma_alloc.ScenarioConfig(cell_radius_m=500.0, p_max_w=(0.1, 0.3, 1.0, 3.0))
+    # the cap masks options, in both jamsc tables, on the campaign's first drop
+    gains = scfdma_alloc.channel.generate_channel(capped.scenario, 42)
+    tables = (capped.modulations, capped.modulations.restricted(capped.fixed_modulation))
+    targets = np.full(4, capped.target_rate_bps)
+    plain = scfdma_alloc.jamsc.build_jamsc(gains, capped.scenario, targets, tables)
+    strict = scfdma_alloc.jamsc.build_jamsc(gains, capped.scenario, targets, tables, strict_cap=True)
+    assert all(s.allowed.sum() < u.allowed.sum() for s, u in zip(strict, plain))
 
 
 def test_print_campaign_lists_identical_csvs_then_the_changed_ones_and_the_tallies(capsys):

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from scfdma_alloc import harness
+from scfdma_alloc import cli, harness
 from scfdma_alloc.baselines import InfeasibleAllocationError
 from scfdma_alloc.dual import OUTCOMES, SolverConfig
+from scfdma_alloc.jamsc import PowerSolveError
 from scfdma_alloc.harness import (
     CampaignConfig,
     certification_sweep,
@@ -100,6 +101,36 @@ def test_a_jamsc_drop_builds_both_option_tables_in_one_call(monkeypatch, tmp_pat
     )
     assert run_campaign(cfg).ok
     assert calls == [(cfg.modulations, cfg.modulations.restricted("QPSK"))] * 3
+
+
+def test_a_failed_power_solve_fails_its_drop_and_the_campaign_goes_on(monkeypatch, tmp_path, capsys):
+    build = harness.build_jamsc
+
+    def fail_on_seed_8(gains, *args, **kwargs):
+        if gains.seed == 8:
+            raise PowerSolveError("target-SNR power is not finite")
+        return build(gains, *args, **kwargs)
+
+    cfg = CampaignConfig(
+        scenario=desk_scenario(4, 8), problem="jamsc", n_drops=3, base_seed=7,
+        allocators_jamsc=harness.JAMSC_ALLOCATORS, out_dir=str(tmp_path),
+    )
+    monkeypatch.setattr(harness, "build_jamsc", fail_on_seed_8)
+    out = run_campaign(cfg)
+    assert out.summary["drop_errors"] == [
+        {"problem": "jamsc", "drop": 1, "error": "target-SNR power is not finite"}
+    ]
+    assert [(r.drop_index, r.error, len(r.records)) for r in out.results] == [
+        (0, "", 4), (1, "target-SNR power is not finite", 0), (2, "", 4)
+    ]
+    assert out.ok and out.summary["per_allocator"]["jamsc"]["dual_am"]["n_drops"] == 2
+    with open(tmp_path / "jamsc_drops.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["drop"], r["seed"]) for r in rows] == [("0", "7")] * 4 + [("2", "9")] * 4
+    assert all(r["feasible"] == "true" for r in rows)
+    # the CLI prints the failed drop and runs the others
+    assert cli.main(["jamsc", "--drops", "3", "--seed", "7", "--out", str(tmp_path / "cli")]) == 0
+    assert "drop 1: target-SNR power is not finite" in capsys.readouterr().out.splitlines()
 
 
 def test_round_robin_refusal_names_the_user_and_the_block():

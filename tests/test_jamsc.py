@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scfdma_alloc import jamsc
 from scfdma_alloc.channel import ScenarioConfig, effective_snr_mmse, effective_snr_zf, generate_channel
@@ -184,6 +186,44 @@ def test_newton_powers_match_bisection_and_batch_equals_rows():
         assert one.tobytes() == got[t : t + 1].tobytes()
 
 
+def newton_loop(gains_padded, sizes, thresholds):
+    """``_solve_powers_vec`` as it was before it reused its buffers: the reference for its bits."""
+    sizes = np.asarray(sizes, dtype=float)[:, None]
+    target = sizes[:, 0] * thresholds / (1.0 + thresholds)
+    weighted_gains = gains_padded * sizes
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        p = _jensen_start(gains_padded, sizes[:, 0], thresholds)
+        for _ in range(jamsc.MAX_NEWTON_STEPS):
+            pg = p[:, None] * gains_padded
+            den = sizes + pg
+            lhs = np.sum(pg / den, axis=1)
+            slope = np.sum(weighted_gains / (den * den), axis=1)
+            p_next = p + (target - lhs) / slope
+            if not np.isfinite(p_next).all():
+                raise PowerSolveError("target-SNR power is not finite")
+            moves = p_next > p
+            if not moves.any():
+                return p
+            p = np.where(moves, p_next, p)
+    raise PowerSolveError(f"target-SNR power did not settle in {jamsc.MAX_NEWTON_STEPS} Newton steps")
+
+
+# one row: its size, log10 of its eight gains (ten decades apart at most), log10 of its threshold
+NEWTON_ROW = st.tuples(
+    st.integers(1, 8), st.lists(st.floats(-5.0, 5.0), min_size=8, max_size=8), st.floats(-2.0, 2.0)
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.lists(NEWTON_ROW, min_size=1, max_size=40))
+def test_newton_powers_keep_the_bits_of_the_plain_loop(rows):
+    sizes = np.array([size for size, _, _ in rows])
+    gains = 10.0 ** np.array([decades for _, decades, _ in rows])[:, : sizes.max()]
+    gains[np.arange(sizes.max())[None, :] >= sizes[:, None]] = 0.0  # padded as the build pads
+    thresholds = 10.0 ** np.array([thr for _, _, thr in rows])
+    assert _solve_powers_vec(gains, sizes, thresholds).tobytes() == newton_loop(gains, sizes, thresholds).tobytes()
+
+
 def test_the_jensen_start_is_a_lower_bound_on_the_power():
     rng = np.random.default_rng(11)  # the rows of the Newton-against-bisection test
     sizes = rng.integers(1, 9, 300)
@@ -343,6 +383,64 @@ def test_one_build_of_several_tables_equals_one_build_per_table(strict_cap, n_us
         if strict_cap:  # the cap masks options in every table
             uncapped = build_jamsc(ch, cfg, targets, tables, frame)
             assert all(c.allowed.sum() < u.allowed.sum() for c, u in zip(together, uncapped))
+
+
+def plan_arrays(plan):
+    """Every array of a jamsc plan, named by field (and table)."""
+    out = {}
+    for field in ("modulation", "allowed", "snr_eff", "options"):
+        for i, value in enumerate(getattr(plan, field)):
+            for t, array in enumerate(value if field == "options" else (value,)):
+                out[f"{field}[{i}][{t}]"] = array
+    out.update((field, getattr(plan, field)) for field in ("lanes", "sizes", "thresholds", "splits"))
+    return out
+
+
+@pytest.mark.parametrize("equalizer, p_max_w", [("mmse", 1.0), ("zf", 1.0), ("mmse", (0.3, 1.0, 2.0, 0.6, 0.5))])
+@pytest.mark.parametrize(
+    "n_users, n_sub, radius, targets",
+    [(4, 8, 1500.0, (4e6, 140e3, 140e3, 140e3)), (5, 3, 1000.0, (140e3,) * 5)],  # the draws above
+)
+def test_a_build_from_a_warm_plan_equals_one_from_a_fresh_plan(equalizer, p_max_w, n_users, n_sub, radius, targets):
+    p_max_w = p_max_w if np.isscalar(p_max_w) else p_max_w[:n_users]
+    cfg = ScenarioConfig(n_users=n_users, n_subchannels=n_sub, cell_radius_m=radius, equalizer=equalizer, p_max_w=p_max_w)
+    full = ModulationTable()
+    tables = (full, *(full.restricted(name) for name in full.names))
+    for strict_cap in (False, True):
+        build_jamsc(generate_channel(cfg, 99), cfg, targets, tables, strict_cap=strict_cap)  # warms the plan
+        for seed in range(3):
+            ch = generate_channel(cfg, seed)
+            warm = build_jamsc(ch, cfg, targets, tables, strict_cap=strict_cap)
+            jamsc._plan.cache_clear()
+            fresh = build_jamsc(ch, cfg, targets, tables, strict_cap=strict_cap)
+            for got, want in zip(warm, fresh, strict=True):
+                for field in ("modulation", "power_w", "weights", "snr_eff", "allowed"):
+                    a, b = getattr(got, field), getattr(want, field)
+                    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field
+
+
+def test_a_strict_cap_build_leaves_the_plan_and_the_next_plain_build_alone():
+    cfg = ScenarioConfig(cell_radius_m=1500.0)
+    tables = (ModulationTable(), ModulationTable().restricted("16QAM"))
+    targets = np.full(4, 140e3)
+    ch = generate_channel(cfg, 5)
+    before = build_jamsc(ch, cfg, targets, tables)
+    plan = jamsc._plan(enumerate_patterns(8), tuple(targets.tolist()), tables, FrameConfig())
+    kept = {name: array.copy() for name, array in plan_arrays(plan).items()}
+    strict = build_jamsc(ch, cfg, targets, tables, strict_cap=True)
+    assert all(s.allowed.sum() < b.allowed.sum() for s, b in zip(strict, before))  # the cap masks options
+    after = build_jamsc(ch, cfg, targets, tables)
+    assert jamsc._plan(enumerate_patterns(8), tuple(targets.tolist()), tables, FrameConfig()) is plan
+    for name, array in plan_arrays(plan).items():
+        assert array.tobytes() == kept[name].tobytes(), name
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0
+    for i, (b, a) in enumerate(zip(before, after, strict=True)):
+        for field in ("modulation", "power_w", "weights", "snr_eff", "allowed"):
+            assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+        # a plain build hands out the plan's arrays, so none of them can be written
+        assert a.modulation is plan.modulation[i]
+        assert not (a.modulation.flags.writeable or a.allowed.flags.writeable or a.snr_eff.flags.writeable)
 
 
 def test_build_jamsc_flags_users_without_any_option():

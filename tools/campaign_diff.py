@@ -7,9 +7,13 @@ Exports each commit with ``git archive`` (``tools/bench_pairs.py``'s
 process (``tools/drop_ab.py``'s ``load_package``).  Each side runs the two
 ``CAMPAIGNS``, each a ``both`` campaign from base seed 42 with all four
 allocators of each problem, and writes their CSVs: ``mmse-fading``, 200
-drops of the default scenario, and ``zf-flat-per-user``, 100 drops with the
+drops of the default scenario; ``zf-flat-per-user``, 100 drops with the
 zero-forcing equaliser, no fading and per-user budgets ``p_max_w``
-(0.3, 1.0, 2.0, 0.6).
+(0.3, 1.0, 2.0, 0.6); and ``strict-cap-low-budget``, 100 drops at a 500 m
+radius with budgets (0.1, 0.3, 1.0, 3.0) and ``strict_cap``, whose cap masks
+4,172 of the 14,400 adaptive-modulation options and 4,855 of the 11,200
+fixed-modulation ones, and leaves a user without options, so that the
+table's allocators record the refusal, on 38 and 53 of its drops.
 Each side also runs ``harness.certification_sweep()`` with its defaults (the
 acceptance sweep, 540 runs).  Per campaign it prints the CSVs that are
 byte-identical and, for each changed CSV, every changed column's count of
@@ -40,10 +44,11 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 SIDES = ("base", "change")
 BASE_SEED = 42
-# campaign name -> (drops, ScenarioConfig overrides)
+# campaign name -> (drops, ScenarioConfig overrides, CampaignConfig fields)
 CAMPAIGNS = {
-    "mmse-fading": (200, {}),
-    "zf-flat-per-user": (100, {"equalizer": "zf", "rayleigh_fading": False, "p_max_w": (0.3, 1.0, 2.0, 0.6)}),
+    "mmse-fading": (200, {}, {}),
+    "zf-flat-per-user": (100, {"equalizer": "zf", "rayleigh_fading": False, "p_max_w": (0.3, 1.0, 2.0, 0.6)}, {}),
+    "strict-cap-low-budget": (100, {"cell_radius_m": 500.0, "p_max_w": (0.1, 0.3, 1.0, 3.0)}, {"strict_cap": True}),
 }
 DROP_KEY = ("problem", "drop", "allocator")
 USER_KEY = ("problem", "drop", "allocator", "user")
@@ -212,9 +217,9 @@ def campaign_configs(pkg, out_dir: Path) -> dict:
         name: h.CampaignConfig(
             scenario=pkg.channel.ScenarioConfig(**overrides), problem="both", n_drops=drops,
             base_seed=BASE_SEED, out_dir=str(out_dir / name),
-            allocators_sumax=h.SUMAX_ALLOCATORS, allocators_jamsc=h.JAMSC_ALLOCATORS,
+            allocators_sumax=h.SUMAX_ALLOCATORS, allocators_jamsc=h.JAMSC_ALLOCATORS, **fields,
         )
-        for name, (drops, overrides) in CAMPAIGNS.items()
+        for name, (drops, overrides, fields) in CAMPAIGNS.items()
     }
 
 
@@ -229,8 +234,8 @@ def run_side(pkg, out_dir: Path) -> tuple[dict[str, dict[str, str]], list[dict]]
 
 def print_campaign(name: str, base_csvs: dict[str, str], change_csvs: dict[str, str]) -> None:
     """Print one campaign: its byte-identical CSVs, each changed CSV's diff, then the tallies."""
-    drops, overrides = CAMPAIGNS[name]
-    print(f"{name} ({drops} drops, scenario overrides {overrides or 'none'}):")
+    drops, overrides, fields = CAMPAIGNS[name]
+    print(f"{name} ({drops} drops, scenario overrides {overrides or 'none'}, campaign fields {fields or 'none'}):")
     names = sorted(base_csvs.keys() | change_csvs.keys())
     same = [n for n in names if base_csvs.get(n) == change_csvs.get(n)]
     print(f"byte-identical ({len(same)} of {len(names)}): {', '.join(same) or 'none'}")
