@@ -16,21 +16,17 @@ from .channel import (
     effective_snr_zf,
     generate_channel,
 )
-from .dual import (
+from .canonical import (
     DualDomainError,
     DualPoint,
     GapReport,
-    SolverConfig,
-    SolveReport,
     diagnose_gap,
     dual_gradient,
     dual_value,
-    modified_instance,
-    project_rho,
     recover_indicator,
-    solve,
     xi_value,
 )
+from .dual import SolverConfig, SolveReport, project_rho, solve
 from .harness import CampaignConfig, emit_cdf, run_campaign, run_drop
 from .jamsc import (
     FrameConfig,

@@ -3,9 +3,10 @@
 Subcommands: ``sumax`` and ``jamsc`` run Monte Carlo campaigns and write data
 files; ``certify`` compares the dual solver against the exact subset-DP
 oracle on small random instances; ``gradcheck`` validates the analytic dual
-gradient with finite differences.  Exit code 0 means every invariant check
-passed; a campaign in which no allocator produced an allocation on any drop
-fails.
+gradient with finite differences; ``complexity`` tabulates the solver's
+rounds over a (users, sub-channels) grid.  Exit code 0 means every invariant
+check passed; a campaign in which no allocator produced an allocation on any
+drop fails.
 """
 
 from __future__ import annotations
@@ -15,14 +16,13 @@ import json
 import os
 import sys
 
+from .canonical import gradient_check
 from .channel import ScenarioConfig, config_from_dict
 from .dual import SolverConfig
 from .harness import (
     CampaignConfig,
     certification_sweep,
     complexity_table,
-    desk_scenario,
-    gradient_check,
     run_campaign,
     sumax_assignment_for_seed,
     write_complexity_csv,

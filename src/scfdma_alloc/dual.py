@@ -1,25 +1,21 @@
-"""Canonical dual solver for the unified assignment form.
+"""Dual ascent solver for the unified assignment form.
 
-The binary program is relaxed through one dual variable per sub-channel cover
-constraint (``cover_dual``), one per agent's single-choice constraint
-(``choice_dual``) and one per option enforcing binarity (``binary_dual``).
-The choice and cover constraints are equalities, so their duals are free in
-sign; wherever every binarity dual is positive the dual function is concave
-and bounds the value of every exact cover from below.  Each choice and cover
-constraint is one column of a stacked (option x constraint) matrix A,
-``AssignmentInstance.constraint_matrix``, so their duals form one vector y.
-The solver is a block-coordinate ascent that keeps the binarity duals
-positive: each round takes one closed-form step of those separable duals,
-rho = max(|slack|, offset), then lands y on the stationary point of the
-quadratic left with rho held fixed, one Gram system of A and one linear
-solve.  So rho is a function of the previous y, and the dual at that rho is
-the Lagrangian dual of the LP relaxation (0 <= x <= 1): a solve can certify
-only where that LP has an integral optimum.  A round is a minorize-maximize
-step on that rho-eliminated dual phi, so the rounds are grouped into SQUAREM
-cycles (Varadhan and Roland, 2008), which cut them to about a third at the
-paper's scale.  The binarity floor and the cold start are in the utilities'
-units, so scaling every weight by a power of two scales every dual by the
-same power and leaves every round, exit and allocation as it was.
+The solver maximises the canonical dual defined in ``canonical``.  Its
+choice and cover duals form one vector y, in the column order of the
+constraint matrix A (``AssignmentInstance.constraint_matrix``), and each
+option has one binarity dual rho.  The solver is a block-coordinate ascent
+that keeps the binarity duals positive: each round takes one closed-form
+step of those separable duals, rho = max(|slack|, offset), then lands y on
+the stationary point of the quadratic left with rho held fixed, one Gram
+system of A and one linear solve.  So rho is a function of the previous y,
+and the dual at that rho is the Lagrangian dual of the LP relaxation
+(0 <= x <= 1): a solve can certify only where that LP has an integral
+optimum.  A round is a minorize-maximize step on that rho-eliminated dual
+phi, so the rounds are grouped into SQUAREM cycles (Varadhan and Roland,
+2008), which cut them to about a third at the paper's scale.  The binarity
+floor and the cold start are in the utilities' units, so scaling every
+weight by a power of two scales every dual by the same power and leaves
+every round, exit and allocation as it was.
 
 The ascent stops, certified, at the first landing whose options of positive
 slack form an exact cover.  With s = u - A y the slack, an option's reduced
@@ -28,10 +24,10 @@ L(y) = sum(min(-s, 0)) - sum(y), and the cover x of the options with s > 0
 has w.x = L(y): it is the exact optimum.  Every computed s must clear its
 forward rounding error, so that the proof holds in floating point.  Every
 solve reports L(y), at least the canonical dual at any rho > 0, so
-primal - L(y) is a proven gap whatever the outcome.  A run that stops otherwise is repaired by a polynomial chain
-program over the agents, ordered by the recovered indicator; when the
-repair finds no cover, the exact oracle's forward sweep decides whether any
-exists.
+primal - L(y) is a proven gap whatever the outcome.  A run that stops
+otherwise is repaired by a polynomial chain program over the agents,
+ordered by the recovered indicator; when the repair finds no cover, the
+exact oracle's forward sweep decides whether any exists.
 """
 
 from __future__ import annotations
@@ -44,6 +40,8 @@ import numpy as np
 
 from .assignment import Allocation, AssignmentInstance, InfeasibleInstanceError
 from .baselines import NO_COVER, OracleCeilingError, require_cover
+# diagnose_gap is here for perfbench's trace of dual.diagnose_gap, until ROADMAP item 5 drops that probe
+from .canonical import DualPoint, diagnose_gap  # noqa: F401
 from .patterns import require_integer
 
 # How an ascent can stop, and where its answer came from; see ``solve``.
@@ -56,20 +54,6 @@ PROJECTION_OFFSET = 1e-3
 # How many times an extrapolation step is halved towards the plain round's
 # before the cycle falls back to that round (see ``solve``).
 EXTRAPOLATION_BACKTRACKS = 3
-
-
-class DualDomainError(ValueError):
-    """A binarity dual is zero, where ``dual_value``, ``dual_gradient`` and
-    ``recover_indicator`` are undefined; ``solve`` never reads a start's."""
-
-
-@dataclass(frozen=True)
-class DualPoint:
-    """One point of the dual space: cover (N,), choice (K,), binary (n_options,)."""
-
-    cover_dual: np.ndarray
-    choice_dual: np.ndarray
-    binary_dual: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -89,16 +73,6 @@ class SolverConfig:
             raise ValueError(f"max_outer must be an integer >= 1, got {self.max_outer!r}")
 
 
-def _check_binary_dual(binary_dual: np.ndarray) -> None:
-    if (np.asarray(binary_dual) == 0).any():
-        raise DualDomainError("binary duals must be non-zero")
-
-
-def _stacked(d: DualPoint) -> np.ndarray:
-    """The (choice, cover) duals in the column order of ``constraint_matrix``."""
-    return np.concatenate([d.choice_dual, d.cover_dual])
-
-
 def _slack(a: AssignmentInstance, stacked: np.ndarray) -> np.ndarray:
     """Each option's slack u - A y at the stacked (choice, cover) duals y."""
     return a.utilities - a.layout.constraint_matrix @ stacked
@@ -113,54 +87,9 @@ def _evaluate(a: AssignmentInstance, stacked: np.ndarray, binary: np.ndarray) ->
     return slack, shifted, _value(stacked, shifted, binary)
 
 
-def _indicator(shifted: np.ndarray, binary: np.ndarray) -> np.ndarray:
-    """The recovered indicator (slack + rho) / (2 rho) from slack + rho and rho."""
-    return shifted / (2.0 * binary)
-
-
 def _value(stacked: np.ndarray, shifted: np.ndarray, binary: np.ndarray) -> float:
     """The dual value from y, slack + rho and rho (see ``_evaluate``)."""
     return -0.25 * float(shifted @ (shifted / binary)) - float(stacked.sum())
-
-
-def dual_value(a: AssignmentInstance, d: DualPoint) -> float:
-    """Value of the canonical dual function at ``d`` (see ``_evaluate``)."""
-    _check_binary_dual(d.binary_dual)
-    with np.errstate(over="ignore"):
-        return _evaluate(a, _stacked(d), d.binary_dual)[2]
-
-
-def dual_gradient(a: AssignmentInstance, d: DualPoint) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact partial derivatives of ``dual_value`` w.r.t. (cover, choice, binary).
-
-    The (choice, cover) components are A^T x - 1 at the recovered
-    indicator x; the binary component is ((slack/rho)^2 - 1) / 4.
-    """
-    _check_binary_dual(d.binary_dual)
-    with np.errstate(over="ignore"):
-        slack, shifted, _ = _evaluate(a, _stacked(d), d.binary_dual)
-        g_joint = a.layout.constraint_matrix.T @ _indicator(shifted, d.binary_dual) - 1.0
-        g_binary = 0.25 * ((slack / d.binary_dual) ** 2 - 1.0)
-    return g_joint[a.n_agents :], g_joint[: a.n_agents], g_binary
-
-
-def recover_indicator(a: AssignmentInstance, d: DualPoint) -> np.ndarray:
-    """Fractional indicator (u + rho - choice - cover_terms) / (2 rho) per option."""
-    _check_binary_dual(d.binary_dual)
-    with np.errstate(over="ignore"):
-        return _indicator(_evaluate(a, _stacked(d), d.binary_dual)[1], d.binary_dual)
-
-
-def xi_value(a: AssignmentInstance, selection: np.ndarray, d: DualPoint) -> float:
-    """Total complementarity function at an indicator vector and a dual point.
-
-    At any dual point it equals the primal value ``a.value`` of an exact
-    cover, and ``dual_value`` at the recovered indicator.
-    """
-    x = np.asarray(selection, dtype=float)
-    lin = a.constraint_matrix @ _stacked(d) - d.binary_dual + a.weights
-    total = float(np.sum(d.binary_dual * x * x + lin * x))
-    return total - float(np.sum(d.cover_dual)) - float(np.sum(d.choice_dual))
 
 
 def joint_system(a: AssignmentInstance, binary: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -193,52 +122,6 @@ def project_rho(proposed: np.ndarray, offset: float) -> np.ndarray:
     idempotent.
     """
     return np.maximum(np.abs(proposed), offset)
-
-
-@dataclass(frozen=True)
-class GapReport:
-    """Diagnostic of how far a dual point is from certifying its allocation.
-
-    ``theta`` is -1/0/+1 per option: 0 where the reported selection matches
-    the branch implied by the recovered indicator, ``implied - selected``
-    where they disagree.  ``modified_utilities`` is the utility vector
-    u - 2*theta*rho; at the same dual point the recovered indicator of the
-    modified problem is ``frac - theta``, which lands on the reported
-    selection, so the perturbed problem is solved exactly.
-    """
-
-    theta: np.ndarray
-    modified_utilities: np.ndarray
-    implied_selection: np.ndarray
-
-
-def diagnose_gap(
-    a: AssignmentInstance,
-    d: DualPoint,
-    selection: np.ndarray | None = None,
-) -> GapReport:
-    """Build the perturbation certificate for a converged dual point.
-
-    ``selection`` is the reported 0/1 option vector (defaults to the branch
-    implied by the recovered indicator, which yields all-zero theta).
-    """
-    frac = recover_indicator(a, d)
-    implied = (frac >= 0.5).astype(np.int8)
-    if selection is None:
-        selection = implied
-    sel = np.asarray(selection).astype(np.int8)
-    theta = (implied - sel).astype(np.int8)
-    modified = a.utilities - 2.0 * theta * d.binary_dual
-    return GapReport(
-        theta=theta,
-        modified_utilities=modified,
-        implied_selection=implied,
-    )
-
-
-def modified_instance(a: AssignmentInstance, report: GapReport) -> AssignmentInstance:
-    """Assignment instance whose utilities are the diagnostic's perturbed ones."""
-    return a.with_weights(-report.modified_utilities)
 
 
 @dataclass
@@ -474,7 +357,7 @@ def solve(
             raise ValueError(
                 f"warm start has (choice, cover) lengths {got}, the instance needs {(n_agents, a.n_resources)}"
             )
-        stacked = _stacked(start).astype(float)
+        stacked = np.concatenate([start.choice_dual, start.cover_dual]).astype(float)
         slack = _slack(a, stacked)
         path = [stacked]
     if not a.layout.sizes_admit_cover:
@@ -549,7 +432,7 @@ def solve(
         frac = np.zeros(a.n_options)
         bound = math.nan
     else:
-        frac = _indicator(shifted, binary)
+        frac = shifted / (2.0 * binary)
         # L(y) = sum(min(w + A y, 0)) - sum(y), where w + A y = -slack
         bound = -float(np.maximum(slack, 0.0).sum()) - float(stacked.sum())
 

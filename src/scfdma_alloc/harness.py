@@ -20,8 +20,9 @@ import numpy as np
 
 from .assignment import Allocation, AssignmentInstance, InfeasibleInstanceError, to_assignment
 from .baselines import InfeasibleAllocationError, OracleCeilingError, brute_force, greedy, round_robin
+from .canonical import DualPoint
 from .channel import ChannelGains, ScenarioConfig, generate_channel
-from .dual import OUTCOMES, TERMINATIONS, SolveReport, SolverConfig, dual_gradient, dual_value, DualPoint, solve
+from .dual import OUTCOMES, TERMINATIONS, SolveReport, SolverConfig, solve
 from .jamsc import FrameConfig, PowerSolveError, build_jamsc
 from .patterns import OptionTable, PatternSet, enumerate_patterns, require_integer
 from .sumax import ModulationTable, build_sumax
@@ -479,52 +480,6 @@ def certification_sweep(
         "uncertified_gap_max": max(gaps) if gaps else None,
         "rows": rows,
     }
-
-
-def _unpack(vec: np.ndarray, n_res: int, n_agents: int) -> DualPoint:
-    return DualPoint(
-        cover_dual=vec[:n_res],
-        choice_dual=vec[n_res : n_res + n_agents],
-        binary_dual=vec[n_res + n_agents :],
-    )
-
-
-def gradient_check(
-    instances: Sequence[AssignmentInstance],
-    points_per_instance: int = 50,
-    h: float = 1e-6,
-    seed: int = 99,
-) -> dict:
-    """Central finite differences of the dual value against the analytic gradient.
-
-    Every coordinate of a point is sampled in [0.5, 2.0].
-    The per-point error is max|analytic - fd| / (1 + max|analytic|).
-    """
-    if not instances:
-        raise ValueError("gradient_check needs at least one instance")
-    if points_per_instance < 1:
-        raise ValueError(f"points_per_instance must be >= 1, got {points_per_instance}")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    n_points = 0
-    for a in instances:
-        dim = a.n_resources + a.n_agents + a.n_options
-        for _ in range(points_per_instance):
-            vec = rng.uniform(0.5, 2.0, dim)
-            d = _unpack(vec, a.n_resources, a.n_agents)
-            g_cover, g_choice, g_binary = dual_gradient(a, d)
-            analytic = np.concatenate([g_cover, g_choice, g_binary])
-            fd = np.empty(dim)
-            for i in range(dim):
-                e = np.zeros(dim)
-                e[i] = h
-                fp = dual_value(a, _unpack(vec + e, a.n_resources, a.n_agents))
-                fm = dual_value(a, _unpack(vec - e, a.n_resources, a.n_agents))
-                fd[i] = (fp - fm) / (2.0 * h)
-            err = float(np.max(np.abs(analytic - fd)) / (1.0 + np.max(np.abs(analytic))))
-            worst = max(worst, err)
-            n_points += 1
-    return {"max_rel_error": worst, "n_points": n_points}
 
 
 def complexity_table(

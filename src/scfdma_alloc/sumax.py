@@ -15,15 +15,16 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .channel import ChannelGains, EmptyPatternError, ScenarioConfig, effective_snr_mmse, effective_snr_zf
-from .patterns import OptionTable, PatternSet, enumerate_patterns
+from .patterns import OptionTable, PatternSet, enumerate_patterns, require_integer
 
 
 @dataclass(frozen=True)
 class ModulationTable:
     """Modulation orders with effective-SNR activation thresholds (linear scale).
 
-    Thresholds must be strictly increasing with bits_per_symbol.  The defaults
-    are synthetic placeholders (6/12/18 dB); calibrate per deployment.
+    Names are distinct, bits_per_symbol are integers, and thresholds must be
+    strictly increasing with bits_per_symbol.  The defaults are synthetic
+    placeholders (6/12/18 dB); calibrate per deployment.
     """
 
     names: tuple[str, ...] = ("QPSK", "16QAM", "64QAM")
@@ -37,6 +38,10 @@ class ModulationTable:
             raise ValueError("modulation table cannot be empty")
         if not all(0 < b < np.inf for b in self.bits_per_symbol):
             raise ValueError(f"bits_per_symbol must be positive and finite, got {self.bits_per_symbol}")
+        for b in self.bits_per_symbol:
+            require_integer("bits_per_symbol", b)
+        if len(set(self.names)) != len(self.names):
+            raise ValueError(f"names repeat a name: {self.names}")
         if not all(0 < t < np.inf for t in self.thresholds):
             raise ValueError(f"thresholds must be positive and finite, got {self.thresholds}")
         if any(b2 <= b1 for b1, b2 in zip(self.bits_per_symbol, self.bits_per_symbol[1:])):

@@ -195,3 +195,84 @@ def test_source_lines_count_the_package_modules_like_wc(tmp_path):
     repo = Path(__file__).resolve().parent.parent
     lines = sum(len(p.read_text().splitlines()) for p in (repo / "src" / "scfdma_alloc").glob("*.py"))
     assert campaign_diff.source_lines(repo) == lines
+
+
+def write_package(root: Path, modules: dict[str, str]) -> Path:
+    """A ``scfdma_alloc`` package under root/src with the given module texts; returns ``root``."""
+    package = root / "src" / "scfdma_alloc"
+    package.mkdir(parents=True)
+    for name, text in modules.items():
+        (package / name).write_text(text)
+    return root
+
+
+def campaign_diff_loader():
+    """``tools/drop_ab.py``'s ``load_package``, which imports a package under a name of one's own."""
+    spec = importlib.util.spec_from_file_location("drop_ab", Path(campaign_diff.HERE) / "drop_ab.py")
+    drop_ab = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(drop_ab)
+    return drop_ab.load_package
+
+
+SOLVER = "import math\nfrom .ref import Point, check  # noqa: F401\n\nLIMIT = 3\n\n\ndef solve():\n    return math.pi\n"
+REFERENCE = "from typing import Sequence\n\n\nclass Point:\n    pass\n\n\ndef check(x):\n    return x\n\n\ndef _helper():\n    pass\n"
+OLD_PACKAGE = {
+    "__init__.py": "from .solver import Point, check, extra, solve\n",
+    "solver.py": "import math\n\nLIMIT = 3\n\n\nclass Point:\n    pass\n\n\ndef check(x):\n    return x\n\n\n"
+    "def extra(x):\n    return x\n\n\ndef solve():\n    return math.pi\n",
+    "notes.py": "x = 1\n",
+}
+NEW_PACKAGE = {
+    "__init__.py": "from .ref import Point, check\nfrom .solver import solve\n",
+    "solver.py": SOLVER,
+    "ref.py": REFERENCE,
+    "notes.py": "x = 1\n",
+}
+
+
+def test_module_line_changes_list_each_changed_module_on_both_sides(tmp_path, capsys):
+    old = campaign_diff.module_texts(write_package(tmp_path / "old", OLD_PACKAGE))
+    new = campaign_diff.module_texts(write_package(tmp_path / "new", NEW_PACKAGE))
+    assert campaign_diff.module_line_changes(old, new) == [
+        ("__init__.py", 1, 2),
+        ("ref.py", "absent", 13),
+        ("solver.py", 19, 8),
+    ]  # notes.py is the same on both sides
+    assert campaign_diff.module_line_changes(old, old) == []
+    campaign_diff.print_source_changes(old, new, {}, {})
+    assert capsys.readouterr().out.splitlines() == [
+        "  __init__.py 1 -> 2",
+        "  ref.py absent -> 13",
+        "  solver.py 19 -> 8",
+        "public names that one side lacks: none",
+    ]
+
+
+def test_public_names_show_what_moved_and_what_was_retired(tmp_path, capsys):
+    load = campaign_diff_loader()
+    old = campaign_diff.public_names(load(write_package(tmp_path / "old", OLD_PACKAGE) / "src", "names_test_old"))
+    new = campaign_diff.public_names(load(write_package(tmp_path / "new", NEW_PACKAGE) / "src", "names_test_new"))
+    # imported modules, names from outside the package and private names do not count;
+    # an upper-case constant and a name imported from a sibling module do
+    assert old == {
+        "scfdma_alloc": {"Point", "check", "extra", "solve"},
+        "notes.py": set(),
+        "solver.py": {"LIMIT", "Point", "check", "extra", "solve"},
+    }
+    assert new["ref.py"] == {"Point", "check"}
+    assert new["solver.py"] == {"LIMIT", "Point", "check", "solve"}
+    changes = [
+        ("scfdma_alloc", [], ["extra"]),
+        ("solver.py", [], ["extra"]),
+        ("ref.py", ["Point", "check"], []),
+    ]
+    assert campaign_diff.name_changes(old, new) == changes
+    assert campaign_diff.name_changes(old, old) == []
+    campaign_diff.print_source_changes({}, {}, old, new)
+    assert capsys.readouterr().out.splitlines() == [
+        "public names that one side lacks:",
+        "  scfdma_alloc removed: extra",
+        "  solver.py removed: extra",
+        "  ref.py added: Point, check",
+    ]
+

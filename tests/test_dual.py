@@ -8,19 +8,16 @@ from scfdma_alloc import dual, harness
 from scfdma_alloc.assignment import AssignmentInstance, InfeasibleInstanceError, OptionLayout, to_assignment
 from scfdma_alloc.baselines import OracleCeilingError, brute_force
 from scfdma_alloc.channel import ScenarioConfig, generate_channel
-from scfdma_alloc.dual import (
+from scfdma_alloc.canonical import (
     DualDomainError,
     DualPoint,
-    SolverConfig,
     diagnose_gap,
     dual_gradient,
     dual_value,
-    modified_instance,
-    project_rho,
     recover_indicator,
-    solve,
     xi_value,
 )
+from scfdma_alloc.dual import SolverConfig, project_rho, solve
 from scfdma_alloc.harness import (
     CampaignConfig,
     desk_scenario,
@@ -785,7 +782,7 @@ def test_uncertified_resolve_reproduces_reported_selection():
             continue
         sel = a.selection_vector(rep.allocation)
         report = diagnose_gap(a, rep.dual_point, selection=sel)
-        mod = modified_instance(a, report)
+        mod = a.with_weights(-report.modified_utilities)
         rep2 = solve(mod, cfg, start=rep.dual_point)
         assert rep2.allocation is not None
         assert np.array_equal(mod.selection_vector(rep2.allocation), sel)

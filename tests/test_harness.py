@@ -7,6 +7,7 @@ import pytest
 
 from scfdma_alloc import cli, harness
 from scfdma_alloc.baselines import InfeasibleAllocationError
+from scfdma_alloc.canonical import gradient_check
 from scfdma_alloc.dual import OUTCOMES, SolverConfig
 from scfdma_alloc.jamsc import PowerSolveError
 from scfdma_alloc.harness import (
@@ -15,7 +16,6 @@ from scfdma_alloc.harness import (
     complexity_table,
     desk_scenario,
     emit_cdf,
-    gradient_check,
     run_campaign,
     run_drop,
     sumax_assignment_for_seed,

@@ -105,6 +105,12 @@ def test_frame_refuses_non_finite_and_non_positive_fields(kwargs, field):
         FrameConfig(**kwargs)
 
 
+@pytest.mark.parametrize("count", [12.5, 12.0, True, np.float64(12.0)])
+def test_frame_refuses_a_symbol_count_that_is_not_an_integer(count):
+    with pytest.raises(ValueError, match="^symbols_per_subchannel must be an integer"):
+        FrameConfig(symbols_per_subchannel=count)
+
+
 def test_power_solver_equal_gain_closed_form():
     rng = np.random.default_rng(17)
     for _ in range(30):

@@ -20,10 +20,10 @@ from scfdma_alloc import dual
 from scfdma_alloc.assignment import Allocation, AssignmentInstance, InfeasibleInstanceError, to_assignment
 from scfdma_alloc.baselines import brute_force
 from scfdma_alloc.channel import generate_channel
+from scfdma_alloc.canonical import dual_value
 from scfdma_alloc.dual import (
     OUTCOMES,
     SolverConfig,
-    dual_value,
     repair_selection,
     solve,
 )

@@ -36,6 +36,22 @@ def test_modulation_table_refuses_non_finite_and_non_positive_entries(bad):
         ModulationTable(bits_per_symbol=(bad, 4, 6))
 
 
+@pytest.mark.parametrize("bits", [(2, 4.5, 6), (2.0, 4, 6), (True, 4, 6), (2, 4, np.float64(6.0))])
+def test_modulation_table_refuses_bits_that_are_not_integers(bits):
+    with pytest.raises(ValueError, match="^bits_per_symbol must be an integer"):
+        ModulationTable(bits_per_symbol=bits)
+
+
+@pytest.mark.parametrize("names", [("A", "A", "B"), ("A", "B", "A"), ("QPSK", "QPSK", "QPSK")])
+def test_modulation_table_refuses_repeated_names(names):
+    with pytest.raises(ValueError, match="^names repeat a name"):
+        ModulationTable(names=names)
+
+
+def test_modulation_table_takes_integer_bits_of_any_integer_type():
+    assert ModulationTable(bits_per_symbol=(np.int64(2), 4, np.int32(6))).bits_per_symbol[0] == 2
+
+
 def test_modulation_table_restricted():
     t = ModulationTable()
     r = t.restricted("16QAM")

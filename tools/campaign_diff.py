@@ -28,13 +28,19 @@ drops per outcome (``jamsc dual_am certified 131 -> 148``).  Last come each
 side's certified sweep runs, every changed sweep row and the sweep-row
 fields that one side adds or drops.  The header gives each side's line
 count of the package's modules (``src/scfdma_alloc/*.py``, as ``wc -l``
-counts them).
+counts them) and of each module whose text changed (``dual.py 584 -> 467``,
+``canonical.py absent -> 168``), then, for the package and each module, the
+public names that one side has and the other lacks.  A public name has no
+leading underscore and is bound to an object defined in the package or is
+upper case (a constant); a bound module does not count.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import importlib
+import inspect
 import io
 import math
 import sys
@@ -57,9 +63,66 @@ SWEEP_KEY = ("n_users", "n_subchannels", "seed")
 PACKAGE = Path("src") / "scfdma_alloc"
 
 
+def module_texts(root: Path) -> dict[str, bytes]:
+    """The text of each ``PACKAGE`` module under a checkout's ``root``, by file name."""
+    return {p.name: p.read_bytes() for p in sorted((root / PACKAGE).glob("*.py"))}
+
+
 def source_lines(root: Path) -> int:
     """Lines (newlines, as ``wc -l`` counts them) of the ``PACKAGE`` modules under a checkout's ``root``."""
-    return sum(p.read_bytes().count(b"\n") for p in (root / PACKAGE).glob("*.py"))
+    return sum(text.count(b"\n") for text in module_texts(root).values())
+
+
+def module_line_changes(old: dict[str, bytes], new: dict[str, bytes]) -> list[tuple[str, int | str, int | str]]:
+    """(file name, old lines, new lines) of every module whose text differs
+    between two ``module_texts``; ``absent`` on the side that lacks it."""
+
+    def lines(side: dict[str, bytes], name: str) -> int | str:
+        return side[name].count(b"\n") if name in side else "absent"
+
+    return [(n, lines(old, n), lines(new, n)) for n in sorted(old.keys() | new.keys()) if old.get(n) != new.get(n)]
+
+
+def public_names(pkg) -> dict[str, set[str]]:
+    """The public names (see the module docstring) of an imported package,
+    keyed by the package's short name, and of each of its modules, keyed by
+    file name; every module is imported."""
+    spaces = {PACKAGE.name: pkg}
+    for path in sorted(Path(pkg.__path__[0]).glob("*.py")):
+        if path.stem != "__init__":
+            spaces[path.name] = importlib.import_module(f"{pkg.__name__}.{path.stem}")
+
+    def public(name: str, obj) -> bool:
+        home = getattr(obj, "__module__", None) or ""
+        defined = home == pkg.__name__ or home.startswith(pkg.__name__ + ".")
+        return not name.startswith("_") and not inspect.ismodule(obj) and (defined or name.isupper())
+
+    return {key: {n for n, obj in vars(space).items() if public(n, obj)} for key, space in spaces.items()}
+
+
+def name_changes(old: dict[str, set[str]], new: dict[str, set[str]]) -> list[tuple[str, list[str], list[str]]]:
+    """(namespace, names only the new side has, names only the old side has)
+    for every namespace of two ``public_names`` whose names differ, the old
+    side's namespaces first."""
+    out = []
+    for key in dict.fromkeys([*old, *new]):
+        a, b = old.get(key, set()), new.get(key, set())
+        if a != b:
+            out.append((key, sorted(b - a), sorted(a - b)))
+    return out
+
+
+def print_source_changes(old: dict[str, bytes], new: dict[str, bytes], old_names: dict, new_names: dict) -> None:
+    """Print, from both sides' ``module_texts`` and ``public_names``, each
+    changed module's lines and the public names that one side lacks."""
+    for name, was, now in module_line_changes(old, new):
+        print(f"  {name} {was} -> {now}")
+    changes = name_changes(old_names, new_names)
+    print("public names that one side lacks:" + ("" if changes else " none"))
+    for space, added, removed in changes:
+        for title, names in (("added", added), ("removed", removed)):
+            if names:
+                print(f"  {space} {title}: {', '.join(names)}")
 
 
 def _rows(text: str, key: tuple[str, ...] = DROP_KEY) -> dict[tuple, dict[str, str]]:
@@ -256,13 +319,15 @@ def main(argv: list[str] | None = None) -> int:
     from bench_pairs import export
     from drop_ab import load_package  # also pins BLAS to one thread
 
-    results, lines = {}, {}
+    results, lines, texts, names = {}, {}, {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         commits = {}
         for side in SIDES:
             commits[side] = export(getattr(args, side), Path(tmp) / side)
             lines[side] = source_lines(Path(tmp) / side)
+            texts[side] = module_texts(Path(tmp) / side)
             pkg = load_package(Path(tmp) / side / "src", f"campaign_diff_{side}")
+            names[side] = public_names(pkg)
             out_dir = Path(tmp) / f"{side}_out"
             results[side] = run_side(pkg, out_dir)
     (base_csvs, base_sweep), (change_csvs, change_sweep) = results["base"], results["change"]
@@ -270,6 +335,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"base {commits['base'][:12]}, change {commits['change'][:12]}: "
           f"{len(CAMPAIGNS)} both-problem campaigns from seed {BASE_SEED}, all allocators; acceptance sweep")
     print(f"{PACKAGE}/*.py: {lines['base']} -> {lines['change']} lines")
+    print_source_changes(texts["base"], texts["change"], names["base"], names["change"])
     for name in CAMPAIGNS:
         print_campaign(name, base_csvs.get(name, {}), change_csvs.get(name, {}))
 
