@@ -32,13 +32,14 @@ class EmptyPatternError(ValueError):
     """An operation that needs at least one sub-channel got an empty pattern."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
     """Deployment and radio parameters for one simulated cell.
 
     Propagation defaults follow the Cost-Hata (COST-231) urban-macro model at
     2 GHz with a 30 m base station and 1.5 m terminals; they are plain
-    configuration values and can be overridden freely.  Powers are in watts:
+    configuration values that a caller may override.  Frozen, so no field
+    skips the checks: ``dataclasses.replace`` checks its copy.  Powers are in watts:
     ``p_max_w`` is each user's total budget, ``p_peak_w`` the per-sub-channel
     cap.  Either may be a scalar or a per-user sequence.  Raises ValueError,
     naming the field, for a NaN or infinite number (``p_peak_w`` may be

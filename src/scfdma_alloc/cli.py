@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 from .canonical import gradient_check
 from .channel import ScenarioConfig, config_from_dict
@@ -62,23 +63,14 @@ def _add_campaign_args(p: argparse.ArgumentParser) -> None:
 
 
 def _campaign_from_args(args, problem: str) -> CampaignConfig:
-    cfg = load_campaign_config(args.config)
-    cfg.problem = problem
-    if args.drops is not None:
-        cfg.n_drops = args.drops
-    if args.seed is not None:
-        cfg.base_seed = args.seed
-    if args.out is not None:
-        cfg.out_dir = args.out
+    overrides: dict = {"problem": problem}
+    for key, value in (("n_drops", args.drops), ("base_seed", args.seed), ("out_dir", args.out)):
+        if value is not None:
+            overrides[key] = value
     if args.allocators is not None:
-        names = tuple(s.strip() for s in args.allocators.split(",") if s.strip())
-        if problem == "sumax":
-            cfg.allocators_sumax = names
-        else:
-            cfg.allocators_jamsc = names
-    # re-validate after overrides
-    cfg.__post_init__()
-    return cfg
+        overrides[f"allocators_{problem}"] = tuple(s.strip() for s in args.allocators.split(",") if s.strip())
+    # replace builds a new config, so the overrides are validated like the file
+    return replace(load_campaign_config(args.config), **overrides)
 
 
 def _cmd_campaign(args, problem: str) -> int:

@@ -14,7 +14,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .assignment import Allocation, AssignmentInstance, InfeasibleInstanceError,
 from .baselines import InfeasibleAllocationError, OracleCeilingError, brute_force, greedy, round_robin
 from .canonical import DualPoint
 from .channel import ChannelGains, ScenarioConfig, generate_channel
-from .dual import OUTCOMES, TERMINATIONS, SolveReport, SolverConfig, solve
+from .dual import OUTCOMES, TERMINATIONS, SolverConfig, solve
 from .jamsc import FrameConfig, PowerSolveError, build_jamsc
 from .patterns import OptionTable, PatternSet, enumerate_patterns, require_integer
 from .sumax import ModulationTable, build_sumax
@@ -30,9 +30,10 @@ from .sumax import ModulationTable, build_sumax
 SUMAX_ALLOCATORS = ("dual", "oracle", "greedy", "round_robin")
 JAMSC_ALLOCATORS = ("dual_am", "dual_fixed", "oracle_am", "round_robin")
 
-@dataclass
+@dataclass(frozen=True)
 class CampaignConfig:
-    """Everything one campaign needs; see the CLI for the file format."""
+    """Everything one campaign needs; see the CLI for the file format.  Frozen,
+    so no field skips the checks: ``dataclasses.replace`` checks its copy."""
 
     scenario: ScenarioConfig = field(default_factory=ScenarioConfig)
     solver: SolverConfig = field(default_factory=SolverConfig)
@@ -62,7 +63,7 @@ class CampaignConfig:
             names = self.allocators_for(prob)
             for name in names:
                 if name not in known:
-                    raise ValueError(f"unknown {prob} allocator {name!r}")
+                    raise ValueError(f"unknown {prob} allocator {name!r} in allocators_{prob}")
             if len(set(names)) != len(names):
                 raise ValueError(f"{prob} allocators repeat a name: {names}")
             if not names and self.problem in (prob, "both"):
@@ -86,17 +87,26 @@ class CampaignConfig:
 
 @dataclass
 class AllocatorRecord:
-    """Outcome of one allocator on one drop."""
+    """Outcome of one allocator on one drop.
+
+    ``run_drop`` fills a record in place: ``error`` when the allocator was
+    refused, the dual solve's ``outcome``, ``termination`` and rounds, then
+    ``objective`` and the checker's ``violations`` once an allocation exists.
+    """
 
     name: str
     objective: float | None = None
-    feasible: bool = False
     error: str = ""
     outcome: str | None = None
     termination: str | None = None
     outer_iterations: int | None = None
     runtime_s: float = 0.0
     violations: list[str] = field(default_factory=list)
+
+    @property
+    def feasible(self) -> bool:
+        """An allocation exists and the checker found nothing wrong with it."""
+        return self.objective is not None and not self.violations
 
     @property
     def certified(self) -> bool | None:
@@ -106,6 +116,13 @@ class AllocatorRecord:
 
 @dataclass
 class DropResult:
+    """Every configured allocator's record on one drop, in config order.
+
+    ``user_rows`` holds one dict per user of each allocation, keyed as the
+    user CSV's columns after ``seed``.  A drop whose option tables could not
+    be built has no records and its ``error`` set.
+    """
+
     problem: str
     drop_index: int
     seed: int
@@ -114,27 +131,11 @@ class DropResult:
     error: str = ""
 
 
-def _record_from_report(name: str, rep: SolveReport, sign: float, runtime_s: float) -> AllocatorRecord:
-    objective = None if rep.primal_value is None else sign * rep.primal_value
-    # rep.violations names a divergence; the record keeps only feasibility
-    # findings about the allocation actually recorded.
-    return AllocatorRecord(
-        name=name,
-        objective=objective,
-        feasible=rep.feasible,
-        outcome=rep.outcome,
-        termination=rep.termination,
-        outer_iterations=rep.outer_iterations,
-        runtime_s=runtime_s,
-    )
-
-
-def _sumax_tables(cfg: CampaignConfig, gains: ChannelGains, patterns: PatternSet) -> dict:
-    table = build_sumax(gains, cfg.scenario, weights=cfg.weights, patterns=patterns, modulations=cfg.modulations)
-    return dict.fromkeys(SUMAX_ALLOCATORS, table)
-
-
-def _jamsc_tables(cfg: CampaignConfig, gains: ChannelGains, patterns: PatternSet) -> dict:
+def _tables(cfg: CampaignConfig, prob: str, gains: ChannelGains, patterns: PatternSet) -> dict[str, OptionTable]:
+    """The option table of each of ``prob``'s allocators on one drop."""
+    if prob == "sumax":
+        table = build_sumax(gains, cfg.scenario, weights=cfg.weights, patterns=patterns, modulations=cfg.modulations)
+        return dict.fromkeys(SUMAX_ALLOCATORS, table)
     targets = np.full(cfg.scenario.n_users, float(cfg.target_rate_bps))
     joint, fixed = build_jamsc(
         gains, cfg.scenario, targets, (cfg.modulations, cfg.modulations.restricted(cfg.fixed_modulation)),
@@ -163,20 +164,6 @@ def _user_rows(table: OptionTable, a: AssignmentInstance, alloc: Allocation) -> 
     return rows
 
 
-@dataclass(frozen=True)
-class _Problem:
-    """The parts of a drop that differ between the two problems."""
-
-    sign: float  # recorded objective = sign * assignment value; sumax reports utility
-    tables: Callable[[CampaignConfig, ChannelGains, PatternSet], dict]  # option table per allocator
-
-
-_PROBLEMS = {
-    "sumax": _Problem(-1.0, _sumax_tables),
-    "jamsc": _Problem(1.0, _jamsc_tables),
-}
-
-
 def run_drop(cfg: CampaignConfig, seed: int, drop_index: int = 0, problem: str | None = None) -> DropResult:
     """Run every configured allocator on one independent channel drop.
 
@@ -190,13 +177,13 @@ def run_drop(cfg: CampaignConfig, seed: int, drop_index: int = 0, problem: str |
     choice and cover duals.  Otherwise it starts cold.
     """
     prob = problem or cfg.problem
-    if prob not in _PROBLEMS:
+    if prob not in ("sumax", "jamsc"):
         raise ValueError(f"run_drop needs a concrete problem, got {prob!r}")
-    spec = _PROBLEMS[prob]
+    sign = -1.0 if prob == "sumax" else 1.0  # sumax records utility, the negated assignment value
     patterns = enumerate_patterns(cfg.scenario.n_subchannels)
     gains = generate_channel(cfg.scenario, seed)
     try:
-        tables = spec.tables(cfg, gains, patterns)
+        tables = _tables(cfg, prob, gains, patterns)
     except PowerSolveError as exc:
         return DropResult(prob, drop_index, seed, {}, [], error=str(exc))
     forms: dict[int, AssignmentInstance | InfeasibleInstanceError] = {}
@@ -206,6 +193,7 @@ def run_drop(cfg: CampaignConfig, seed: int, drop_index: int = 0, problem: str |
 
     for name in cfg.allocators_for(prob):
         t0 = time.perf_counter()
+        rec = records[name] = AllocatorRecord(name=name)
         table = tables[name]
         if id(table) not in forms:
             try:
@@ -213,36 +201,32 @@ def run_drop(cfg: CampaignConfig, seed: int, drop_index: int = 0, problem: str |
             except InfeasibleInstanceError as exc:
                 forms[id(table)] = exc
         a = forms[id(table)]
-        if isinstance(a, InfeasibleInstanceError):
-            records[name] = AllocatorRecord(name=name, error=str(a), runtime_s=time.perf_counter() - t0)
-            continue
         alloc: Allocation | None = None
-        try:
-            if name.startswith("dual"):
-                rep = solve(a, cfg.solver, start=joint_point if name == "dual_fixed" else None)
-                if name == "dual_am" and rep.termination != "diverged":
-                    joint_point = rep.dual_point
-                rec = _record_from_report(name, rep, spec.sign, time.perf_counter() - t0)
-                alloc = rep.allocation
-            else:
-                if name.startswith("oracle"):
+        if isinstance(a, InfeasibleInstanceError):
+            rec.error = str(a)
+        else:
+            try:
+                if name.startswith("dual"):
+                    rep = solve(a, cfg.solver, start=joint_point if name == "dual_fixed" else None)
+                    if name == "dual_am" and rep.termination != "diverged":
+                        joint_point = rep.dual_point
+                    # rep.violations names a divergence; the record keeps only
+                    # the checker's findings about the allocation it holds
+                    rec.outcome, rec.termination = rep.outcome, rep.termination
+                    rec.outer_iterations = rep.outer_iterations
+                    alloc, value = rep.allocation, rep.primal_value
+                elif name.startswith("oracle"):
                     alloc, value = brute_force(a)
                 else:
                     alloc = greedy(a) if name == "greedy" else round_robin(a)
                     value = a.value(alloc)
-                rec = AllocatorRecord(
-                    name=name, objective=spec.sign * value, feasible=True,
-                    runtime_s=time.perf_counter() - t0,
-                )
-        except (OracleCeilingError, InfeasibleAllocationError, InfeasibleInstanceError) as exc:
-            rec = AllocatorRecord(name=name, error=str(exc), runtime_s=time.perf_counter() - t0)
+            except (OracleCeilingError, InfeasibleAllocationError, InfeasibleInstanceError) as exc:
+                rec.error = str(exc)
+        rec.runtime_s = time.perf_counter() - t0
         if alloc is not None:
-            bad = a.allocation_violations(alloc)
-            if bad:
-                rec.violations.extend(bad)
-                rec.feasible = False
+            rec.objective = sign * value
+            rec.violations = a.allocation_violations(alloc)
             user_rows.extend({"allocator": name, **row} for row in _user_rows(table, a, alloc))
-        records[name] = rec
     return DropResult(prob, drop_index, seed, records, user_rows)
 
 
@@ -276,27 +260,28 @@ def _drop_csv_rows(results: Sequence[DropResult]) -> list[Sequence]:
 
 
 def _user_csv_rows(results: Sequence[DropResult]) -> list[Sequence]:
-    rows: list[Sequence] = [_USER_COLUMNS]
-    for res in results:
-        for row in res.user_rows:
-            rows.append((
-                res.problem, res.drop_index, res.seed, row["allocator"], row["user"],
-                row["start"], row["length"], row["modulation"], row["power_w"], row["snr_eff"],
-            ))
-    return rows
+    keys = _USER_COLUMNS[3:]  # a user row's keys, after problem, drop and seed
+    rows = ((r.problem, r.drop_index, r.seed, *(row[k] for k in keys)) for r in results for row in r.user_rows)
+    return [_USER_COLUMNS, *rows]
 
 
 @dataclass
 class CampaignSummary:
+    """What ``run_campaign`` returns.
+
+    ``results`` holds every drop, problem by problem; ``summary`` is what
+    ``summary.json`` holds.  ``failures`` lists each checker finding as
+    "<problem> drop <i> allocator <name>: <findings>", by problem, then
+    allocator, then drop; ``ok`` is True when there is none.
+    """
+
     results: list[DropResult]
     summary: dict
     ok: bool
     failures: list[str]
 
 
-def _summarise_problem(
-    results: list[DropResult], allocators: Sequence[str], failures: list[str]
-) -> dict:
+def _summarise_problem(results: list[DropResult], allocators: Sequence[str]) -> dict:
     out: dict = {}
     oracle_name = next((n for n in allocators if n.startswith("oracle")), None)
     for name in allocators:
@@ -316,32 +301,20 @@ def _summarise_problem(
                 t: sum(r.termination == t for r in done) / len(done) for t in TERMINATIONS
             }
         if oracle_name and name != oracle_name:
-            ratios = []
-            for r in results:
-                rec, orc = r.records.get(name), r.records.get(oracle_name)
-                if rec and orc and rec.feasible and orc.feasible and rec.objective is not None:
-                    if orc.objective:
-                        ratios.append(rec.objective / orc.objective)
+            pairs = [(r.records[name], r.records[oracle_name]) for r in results]  # (own, oracle's)
+            ratios = [x.objective / o.objective for x, o in pairs if x.feasible and o.feasible and o.objective]
             if ratios:
                 entry["mean_ratio_vs_oracle"] = float(np.mean(ratios))
         out[name] = entry
-        for r in results:
-            rec = r.records.get(name)
-            if rec and rec.violations:
-                failures.append(
-                    f"{r.problem} drop {r.drop_index} allocator {name}: " + "; ".join(rec.violations)
-                )
     return out
 
 
 def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
     """Run all drops, write data files when ``out_dir`` is set, and summarise."""
     problems = ("sumax", "jamsc") if cfg.problem == "both" else (cfg.problem,)
-    all_results: list[DropResult] = []
-    failures: list[str] = []
-    for prob in problems:
-        for i in range(cfg.n_drops):
-            all_results.append(run_drop(cfg, cfg.base_seed + i, drop_index=i, problem=prob))
+    all_results = [
+        run_drop(cfg, cfg.base_seed + i, drop_index=i, problem=prob) for prob in problems for i in range(cfg.n_drops)
+    ]
 
     summary: dict = {
         "problems": list(problems),
@@ -349,15 +322,17 @@ def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
         "base_seed": cfg.base_seed,
         "per_allocator": {},
         "drop_errors": [
-            {"problem": r.problem, "drop": r.drop_index, "error": r.error}
-            for r in all_results
-            if r.error
+            {"problem": r.problem, "drop": r.drop_index, "error": r.error} for r in all_results if r.error
         ],
     }
     for prob in problems:
         sub = [r for r in all_results if r.problem == prob and not r.error]
-        summary["per_allocator"][prob] = _summarise_problem(sub, cfg.allocators_for(prob), failures)
-
+        summary["per_allocator"][prob] = _summarise_problem(sub, cfg.allocators_for(prob))
+    failures = [
+        f"{prob} drop {r.drop_index} allocator {name}: " + "; ".join(r.records[name].violations)
+        for prob in problems for name in cfg.allocators_for(prob) for r in all_results
+        if r.problem == prob and name in r.records and r.records[name].violations
+    ]
     ok = not failures
     summary["ok"] = ok
     summary["failures"] = failures
@@ -369,11 +344,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
             _write_csv(os.path.join(cfg.out_dir, f"{prob}_drops.csv"), _drop_csv_rows(sub))
             _write_csv(os.path.join(cfg.out_dir, f"{prob}_users.csv"), _user_csv_rows(sub))
             for name in cfg.allocators_for(prob):
-                vals = [
-                    r.records[name].objective
-                    for r in sub
-                    if name in r.records and r.records[name].feasible
-                ]
+                vals = [r.records[name].objective for r in sub if name in r.records and r.records[name].feasible]
                 rows = [("value", "fraction"), *emit_cdf(vals)]
                 _write_csv(os.path.join(cfg.out_dir, f"{prob}_cdf_{name}.csv"), rows)
         with open(os.path.join(cfg.out_dir, "summary.json"), "w", encoding="utf-8") as fh:

@@ -276,3 +276,29 @@ def test_public_names_show_what_moved_and_what_was_retired(tmp_path, capsys):
         "  ref.py added: Point, check",
     ]
 
+
+
+def test_summary_diff_names_each_changed_key_path_apart_from_wall_clock_fields(capsys):
+    base = {
+        "ok": True,
+        "failures": [],
+        "per_allocator": {"jamsc": {"dual_am": {"n_feasible": 99, "mean_runtime_s": 0.01}}},
+    }
+    change = {
+        "ok": True,
+        "failures": ["jamsc drop 3 allocator dual_am: sub-channel 1 covered 0 times"],
+        "per_allocator": {"jamsc": {"dual_am": {"n_feasible": 100, "mean_runtime_s": 0.02, "bound": 1.5}}},
+    }
+    old, new = campaign_diff.without_wall_clock(base), campaign_diff.without_wall_clock(change)
+    assert old["per_allocator"]["jamsc"]["dual_am"] == {"n_feasible": 99}
+    campaign_diff.print_summary_diff(old, new)
+    assert capsys.readouterr().out.splitlines() == [
+        "summary.json: 3 values changed (wall-clock fields aside)",
+        "  failures: [] -> ['jamsc drop 3 allocator dual_am: sub-channel 1 covered 0 times']",
+        "  per_allocator.jamsc.dual_am.n_feasible: 99 -> 100",
+        "  per_allocator.jamsc.dual_am.bound: absent -> 1.5",
+    ]
+    # two runs that differ only in their wall-clock fields read as identical
+    slower = {**base, "per_allocator": {"jamsc": {"dual_am": {"n_feasible": 99, "mean_runtime_s": 0.5}}}}
+    campaign_diff.print_summary_diff(old, campaign_diff.without_wall_clock(slower))
+    assert capsys.readouterr().out == "summary.json identical (wall-clock fields aside)\n"

@@ -1,11 +1,13 @@
 import csv
 import json
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
 
 from scfdma_alloc import cli, harness
+from scfdma_alloc.assignment import Allocation
 from scfdma_alloc.baselines import InfeasibleAllocationError
 from scfdma_alloc.canonical import gradient_check
 from scfdma_alloc.dual import OUTCOMES, SolverConfig
@@ -192,6 +194,46 @@ def test_run_campaign_writes_reproducible_files(tmp_path):
         summary = json.load(fh)
     assert summary["ok"] is True
     assert summary["per_allocator"]["sumax"]["dual"]["n_feasible"] == 2
+
+    def without_runtimes(run):
+        summary = json.loads((tmp_path / run / "summary.json").read_text(encoding="utf-8"))
+        for entry in summary["per_allocator"]["sumax"].values():
+            del entry["mean_runtime_s"]  # wall clock, the one field that may differ
+        return summary
+
+    assert without_runtimes("run1") == without_runtimes("run2")
+
+
+def test_a_checker_finding_keeps_the_objective_and_fails_the_record_and_the_campaign(
+    tmp_path, monkeypatch, capsys
+):
+    def empty_handed(a):
+        return Allocation(a.layout.empty_options)  # every agent takes its empty option
+
+    monkeypatch.setattr(harness, "round_robin", empty_handed)
+    cfg = CampaignConfig(
+        scenario=desk_scenario(2, 4), n_drops=2, base_seed=9, allocators_sumax=("greedy", "round_robin"),
+        out_dir=str(tmp_path),
+    )
+    out = run_campaign(cfg)
+    rec = out.results[1].records["round_robin"]
+    assert rec.objective is not None and not rec.error
+    assert not rec.feasible
+    assert "sub-channel 1 covered 0 times" in rec.violations
+    assert out.results[1].records["greedy"].feasible
+    with open(tmp_path / "sumax_drops.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["allocator"], r["feasible"]) for r in rows] == [("greedy", "true"), ("round_robin", "false")] * 2
+    assert not out.ok and out.summary["ok"] is False
+    assert out.failures == out.summary["failures"]
+    assert [f.split(":")[0] for f in out.failures] == [
+        "sumax drop 0 allocator round_robin", "sumax drop 1 allocator round_robin"
+    ]
+    assert out.summary["per_allocator"]["sumax"]["round_robin"]["n_feasible"] == 0
+    # the CLI prints each finding and fails
+    argv = ["sumax", "--drops", "2", "--seed", "9", "--allocators", "greedy,round_robin"]
+    assert cli.main([*argv, "--out", str(tmp_path / "cli")]) == 1
+    assert "FAIL sumax drop 0 allocator round_robin: " in capsys.readouterr().out
 
 
 def test_both_campaign_reports_one_outcome_per_dual_solve(tmp_path):
@@ -417,6 +459,21 @@ def test_non_finite_weights_rejected():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="weights must be finite"):
             CampaignConfig(weights=(bad, 1.0, 1.0, 1.0))
+
+
+@pytest.mark.parametrize(
+    "owner, name, bad",
+    [("campaign", "allocators_sumax", ("dual", "bogus")), ("campaign", "n_drops", 0), ("scenario", "p_max_w", -1.0)],
+)
+def test_configs_are_frozen_and_a_replaced_field_is_checked(owner, name, bad):
+    # assigned after the checks, these ended mid-campaign in a KeyError, ran
+    # an empty campaign reported ok, or ran jamsc with a negative budget
+    cfg = CampaignConfig(problem="both")
+    target = cfg if owner == "campaign" else cfg.scenario
+    with pytest.raises(FrozenInstanceError):
+        setattr(target, name, bad)
+    with pytest.raises(ValueError, match=name):
+        replace(target, **{name: bad})
 
 
 def test_campaign_config_validation():

@@ -326,7 +326,7 @@ def test_build_jamsc_masks_and_costs():
 
 def test_build_jamsc_strict_cap_blocks_over_budget():
     cfg, ch, table, frame = _small_setup(seed=5)
-    cfg.cell_radius_m = 1500.0
+    cfg = replace(cfg, cell_radius_m=1500.0)
     ch = generate_channel(cfg, 5)
     (plain,) = build_jamsc(ch, cfg, (140e3, 140e3), (table,), frame)
     (strict,) = build_jamsc(ch, cfg, (140e3, 140e3), (table,), frame, strict_cap=True)

@@ -1,4 +1,4 @@
-"""Diff the outputs of two commits: two fixed campaigns' CSVs and the certification sweep.
+"""Diff the outputs of two commits: fixed campaigns' CSVs and summaries, and the certification sweep.
 
     python3 tools/campaign_diff.py --base <rev> --change HEAD
 
@@ -24,7 +24,10 @@ whose allocation (start, length, modulation) changed, apart from its
 ``power_w`` and ``snr_eff`` columns, so a last-bit move of a power reads as
 one line and a moved block cannot hide among them.  Then come each
 allocator's rounds (``outer_iterations`` summed over its drops) and its
-drops per outcome (``jamsc dual_am certified 131 -> 148``).  Last come each
+drops per outcome (``jamsc dual_am certified 131 -> 148``), and the
+campaign's ``summary.json``: "identical (wall-clock fields aside)", or each
+changed key path (``per_allocator.jamsc.dual_am.n_feasible: 99 -> 100``),
+both sides read without their ``mean_runtime_s`` fields.  Last come each
 side's certified sweep runs, every changed sweep row and the sweep-row
 fields that one side adds or drops.  The header gives each side's line
 count of the package's modules (``src/scfdma_alloc/*.py``, as ``wc -l``
@@ -42,6 +45,7 @@ import csv
 import importlib
 import inspect
 import io
+import json
 import math
 import sys
 import tempfile
@@ -60,6 +64,7 @@ DROP_KEY = ("problem", "drop", "allocator")
 USER_KEY = ("problem", "drop", "allocator", "user")
 ALLOCATION = ("start", "length", "modulation")
 SWEEP_KEY = ("n_users", "n_subchannels", "seed")
+WALL_CLOCK = "mean_runtime_s"  # the summary's one field that differs from run to run
 PACKAGE = Path("src") / "scfdma_alloc"
 
 
@@ -286,13 +291,48 @@ def campaign_configs(pkg, out_dir: Path) -> dict:
     }
 
 
-def run_side(pkg, out_dir: Path) -> tuple[dict[str, dict[str, str]], list[dict]]:
-    """The side's CSVs by campaign and file name, and its sweep rows."""
-    csvs = {}
+def run_side(pkg, out_dir: Path) -> tuple[dict[str, dict[str, str]], dict[str, dict], list[dict]]:
+    """The side's CSVs by campaign and file name, its ``summary.json`` by
+    campaign, without wall-clock fields, and its sweep rows."""
+    csvs, summaries = {}, {}
     for name, cfg in campaign_configs(pkg, out_dir).items():
         pkg.harness.run_campaign(cfg)
         csvs[name] = {p.name: p.read_text() for p in sorted(Path(cfg.out_dir).glob("*.csv"))}
-    return csvs, pkg.harness.certification_sweep()["rows"]
+        summaries[name] = without_wall_clock(json.loads((Path(cfg.out_dir) / "summary.json").read_text()))
+    return csvs, summaries, pkg.harness.certification_sweep()["rows"]
+
+
+def without_wall_clock(node):
+    """A parsed JSON value without its ``WALL_CLOCK`` keys, at any depth."""
+    if isinstance(node, dict):
+        return {k: without_wall_clock(v) for k, v in node.items() if k != WALL_CLOCK}
+    if isinstance(node, list):
+        return [without_wall_clock(v) for v in node]
+    return node
+
+
+def diff_json(old, new, path: str = "") -> list[tuple[str, object, object]]:
+    """(dotted key path, old, new) for every value that differs between two
+    parsed JSON values, descending into objects only (a list is one value);
+    a key on one side only reads ``absent`` on the other."""
+    if not (isinstance(old, dict) and isinstance(new, dict)):
+        return [] if old == new else [(path, old, new)]
+    out = []
+    for key in dict.fromkeys([*old, *new]):
+        out += diff_json(old.get(key, "absent"), new.get(key, "absent"), f"{path}.{key}" if path else key)
+    return out
+
+
+def print_summary_diff(old: dict, new: dict) -> None:
+    """Print whether two ``summary.json`` values, read without wall-clock
+    fields, are identical, or else each changed key path."""
+    diffs = diff_json(old, new)
+    if not diffs:
+        print("summary.json identical (wall-clock fields aside)")
+        return
+    print(f"summary.json: {len(diffs)} values changed (wall-clock fields aside)")
+    for path, was, now in diffs:
+        print(f"  {path}: {was} -> {now}")
 
 
 def print_campaign(name: str, base_csvs: dict[str, str], change_csvs: dict[str, str]) -> None:
@@ -330,7 +370,9 @@ def main(argv: list[str] | None = None) -> int:
             names[side] = public_names(pkg)
             out_dir = Path(tmp) / f"{side}_out"
             results[side] = run_side(pkg, out_dir)
-    (base_csvs, base_sweep), (change_csvs, change_sweep) = results["base"], results["change"]
+    (base_csvs, base_summaries, base_sweep), (change_csvs, change_summaries, change_sweep) = (
+        results["base"], results["change"]
+    )
 
     print(f"base {commits['base'][:12]}, change {commits['change'][:12]}: "
           f"{len(CAMPAIGNS)} both-problem campaigns from seed {BASE_SEED}, all allocators; acceptance sweep")
@@ -338,11 +380,12 @@ def main(argv: list[str] | None = None) -> int:
     print_source_changes(texts["base"], texts["change"], names["base"], names["change"])
     for name in CAMPAIGNS:
         print_campaign(name, base_csvs.get(name, {}), change_csvs.get(name, {}))
+        print_summary_diff(base_summaries.get(name, {}), change_summaries.get(name, {}))
 
-    certified = {side: sum(r["outcome"] == "certified" for r in results[side][1]) for side in SIDES}
+    certified = [sum(r["outcome"] == "certified" for r in sweep) for sweep in (base_sweep, change_sweep)]
     diffs = diff_sweep(base_sweep, change_sweep)
-    print(f"sweep certified: {certified['base']} of {len(base_sweep)} -> "
-          f"{certified['change']} of {len(change_sweep)}; {len({d[0] for d in diffs})} rows changed")
+    print(f"sweep certified: {certified[0]} of {len(base_sweep)} -> "
+          f"{certified[1]} of {len(change_sweep)}; {len({d[0] for d in diffs})} rows changed")
     for key, field, was, now in diffs:
         print(f"  {key} {field}: {was} -> {now}")
     for title, names in zip(("added", "removed"), sweep_fields(base_sweep, change_sweep)):
