@@ -9,11 +9,12 @@ snr[k, n] = p * gains[k, n] for transmit power p on that sub-channel.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .patterns import MAX_SUBCHANNELS, require_integer
+from .patterns import MAX_SUBCHANNELS, require_bool, require_integer, require_number
 
 
 def config_from_dict(cls, data: dict, section: str):
@@ -42,10 +43,11 @@ class ScenarioConfig:
     skips the checks: ``dataclasses.replace`` checks its copy.  Powers are in watts:
     ``p_max_w`` is each user's total budget, ``p_peak_w`` the per-sub-channel
     cap.  Either may be a scalar or a per-user sequence.  Raises ValueError,
-    naming the field, for a NaN or infinite number (``p_peak_w`` may be
-    infinite: no cap), for a non-integer or bool ``n_users`` or
-    ``n_subchannels`` and for a non-positive frequency, height, bandwidth or
-    power.
+    naming the field, for a number field that holds a string or a bool, for
+    a ``rayleigh_fading`` that is not a bool, for a NaN or infinite number
+    (``p_peak_w`` may be infinite: no cap), for a non-integer or bool
+    ``n_users`` or ``n_subchannels`` and for a non-positive frequency,
+    height, bandwidth or power.
     """
 
     n_users: int = 4
@@ -67,17 +69,21 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, (str, bool)):
-                continue
-            arr = np.asarray(value, dtype=float)
-            # an infinite per-sub-channel peak is no cap: p_max_w still bounds the power
-            if np.isnan(arr).any() or (np.isinf(arr).any() and f.name != "p_peak_w"):
-                raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+            if f.name == "rayleigh_fading":
+                require_bool(f.name, value)
+            elif f.name in ("n_users", "n_subchannels"):
+                if isinstance(value, float) and not math.isfinite(value):
+                    raise ValueError(f"{f.name} must be a finite number, got {value!r}")
+                require_integer(f.name, value)
+            elif f.name != "equalizer":
+                require_number(f.name, value)
+                arr = np.asarray(value, dtype=float)
+                # an infinite per-sub-channel peak is no cap: p_max_w still bounds the power
+                if np.isnan(arr).any() or (np.isinf(arr).any() and f.name != "p_peak_w"):
+                    raise ValueError(f"{f.name} must be a finite number, got {value!r}")
         for name in ("subchannel_bandwidth_hz", "carrier_freq_mhz", "bs_height_m", "ue_height_m"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
-        require_integer("n_users", self.n_users)
-        require_integer("n_subchannels", self.n_subchannels)
         if self.n_users < 1:
             raise ValueError("n_users must be >= 1")
         if not 1 <= self.n_subchannels <= MAX_SUBCHANNELS:

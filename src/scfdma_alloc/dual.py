@@ -37,6 +37,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+# the LAPACK gesv gufunc that np.linalg.solve wraps, called bare to skip its per-call checks
+from numpy.linalg._umath_linalg import solve1
 
 from .assignment import Allocation, AssignmentInstance, InfeasibleInstanceError
 from .baselines import NO_COVER, OracleCeilingError, require_cover
@@ -296,9 +298,10 @@ def solve(
     at y, the closed-form maximiser of their separable sub-problems, floored
     at delta = ``FLOOR_SCALE`` * mean |u| (``PROJECTION_OFFSET`` when every
     utility is 0), (2) lands y on the stationary point of the dual with rho
-    held fixed (``joint_system``, solved once; least squares when it is
-    singular), and (3) evaluates the dual's value and slack once at that
-    landing.  The value at a landing is a lower bound of phi there,
+    held fixed (``joint_system``, solved once by LAPACK ``gesv`` through
+    numpy's gufunc; by least squares when that result is not finite, as on a
+    singular system), and (3) evaluates the dual's value and slack once at
+    that landing.  The value at a landing is a lower bound of phi there,
     where phi(y) is the dual at rho = ``project_rho`` of y's slack, and the
     next round's value is at least phi, so landing values never fall: T is a
     monotone minorize-maximize map of phi.  A warm ``start`` supplies the
@@ -319,7 +322,9 @@ def solve(
     module docstring); ``stagnation`` after two
     consecutive landings that do not raise the dual value above its best;
     ``budget`` after ``max_outer`` landings; and ``diverged`` when an
-    iterate is not finite.  None of them raises.  The converged cover is
+    iterate is not finite.  None of them raises, and the loop ignores
+    numpy's overflow and invalid flags: its finiteness tests report a NaN as
+    the least-squares fallback or as ``diverged``, never as a warning.  The converged cover is
     ``certified``; otherwise ``repair_selection`` on the last indicator
     supplies the cover (``repaired``) or none (``unallocated``).  Every
     outcome reports the Lagrangian bound at the last landing, one sum over
@@ -372,8 +377,9 @@ def solve(
     outer = 0
 
     # a slack far beyond its rho squares past float64: the value then reads
-    # -inf, which raises no best value
-    with np.errstate(over="ignore"):
+    # -inf, which raises no best value; a singular system flags invalid and
+    # lands on NaN, which the finiteness tests below report, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
         while outer < cfg.max_outer:
             outer += 1
             # |slack| maximises each separable 1-D sub-problem on rho > 0, so
@@ -384,11 +390,8 @@ def solve(
                 termination = "diverged"
                 break
             h, rhs = joint_system(a, binary)
-            try:
-                stacked = np.linalg.solve(h, rhs)
-            except np.linalg.LinAlgError:
-                stacked = None
-            if stacked is None or not np.isfinite(stacked).all():
+            stacked = solve1(h, rhs)
+            if not np.isfinite(stacked).all():
                 # a singular system (no exact cover) has no unique stationary point
                 stacked = np.linalg.lstsq(h, rhs)[0]
                 if not np.isfinite(stacked).all():

@@ -24,7 +24,7 @@ from .canonical import DualPoint
 from .channel import ChannelGains, ScenarioConfig, generate_channel
 from .dual import OUTCOMES, TERMINATIONS, SolverConfig, solve
 from .jamsc import FrameConfig, PowerSolveError, build_jamsc
-from .patterns import OptionTable, PatternSet, enumerate_patterns, require_integer
+from .patterns import OptionTable, PatternSet, enumerate_patterns, require_bool, require_integer, require_number
 from .sumax import ModulationTable, build_sumax
 
 SUMAX_ALLOCATORS = ("dual", "oracle", "greedy", "round_robin")
@@ -68,12 +68,16 @@ class CampaignConfig:
                 raise ValueError(f"{prob} allocators repeat a name: {names}")
             if not names and self.problem in (prob, "both"):
                 raise ValueError(f"a {prob} campaign needs at least one allocator")
+        require_bool("strict_cap", self.strict_cap)
+        require_number("target_rate_bps", self.target_rate_bps)
         if not 0 < self.target_rate_bps < math.inf:
             raise ValueError(f"target_rate_bps must be positive and finite, got {self.target_rate_bps}")
         if self.fixed_modulation not in self.modulations.names:
             raise ValueError(
                 f"fixed_modulation {self.fixed_modulation!r} is not one of {self.modulations.names}"
             )
+        if self.weights is not None:
+            require_number("weights", self.weights)
         if self.weights is not None and len(self.weights) != self.scenario.n_users:
             raise ValueError(
                 f"weights has {len(self.weights)} entries for {self.scenario.n_users} users"

@@ -31,6 +31,21 @@ def require_integer(name: str, value) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def require_number(name: str, value) -> None:
+    """Refuse, naming the field, a ``value`` that is not a real number, or a
+    sequence with an entry that is not; a bool or a string is not a number."""
+    items = np.asarray(value, dtype=object)
+    if any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in items.ravel()):
+        raise ValueError(f"{name} must be {'a number' if items.ndim == 0 else 'numbers'}, got {value!r}")
+
+
+def require_bool(name: str, value) -> None:
+    """Refuse, naming the field, a ``value`` that is not a bool: the string
+    "false" would read as true."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+
+
 class PatternBoundsError(ValueError):
     """Sub-channel count outside the supported 1..MAX_SUBCHANNELS range."""
 

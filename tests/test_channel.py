@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +81,28 @@ def test_scenario_refuses_a_count_that_is_not_an_integer(name, value):
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
         ScenarioConfig(**{name: value})
     assert getattr(ScenarioConfig(**{name: np.int64(3)}), name) == 3
+
+
+@pytest.mark.parametrize(
+    "name, value, match",
+    [
+        # "false" is truthy: this ran with fading
+        ("rayleigh_fading", "false", "must be true or false"),
+        ("rayleigh_fading", 0, "must be true or false"),
+        # this ended in a TypeError from a comparison
+        ("cell_radius_m", "800", "must be a number"),
+        # these ran as 1.0 W and 1.0 dB
+        ("p_max_w", "1.0", "must be a number"),
+        ("metro_correction_db", True, "must be a number"),
+        ("p_peak_w", (0.5, "0.5", 0.5, 0.5), "must be numbers"),
+        ("p_max_w", (1.0, False, 1.0, 1.0), "must be numbers"),
+    ],
+)
+def test_scenario_refuses_a_string_or_bool_where_a_number_or_bool_goes(name, value, match):
+    with pytest.raises(ValueError, match=f"^{name} {match}, got {re.escape(repr(value))}$"):
+        ScenarioConfig(**{name: value})
+    assert not ScenarioConfig(rayleigh_fading=np.bool_(False)).rayleigh_fading
+    assert ScenarioConfig(n_users=2, p_max_w=np.array([1.0, 2.0])).per_user("p_max_w").tolist() == [1.0, 2.0]
 
 
 @pytest.mark.parametrize("name", ["subchannel_bandwidth_hz", "carrier_freq_mhz", "bs_height_m", "ue_height_m"])

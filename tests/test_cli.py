@@ -153,6 +153,11 @@ def test_non_positive_drops_rejected(tmp_path):
         ({"scenario": {"n_users": 2.5}}, "n_users must be an integer"),
         ({"scenario": {"n_subchannels": 6.5}}, "n_subchannels must be an integer"),
         ({"solver": {"max_outer": True}}, "max_outer must be an integer"),
+        # "false" is truthy, so these ran with fading and with the cap
+        ({"scenario": {"rayleigh_fading": "false"}}, "rayleigh_fading must be true or false"),
+        ({"strict_cap": "false"}, "strict_cap must be true or false"),
+        ({"target_rate_bps": True}, "target_rate_bps must be a number"),
+        ({"scenario": {"cell_radius_m": "800"}}, "cell_radius_m must be a number"),
     ],
 )
 def test_unusable_config_rejected_before_first_drop(tmp_path, config, match):

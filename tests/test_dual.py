@@ -286,10 +286,9 @@ def test_size_bounds_admit_a_coverable_instance():
     assert solve(size_bound_instance(2, 2)).allocation is not None
 
 
-def test_joint_system_is_gram_of_constraint_matrix():
-    # the stacked Gram system equals its block form: per-agent diagonal, cross block, cover Gram
-    rng = np.random.default_rng(11)
-    instances = [
+def gram_instances() -> list[AssignmentInstance]:
+    """Instances whose landing systems the Gram and solve tests check."""
+    return [
         sumax_assignment_for_seed(3, 6, 21),
         to_assignment(build_sumax(generate_channel(TIES, 4), TIES)),  # equal sub-channels
         to_assignment(build_sumax(generate_channel(ZF, 5), ZF)),
@@ -297,7 +296,12 @@ def test_joint_system_is_gram_of_constraint_matrix():
         jamsc_assignment(7),  # masked (user, pattern) table
         sumax_assignment_for_seed(6, 12, 3),  # 546 options
     ]
-    for a in instances:
+
+
+def test_joint_system_is_gram_of_constraint_matrix():
+    # the stacked Gram system equals its block form: per-agent diagonal, cross block, cover Gram
+    rng = np.random.default_rng(11)
+    for a in gram_instances():
         one_hot = np.zeros((a.n_agents, a.n_options))
         one_hot[a.agent_of, np.arange(a.n_options)] = 1.0
         mat = a.footprint_matrix
@@ -318,6 +322,46 @@ def test_joint_system_is_gram_of_constraint_matrix():
             h, rhs = dual.joint_system(a, binary)
             assert np.abs(h - h_blocks).max() <= 1e-12 * np.abs(h_blocks).max()
             assert np.abs(rhs - rhs_blocks).max() <= 1e-12 * np.abs(rhs_blocks).max()
+
+
+def test_landing_solve_gives_the_bits_of_np_linalg_solve():
+    # the bare gufunc is the LAPACK gesv call that np.linalg.solve wraps
+    rng = np.random.default_rng(12)
+    for a in gram_instances():
+        for sign in (np.ones(a.n_options), rng.choice([-1.0, 1.0], a.n_options)):
+            h, rhs = dual.joint_system(a, sign * rng.uniform(0.01, 3.0, a.n_options))
+            got = dual.solve1(h, rhs)
+            assert got.dtype == np.float64 and got.shape == rhs.shape
+            assert got.tobytes() == np.linalg.solve(h, rhs).tobytes()
+
+
+def test_singular_landing_solve_is_nan_without_a_warning():
+    # sub-channel 2 is in no option, so its row and column of the Gram matrix are 0
+    h, rhs = dual.joint_system(no_cover_instance(), np.ones(2))
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(h, rhs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore", invalid="ignore"):  # the ascent loop's
+            got = dual.solve1(h, rhs)
+    assert not np.isfinite(got).any()
+
+
+def test_singular_landing_falls_back_to_least_squares(monkeypatch, landings):
+    calls = []
+    exact_lstsq = np.linalg.lstsq
+
+    def counted_lstsq(h, rhs, *args, **kwargs):
+        calls.append(h)
+        return exact_lstsq(h, rhs, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InfeasibleInstanceError, match="no exact-cover assignment exists"):
+            solve(no_cover_instance(), SolverConfig(max_outer=5))
+    # every landing's system is singular, so each one takes the fallback
+    assert 1 <= len(calls) == len(landings) <= 5
 
 
 def test_report_holds_the_indicator_and_value_of_its_dual_point(monkeypatch):

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -442,6 +443,24 @@ def test_campaign_refuses_a_count_that_is_not_an_integer(name, value):
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
         CampaignConfig(**{name: value})
     assert getattr(CampaignConfig(**{name: np.int64(3)}), name) == 3
+
+
+@pytest.mark.parametrize(
+    "name, value, match",
+    [
+        # "false" is truthy: this ran with the cap
+        ("strict_cap", "false", "must be true or false"),
+        ("strict_cap", 1, "must be true or false"),
+        # True passed the range check as 1 bps
+        ("target_rate_bps", True, "must be a number"),
+        ("target_rate_bps", "140e3", "must be a number"),
+        ("weights", (1.0, True, 1.0, 1.0), "must be numbers"),
+        ("weights", ("1", "1", "1", "1"), "must be numbers"),
+    ],
+)
+def test_campaign_refuses_a_string_or_bool_where_a_number_or_bool_goes(name, value, match):
+    with pytest.raises(ValueError, match=f"^{name} {match}, got {re.escape(repr(value))}$"):
+        CampaignConfig(problem="jamsc", **{name: value})
 
 
 def test_unknown_fixed_modulation_rejected():
