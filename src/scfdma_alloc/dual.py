@@ -324,14 +324,14 @@ def solve(
     ``budget`` after ``max_outer`` landings; and ``diverged`` when an
     iterate is not finite.  None of them raises, and the loop ignores
     numpy's overflow and invalid flags: its finiteness tests report a NaN as
-    the least-squares fallback or as ``diverged``, never as a warning.  The converged cover is
-    ``certified``; otherwise ``repair_selection`` on the last indicator
-    supplies the cover (``repaired``) or none (``unallocated``).  Every
-    outcome reports the Lagrangian bound at the last landing, one sum over
-    its slack.  A warm ``start`` is read for its choice and cover duals
-    only, which may take either sign and may come from another instance on
-    the same agents and sub-channels; its binarity duals are never read, as
-    the first round sets them.  A start whose choice or cover duals do not
+    the least-squares fallback or as ``diverged``, never as a warning.  The
+    converged cover is ``certified``; otherwise ``repair_selection`` on the
+    last indicator supplies the cover (``repaired``) or none
+    (``unallocated``).  Every outcome reports the Lagrangian bound at the
+    last landing, one sum over its slack.  A warm ``start`` is read for its
+    choice and cover duals only, which may take either sign and may come
+    from another instance on the same agents and sub-channels; its binarity
+    duals are never read, as the first round sets them.  A start whose choice or cover duals do not
     number the instance's agents and sub-channels raises ValueError before
     any work.
 

@@ -78,12 +78,12 @@ class CampaignConfig:
             )
         if self.weights is not None:
             require_number("weights", self.weights)
-        if self.weights is not None and len(self.weights) != self.scenario.n_users:
-            raise ValueError(
-                f"weights has {len(self.weights)} entries for {self.scenario.n_users} users"
-            )
-        if self.weights is not None and not np.isfinite(self.weights).all():
-            raise ValueError(f"weights must be finite, got {self.weights}")
+            if len(self.weights) != self.scenario.n_users:
+                raise ValueError(
+                    f"weights has {len(self.weights)} entries for {self.scenario.n_users} users"
+                )
+            if not np.isfinite(self.weights).all():
+                raise ValueError(f"weights must be finite, got {self.weights}")
 
     def allocators_for(self, problem: str) -> tuple[str, ...]:
         return self.allocators_sumax if problem == "sumax" else self.allocators_jamsc

@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .channel import ChannelGains, EmptyPatternError, ScenarioConfig
-from .patterns import OptionTable, PatternSet, enumerate_patterns, read_only, require_integer
+from .patterns import OptionTable, PatternSet, enumerate_patterns, read_only, require_integer, require_number
 from .sumax import ModulationTable
 
 # Ceiling guard: keeps exact rate/capacity matches from rounding up on fp dust.
@@ -50,11 +50,12 @@ class FrameConfig:
     symbols_per_subchannel: int = 12
 
     def __post_init__(self) -> None:
+        require_number("tti_s", self.tti_s)
         if not 0 < self.tti_s < math.inf:
             raise ValueError(f"tti_s must be positive and finite, got {self.tti_s}")
-        if not 1 <= self.symbols_per_subchannel < math.inf:
-            raise ValueError(f"symbols_per_subchannel must be finite and >= 1, got {self.symbols_per_subchannel}")
         require_integer("symbols_per_subchannel", self.symbols_per_subchannel)
+        if self.symbols_per_subchannel < 1:
+            raise ValueError(f"symbols_per_subchannel must be >= 1, got {self.symbols_per_subchannel}")
 
 
 def _min_counts(rates: np.ndarray, bits: np.ndarray, frame: FrameConfig) -> np.ndarray:

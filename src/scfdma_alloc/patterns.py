@@ -34,9 +34,9 @@ def require_integer(name: str, value) -> None:
 def require_number(name: str, value) -> None:
     """Refuse, naming the field, a ``value`` that is not a real number, or a
     sequence with an entry that is not; a bool or a string is not a number."""
-    items = np.asarray(value, dtype=object)
-    if any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in items.ravel()):
-        raise ValueError(f"{name} must be {'a number' if items.ndim == 0 else 'numbers'}, got {value!r}")
+    many = isinstance(value, (tuple, list, np.ndarray))
+    if any(isinstance(v, bool) or not isinstance(v, numbers.Real) for v in (value if many else (value,))):
+        raise ValueError(f"{name} must be {'numbers' if many else 'a number'}, got {value!r}")
 
 
 def require_bool(name: str, value) -> None:

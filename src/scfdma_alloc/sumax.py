@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .channel import ChannelGains, EmptyPatternError, ScenarioConfig, effective_snr_mmse, effective_snr_zf
-from .patterns import OptionTable, PatternSet, enumerate_patterns, require_integer
+from .patterns import OptionTable, PatternSet, enumerate_patterns, require_integer, require_number
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,7 @@ class ModulationTable:
             require_integer("bits_per_symbol", b)
         if len(set(self.names)) != len(self.names):
             raise ValueError(f"names repeat a name: {self.names}")
+        require_number("thresholds", self.thresholds)
         if not all(0 < t < np.inf for t in self.thresholds):
             raise ValueError(f"thresholds must be positive and finite, got {self.thresholds}")
         if any(b2 <= b1 for b1, b2 in zip(self.bits_per_symbol, self.bits_per_symbol[1:])):

@@ -105,10 +105,17 @@ def test_frame_refuses_non_finite_and_non_positive_fields(kwargs, field):
         FrameConfig(**kwargs)
 
 
-@pytest.mark.parametrize("count", [12.5, 12.0, True, np.float64(12.0)])
+@pytest.mark.parametrize("count", [12.5, 12.0, True, np.float64(12.0), "12"])
 def test_frame_refuses_a_symbol_count_that_is_not_an_integer(count):
     with pytest.raises(ValueError, match="^symbols_per_subchannel must be an integer"):
         FrameConfig(symbols_per_subchannel=count)
+
+
+@pytest.mark.parametrize("tti", ["0.001", True])
+def test_frame_refuses_a_tti_that_is_not_a_number(tti):
+    # the string ended in a TypeError from a comparison, and True ran as a 1 s frame
+    with pytest.raises(ValueError, match=f"^tti_s must be a number, got {tti!r}$"):
+        FrameConfig(tti_s=tti)
 
 
 def test_power_solver_equal_gain_closed_form():

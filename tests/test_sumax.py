@@ -42,6 +42,13 @@ def test_modulation_table_refuses_bits_that_are_not_integers(bits):
         ModulationTable(bits_per_symbol=bits)
 
 
+@pytest.mark.parametrize("thresholds", [("4", "16", "64"), (True, 16.0, 64.0)])
+def test_modulation_table_refuses_thresholds_that_are_not_numbers(thresholds):
+    # the strings ended in a TypeError from a comparison, and True ran as a threshold of 1
+    with pytest.raises(ValueError, match="^thresholds must be numbers"):
+        ModulationTable(thresholds=thresholds)
+
+
 @pytest.mark.parametrize("names", [("A", "A", "B"), ("A", "B", "A"), ("QPSK", "QPSK", "QPSK")])
 def test_modulation_table_refuses_repeated_names(names):
     with pytest.raises(ValueError, match="^names repeat a name"):
