@@ -81,29 +81,27 @@ class OptionLayout:
         return tuple(zip([0] + stops[:-1], stops))
 
     @cached_property
-    def footprint_matrix(self) -> np.ndarray:
-        """(n_resources, n_options) 0/1 cover matrix."""
-        return read_only(self.patterns.matrix[:, self.pattern_of].astype(np.float64))
-
-    @cached_property
     def sizes(self) -> np.ndarray:
         return read_only(self.patterns.sizes[self.pattern_of])
 
     @cached_property
     def constraint_matrix(self) -> np.ndarray:
-        """(n_options, n_agents + n_resources): the choice rows' one-hot, then the footprint.
+        """(n_options, n_agents + n_resources): the choice rows' one-hot, then the block.
 
-        Row o holds option o's coefficients in every choice and cover
-        constraint: ``constraint_matrix.T @ x`` stacks the per-agent choice
-        counts and the per-sub-channel cover counts of an indicator ``x``,
-        and ``constraint_matrix @ y`` prices every option at stacked
-        (choice, cover) duals ``y``.  It is stored column-major, so its
+        Row o holds option o's 0/1 coefficients in every choice and cover
+        constraint: its agent's one-hot, then a 1 on each sub-channel from
+        its first (``ends - sizes``) up to ``ends``.  ``constraint_matrix.T
+        @ x`` stacks the per-agent choice counts and the per-sub-channel
+        cover counts of an indicator ``x``, and ``constraint_matrix @ y``
+        prices every option at stacked (choice, cover) duals ``y``.  It is
+        the layout's one dense incidence, stored column-major so that its
         transpose is C-contiguous for the Gram product of every landing.
         """
-        n_options = len(self.agent_of)
+        n_options, lanes = len(self.agent_of), np.arange(self.n_resources)
+        firsts, ends = (self.ends - self.sizes)[:, None], self.ends[:, None]
         con = np.zeros((n_options, self.n_agents + self.n_resources), order="F")
         con[np.arange(n_options), self.agent_of] = 1.0
-        con[:, self.n_agents :] = self.footprint_matrix.T
+        con[:, self.n_agents :] = (firsts <= lanes) & (lanes < ends)
         return read_only(con)
 
     @cached_property
@@ -142,11 +140,6 @@ class OptionLayout:
         return tuple(map(tuple, ending))
 
     @cached_property
-    def empty_options(self) -> tuple[int, ...]:
-        """Each agent's empty option, or -1 where the agent has none."""
-        return tuple(self.option_at[:, 0, 0].tolist())
-
-    @cached_property
     def option_at(self) -> np.ndarray:
         """(n_agents, N + 1, N + 1): agent k's option covering exactly n+1..m, or -1.
 
@@ -166,11 +159,12 @@ class AssignmentInstance:
     """Flattened option table of a minimisation assignment problem.
 
     An instance is its option weights plus the ``OptionLayout`` that holds
-    everything else: options are grouped by agent (``agent_slices``) and
-    ``footprint_matrix`` is the (n_resources, n_options) 0/1 cover matrix,
-    each read from the layout.  ``to_assignment`` and ``with_weights`` share one
-    layout across instances.  Raises ValueError when the weights are not
-    one per option of the layout.
+    everything else: options are grouped by agent (``agent_slices``), each
+    option's block is read from ``sizes`` and the layout's ``ends``, and
+    ``constraint_matrix`` stacks the choice and cover incidence.
+    ``to_assignment`` and ``with_weights`` share one layout across
+    instances.  Raises ValueError when the weights are not one per option
+    of the layout.
     """
 
     weights: np.ndarray
@@ -198,10 +192,6 @@ class AssignmentInstance:
     @property
     def agent_slices(self) -> tuple[tuple[int, int], ...]:
         return self.layout.agent_slices
-
-    @property
-    def footprint_matrix(self) -> np.ndarray:
-        return self.layout.footprint_matrix
 
     @property
     def n_options(self) -> int:

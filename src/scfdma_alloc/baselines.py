@@ -141,7 +141,7 @@ def brute_force(a: AssignmentInstance, node_ceiling: int = NODE_CEILING) -> tupl
     n_agents, n_res = a.n_agents, a.n_resources
     n_states = 1 << n_agents
     weights = a.weights.tolist()
-    ending, empty_options = a.layout.ending, a.layout.empty_options
+    ending = a.layout.ending
     total = f.item(n_res, n_states - 1)
     firsts = [lo for lo, _ in a.agent_slices]
     scale = float(np.maximum.reduceat(np.abs(a.weights), firsts).sum())
@@ -167,23 +167,18 @@ def brute_force(a: AssignmentInstance, node_ceiling: int = NODE_CEILING) -> tupl
     def visit(state: int, n: int) -> None:
         nonlocal best
         if n == 0:
-            # f[0, state] passed the pruning, so it is finite: every member has an empty option
-            members = [k for k in range(n_agents) if state >> k & 1]
-            empties = [empty_options[k] for k in members]
+            # the parent's test summed f[0, state], this leaf's empty options in
+            # agent order, with the same suffix: it is finite and under the threshold
             count_visit()
-            prefix = 0.0
-            for o in empties:
-                prefix += weights[o]
-            if least_total(prefix) <= threshold:
-                for k, o in zip(members, empties):
+            for o, k, _ in ending[0]:
+                if state >> k & 1:
                     chosen[k] = o
-                option_index = tuple(chosen)
-                value = 0.0  # ``a.value``: the weights summed in agent order
-                for o in option_index:
-                    value += weights[o]
-                key = (value, option_index)
-                if best is None or key < best:
-                    best = key
+            value = 0.0  # ``a.value``: the weights summed in agent order
+            for o in chosen:
+                value += weights[o]
+            key = (value, tuple(chosen))
+            if best is None or key < best:
+                best = key
             return
         for o, k, size in ending[n]:
             if not state >> k & 1:

@@ -19,6 +19,7 @@ and shared read-only by its drops; a strict-cap drop masks copies of it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -62,15 +63,21 @@ def _min_counts(rates: np.ndarray, bits: np.ndarray, frame: FrameConfig) -> np.n
     """ceil(rate * tti / (bits_per_symbol * symbols_per_subchannel)), at least 1, broadcast."""
     if not (np.isfinite(rates) & (rates > 0)).all():
         raise ValueError(f"target_rate_bps must be positive and finite, got {np.ravel(rates).tolist()}")
-    if (bits <= 0).any():
-        raise ValueError("bits_per_symbol must be positive")
     bits_needed = rates * frame.tti_s
     bits_per_pattern_unit = bits * frame.symbols_per_subchannel
     return np.maximum(1, np.ceil(bits_needed / bits_per_pattern_unit - _CEIL_GUARD)).astype(np.int64)
 
 
 def min_subchannels(target_rate_bps: float, bits_per_symbol: int, frame: FrameConfig) -> int:
-    """Fewest sub-channels that carry ``target_rate_bps`` in one TTI, one entry of ``min_count_matrix``."""
+    """Fewest sub-channels that carry ``target_rate_bps`` in one TTI, one entry of ``min_count_matrix``.
+
+    Raises ValueError, naming the field, for a rate that is not a positive,
+    finite number and for a bit count that is not a positive integer.
+    """
+    require_number("target_rate_bps", target_rate_bps)
+    if isinstance(bits_per_symbol, numbers.Real) and not 0 < bits_per_symbol < math.inf:
+        raise ValueError(f"bits_per_symbol must be positive and finite, got {bits_per_symbol}")
+    require_integer("bits_per_symbol", bits_per_symbol)
     return int(_min_counts(np.asarray(target_rate_bps, dtype=float), np.asarray(bits_per_symbol), frame))
 
 

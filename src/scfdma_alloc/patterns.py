@@ -56,12 +56,11 @@ class PatternSet:
 
     Column 0 is the empty pattern and every other column one block of
     sub-channels, listed by its 1-based indices.  The catalogue is the one
-    owner of block geometry: ``starts``, ``sizes`` and ``matrix`` give each
-    column's first sub-channel, length and incidence, and no reader relies
-    on the order of the columns.  Instances are immutable and the derived
-    arrays read-only, since every caller shares them.  A set hashes and
-    compares by identity, as ``enumerate_patterns`` keeps one catalogue per
-    sub-channel count.
+    owner of block geometry: ``starts`` and ``sizes`` give each column's
+    first sub-channel and length, and no reader relies on the order of the
+    columns.  Instances are immutable and the derived arrays read-only,
+    since every caller shares them.  A set hashes and compares by identity,
+    as ``enumerate_patterns`` keeps one catalogue per sub-channel count.
     """
 
     n_subchannels: int
@@ -79,12 +78,6 @@ class PatternSet:
     @cached_property
     def sizes(self) -> np.ndarray:
         return read_only(np.array([len(c) for c in self.columns], dtype=np.int64))
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """0/1 incidence matrix, shape (n_subchannels, n_patterns)."""
-        lanes = np.arange(self.n_subchannels)[:, None]
-        return read_only(((self.starts <= lanes) & (lanes < self.starts + self.sizes)).astype(np.int8))
 
 
 def enumerate_patterns(n_subchannels: int) -> PatternSet:

@@ -9,6 +9,7 @@ option carries the highest modulation whose SNR threshold it meets.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -36,6 +37,9 @@ class ModulationTable:
             raise ValueError("names, bits_per_symbol and thresholds must have equal length")
         if len(self.names) == 0:
             raise ValueError("modulation table cannot be empty")
+        # a bool is a number here, for the integer check below to refuse
+        if not all(isinstance(b, numbers.Real) for b in self.bits_per_symbol):
+            raise ValueError(f"bits_per_symbol must be numbers, got {self.bits_per_symbol!r}")
         if not all(0 < b < np.inf for b in self.bits_per_symbol):
             raise ValueError(f"bits_per_symbol must be positive and finite, got {self.bits_per_symbol}")
         for b in self.bits_per_symbol:

@@ -17,6 +17,8 @@ from scfdma_alloc.harness import CampaignConfig, run_drop
 from scfdma_alloc.jamsc import FrameConfig, build_jamsc
 from scfdma_alloc.sumax import ModulationTable, build_sumax
 
+from incidence import incidence
+
 
 def _sumax_instance(seed=0, n_users=2, n_sub=3):
     cfg = ScenarioConfig(n_users=n_users, n_subchannels=n_sub)
@@ -38,7 +40,7 @@ def test_sumax_conversion_shape_and_weights():
             assert a.weights[o] == inst.weights[k, j_idx]
             assert (a.agent_of[o], a.layout.pattern_of[o]) == (k, j_idx)
             col = inst.patterns.columns[j_idx]
-            ones = set(np.nonzero(a.footprint_matrix[:, o])[0] + 1)
+            ones = set(np.nonzero(a.constraint_matrix[o, a.n_agents :])[0] + 1)
             assert ones == set(col)
 
 
@@ -130,7 +132,7 @@ def test_with_weights_replaces_only_weights():
     w = np.arange(a.n_options, dtype=float)
     b = a.with_weights(w)
     assert np.array_equal(b.weights, w)
-    assert np.array_equal(b.footprint_matrix, a.footprint_matrix)
+    assert np.array_equal(b.constraint_matrix, a.constraint_matrix)
     assert b.layout is a.layout
     assert np.array_equal(a.weights, _sumax_instance().weights.ravel())
 
@@ -146,7 +148,11 @@ def test_jamsc_conversion_uses_mask():
     for o, (k, j) in enumerate(entries):
         assert inst.allowed[k, j]
         assert a.weights[o] == inst.weights[k, j]
-        assert np.array_equal(a.footprint_matrix[:, o], inst.patterns.matrix[:, j])
+    # the constraint matrix: each option's agent one-hot beside its block, column-major
+    one_hot = np.zeros((a.n_options, a.n_agents))
+    one_hot[np.arange(a.n_options), a.agent_of] = 1.0
+    assert np.array_equal(a.constraint_matrix, np.hstack([one_hot, incidence(a).T]))
+    assert a.constraint_matrix.flags.f_contiguous
 
 
 def test_jamsc_conversion_rejects_infeasible_users():
@@ -175,7 +181,7 @@ def _layout_arrays(layout):
     return {
         name: getattr(layout, name)
         for name in (
-            "agent_of", "pattern_of", "footprint_matrix", "sizes", "constraint_matrix",
+            "agent_of", "pattern_of", "sizes", "constraint_matrix",
             "half_colsum_minus_one", "ends", "option_at",
         )
     }
@@ -189,7 +195,7 @@ def test_drops_with_one_mask_share_one_read_only_layout():
         assert getattr(b.layout, name) is array, name
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 1
-    assert a.footprint_matrix is a.layout.footprint_matrix
+    assert a.constraint_matrix is a.layout.constraint_matrix
     assert a.constraint_matrix is b.constraint_matrix
     c = a.with_weights(np.arange(a.n_options, dtype=float))
     assert c.layout is a.layout

@@ -24,14 +24,17 @@ from scfdma_alloc.jamsc import FrameConfig, build_jamsc
 from scfdma_alloc.patterns import enumerate_patterns
 from scfdma_alloc.sumax import ModulationTable, build_sumax
 
+from incidence import incidence
+
 
 def product_minimum(a: AssignmentInstance) -> tuple[tuple[int, ...], float]:
     """First-lexicographic minimiser by raw cartesian-product enumeration."""
     best_path = None
     best_value = np.inf
     per_agent = [list(a.agent_options(k)) for k in range(a.n_agents)]
+    cover = incidence(a)
     for combo in itertools.product(*per_agent):
-        if (a.footprint_matrix[:, list(combo)].sum(axis=1) != 1).any():
+        if (cover[:, list(combo)].sum(axis=1) != 1).any():
             continue
         value = 0.0
         for o in combo:
@@ -199,7 +202,8 @@ def test_greedy_refuses_an_agent_left_without_its_empty_option():
 
 def _blocks(a: AssignmentInstance, alloc) -> tuple[tuple[int, ...], ...]:
     """Each agent's chosen sub-channels, 1-based."""
-    return tuple(tuple((np.nonzero(a.footprint_matrix[:, o])[0] + 1).tolist()) for o in alloc.option_index)
+    cover = incidence(a)
+    return tuple(tuple((np.nonzero(cover[:, o])[0] + 1).tolist()) for o in alloc.option_index)
 
 
 def test_round_robin_blocks():

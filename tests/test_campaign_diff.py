@@ -3,6 +3,8 @@ from pathlib import Path
 
 import numpy as np
 
+import scfdma_alloc
+
 SPEC = importlib.util.spec_from_file_location(
     "campaign_diff", Path(__file__).resolve().parent.parent / "tools" / "campaign_diff.py"
 )
@@ -252,18 +254,19 @@ def test_public_names_show_what_moved_and_what_was_retired(tmp_path, capsys):
     load = campaign_diff_loader()
     old = campaign_diff.public_names(load(write_package(tmp_path / "old", OLD_PACKAGE) / "src", "names_test_old"))
     new = campaign_diff.public_names(load(write_package(tmp_path / "new", NEW_PACKAGE) / "src", "names_test_new"))
-    # imported modules, names from outside the package and private names do not count;
-    # an upper-case constant and a name imported from a sibling module do
+    # imported modules, names from outside the package and private names do not count,
+    # nor in a module a name imported from a sibling; an upper-case constant does
     assert old == {
         "scfdma_alloc": {"Point", "check", "extra", "solve"},
         "notes.py": set(),
         "solver.py": {"LIMIT", "Point", "check", "extra", "solve"},
     }
+    assert new["scfdma_alloc"] == {"Point", "check", "solve"}  # the package keeps its re-exports
     assert new["ref.py"] == {"Point", "check"}
-    assert new["solver.py"] == {"LIMIT", "Point", "check", "solve"}
+    assert new["solver.py"] == {"LIMIT", "solve"}
     changes = [
         ("scfdma_alloc", [], ["extra"]),
-        ("solver.py", [], ["extra"]),
+        ("solver.py", [], ["Point", "check", "extra"]),
         ("ref.py", ["Point", "check"], []),
     ]
     assert campaign_diff.name_changes(old, new) == changes
@@ -272,9 +275,27 @@ def test_public_names_show_what_moved_and_what_was_retired(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == [
         "public names that one side lacks:",
         "  scfdma_alloc removed: extra",
-        "  solver.py removed: extra",
+        "  solver.py removed: Point, check, extra",
         "  ref.py added: Point, check",
     ]
+
+
+def test_public_names_of_the_package_list_each_helper_under_its_home_module_only():
+    names = campaign_diff.public_names(scfdma_alloc)
+    homes = {
+        name: sorted(key for key, space in names.items() if name in space)
+        for name in ("require_integer", "MAX_SUBCHANNELS", "NO_COVER", "Allocation", "DualPoint")
+    }
+    assert homes == {
+        "require_integer": ["patterns.py"],
+        "MAX_SUBCHANNELS": ["patterns.py"],
+        "NO_COVER": ["baselines.py"],
+        "Allocation": ["assignment.py", "scfdma_alloc"],
+        "DualPoint": ["canonical.py", "scfdma_alloc"],
+    }
+    assert {"solve", "brute_force"} <= names["scfdma_alloc"]
+    source = "from .x import A\nB = 1\nC: int = 2\nD += 1\nE, f = 1, 2\nG[0] = 1\n"
+    assert campaign_diff.bound_constants(source) == {"B", "C", "D", "E"}
 
 
 

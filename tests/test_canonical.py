@@ -20,6 +20,16 @@ def reference_outputs(a, d, selection):
     )
 
 
+def test_diagnose_gap_without_a_selection_reads_the_implied_branch():
+    a = sumax_assignment_for_seed(2, 5, 5001)
+    d = dual.solve(a).dual_point
+    gap = canonical.diagnose_gap(a, d)
+    implied = (canonical.recover_indicator(a, d) >= 0.5).astype(np.int8)
+    assert np.array_equal(gap.implied_selection, implied)
+    assert gap.theta.dtype == np.int8 and not gap.theta.any()
+    assert np.array_equal(gap.modified_utilities, a.utilities)
+
+
 def test_the_reference_runs_none_of_the_solvers_round(monkeypatch):
     # the acceptance tests check the solver against this module, so it must
     # give the same bits when every helper of the round is broken

@@ -29,6 +29,8 @@ from scfdma_alloc.jamsc import FrameConfig, build_jamsc
 from scfdma_alloc.patterns import enumerate_patterns
 from scfdma_alloc.sumax import ModulationTable, build_sumax
 
+from incidence import incidence
+
 TIES = desk_scenario(3, 6, rayleigh_fading=False)
 ZF = desk_scenario(4, 6, equalizer="zf")
 
@@ -88,12 +90,12 @@ def landings(monkeypatch):
 
 def naive_dual_value(a: AssignmentInstance, d: DualPoint) -> float:
     """Independent scalar-loop transcription of the dual objective."""
-    u = -a.weights
+    u, cover = -a.weights, incidence(a)
     total = 0.0
     for o in range(a.n_options):
         k = int(a.agent_of[o])
         price = sum(
-            float(d.cover_dual[n]) * float(a.footprint_matrix[n, o])
+            float(d.cover_dual[n]) * float(cover[n, o])
             for n in range(a.n_resources)
         )
         s = float(u[o]) + float(d.binary_dual[o]) - float(d.choice_dual[k]) - price
@@ -243,6 +245,14 @@ def test_solve_hand_instance_certifies_exact():
     assert sel.tolist() == [0, 1]
 
 
+def test_extrapolation_along_a_straight_line_has_no_step():
+    # y2 - y1 equals y1 - y0, so v = 0; a least of -inf would keep any trial
+    a = sumax_assignment_for_seed(2, 4, 5003)
+    y0 = np.arange(a.n_agents + a.n_resources, dtype=float)
+    y1, y2 = y0 + 0.5, y0 + 1.0
+    assert dual._extrapolate(a, y0, y1, y2, -math.inf, 1e-3) is None
+
+
 def test_solve_refuses_instance_without_exact_cover():
     with pytest.raises(InfeasibleInstanceError, match="no exact-cover assignment exists"):
         solve(no_cover_instance())
@@ -304,7 +314,7 @@ def test_joint_system_is_gram_of_constraint_matrix():
     for a in gram_instances():
         one_hot = np.zeros((a.n_agents, a.n_options))
         one_hot[a.agent_of, np.arange(a.n_options)] = 1.0
-        mat = a.footprint_matrix
+        mat = incidence(a)
         for _ in range(3):
             binary = rng.choice([-1.0, 1.0], a.n_options) * rng.uniform(0.01, 3.0, a.n_options)
             inv2b = 0.5 / binary
@@ -392,7 +402,7 @@ def test_report_holds_the_indicator_and_value_of_its_dual_point(monkeypatch):
     for a, rep in solves:
         assert np.array_equal(rep.fractional, recover_indicator(a, rep.dual_point))
         d = rep.dual_point
-        reduced = a.weights + d.choice_dual[a.agent_of] + d.cover_dual @ a.footprint_matrix
+        reduced = a.weights + d.choice_dual[a.agent_of] + d.cover_dual @ incidence(a)
         bound = float(np.minimum(reduced, 0.0).sum()) - float(d.choice_dual.sum()) - float(d.cover_dual.sum())
         assert abs(rep.dual_value - bound) <= 1e-12 * (1.0 + abs(bound))
         assert rep.dual_value >= dual_value(a, d)

@@ -39,7 +39,7 @@ def test_sumax_assignment_for_seed_deterministic():
     a = sumax_assignment_for_seed(2, 4, 77)
     b = sumax_assignment_for_seed(2, 4, 77)
     assert np.array_equal(a.weights, b.weights)
-    assert np.array_equal(a.footprint_matrix, b.footprint_matrix)
+    assert np.array_equal(a.constraint_matrix, b.constraint_matrix)
     c = sumax_assignment_for_seed(2, 4, 78)
     assert not np.array_equal(a.weights, c.weights)
 
@@ -136,6 +136,13 @@ def test_a_failed_power_solve_fails_its_drop_and_the_campaign_goes_on(monkeypatc
     assert "drop 1: target-SNR power is not finite" in capsys.readouterr().out.splitlines()
 
 
+def test_run_drop_refuses_both_problems_at_once():
+    cfg = CampaignConfig(scenario=desk_scenario(2, 4), problem="both")
+    for problem in ("both", None):  # None reads the campaign's problem
+        with pytest.raises(ValueError, match="^run_drop needs a concrete problem, got 'both'$"):
+            run_drop(cfg, 5, problem=problem)
+
+
 def test_round_robin_refusal_names_the_user_and_the_block():
     # two sub-channels of 16QAM cannot carry 400 kbps
     cfg = CampaignConfig(
@@ -209,7 +216,7 @@ def test_a_checker_finding_keeps_the_objective_and_fails_the_record_and_the_camp
     tmp_path, monkeypatch, capsys
 ):
     def empty_handed(a):
-        return Allocation(a.layout.empty_options)  # every agent takes its empty option
+        return Allocation(tuple(a.layout.option_at[:, 0, 0].tolist()))  # every agent takes its empty option
 
     monkeypatch.setattr(harness, "round_robin", empty_handed)
     cfg = CampaignConfig(

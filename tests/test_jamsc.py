@@ -84,6 +84,39 @@ def test_min_count_matrix_shape_and_values():
         assert min_subchannels(rate, b, frame) == c  # not rounded up past the boundary
 
 
+@pytest.mark.parametrize(
+    "rate, bits, message",
+    [
+        (140e3, math.nan, "bits_per_symbol must be positive and finite"),  # was INT64_MIN
+        (140e3, math.inf, "bits_per_symbol must be positive and finite"),  # was 1
+        (140e3, 0, "bits_per_symbol must be positive"),
+        (140e3, -2, "bits_per_symbol must be positive"),
+        (140e3, True, "bits_per_symbol must be an integer"),  # was 6, at one bit per symbol
+        (140e3, 2.5, "bits_per_symbol must be an integer"),  # was 3
+        (140e3, "4", "bits_per_symbol must be an integer"),  # was a UFuncTypeError
+        ("140e3", 4, "target_rate_bps must be a number"),  # ran as 140 kbps
+    ],
+)
+def test_min_subchannels_refuses_each_bad_field_by_name(rate, bits, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        min_subchannels(rate, bits, FrameConfig())
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"patterns": enumerate_patterns(4)}, "pattern set does not match the channel's sub-channel count"),
+        ({"targets_bps": (140e3,)}, r"targets_bps must have shape \(2,\)"),
+        ({"targets_bps": ((140e3, 140e3),)}, r"targets_bps must have shape \(2,\)"),
+    ],
+)
+def test_build_jamsc_refuses_a_catalogue_or_targets_of_another_shape(kwargs, message):
+    cfg = ScenarioConfig(n_users=2, n_subchannels=3)
+    fields = {"targets_bps": (140e3, 140e3), "tables": (ModulationTable(),), **kwargs}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build_jamsc(generate_channel(cfg, 4), cfg, **fields)
+
+
 @pytest.mark.parametrize("rate", [0.0, -140e3, math.nan, math.inf, -math.inf])
 def test_rates_that_are_not_positive_and_finite_are_refused(rate):
     frame = FrameConfig()

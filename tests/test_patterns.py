@@ -65,14 +65,9 @@ def test_n4_columns_as_sets():
     assert got == expected
 
 
-def test_matrix_matches_columns():
+def test_starts_and_sizes_match_columns():
     for n in range(1, MAX_SUBCHANNELS + 1):
         ps = enumerate_patterns(n)
-        assert ps.matrix.shape == (n, ps.n_patterns) and ps.matrix.dtype == np.int8
-        for j, col in enumerate(ps.columns):
-            ones = {int(i) for i in np.nonzero(ps.matrix[:, j])[0] + 1}
-            assert ones == set(col)
-        assert ps.matrix[:, 0].sum() == 0
         # the geometry every reader takes from the catalogue
         assert ps.starts.tolist() == [col[0] - 1 if col else 0 for col in ps.columns]
         assert ps.sizes.tolist() == [len(col) for col in ps.columns]
@@ -107,10 +102,10 @@ def test_models_score_a_permuted_catalogue_column_for_column(overrides):
 
 def test_shared_catalogue_arrays_are_read_only():
     ps = enumerate_patterns(3)
-    for array in (ps.matrix, ps.sizes, ps.starts):
+    for array in (ps.sizes, ps.starts):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 1
-    assert enumerate_patterns(3).matrix[:, 0].sum() == 0
+    assert enumerate_patterns(3).sizes[0] == enumerate_patterns(3).starts[0] == 0
 
 
 def test_bounds_guard():

@@ -31,6 +31,8 @@ from scfdma_alloc.harness import desk_scenario
 from scfdma_alloc.jamsc import FrameConfig, build_jamsc, min_count_matrix, solve_pattern_power
 from scfdma_alloc.sumax import ModulationTable, build_sumax
 
+from incidence import incidence
+
 POWERS = st.lists(st.floats(0.05, 2.0), min_size=4, max_size=4)
 
 
@@ -79,7 +81,7 @@ def lagrangian_bound(a, d):
     """L(y) = sum over options of min(w + price, 0) - sum(y), at the choice and
     cover duals y of ``d``; an option's price is its agent's choice dual plus
     the cover duals of its sub-channels, read from the footprints."""
-    reduced = a.weights + d.choice_dual[a.agent_of] + d.cover_dual @ a.footprint_matrix
+    reduced = a.weights + d.choice_dual[a.agent_of] + d.cover_dual @ incidence(a)
     return float(np.minimum(reduced, 0.0).sum()) - float(d.choice_dual.sum()) - float(d.cover_dual.sum())
 
 
@@ -175,7 +177,7 @@ def test_ascent_never_ends_below_cold_start(k, n, seed, ties, zf, p_max):
 
 def footprint_masks(a):
     """Each option's footprint as an int bitmask (bit n-1 = sub-channel n)."""
-    return tuple(sum(1 << n for n in np.flatnonzero(col).tolist()) for col in a.footprint_matrix.T)
+    return tuple(sum(1 << n for n in np.flatnonzero(col).tolist()) for col in incidence(a).T)
 
 
 def enumerated_optimum(a):

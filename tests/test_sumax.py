@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from scfdma_alloc.channel import ScenarioConfig, generate_channel
+from scfdma_alloc.channel import EmptyPatternError, ScenarioConfig, generate_channel
 from scfdma_alloc.patterns import enumerate_patterns
 from scfdma_alloc.sumax import (
     ModulationTable,
@@ -42,6 +42,13 @@ def test_modulation_table_refuses_bits_that_are_not_integers(bits):
         ModulationTable(bits_per_symbol=bits)
 
 
+@pytest.mark.parametrize("bits", [("2", 4, 6), (2, None, 6)])
+def test_modulation_table_refuses_bits_that_are_not_numbers(bits):
+    # the string ended in a TypeError from the positivity comparison
+    with pytest.raises(ValueError, match="^bits_per_symbol must be numbers"):
+        ModulationTable(bits_per_symbol=bits)
+
+
 @pytest.mark.parametrize("thresholds", [("4", "16", "64"), (True, 16.0, 64.0)])
 def test_modulation_table_refuses_thresholds_that_are_not_numbers(thresholds):
     # the strings ended in a TypeError from a comparison, and True ran as a threshold of 1
@@ -53,6 +60,21 @@ def test_modulation_table_refuses_thresholds_that_are_not_numbers(thresholds):
 def test_modulation_table_refuses_repeated_names(names):
     with pytest.raises(ValueError, match="^names repeat a name"):
         ModulationTable(names=names)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"names": ("QPSK", "16QAM")}, "names, bits_per_symbol and thresholds must have equal length"),
+        ({"thresholds": (4.0, 16.0, 64.0, 256.0)}, "names, bits_per_symbol and thresholds must have equal length"),
+        ({"names": (), "bits_per_symbol": (), "thresholds": ()}, "modulation table cannot be empty"),
+        ({"bits_per_symbol": (2, 6, 4)}, "bits_per_symbol must be strictly increasing"),
+        ({"bits_per_symbol": (2, 4, 4)}, "bits_per_symbol must be strictly increasing"),
+    ],
+)
+def test_modulation_table_refuses_a_malformed_table(fields, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ModulationTable(**fields)
 
 
 def test_modulation_table_takes_integer_bits_of_any_integer_type():
@@ -192,6 +214,28 @@ def test_custom_rate_function_is_used():
     for k, w in enumerate((2.0, 0.5)):
         for j in range(1, inst.patterns.n_patterns):
             assert -inst.weights[k, j] == w * (np.sqrt(inst.patterns.sizes[j]) * inst.snr_eff[k, j])
+
+
+def test_pattern_effective_snr_refuses_the_empty_pattern_and_an_unknown_equalizer():
+    gains = np.array([1.0, 2.0, 3.0])
+    with pytest.raises(EmptyPatternError, match="^effective SNR is undefined for the empty pattern$"):
+        pattern_effective_snr(gains, (), 1.0, 1.0)
+    with pytest.raises(ValueError, match="^unknown equalizer 'mrc'$"):
+        pattern_effective_snr(gains, (1, 2), 1.0, 1.0, equalizer="mrc")
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"patterns": enumerate_patterns(4)}, "pattern set does not match the channel's sub-channel count"),
+        ({"weights": [1.0, 1.0, 1.0]}, r"weights must have shape \(2,\)"),
+        ({"weights": [[1.0, 1.0]]}, r"weights must have shape \(2,\)"),
+    ],
+)
+def test_build_sumax_refuses_a_catalogue_or_weights_of_another_shape(kwargs, message):
+    cfg = ScenarioConfig(n_users=2, n_subchannels=3)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build_sumax(generate_channel(cfg, 4), cfg, **kwargs)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

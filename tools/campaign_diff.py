@@ -34,13 +34,18 @@ count of the package's modules (``src/scfdma_alloc/*.py``, as ``wc -l``
 counts them) and of each module whose text changed (``dual.py 584 -> 467``,
 ``canonical.py absent -> 168``), then, for the package and each module, the
 public names that one side has and the other lacks.  A public name has no
-leading underscore and is bound to an object defined in the package or is
-upper case (a constant); a bound module does not count.
+leading underscore.  A module's public names are the names it defines: its
+functions and classes (whose ``__module__`` is that module) and the upper-
+case constants that its top-level statements bind other than by an import,
+so a helper imported from a sibling counts only where it is defined.  The
+package's are its re-exports: every name bound to an object defined in the
+package, and every upper-case name; a bound module does not count.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import csv
 import importlib
 import inspect
@@ -88,21 +93,47 @@ def module_line_changes(old: dict[str, bytes], new: dict[str, bytes]) -> list[tu
     return [(n, lines(old, n), lines(new, n)) for n in sorted(old.keys() | new.keys()) if old.get(n) != new.get(n)]
 
 
+def bound_constants(source: str) -> set[str]:
+    """The upper-case names that a module's top-level assignments bind; an import binds none."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            names.update(
+                n.id for n in ast.walk(target)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store) and n.id.isupper()
+            )
+    return names
+
+
 def public_names(pkg) -> dict[str, set[str]]:
     """The public names (see the module docstring) of an imported package,
     keyed by the package's short name, and of each of its modules, keyed by
     file name; every module is imported."""
-    spaces = {PACKAGE.name: pkg}
+    home = pkg.__name__
+
+    def exported(name: str, obj) -> bool:
+        where = getattr(obj, "__module__", None) or ""
+        return not inspect.ismodule(obj) and (where == home or where.startswith(home + ".") or name.isupper())
+
+    names = {PACKAGE.name: {n for n, obj in vars(pkg).items() if not n.startswith("_") and exported(n, obj)}}
     for path in sorted(Path(pkg.__path__[0]).glob("*.py")):
-        if path.stem != "__init__":
-            spaces[path.name] = importlib.import_module(f"{pkg.__name__}.{path.stem}")
-
-    def public(name: str, obj) -> bool:
-        home = getattr(obj, "__module__", None) or ""
-        defined = home == pkg.__name__ or home.startswith(pkg.__name__ + ".")
-        return not name.startswith("_") and not inspect.ismodule(obj) and (defined or name.isupper())
-
-    return {key: {n for n, obj in vars(space).items() if public(n, obj)} for key, space in spaces.items()}
+        if path.stem == "__init__":
+            continue
+        module = importlib.import_module(f"{home}.{path.stem}")
+        constants = bound_constants(path.read_text(encoding="utf-8"))
+        names[path.name] = {
+            n
+            for n, obj in vars(module).items()
+            if not n.startswith("_")
+            and (n in constants or (callable(obj) and getattr(obj, "__module__", None) == module.__name__))
+        }
+    return names
 
 
 def name_changes(old: dict[str, set[str]], new: dict[str, set[str]]) -> list[tuple[str, list[str], list[str]]]:
