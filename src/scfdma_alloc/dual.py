@@ -256,7 +256,7 @@ def _extrapolate(
     y2: np.ndarray,
     least: float,
     offset: float,
-) -> tuple[np.ndarray, np.ndarray] | None:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     """SQUAREM's squared extrapolation of two rounds y0 -> y1 -> y2.
 
     With r = y1 - y0, v = y2 - 2 y1 + y0 and alpha = min(-|r|/|v|, -1), the
@@ -265,8 +265,9 @@ def _extrapolate(
     long before the duals do.  y' is kept only where phi(y'), the dual at
     rho = ``project_rho`` of its slack with the solve's floor ``offset``, is
     at least ``least``, the y2 landing's value; otherwise alpha moves halfway
-    to -1, up to ``EXTRAPOLATION_BACKTRACKS`` times.  Returns y' and its slack, or None
-    when v = 0, alpha reaches -1 or no step is kept.
+    to -1, up to ``EXTRAPOLATION_BACKTRACKS`` times.  Returns y', its slack
+    and the rho it was priced at, which the next round's binarity step would
+    compute again, or None when v = 0, alpha reaches -1 or no step is kept.
     """
     r = y1 - y0
     v = (y2 - y1) - r
@@ -282,7 +283,7 @@ def _extrapolate(
         binary = project_rho(slack, offset)
         # a NaN phi fails the test too
         if _value(trial, slack + binary, binary) >= least:
-            return trial, slack
+            return trial, slack, binary
         alpha = 0.5 * (alpha - 1.0)
     return None
 
@@ -301,10 +302,16 @@ def solve(
     held fixed (``joint_system``, solved once by LAPACK ``gesv`` through
     numpy's gufunc; by least squares when that result is not finite, as on a
     singular system), and (3) evaluates the dual's value and slack once at
-    that landing.  The value at a landing is a lower bound of phi there,
-    where phi(y) is the dual at rho = ``project_rho`` of y's slack, and the
-    next round's value is at least phi, so landing values never fall: T is a
-    monotone minorize-maximize map of phi.  A warm ``start`` supplies the
+    that landing.  Finiteness is read off that value: a finite value needs
+    a finite rho, landing and slack, so rho and the landing are tested only
+    when the value is not finite.  Then a non-finite rho ends the ascent as
+    ``diverged``, and a non-finite landing falls back to least squares and
+    is evaluated again there; a finite rho and landing whose value
+    overflows carry on, as that value raises no best value.  The value at a
+    landing is a lower bound of phi there, where phi(y) is the dual at rho =
+    ``project_rho`` of y's slack, and the next round's value is at least
+    phi, so landing values never fall: T is a monotone minorize-maximize map
+    of phi.  A warm ``start`` supplies the
     first y; a cold start's first round takes rho = mean |u| on every option
     (the floor when every utility is 0), whose landing is the least-squares
     fit of the utilities by the constraint columns.
@@ -312,7 +319,8 @@ def solve(
     The rounds run in SQUAREM cycles.  From y0 a cycle lands y1 = T(y0) and
     y2 = T(y1), extrapolates them to y' (``_extrapolate``), keeping y' only
     where phi(y') is at least the y2 landing's value, and lands the
-    stabilising round y3 = T(y'), which starts the next cycle; when no y' is
+    stabilising round y3 = T(y'), which starts the next cycle and takes the
+    rho that phi(y') was priced at as its binarity step; when no y' is
     kept the next cycle starts from y2.  So landing values still never fall,
     and the cycles add no fixed point.  ``max_outer`` counts landings, and
     every landing is tested for the exits, recorded as ``termination``:
@@ -363,7 +371,9 @@ def solve(
                 f"warm start has (choice, cover) lengths {got}, the instance needs {(n_agents, a.n_resources)}"
             )
         stacked = np.concatenate([start.choice_dual, start.cover_dual]).astype(float)
-        slack = _slack(a, stacked)
+        # finite duals whose prices pass the float64 maximum diverge in the first round
+        with np.errstate(over="ignore", invalid="ignore"):
+            slack = _slack(a, stacked)
         path = [stacked]
     if not a.layout.sizes_admit_cover:
         raise InfeasibleInstanceError(NO_COVER)
@@ -375,6 +385,7 @@ def solve(
     best_value = -math.inf
     flat_rounds = 0
     outer = 0
+    priced = None  # the binarity duals of an extrapolation's kept point
 
     # a slack far beyond its rho squares past float64: the value then reads
     # -inf, which raises no best value; a singular system flags invalid and
@@ -383,21 +394,31 @@ def solve(
         while outer < cfg.max_outer:
             outer += 1
             # |slack| maximises each separable 1-D sub-problem on rho > 0, so
-            # one step lands every binarity dual; rho >= offset > 0, so its
-            # max is finite only where every entry is (a NaN fails it too)
-            binary = project_rho(slack, offset)
-            if not binary.max() < math.inf:
-                termination = "diverged"
-                break
+            # one step lands every binarity dual, unless an extrapolation
+            # already priced them at its kept point
+            if priced is None:
+                binary = project_rho(slack, offset)
+            else:
+                binary, priced = priced, None
             h, rhs = joint_system(a, binary)
-            stacked = solve1(h, rhs)
-            if not np.isfinite(stacked).all():
-                # a singular system (no exact cover) has no unique stationary point
-                stacked = np.linalg.lstsq(h, rhs)[0]
-                if not np.isfinite(stacked).all():
+            landed = solve1(h, rhs)
+            slack, shifted, dval = _evaluate(a, landed, binary)
+            # a finite value needs a finite landing, slack and rho, so the
+            # finiteness tests run only when the value is not finite
+            if not math.isfinite(dval):
+                # rho >= offset > 0, so its max is finite only where every
+                # entry is (a NaN fails it too)
+                if not binary.max() < math.inf:
                     termination = "diverged"
                     break
-            slack, shifted, dval = _evaluate(a, stacked, binary)
+                if not np.isfinite(landed).all():
+                    # a singular system (no exact cover) has no unique stationary point
+                    stacked = landed = np.linalg.lstsq(h, rhs)[0]
+                    if not np.isfinite(landed).all():
+                        termination = "diverged"
+                        break
+                    slack, shifted, dval = _evaluate(a, landed, binary)
+            stacked = landed
             positive = slack > 0.0
             # the options of positive slack are an exact cover, and every
             # slack clears its forward rounding error, so its sign is exact
@@ -424,7 +445,7 @@ def solve(
                     path = [stacked]  # carry on from y2
                 else:
                     # the stabilising landing from y' starts the next cycle
-                    stacked, slack = jump
+                    stacked, slack, priced = jump
                     path = []
 
     choice, cover = stacked[:n_agents], stacked[n_agents:]

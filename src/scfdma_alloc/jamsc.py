@@ -82,7 +82,12 @@ def min_subchannels(target_rate_bps: float, bits_per_symbol: int, frame: FrameCo
 
 
 def min_count_matrix(targets_bps: Sequence[float], table: ModulationTable, frame: FrameConfig) -> np.ndarray:
-    """(K, M) matrix of minimum sub-channel counts for each user and modulation."""
+    """(K, M) matrix of minimum sub-channel counts for each user and modulation.
+
+    Raises ValueError for targets that are not numbers (a string or a bool)
+    or not positive and finite.
+    """
+    require_number("targets_bps", targets_bps)
     rates = np.asarray(targets_bps, dtype=float)[:, None]
     return _min_counts(rates, np.asarray(table.bits_per_symbol), frame)
 
@@ -121,6 +126,31 @@ def _jensen_start(gains_padded: np.ndarray, sizes: np.ndarray, thresholds: np.nd
     return sizes * sizes * thresholds / gains_padded.sum(axis=1)
 
 
+def _lane_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum (2, lanes, rows) over its lanes, in the order of numpy's row sum.
+
+    That order is numpy's pairwise sum on a row of up to 128 entries: under
+    8 lanes one after another onto 0; otherwise 8 accumulators over the
+    strided lanes i, i + 8, ..., then the tree ((r0 + r1) + (r2 + r3)) +
+    ((r4 + r5) + (r6 + r7)), then the lanes past the last whole block of 8
+    in order.
+    """
+    lanes = terms.shape[1]
+    if lanes < 8:
+        total, rest = np.zeros(terms.shape[::2]), range(lanes)
+    else:
+        whole = lanes - lanes % 8
+        acc = terms[:, :8]
+        for i in range(8, whole, 8):
+            acc = acc + terms[:, i : i + 8]
+        acc = acc[:, 0::2] + acc[:, 1::2]
+        acc = acc[:, 0::2] + acc[:, 1::2]
+        total, rest = acc[:, 0] + acc[:, 1], range(whole, lanes)
+    for i in rest:
+        total = total + terms[:, i]
+    return total
+
+
 def _solve_powers_vec(gains_padded: np.ndarray, sizes: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
     """Newton's method for the per-option target-SNR powers.
 
@@ -135,21 +165,32 @@ def _solve_powers_vec(gains_padded: np.ndarray, sizes: np.ndarray, thresholds: n
     own padded lanes alone, so a batch returns the bits of one-row calls on
     the same padded rows, however the steps reuse their buffers.  Raises
     PowerSolveError on a non-finite power or after MAX_NEWTON_STEPS steps.
+
+    The passes run lane-major: the gains are transposed once per call to
+    (lanes, rows), so every elementwise step, and each lane of the two sums,
+    is one contiguous run over all rows.  ``_lane_sum`` adds the lanes in
+    the order numpy's row sum ``np.sum(axis=1)`` adds a row of up to 128
+    entries (under 8 lanes in sequence; otherwise 8 strided accumulators,
+    their pairwise tree, then the leftover lanes in order), so the powers
+    keep the bits of a row-major solve at every lane count a catalogue of up
+    to ``MAX_SUBCHANNELS`` sub-channels has, at a few whole-row adds per
+    pass in place of one short sum per row.
     """
-    sizes = np.asarray(sizes, dtype=float)[:, None]
-    target = sizes[:, 0] * thresholds / (1.0 + thresholds)
-    weighted_gains = gains_padded * sizes
-    pg, den = np.empty(gains_padded.shape), np.empty(gains_padded.shape)
-    terms = np.empty((2, *gains_padded.shape))  # the terms of f(p) and of f'(p)
+    sizes = np.asarray(sizes, dtype=float)
+    target = sizes * thresholds / (1.0 + thresholds)
+    gains = np.ascontiguousarray(gains_padded.T)
+    weighted_gains = gains * sizes
+    pg, den = np.empty(gains.shape), np.empty(gains.shape)
+    terms = np.empty((2, *gains.shape))  # the terms of f(p) and of f'(p)
     # a non-finite step raises below, so numpy's own warnings would only repeat it
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        p = _jensen_start(gains_padded, sizes[:, 0], thresholds)
+        p = _jensen_start(gains_padded, sizes, thresholds)
         for _ in range(MAX_NEWTON_STEPS):
-            np.multiply(p[:, None], gains_padded, out=pg)
+            np.multiply(p, gains, out=pg)
             np.add(sizes, pg, out=den)
             np.divide(pg, den, out=terms[0])
             np.divide(weighted_gains, np.multiply(den, den, out=den), out=terms[1])
-            lhs, slope = terms.sum(axis=2)
+            lhs, slope = _lane_sum(terms)
             p_next = p + (target - lhs) / slope
             if not np.isfinite(p_next).all():
                 raise PowerSolveError("target-SNR power is not finite")
@@ -264,8 +305,9 @@ def build_jamsc(
     By default they stay allowed and simply price in as very costly, and
     the table holds the plan's read-only arrays.  Users left with no option
     at all are listed in the table's ``infeasible_users`` rather than
-    raising here.  A ``p_max_w`` so large that the costs, or their per-user
-    maxima summed, overflow float64 raises ValueError.
+    raising here.  Targets that are not one number per user (a string or a
+    bool is not a number) raise ValueError, and so does a ``p_max_w`` so
+    large that the costs, or their per-user maxima summed, overflow float64.
     """
     g = gains.gains
     k_users, n_sub = g.shape
@@ -273,9 +315,10 @@ def build_jamsc(
         patterns = enumerate_patterns(n_sub)
     if patterns.n_subchannels != n_sub:
         raise ValueError("pattern set does not match the channel's sub-channel count")
-    targets = np.asarray(targets_bps, dtype=float)
-    if targets.shape != (k_users,):
+    if np.shape(targets_bps) != (k_users,):
         raise ValueError(f"targets_bps must have shape ({k_users},)")
+    require_number("targets_bps", targets_bps)
+    targets = np.asarray(targets_bps, dtype=float)
     p_max = config.per_user("p_max_w")
     plan = _plan(patterns, tuple(targets.tolist()), tuple(tables), frame)
 

@@ -66,6 +66,30 @@ class PatternSet:
     n_subchannels: int
     columns: tuple[tuple[int, ...], ...]
 
+    def __post_init__(self) -> None:
+        """Refuse columns that are not the catalogue's: every reader takes a
+        column as the block ``starts``..``starts + sizes``, so column 0 must be
+        the empty pattern and every other column one contiguous, increasing
+        run of sub-channels in 1..``n_subchannels`` from an integer first
+        one, none repeated."""
+        require_integer("n_subchannels", self.n_subchannels)
+        if not self.columns or tuple(self.columns[0]) != ():
+            raise ValueError("column 0 of a pattern set must be the empty pattern")
+        for c in self.columns[1:]:
+            first = c[0] if len(c) else None
+            if not (
+                isinstance(first, numbers.Integral)
+                and not isinstance(first, bool)
+                and 1 <= first <= self.n_subchannels - len(c) + 1
+                and tuple(c) == tuple(range(first, first + len(c)))
+            ):
+                raise ValueError(
+                    f"pattern column {c!r} is not one contiguous, increasing block of sub-channels "
+                    f"1..{self.n_subchannels}"
+                )
+        if len(set(map(tuple, self.columns))) != len(self.columns):
+            raise ValueError("a pattern set lists each block once; some column repeats another")
+
     @property
     def n_patterns(self) -> int:
         return len(self.columns)

@@ -130,7 +130,8 @@ def build_sumax(
     min(p_peak, p_max / size) and the highest of ``modulations`` whose
     threshold its effective SNR meets (``select_modulation``).  The empty
     pattern has utility 0, power 0, NaN SNR and no modulation.  Raises
-    ValueError for weights that are not one finite number per user.
+    ValueError for weights that are not one finite number per user; a
+    string or a bool is not a number.
     """
     g = gains.gains
     k_users, n_sub = g.shape
@@ -138,9 +139,13 @@ def build_sumax(
         patterns = enumerate_patterns(n_sub)
     if patterns.n_subchannels != n_sub:
         raise ValueError("pattern set does not match the channel's sub-channel count")
-    w = np.ones(k_users) if weights is None else np.asarray(weights, dtype=float)
-    if w.shape != (k_users,):
-        raise ValueError(f"weights must have shape ({k_users},)")
+    if weights is None:
+        w = np.ones(k_users)
+    else:
+        if np.shape(weights) != (k_users,):
+            raise ValueError(f"weights must have shape ({k_users},)")
+        require_number("weights", weights)
+        w = np.asarray(weights, dtype=float)
     if not np.isfinite(w).all():
         raise ValueError(f"weights must be finite, got {w.tolist()}")
     p_max = config.per_user("p_max_w")

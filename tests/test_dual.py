@@ -555,6 +555,33 @@ def test_termination_names_each_exit(monkeypatch):
     assert "dual iterates diverged to non-finite values" in rep.violations
 
 
+@pytest.mark.parametrize(
+    "make", [lambda: sumax_assignment_for_seed(4, 8, 3), lambda: jamsc_assignment(5)], ids=["sumax", "jamsc"]
+)
+def test_a_warm_start_whose_prices_overflow_diverges_without_a_warning(make):
+    # each dual is finite, but an option's price y_k + sum of its cover duals
+    # passes the float64 maximum: its slack is -inf and its first binarity
+    # step inf, so the first landing's value is not finite and the rho test
+    # that runs then ends the ascent
+    a = make()
+    start = DualPoint(
+        cover_dual=np.full(a.n_resources, 0.9e308),
+        choice_dual=np.full(a.n_agents, 0.9e308),
+        binary_dual=np.ones(a.n_options),
+    )
+    with np.errstate(over="ignore"):
+        prices = a.constraint_matrix @ np.concatenate([start.choice_dual, start.cover_dual])
+    assert np.isfinite(a.constraint_matrix).all() and not np.isfinite(prices).all()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = solve(a, SolverConfig(), start=start)
+    assert (rep.termination, rep.outer_iterations) == ("diverged", 1)
+    assert math.isnan(rep.dual_value)
+    assert rep.dual_point.choice_dual.tobytes() == start.choice_dual.tobytes()
+    assert not np.isfinite(rep.dual_point.binary_dual).all()
+    assert "dual iterates diverged to non-finite values" in rep.violations
+
+
 def test_warm_start_outside_cone_stops_within_budget(landings):
     # mixed-sign binarity duals and some negative choice duals: outside the
     # cone the dual is not concave, but the first round sets the binarity

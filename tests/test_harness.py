@@ -3,6 +3,7 @@ import json
 import math
 import re
 from dataclasses import FrozenInstanceError, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -210,6 +211,31 @@ def test_run_campaign_writes_reproducible_files(tmp_path):
         return summary
 
     assert without_runtimes("run1") == without_runtimes("run2")
+
+
+def test_a_rerun_over_longer_or_shorter_files_writes_the_bytes_of_a_fresh_directory(tmp_path, monkeypatch):
+    # files are overwritten in place and then truncated, so a stale tail from
+    # a bigger campaign must go, and a smaller campaign's files must grow
+    monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: 0.0))  # runtimes of 0 s
+
+    def run(n_drops, out):
+        cfg = CampaignConfig(problem="both", scenario=desk_scenario(2, 4), n_drops=n_drops, out_dir=str(out))
+        assert run_campaign(cfg).ok
+
+    def files(out):
+        return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+    run(2, tmp_path / "small")
+    run(5, tmp_path / "big")
+    small, big = files(tmp_path / "small"), files(tmp_path / "big")
+    assert "summary.json" in small and len(small) == len(big) == 11
+    assert all(len(small[name]) < len(big[name]) for name in small)
+    reused = tmp_path / "reused"
+    for n_drops, want in ((5, big), (2, small), (5, big)):
+        run(n_drops, reused)
+        assert files(reused) == want
+    (tmp_path / "w").write_text("")  # created by mode "w", under the same umask
+    assert {(reused / name).stat().st_mode for name in big} == {(tmp_path / "w").stat().st_mode}
 
 
 def test_a_checker_finding_keeps_the_objective_and_fails_the_record_and_the_campaign(

@@ -19,7 +19,7 @@ from scfdma_alloc.jamsc import (
     min_subchannels,
     solve_pattern_power,
 )
-from scfdma_alloc.patterns import enumerate_patterns
+from scfdma_alloc.patterns import MAX_SUBCHANNELS, enumerate_patterns
 from scfdma_alloc.sumax import ModulationTable
 
 # How far the scalar helpers may sit from the table's bits: the build sums the
@@ -115,6 +115,21 @@ def test_build_jamsc_refuses_a_catalogue_or_targets_of_another_shape(kwargs, mes
     fields = {"targets_bps": (140e3, 140e3), "tables": (ModulationTable(),), **kwargs}
     with pytest.raises(ValueError, match=f"^{message}$"):
         build_jamsc(generate_channel(cfg, 4), cfg, **fields)
+
+
+@pytest.mark.parametrize("targets", [["140e3", True], ("140e3", "140e3"), np.array([140e3, True], dtype=object)])
+def test_min_count_matrix_refuses_targets_that_are_not_numbers(targets):
+    # the list ran as 140 kbps and 1 bps
+    with pytest.raises(ValueError, match="^targets_bps must be numbers"):
+        min_count_matrix(targets, ModulationTable(), FrameConfig())
+
+
+@pytest.mark.parametrize("targets", [("140e3", "140e3"), (140e3, True), np.array(["140e3", "140e3"])])
+def test_build_jamsc_refuses_targets_that_are_not_numbers(targets):
+    # the strings built a table at 140 kbps
+    cfg = ScenarioConfig(n_users=2, n_subchannels=3)
+    with pytest.raises(ValueError, match="^targets_bps must be numbers"):
+        build_jamsc(generate_channel(cfg, 4), cfg, targets, (ModulationTable(),))
 
 
 @pytest.mark.parametrize("rate", [0.0, -140e3, math.nan, math.inf, -math.inf])
@@ -254,18 +269,23 @@ def newton_loop(gains_padded, sizes, thresholds):
     raise PowerSolveError(f"target-SNR power did not settle in {jamsc.MAX_NEWTON_STEPS} Newton steps")
 
 
-# one row: its size, log10 of its eight gains (ten decades apart at most), log10 of its threshold
-NEWTON_ROW = st.tuples(
-    st.integers(1, 8), st.lists(st.floats(-5.0, 5.0), min_size=8, max_size=8), st.floats(-2.0, 2.0)
-)
+def newton_row(size: int):
+    """One padded row: its size, log10 of its gains (ten decades apart at most), log10 of its threshold."""
+    return st.tuples(st.just(size), st.lists(st.floats(-5.0, 5.0), min_size=size, max_size=size), st.floats(-2.0, 2.0))
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=200)
-@given(st.lists(NEWTON_ROW, min_size=1, max_size=40))
-def test_newton_powers_keep_the_bits_of_the_plain_loop(rows):
+# every lane count a catalogue has: the lane-major sum's blocks of 8 and its leftover lanes
+@pytest.mark.parametrize("lanes", range(1, MAX_SUBCHANNELS + 1))
+@settings(derandomize=True, database=None, deadline=None, max_examples=10)
+@given(data=st.data())
+def test_newton_powers_keep_the_bits_of_the_plain_loop(lanes, data):
+    # the first row is as long as the padding, as the build pads to its longest block
+    shorter = st.lists(st.integers(1, lanes).flatmap(newton_row), max_size=39)
+    rows = [data.draw(newton_row(lanes)), *data.draw(shorter)]
     sizes = np.array([size for size, _, _ in rows])
-    gains = 10.0 ** np.array([decades for _, decades, _ in rows])[:, : sizes.max()]
-    gains[np.arange(sizes.max())[None, :] >= sizes[:, None]] = 0.0  # padded as the build pads
+    gains = np.zeros((len(rows), lanes))
+    for t, (size, decades, _) in enumerate(rows):
+        gains[t, :size] = 10.0 ** np.array(decades)
     thresholds = 10.0 ** np.array([thr for _, _, thr in rows])
     assert _solve_powers_vec(gains, sizes, thresholds).tobytes() == newton_loop(gains, sizes, thresholds).tobytes()
 

@@ -81,6 +81,34 @@ def _permuted(n: int, seed: int) -> tuple[PatternSet, np.ndarray]:
 
 
 @pytest.mark.parametrize(
+    "columns",
+    [
+        ((), (1, 3), (2,), (2,)),  # a gap read as the block 1..2, and a repeat
+        ((), (2,), (1, 2), (2,)),
+        ((), (), (1,)),
+        ((1,), (), (2,)),
+        (),
+        ((), (0,)),
+        ((), (4,)),
+        ((), (2, 3, 4)),
+        ((), (2, 1)),
+        ((), (True,)),
+        ((), (1.0, 2.0)),
+    ],
+)
+def test_hand_built_set_refuses_columns_that_are_not_blocks(columns):
+    with pytest.raises(ValueError, match="pattern"):
+        PatternSet(3, columns)
+
+
+def test_hand_built_set_takes_blocks_in_any_order():
+    ps = PatternSet(3, ((), (2, 3), (1,), (3,)))
+    assert ps.starts.tolist() == [0, 1, 0, 2]
+    assert ps.sizes.tolist() == [0, 2, 1, 1]
+    assert _permuted(MAX_SUBCHANNELS, 0)[0].n_patterns == enumerate_patterns(MAX_SUBCHANNELS).n_patterns
+
+
+@pytest.mark.parametrize(
     "overrides", [{}, {"equalizer": "zf", "rayleigh_fading": False, "p_max_w": (0.3, 1.0, 2.0, 0.6)}],
     ids=["mmse", "zf-flat-per-user"],
 )

@@ -246,6 +246,14 @@ def test_non_finite_weights_are_refused(bad):
         build_sumax(ch, cfg, weights=[1.0, bad])
 
 
+@pytest.mark.parametrize("weights", [["1", True], ("1", "1"), np.array([1.0, True], dtype=object)])
+def test_build_sumax_refuses_weights_that_are_not_numbers(weights):
+    # the list scored with weights 1 and 1
+    cfg = ScenarioConfig(n_users=2, n_subchannels=3)
+    with pytest.raises(ValueError, match="^weights must be numbers"):
+        build_sumax(generate_channel(cfg, 4), cfg, weights=weights)
+
+
 @pytest.mark.parametrize(
     "overrides",
     [{}, {"equalizer": "zf"}, {"p_max_w": (0.3, 1.0, 2.0, 0.6), "p_peak_w": (0.5, 0.1, 0.5, 0.25)}],
