@@ -269,25 +269,28 @@ def newton_loop(gains_padded, sizes, thresholds):
     raise PowerSolveError(f"target-SNR power did not settle in {jamsc.MAX_NEWTON_STEPS} Newton steps")
 
 
-def newton_row(size: int):
-    """One padded row: its size, log10 of its gains (ten decades apart at most), log10 of its threshold."""
-    return st.tuples(st.just(size), st.lists(st.floats(-5.0, 5.0), min_size=size, max_size=size), st.floats(-2.0, 2.0))
+# one row: its size, log10 of its gains (ten decades apart at most), log10 of its threshold
+NEWTON_ROW = st.tuples(
+    st.integers(1, MAX_SUBCHANNELS),
+    st.lists(st.floats(-5.0, 5.0), min_size=MAX_SUBCHANNELS, max_size=MAX_SUBCHANNELS),
+    st.floats(-2.0, 2.0),
+)
 
 
-# every lane count a catalogue has: the lane-major sum's blocks of 8 and its leftover lanes
-@pytest.mark.parametrize("lanes", range(1, MAX_SUBCHANNELS + 1))
-@settings(derandomize=True, database=None, deadline=None, max_examples=10)
-@given(data=st.data())
-def test_newton_powers_keep_the_bits_of_the_plain_loop(lanes, data):
-    # the first row is as long as the padding, as the build pads to its longest block
-    shorter = st.lists(st.integers(1, lanes).flatmap(newton_row), max_size=39)
-    rows = [data.draw(newton_row(lanes)), *data.draw(shorter)]
-    sizes = np.array([size for size, _, _ in rows])
-    gains = np.zeros((len(rows), lanes))
-    for t, (size, decades, _) in enumerate(rows):
-        gains[t, :size] = 10.0 ** np.array(decades)
+@settings(derandomize=True, database=None, deadline=None, max_examples=50)
+@given(st.lists(NEWTON_ROW, min_size=1, max_size=40))
+def test_newton_powers_keep_the_bits_of_the_plain_loop(rows):
+    # the same rows cut to every lane count a catalogue has, which covers the
+    # lane-major sum's blocks of 8 and its leftover lanes
+    decades = np.array([gains for _, gains, _ in rows])
     thresholds = 10.0 ** np.array([thr for _, _, thr in rows])
-    assert _solve_powers_vec(gains, sizes, thresholds).tobytes() == newton_loop(gains, sizes, thresholds).tobytes()
+    for lanes in range(1, MAX_SUBCHANNELS + 1):
+        sizes = np.minimum([size for size, _, _ in rows], lanes)
+        sizes[0] = lanes  # the build pads to its longest block
+        gains = 10.0 ** decades[:, :lanes]
+        gains[np.arange(lanes)[None, :] >= sizes[:, None]] = 0.0  # padded as the build pads
+        got, want = _solve_powers_vec(gains, sizes, thresholds), newton_loop(gains, sizes, thresholds)
+        assert got.tobytes() == want.tobytes(), lanes
 
 
 def test_the_jensen_start_is_a_lower_bound_on_the_power():
