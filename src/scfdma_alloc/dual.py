@@ -256,7 +256,7 @@ def _extrapolate(
     y2: np.ndarray,
     least: float,
     offset: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+) -> tuple[np.ndarray, np.ndarray] | None:
     """SQUAREM's squared extrapolation of two rounds y0 -> y1 -> y2.
 
     With r = y1 - y0, v = y2 - 2 y1 + y0 and alpha = min(-|r|/|v|, -1), the
@@ -265,9 +265,8 @@ def _extrapolate(
     long before the duals do.  y' is kept only where phi(y'), the dual at
     rho = ``project_rho`` of its slack with the solve's floor ``offset``, is
     at least ``least``, the y2 landing's value; otherwise alpha moves halfway
-    to -1, up to ``EXTRAPOLATION_BACKTRACKS`` times.  Returns y', its slack
-    and the rho it was priced at, which the next round's binarity step would
-    compute again, or None when v = 0, alpha reaches -1 or no step is kept.
+    to -1, up to ``EXTRAPOLATION_BACKTRACKS`` times.  Returns y' and its slack, or None
+    when v = 0, alpha reaches -1 or no step is kept.
     """
     r = y1 - y0
     v = (y2 - y1) - r
@@ -283,7 +282,7 @@ def _extrapolate(
         binary = project_rho(slack, offset)
         # a NaN phi fails the test too
         if _value(trial, slack + binary, binary) >= least:
-            return trial, slack, binary
+            return trial, slack
         alpha = 0.5 * (alpha - 1.0)
     return None
 
@@ -319,8 +318,7 @@ def solve(
     The rounds run in SQUAREM cycles.  From y0 a cycle lands y1 = T(y0) and
     y2 = T(y1), extrapolates them to y' (``_extrapolate``), keeping y' only
     where phi(y') is at least the y2 landing's value, and lands the
-    stabilising round y3 = T(y'), which starts the next cycle and takes the
-    rho that phi(y') was priced at as its binarity step; when no y' is
+    stabilising round y3 = T(y'), which starts the next cycle; when no y' is
     kept the next cycle starts from y2.  So landing values still never fall,
     and the cycles add no fixed point.  ``max_outer`` counts landings, and
     every landing is tested for the exits, recorded as ``termination``:
@@ -385,7 +383,6 @@ def solve(
     best_value = -math.inf
     flat_rounds = 0
     outer = 0
-    priced = None  # the binarity duals of an extrapolation's kept point
 
     # a slack far beyond its rho squares past float64: the value then reads
     # -inf, which raises no best value; a singular system flags invalid and
@@ -394,12 +391,8 @@ def solve(
         while outer < cfg.max_outer:
             outer += 1
             # |slack| maximises each separable 1-D sub-problem on rho > 0, so
-            # one step lands every binarity dual, unless an extrapolation
-            # already priced them at its kept point
-            if priced is None:
-                binary = project_rho(slack, offset)
-            else:
-                binary, priced = priced, None
+            # one step lands every binarity dual
+            binary = project_rho(slack, offset)
             h, rhs = joint_system(a, binary)
             landed = solve1(h, rhs)
             slack, shifted, dval = _evaluate(a, landed, binary)
@@ -445,7 +438,7 @@ def solve(
                     path = [stacked]  # carry on from y2
                 else:
                     # the stabilising landing from y' starts the next cycle
-                    stacked, slack, priced = jump
+                    stacked, slack = jump
                     path = []
 
     choice, cover = stacked[:n_agents], stacked[n_agents:]

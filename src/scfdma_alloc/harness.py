@@ -351,34 +351,18 @@ def run_campaign(cfg: CampaignConfig) -> CampaignSummary:
                 vals = [r.records[name].objective for r in sub if name in r.records and r.records[name].feasible]
                 rows = [("value", "fraction"), *emit_cdf(vals)]
                 _write_csv(os.path.join(cfg.out_dir, f"{prob}_cdf_{name}.csv"), rows)
-        with open(os.path.join(cfg.out_dir, "summary.json"), "w", encoding="utf-8", opener=_in_place) as fh:
+        with open(os.path.join(cfg.out_dir, "summary.json"), "w", encoding="utf-8") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
-            fh.truncate()
     return CampaignSummary(results=all_results, summary=summary, ok=ok, failures=failures)
-
-
-def _in_place(path: str, flags: int) -> int:
-    """``open``'s opener for a file overwritten in place: the flags of mode
-    "w" without ``O_TRUNC``, and the mode ``open`` itself creates files with,
-    so the writer truncates the file at its end once it is written."""
-    return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
 def _write_csv(path: str, rows: Sequence[Sequence]) -> None:
     """One line per row, cells as ``csv.writer`` writes them: a float by its
     ``repr``, None as an empty cell, and only a cell holding a comma, a quote
-    or a line break quoted.  Rows hold Python str, int, float and None only.
-
-    An existing file is overwritten in place and then truncated at the end
-    of what was written, not truncated to zero when opened: ext4, with its
-    default ``auto_da_alloc``, flushes a file truncated to zero when it is
-    closed, which made each rewrite of a campaign's files several times
-    slower than the write itself.  Path, symlink and permission handling are
-    those of mode "w"."""
-    with open(path, "w", encoding="utf-8", newline="", opener=_in_place) as fh:
+    or a line break quoted.  Rows hold Python str, int, float and None only."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
-        fh.truncate()
 
 
 # ---------------------------------------------------------------------------

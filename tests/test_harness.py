@@ -214,8 +214,8 @@ def test_run_campaign_writes_reproducible_files(tmp_path):
 
 
 def test_a_rerun_over_longer_or_shorter_files_writes_the_bytes_of_a_fresh_directory(tmp_path, monkeypatch):
-    # files are overwritten in place and then truncated, so a stale tail from
-    # a bigger campaign must go, and a smaller campaign's files must grow
+    # a stale tail from a bigger campaign must go, and a smaller campaign's
+    # files must grow
     monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: 0.0))  # runtimes of 0 s
 
     def run(n_drops, out):
@@ -234,8 +234,6 @@ def test_a_rerun_over_longer_or_shorter_files_writes_the_bytes_of_a_fresh_direct
     for n_drops, want in ((5, big), (2, small), (5, big)):
         run(n_drops, reused)
         assert files(reused) == want
-    (tmp_path / "w").write_text("")  # created by mode "w", under the same umask
-    assert {(reused / name).stat().st_mode for name in big} == {(tmp_path / "w").stat().st_mode}
 
 
 def test_a_checker_finding_keeps_the_objective_and_fails_the_record_and_the_campaign(

@@ -269,9 +269,10 @@ def newton_loop(gains_padded, sizes, thresholds):
     raise PowerSolveError(f"target-SNR power did not settle in {jamsc.MAX_NEWTON_STEPS} Newton steps")
 
 
-# one row: its size, log10 of its gains (ten decades apart at most), log10 of its threshold
+# one row: its size as a share of the lane count, log10 of its gains (ten
+# decades apart at most), log10 of its threshold
 NEWTON_ROW = st.tuples(
-    st.integers(1, MAX_SUBCHANNELS),
+    st.floats(0.0, 1.0, exclude_max=True),
     st.lists(st.floats(-5.0, 5.0), min_size=MAX_SUBCHANNELS, max_size=MAX_SUBCHANNELS),
     st.floats(-2.0, 2.0),
 )
@@ -281,11 +282,13 @@ NEWTON_ROW = st.tuples(
 @given(st.lists(NEWTON_ROW, min_size=1, max_size=40))
 def test_newton_powers_keep_the_bits_of_the_plain_loop(rows):
     # the same rows cut to every lane count a catalogue has, which covers the
-    # lane-major sum's blocks of 8 and its leftover lanes
+    # lane-major sum's blocks of 8 and its leftover lanes; each row's size is
+    # its share of the lane count, so padded rows are as common at every count
+    shares = np.array([share for share, _, _ in rows])
     decades = np.array([gains for _, gains, _ in rows])
     thresholds = 10.0 ** np.array([thr for _, _, thr in rows])
     for lanes in range(1, MAX_SUBCHANNELS + 1):
-        sizes = np.minimum([size for size, _, _ in rows], lanes)
+        sizes = 1 + (shares * lanes).astype(int)
         sizes[0] = lanes  # the build pads to its longest block
         gains = 10.0 ** decades[:, :lanes]
         gains[np.arange(lanes)[None, :] >= sizes[:, None]] = 0.0  # padded as the build pads
